@@ -88,7 +88,10 @@ class CgfModel:
     closed_rate: Optional[Callable] = None
     rate_grad: Optional[Callable] = None
     rate_hess: Optional[Callable] = None
-    # Open interval on which rate_grad is usable (d=1 solvers need it).
+    # Open interval on which rate_grad is usable (d=1 solvers need it).  At
+    # an infinite domain edge its matching edge is the limit K'(+-inf), the
+    # edge of the support; the slope range of E_f reads it there, and raises
+    # DomainError for a d=1 model with an infinite edge and rate_dom=None.
     rate_dom: Optional[tuple] = None
     sampler: Optional[Callable] = None          # (rng, count) -> draws
     tilted_sampler: Optional[Callable] = None   # (theta, rng, count) -> draws

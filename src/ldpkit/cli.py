@@ -20,10 +20,9 @@ import numpy as np
 from . import montecarlo as mc
 from .cgf import parse_model
 from .errors import DomainError, LdpkitError, NonConvergenceError
-from .kernel_rate import (KernelRateProblem, e_f, e_f_grad, i_f_conjugate,
-                          i_f_explicit, minimizer)
+from .kernel_rate import e_f, e_f_grad, i_f_conjugate, i_f_explicit, minimizer
 from .kernels import parse_kernel
-from .metrics import rho_2, rho_2_prime, rho_star
+from .metrics import METRICS, rho_2, rho_2_prime
 from .paths import CadlagPath, random_path
 
 
@@ -124,8 +123,7 @@ def _cmd_idcost(args, out) -> int:
 def _cmd_metric(args, out) -> int:
     left = _load_path(args.left)
     right = _load_path(args.right)
-    fn = {"rho2": rho_2, "rho2p": rho_2_prime, "rhostar": rho_star}[args.name]
-    _emit((args.name,), [(fn(left, right),)], args.format, out)
+    _emit((args.name,), [(METRICS[args.name](left, right),)], args.format, out)
     return 0
 
 
@@ -278,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_idcost)
 
     p = sub.add_parser("metric", help="distance between two path files")
-    p.add_argument("name", choices=("rho2", "rho2p", "rhostar"))
+    p.add_argument("name", choices=tuple(METRICS))
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -14,9 +14,14 @@ share no value formula:
     under the exact pairing constraint (uses only the rate function and
     its derivatives, never K).
 
-One-sided limits sup E_f' and inf E_f' are improper integrals of
-f * K'(lam f) at the clamped tilt; divergence is certified by the shell
-quadrature rather than assumed.
+The slope range [inf E_f', sup E_f'] follows from the model and the
+kernel, with no search.  E_f' is nondecreasing, so sup E_f' is its limit at
+the cap M_plus.  An infinite cap gives, by monotone convergence,
+int_{f>0} f K'(+inf) + int_{f<0} f K'(-inf).  At a finite cap the binding
+domain edge decides: a log-MGF is lower semicontinuous, so K and K' blow up
+at an open edge and sup E_f' = +inf; at a closed edge sup E_f' is the
+(possibly improper) integral of f K'(M_plus f) at the cap.  inf E_f' is the
+mirror image.
 """
 
 from __future__ import annotations
@@ -29,14 +34,12 @@ import numpy as np
 
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
-from .conjugate import (ConvexOracle, _approach, _probe_limit, _solve_grad_1d,
-                        grad_inverse, legendre)
+from .conjugate import ConvexOracle, grad_inverse, legendre
 from .errors import (AmbiguityError, DomainError, GradientRangeError,
                      NonConvergenceError)
 from .kernels import Kernel
 
 _TOUCH_RTOL = 5e-13
-_BOUNDARY_RTOL = 1e-7     # |x - sup E_f'| below this counts as the boundary
 _PROBE_START = 1.0
 
 
@@ -240,31 +243,29 @@ class KernelRateProblem:
                                   lower_closed=low_closed, upper_closed=up_closed)
         return self._memo("d_f", compute)
 
+    def _slope_limit(self, upper: bool) -> float:
+        """lim E_f'(lam) as lam runs to the cap M_plus (upper) or -M_minus."""
+        m_plus, m_minus = self.m_plus_minus
+        cap = m_plus if upper else m_minus
+        if math.isinf(cap):
+            # monotone convergence: K'(lam f) runs to K'(+-inf) where f != 0
+            # (0 * inf = 0: a sign f never takes contributes nothing)
+            _, _, pos, neg = _sign_split(self.kernel)
+            return sum(w * _grad_limit(self.model, side)
+                       for w, side in ((pos, upper), (neg, not upper)) if w != 0.0)
+        dom = self.d_f
+        if not (dom.upper_closed if upper else dom.lower_closed):
+            return math.inf if upper else -math.inf
+        val = e_f_grad(self.model, self.kernel, cap if upper else -cap)
+        return val if math.isfinite(val) else math.copysign(math.inf, val)
+
     @property
     def sup_ef_prime(self) -> float:
-        def compute():
-            m_plus, _ = self.m_plus_minus
-            if math.isfinite(m_plus):
-                val = e_f_grad(self.model, self.kernel, m_plus)
-                return val if math.isfinite(val) else math.inf
-            probes = [_PROBE_START * 2.0 ** k for k in range(52)]
-            val, finite = _probe_limit(
-                lambda l: e_f_grad(self.model, self.kernel, l, tol=1e-13), probes)
-            return val if finite else math.inf
-        return self._memo("sup", compute)
+        return self._memo("sup", lambda: self._slope_limit(True))
 
     @property
     def inf_ef_prime(self) -> float:
-        def compute():
-            _, m_minus = self.m_plus_minus
-            if math.isfinite(m_minus):
-                val = e_f_grad(self.model, self.kernel, -m_minus)
-                return val if math.isfinite(val) else -math.inf
-            probes = [-_PROBE_START * 2.0 ** k for k in range(52)]
-            val, finite = _probe_limit(
-                lambda l: e_f_grad(self.model, self.kernel, l, tol=1e-13), probes)
-            return val if finite else -math.inf
-        return self._memo("inf", compute)
+        return self._memo("inf", lambda: self._slope_limit(False))
 
     @property
     def oracle(self) -> ConvexOracle:
@@ -319,17 +320,10 @@ class KernelRateResult:
     inf_ef_prime: float
 
 
-def _near(x: float, edge: float) -> bool:
-    if not math.isfinite(edge):
-        return False
-    return abs(x - edge) <= _BOUNDARY_RTOL * max(1.0, abs(x), abs(edge))
-
-
 def _branch_of(x: float, prob: KernelRateProblem) -> str:
-    sup_e, inf_e = prob.sup_ef_prime, prob.inf_ef_prime
-    if x > sup_e or _near(x, sup_e):
+    if x >= prob.sup_ef_prime:
         return "singular_plus"
-    if x < inf_e or _near(x, inf_e):
+    if x <= prob.inf_ef_prime:
         return "singular_minus"
     return "interior"
 
@@ -376,39 +370,48 @@ def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kern
                             prob.sup_ef_prime, prob.inf_ef_prime)
 
 
-def _sign_measures(kernel: Kernel):
-    """Exact Lebesgue measures of {f > 0} and {f < 0}."""
-    pos = neg = 0.0
+def _sign_split(kernel: Kernel):
+    """Exact measures and integrals of f over {f > 0} and {f < 0}.
+
+    Returns (pos_measure, neg_measure, pos_integral, neg_integral), the last
+    one <= 0.  A piece that changes sign splits at its root.
+    """
+    pos = neg = pos_int = neg_int = 0.0
     for a, b, va, vb in kernel.pieces():
-        length = b - a
-        if va >= 0 and vb >= 0:
-            pos += length if (va > 0 or vb > 0) else 0.0
-        elif va <= 0 and vb <= 0:
-            neg += length if (va < 0 or vb < 0) else 0.0
+        if va * vb < 0:
+            root = a + (b - a) * va / (va - vb)
+            parts = ((root - a, va, 0.0), (b - root, 0.0, vb))
         else:
-            root = a + length * (-va) / (vb - va)
-            if va > 0:
-                pos += root - a
-                neg += b - root
-            else:
-                neg += root - a
-                pos += b - root
-    return pos, neg
+            parts = ((b - a, va, vb),)
+        for length, u, v in parts:
+            if u > 0 or v > 0:
+                pos += length
+                pos_int += 0.5 * length * (u + v)
+            elif u < 0 or v < 0:
+                neg += length
+                neg_int += 0.5 * length * (u + v)
+    return pos, neg, pos_int, neg_int
 
 
 def _grad_limit(model: CgfModel, upper: bool) -> float:
-    """One-sided limit of K' at the corresponding domain edge."""
+    """One-sided limit of K' at the upper or lower domain edge.
+
+    An open finite edge gives +-inf (a log-MGF is lower semicontinuous, so
+    K, and with it K', blows up there); a closed edge gives the model's
+    one-sided value K'(edge); an infinite edge gives the matching rate_dom
+    edge, which is the edge of the support.
+    """
     lo, hi = _interval_bounds(model)
     edge = hi if upper else lo
     if math.isfinite(edge):
-        pts = _approach(edge, 0.0)  # 0 is always interior to the domain
-    else:
-        pts = [(1.0 if upper else -1.0) * 2.0 ** k for k in range(52)]
-    val, finite = _probe_limit(lambda u: float(model.cgf_grad(np.asarray([u]))[0]),
-                               list(pts))
-    if finite:
-        return val
-    return math.inf if upper else -math.inf
+        if getattr(model.domain, "upper_closed" if upper else "lower_closed"):
+            return float(model.cgf_grad(edge))
+        return math.inf if upper else -math.inf
+    if model.rate_dom is None:
+        raise DomainError(
+            f"model {model.id} has an infinite domain edge but no rate_dom, "
+            "so K' has no known limit there")
+    return float(model.rate_dom[1] if upper else model.rate_dom[0])
 
 
 def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
@@ -420,7 +423,7 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
         val, status = _integrate_kernel(model, kernel, lam_bar, fn, tol=tol)
         return val if status == quad.OK else math.inf
 
-    pos, neg = _sign_measures(kernel)
+    pos, neg, _, _ = _sign_split(kernel)
     up = lam_bar > 0
     total = 0.0
     for measure, upper in ((pos, up), (neg, not up)):
@@ -432,32 +435,6 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
             return math.inf
         total += measure * r
     return total
-
-
-def _edge_explicit(model: CgfModel, kernel: Kernel, prob, x: float, tol: float,
-                   done, side: int) -> KernelRateResult:
-    """Value at the numeric edge of the slope range when the tilt cap is
-    infinite.
-
-    The probed edge is only accurate to its own rounding, so a point inside
-    the band can still have a finite tilt solving E_f'(lam) = x; resolve it
-    and evaluate the clamped integral there.  When no tilt is reachable the
-    value is the limit of the clamped integrals, which the sign-measure form
-    computes directly.
-    """
-    try:
-        lam = _solve_grad_1d(prob.oracle, x, min(tol, 1e-10), 200)
-    except NonConvergenceError:
-        lam = None
-    label = "singular_plus" if side > 0 else "singular_minus"
-    if lam is not None:
-        value = _clamp_integral(model, kernel, lam)
-        if not math.isfinite(value):
-            return done(math.inf, "infinite", None)
-        value += lam * (x - e_f_grad(model, kernel, lam))
-        return done(value, "interior" if abs(lam) <= 2048.0 else label, lam)
-    value = _clamp_integral(model, kernel, side * math.inf)
-    return done(value, label if math.isfinite(value) else "infinite", None)
 
 
 def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> KernelRateResult:
@@ -493,30 +470,19 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
         return KernelRateResult(x, value, branch, lam, m_plus, m_minus,
                                 sup_e, inf_e)
 
-    if x > sup_e and not _near(x, sup_e):
-        if math.isinf(m_plus):
-            return done(math.inf, "infinite", None)
-        value = m_plus * (x - sup_e) + _clamp_integral(model, kernel, m_plus)
-        return done(value, "singular_plus", m_plus)
-    if x < inf_e and not _near(x, inf_e):
-        if math.isinf(m_minus):
-            return done(math.inf, "infinite", None)
-        value = m_minus * (inf_e - x) + _clamp_integral(model, kernel, -m_minus)
-        return done(value, "singular_minus", -m_minus)
-    if _near(x, sup_e):
-        if math.isfinite(m_plus):
-            value = _clamp_integral(model, kernel, m_plus)
-            value += m_plus * max(x - sup_e, 0.0)
-            branch = "singular_plus" if math.isfinite(value) else "infinite"
-            return done(value, branch, m_plus)
-        return _edge_explicit(model, kernel, prob, x, tol, done, +1)
-    if _near(x, inf_e):
-        if math.isfinite(m_minus):
-            value = _clamp_integral(model, kernel, -m_minus)
-            value += m_minus * max(inf_e - x, 0.0)
-            branch = "singular_minus" if math.isfinite(value) else "infinite"
-            return done(value, branch, -m_minus)
-        return _edge_explicit(model, kernel, prob, x, tol, done, -1)
+    for side, edge, cap in ((1.0, sup_e, m_plus), (-1.0, inf_e, m_minus)):
+        gap = side * (x - edge)     # how far x lies beyond this edge
+        if gap < 0:
+            continue
+        if math.isfinite(cap):
+            value = cap * gap + _clamp_integral(model, kernel, side * cap)
+        elif gap == 0:
+            value = _clamp_integral(model, kernel, side * math.inf)
+        else:
+            value = math.inf
+        label = "singular_plus" if side > 0 else "singular_minus"
+        return done(value, label if math.isfinite(value) else "infinite",
+                    side * cap if math.isfinite(cap) else None)
 
     lam = grad_inverse(prob.oracle, x, tol=min(tol, 1e-10))
     value = _clamp_integral(model, kernel, lam)

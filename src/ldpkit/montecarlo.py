@@ -3,39 +3,29 @@
 The estimators target tail probabilities of W_n = (1/n) sum f(k/n) X_k
 under an exponential change of measure chosen so that the event of
 interest sits near the tilted mean.  Estimates are reproducible: the
-per-worker streams are counter-based, so the result depends only on the
-seed and the worker count.
+samples are drawn in fixed chunks of CHUNK, chunk k from the counter-based
+Philox stream with key = seed and counter = k, and the chunks are reduced
+in order, so the result depends only on the seed and the sample count.
+Importance weights are summed in log space, so tails far below the
+smallest double (log p of order -1000) still come out finite.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import norm
+from scipy.special import gammaln, log_ndtr, logsumexp
 
 from .cgf import CgfModel
 from .conjugate import grad_inverse
 from .errors import DomainError, GradientRangeError, NoSamplerError
-from .kernel_rate import KernelRateProblem, i_f_conjugate
+from .kernel_rate import KernelRateProblem, _problem, i_f_conjugate
 from .kernels import Kernel
 from .paths import CadlagPath
 
-DEFAULT_WORKERS = 4
-
-
-def _worker_count() -> int:
-    cap = os.environ.get("LDPKIT_THREADS")
-    w = DEFAULT_WORKERS
-    if cap is not None:
-        try:
-            w = min(w, max(1, int(cap)))
-        except ValueError:
-            pass
-    return w
+CHUNK = 2_500   # samples per counter-based stream
 
 
 @dataclass(frozen=True)
@@ -120,8 +110,8 @@ def _projected_tilt(model: CgfModel, kernel: Kernel, a: float, direction):
     Returns (lam, tag) where tag is None for interior solves and a string
     describing the fallback when a sits at or beyond the gradient range.
     """
+    problem = _problem(model, kernel)
     if model.dimension == 1:
-        problem = KernelRateProblem(model=model, kernel=kernel)
         try:
             lam = grad_inverse(problem.oracle, a)
             return float(lam), None
@@ -137,7 +127,6 @@ def _projected_tilt(model: CgfModel, kernel: Kernel, a: float, direction):
             return lam, f"boundary:{err.side}"
     # d > 1: scalar tilt along the requested direction
     l = np.asarray(direction, dtype=float)
-    problem = KernelRateProblem(model=model, kernel=kernel)
 
     def slope(lam: float) -> float:
         return float(np.dot(e_f_grad_vec(problem, lam * l_unit(l)), l))
@@ -229,18 +218,11 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
         log_norm = np.array([model.k(theta[k]) for k in range(n)])
     log_norm_total = float(np.sum(log_norm))
 
-    workers = _worker_count()
-    base, extra = divmod(samples, workers)
-    counts = [base + (1 if w < extra else 0) for w in range(workers)]
-
-    total = 0.0
-    total_sq = 0.0
-    used = 0
-    for w, cnt in enumerate(counts):
-        if cnt == 0:
-            continue
-        bits = np.random.Philox(key=seed, counter=[0, 0, 0, w])
-        rng = np.random.Generator(bits)
+    # per chunk: log of the sum of hit weights and of their squares
+    log_s1 = log_s2 = -math.inf
+    for k, start in enumerate(range(0, samples, CHUNK)):
+        cnt = min(CHUNK, samples - start)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k]))
         if model.dimension == 1:
             xs = _tilted_batch(model, theta, rng, cnt)     # (n, cnt)
             wsum = np.sum(fv[:, None] * xs, axis=0) / n
@@ -248,27 +230,25 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
             hit = wsum >= a
         else:
             xs = np.empty((n, cnt, model.dimension))
-            for k in range(n):
-                xs[k] = model.tilt_draw(theta[k], rng, cnt)
+            for j in range(n):
+                xs[j] = model.tilt_draw(theta[j], rng, cnt)
             wsum = np.sum(fv[:, None, None] * xs, axis=0) / n
             score = np.einsum("kci,ki->c", xs, theta)
             hit = wsum @ l_vec >= a
-        logw = log_norm_total - score
-        vals = np.where(hit, np.exp(logw), 0.0)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        used += cnt
+        logw = (log_norm_total - score)[hit]
+        if logw.size:
+            log_s1 = np.logaddexp(log_s1, logsumexp(logw))
+            log_s2 = np.logaddexp(log_s2, logsumexp(2.0 * logw))
 
-    mean = total / used
-    var = max(total_sq / used - mean * mean, 0.0)
-    se = math.sqrt(var / used)
-    if mean > 0:
-        log_prob = math.log(mean)
-        std_error = se / mean
+    if math.isfinite(log_s1):
+        log_prob = float(log_s1) - math.log(samples)
+        # relative variance of one weight: E[w^2] / E[w]^2 - 1
+        rel_var = math.expm1(float(log_s2) - 2.0 * float(log_s1) + math.log(samples))
+        std_error = math.sqrt(max(rel_var, 0.0) / samples)
     else:
         log_prob = -math.inf
         std_error = 0.0
-    return McEstimate(n=n, samples=used, tilt=(lam if tag is None else tag),
+    return McEstimate(n=n, samples=samples, tilt=(lam if tag is None else tag),
                       log_prob=log_prob, std_error=std_error)
 
 
@@ -293,7 +273,7 @@ def exact_tail_oracle(model: CgfModel, kernel: Kernel, n: int, a: float) -> floa
         s = math.sqrt(sig2 * float(np.sum(fv * fv))) / n
         if s == 0.0:
             return 0.0 if a <= m else -math.inf
-        return float(norm.logsf((a - m) / s))
+        return float(log_ndtr((m - a) / s))
     if model.id.startswith("rademacher"):
         const = float(fv[0])
         if np.all(fv == const) and const > 0:

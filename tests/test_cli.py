@@ -109,8 +109,7 @@ def test_sweep_csv_shape(capsys):
         assert float(i_f) > 0.0 and float(exact) > 0.0
 
 
-def test_mc_reproducible_under_thread_cap(monkeypatch, capsys):
-    monkeypatch.setenv("LDPKIT_THREADS", "2")
+def test_mc_reproducible_under_thread_cap(capsys):
     argv = ["mc", "--model", "rademacher", "--kernel", "const:1",
             "--n", "20", "--a", "0.5", "--samples", "2000", "--seed", "5"]
     code, cap1 = _run(capsys, argv)

@@ -1,14 +1,17 @@
 """Weighted rate function: moment integrals, both evaluation routes, the
 variational cross-check and minimizing paths."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from ldpkit import kernel_rate as kr
 from ldpkit import (
     AmbiguityError,
+    DomainError,
     d_f,
     e_f,
     e_f_grad,
@@ -153,6 +156,52 @@ def test_ef_prime_range_table():
     lo, hi = ef_prime_range(parse_model("synthetic-boundary"), ID)
     assert hi == pytest.approx(7.0 / 30.0, abs=1e-10)
     assert lo == -math.inf
+
+
+def test_ef_prime_range_edges_are_exact():
+    # the edges come from K'(+-inf), the closed/open edge flags and exact
+    # signed integrals of f, so they are exact, not merely close
+    kr._problem.cache_clear()
+    assert ef_prime_range(parse_model("rademacher"), ID) == (-0.5, 0.5)
+    assert ef_prime_range(parse_model("cexp"), CONST1)[0] == -1.0
+    assert ef_prime_range(parse_model("poisson:rate=1"), CONST1)[0] == -1.0
+    assert ef_prime_range(parse_model("cexp"), NEGID)[1] == 0.5
+
+
+def test_ef_prime_range_needs_no_quadrature(monkeypatch):
+    # an infinite cap or an open binding edge decides the edge from the
+    # model and the kernel alone; only a closed binding edge integrates
+    def refuse(*args, **kwargs):
+        raise AssertionError("e_f_grad called")
+
+    monkeypatch.setattr(kr, "e_f_grad", refuse)
+    kr._problem.cache_clear()
+    for spec, k in PAIRS + [("cexp", NEGID), ("cexp", parse_kernel("affine:1,-2"))]:
+        if spec == "synthetic-boundary":
+            continue    # closed edge: sup E_f' is the integral at the cap
+        ef_prime_range(parse_model(spec), k)
+    synth = kr._problem(parse_model("synthetic-boundary"), ID)
+    assert synth.inf_ef_prime == -math.inf     # infinite cap below
+    with pytest.raises(AssertionError):
+        synth.sup_ef_prime                      # closed edge above
+
+
+def test_infinite_edge_needs_rate_dom():
+    m = parse_model("cexp")
+    bare = dataclasses.replace(m, id="cexp-bare", rate_dom=None)
+    with pytest.raises(DomainError):
+        ef_prime_range(bare, ID)    # K'(-inf) is unknown without rate_dom
+
+
+def test_rate_at_an_infinite_cap_edge():
+    # x at the slope edge with an infinite tilt cap: the rate is the limit of
+    # the clamped integrals, P(every step at the bottom of the support)
+    m = parse_model("poisson:rate=1")
+    for k, x in ((CONST1, -1.0), (ID, -0.5)):
+        res = i_f_explicit(m, k, x)
+        assert res.branch == "singular_minus"
+        assert res.value == 1.0
+        assert i_f_conjugate(m, k, x).value == pytest.approx(1.0, abs=1e-9)
 
 
 # -- the two evaluation routes -------------------------------------------------
