@@ -75,26 +75,29 @@ class CgfModel:
 
     Callables take scalars or numpy arrays for d=1, and arrays of shape
     (..., d) for d>1.  K returns +inf outside the domain; gradients return
-    one-sided limit values on the closed hull boundary.
+    one-sided limit values on the closed hull boundary.  Equality and the
+    hash leave the callables out, so the other fields, ``id`` above all, must
+    tell two laws apart; two parses of one spec then share cached analyses.
     """
 
     id: str
     dimension: int
     domain: Domain
     mean: Union[float, tuple]
-    cgf: Callable
-    cgf_grad: Callable
-    cgf_hess: Optional[Callable] = None
-    closed_rate: Optional[Callable] = None
-    rate_grad: Optional[Callable] = None
-    rate_hess: Optional[Callable] = None
+    cgf: Callable = field(compare=False)
+    cgf_grad: Callable = field(compare=False)
+    cgf_hess: Optional[Callable] = field(default=None, compare=False)
+    closed_rate: Optional[Callable] = field(default=None, compare=False)
+    rate_grad: Optional[Callable] = field(default=None, compare=False)
+    rate_hess: Optional[Callable] = field(default=None, compare=False)
     # Open interval on which rate_grad is usable (d=1 solvers need it).  At
     # an infinite domain edge its matching edge is the limit K'(+-inf), the
     # edge of the support; the slope range of E_f reads it there, and raises
     # DomainError for a d=1 model with an infinite edge and rate_dom=None.
     rate_dom: Optional[tuple] = None
-    sampler: Optional[Callable] = None          # (rng, count) -> draws
-    tilted_sampler: Optional[Callable] = None   # (theta, rng, count) -> draws
+    # (rng, count) -> draws and (theta, rng, count) -> draws
+    sampler: Optional[Callable] = field(default=None, compare=False)
+    tilted_sampler: Optional[Callable] = field(default=None, compare=False)
     minorant: tuple = (0.0, 0.0)                # (c1, c2): I(v) >= c1|v| - c2
 
     @cached_property
@@ -288,7 +291,7 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
 
     c2 = float(np.linalg.norm(mu_vec) + 0.5 * evals.max())
     return CgfModel(
-        id=f"gaussian:d={d}",
+        id=f"gaussian:d={d},mu={mu_vec.tolist()},cov={cov_m.tolist()}",
         dimension=d,
         domain=FullSpace(d),
         mean=tuple(mu_vec),

@@ -22,6 +22,15 @@ domain edge decides: a log-MGF is lower semicontinuous, so K and K' blow up
 at an open edge and sup E_f' = +inf; at a closed edge sup E_f' is the
 (possibly improper) integral of f K'(M_plus f) at the cap.  inf E_f' is the
 mirror image.
+
+The same fact decides the integrals over a piece on which lam f runs
+linearly to a finite edge e (a touch).  At an open edge int K' du = K blows
+up, so the K' integral is sign(lam) inf and the K'' and clamp integrals
+int I(K'(u)) are +inf; only int K du is left to the tanh-sinh rule's end
+terms (1/2 for cexp with f(t) = t, +inf for K ~ 1/(e - u)).  At a closed
+edge K(e) is finite, so the K, K' and clamp integrals are finite, and the
+K'' integral is finite exactly when K'(e) is.  lam f held at an open edge
+on a whole piece is infeasible (+inf).
 """
 
 from __future__ import annotations
@@ -63,57 +72,64 @@ def _interval_bounds(model: CgfModel):
 # Quadrature of t -> g(lam * f(t)) over the kernel pieces
 # ----------------------------------------------------------------------
 
-def _piece_plan(model: CgfModel, kernel: Kernel, lam: float):
-    """Split kernel pieces for integration of smooth functions of lam*f(t).
+def _touch(model: CgfModel, u: float):
+    """(edge, closed) of the finite domain edge of K that u lies on, or None.
 
-    Returns (plan, feasible) where plan is a list of
-    (a, b, singular_left, singular_right) and feasible is False when
-    lam*f exits the closed domain on a set of positive measure.
+    _TOUCH_RTOL is a rounding guard: (e / max f) * max f can miss e by an ulp.
     """
     lo, hi = _interval_bounds(model)
     dom = model.domain
-    up_closed = getattr(dom, "upper_closed", False)
-    low_closed = getattr(dom, "lower_closed", False)
-    tol_hi = _TOUCH_RTOL * max(1.0, abs(hi)) if math.isfinite(hi) else 0.0
-    tol_lo = _TOUCH_RTOL * max(1.0, abs(lo)) if math.isfinite(lo) else 0.0
-    plan = []
-    for a, b, va, vb in kernel.pieces():
-        ua, ub = lam * va, lam * vb
-        # the trace of lam*f on an affine piece exceeds the closed domain on
-        # a set of positive measure as soon as one endpoint value does
-        if math.isfinite(hi) and max(ua, ub) > hi + tol_hi:
-            return [], False
-        if math.isfinite(lo) and min(ua, ub) < lo - tol_lo:
-            return [], False
-        at_hi_a = math.isfinite(hi) and abs(ua - hi) <= tol_hi
-        at_hi_b = math.isfinite(hi) and abs(ub - hi) <= tol_hi
-        at_lo_a = math.isfinite(lo) and abs(ua - lo) <= tol_lo
-        at_lo_b = math.isfinite(lo) and abs(ub - lo) <= tol_lo
-        if ua == ub and (at_hi_a or at_lo_a):
-            # constant piece pinned to the boundary: positive measure there
-            if (at_hi_a and not up_closed) or (at_lo_a and not low_closed):
-                return [], False
-            plan.append((a, b, False, False))
+    for edge, closed in ((hi, getattr(dom, "upper_closed", False)),
+                         (lo, getattr(dom, "lower_closed", False))):
+        if math.isfinite(edge) and abs(u - edge) <= _TOUCH_RTOL * max(1.0, abs(edge)):
+            return edge, closed
+    return None
+
+
+def _piece_integral(model: CgfModel, lam: float, integrand, carries: str,
+                    a: float, b: float, ua: float, ub: float, tol: float) -> float:
+    """int_a^b integrand(t) dt on a piece where lam f runs from ua to ub.
+
+    ``carries`` names what the integrand evaluates at lam f(t): "K", "K'"
+    (times f), "K''" or "I(K')".  At a touched edge the model decides
+    finiteness (see the module docstring); only K at an open edge is left to
+    the quadrature.
+    """
+    left, right = _touch(model, ua), _touch(model, ub)
+    if ua == ub:
+        if left is not None and not left[1]:
+            return math.inf     # pinned to an open edge on positive measure
+        left = right = None     # constant at a closed edge: nothing singular
+    # a touched piece the model vouches for needs no test at its ends
+    piece_tol = tol if left is None and right is None else math.inf
+    for edge, closed in filter(None, (left, right)):
+        if closed:
+            if carries == "K''" and not math.isfinite(float(model.cgf_grad(edge))):
+                return math.inf
+        elif carries == "K":
+            piece_tol = tol     # the one integral the model leaves open
         else:
-            plan.append((a, b, at_hi_a or at_lo_a, at_hi_b or at_lo_b))
-    return plan, True
+            return math.copysign(math.inf, lam) if carries == "K'" else math.inf
+    return quad.integrate_piece(integrand, a, b, left is not None,
+                                right is not None, piece_tol)
 
 
 def _integrate_kernel(model: CgfModel, kernel: Kernel, lam: float, integrand,
-                      tol: float = 1e-12):
-    """(value, status) of int integrand(t) dt with boundary-touch handling."""
-    plan, feasible = _piece_plan(model, kernel, lam)
-    if not feasible:
-        return math.inf, quad.DIVERGED_POS
+                      carries: str, tol: float = 1e-12) -> float:
+    """int_0^1 integrand(t) dt over the kernel pieces; +inf off the domain."""
+    lo, hi = _interval_bounds(model)
+    plan = [(a, b, lam * va, lam * vb) for a, b, va, vb in kernel.pieces()]
+    # the trace of lam f on an affine piece leaves the closed domain on a set
+    # of positive measure as soon as one end value does
+    if any(not lo <= u <= hi and _touch(model, u) is None
+           for piece in plan for u in piece[2:]):
+        return math.inf
     total = 0.0
-    for a, b, sl, sr in plan:
-        val, status = quad.integrate_piece(integrand, a, b, sl, sr, tol=tol)
-        if status != quad.OK:
-            return math.copysign(math.inf, val), status
-        if not math.isfinite(val):
-            return math.inf, quad.DIVERGED_POS
-        total += val
-    return total, quad.OK
+    for a, b, ua, ub in plan:
+        total += _piece_integral(model, lam, integrand, carries, a, b, ua, ub, tol)
+        if math.isinf(total):
+            return total    # every touch diverges with the sign of lam
+    return total
 
 
 def e_f(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12) -> float:
@@ -132,8 +148,7 @@ def e_f(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12) -> float:
     def fn(ts):
         return model.cgf(lam * kernel.eval(ts))
 
-    val, _ = _integrate_kernel(model, kernel, lam, fn, tol=tol)
-    return val
+    return _integrate_kernel(model, kernel, lam, fn, "K", tol=tol)
 
 
 def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
@@ -155,11 +170,12 @@ def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
         fv = kernel.eval(ts)
         return fv * model.cgf_grad(lam * fv)
 
-    val, _ = _integrate_kernel(model, kernel, lam, fn, tol=tol)
-    return val
+    return _integrate_kernel(model, kernel, lam, fn, "K'", tol=tol)
 
 
-def _e_f_hess(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
+def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
+    """int f(t)^2 K''(lam f(t)) dt.  It only shapes Newton steps, so in d = 1
+    it is asked for 1e-10 relative to a one-pass gl32 estimate."""
     if model.dimension > 1:
         lam = np.asarray(lam, dtype=float)
         d = model.dimension
@@ -169,8 +185,7 @@ def _e_f_hess(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
                 def fn(ts, r=r, c=c):
                     fv = kernel.eval(ts)
                     return fv * fv * model.cgf_hess(fv[:, None] * lam)[..., r, c]
-                val = sum(quad.adaptive_gl(fn, a, b, tol=tol)
-                          for a, b, _, _ in kernel.pieces())
+                val = sum(quad.adaptive_gl(fn, a, b) for a, b, _, _ in kernel.pieces())
                 out[r, c] = out[c, r] = val
         return out
 
@@ -180,8 +195,8 @@ def _e_f_hess(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
         fv = kernel.eval(ts)
         return fv * fv * model.cgf_hess(lam * fv)
 
-    val, status = _integrate_kernel(model, kernel, lam, fn, tol=tol)
-    return val if status == quad.OK else math.inf
+    scale = abs(sum(quad.gl32(fn, a, b) for a, b, _, _ in kernel.pieces()))
+    return _integrate_kernel(model, kernel, lam, fn, "K''", tol=1e-10 * scale)
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +435,7 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
     if math.isfinite(lam_bar):
         def fn(ts):
             return model.closed_rate(model.cgf_grad(lam_bar * kernel.eval(ts)))
-        val, status = _integrate_kernel(model, kernel, lam_bar, fn, tol=tol)
-        return val if status == quad.OK else math.inf
+        return _integrate_kernel(model, kernel, lam_bar, fn, "I(K')", tol=tol)
 
     pos, neg, _, _ = _sign_split(kernel)
     up = lam_bar > 0
@@ -512,7 +526,6 @@ def _average_slopes(model: CgfModel, kernel: Kernel, lam: float, grid,
     """Per-interval averages of K'(lam f) (vectors in d > 1)."""
     d = model.dimension
     slopes = np.empty((len(grid) - 1, d))
-    lo, hi = _interval_bounds(model)
 
     def raw(ts):
         fv = kernel.eval(ts)
@@ -523,13 +536,10 @@ def _average_slopes(model: CgfModel, kernel: Kernel, lam: float, grid,
     for i, (a, b) in enumerate(zip(grid, grid[1:])):
         if d == 1 and improper:
             ua, ub = lam * kernel.eval(a), lam * kernel.eval(b)
-            sl = math.isfinite(hi) and abs(ua - hi) <= _TOUCH_RTOL * max(1, abs(hi)) \
-                or math.isfinite(lo) and abs(ua - lo) <= _TOUCH_RTOL * max(1, abs(lo))
-            sr = math.isfinite(hi) and abs(ub - hi) <= _TOUCH_RTOL * max(1, abs(hi)) \
-                or math.isfinite(lo) and abs(ub - lo) <= _TOUCH_RTOL * max(1, abs(lo))
-            if sl or sr:
-                val, status = quad.integrate_piece(raw, a, b, sl, sr, tol=1e-13)
-                if status != quad.OK or not math.isfinite(val):
+            if _touch(model, ua) or _touch(model, ub):
+                # raw lacks the factor f, so only finiteness counts here
+                val = _piece_integral(model, lam, raw, "K'", a, b, ua, ub, 1e-13)
+                if not math.isfinite(val):
                     raise NonConvergenceError(
                         "tilted slope average diverged near the domain edge")
                 slopes[i, 0] = val / (b - a)

@@ -1,11 +1,18 @@
-"""Gauss-Legendre quadrature with dyadic refinement toward endpoint singularities.
+"""Gauss-Legendre quadrature, plus a tanh-sinh rule for pieces with a touched end.
 
-Integrands here are smooth except possibly at interval endpoints, where an
-integrable power/log singularity (or a genuine non-integrable blow-up) may
-sit.  Smooth stretches get adaptive bisection with a fixed 32-node rule;
-flagged endpoints get geometrically shrinking shells so that an integrable
-singularity converges to near machine precision while a non-integrable one
-is detected by non-decaying shell contributions and certified as +/-inf.
+Integrands here are smooth inside their interval.  An untouched piece gets
+adaptive bisection with a fixed 32-node rule.  A piece with a flagged end,
+where lam f touches a domain edge of K, may carry an integrable singularity
+there, or a blow-up that is not integrable.  Such a piece gets one fixed
+tanh-sinh table (Takahasi & Mori 1974), whose nodes crowd doubly
+exponentially toward both ends.  The table stores each node as its distance
+from the nearer end, so a node keeps its digits right up to the end; a node
+that rounds onto an end is dropped.
+
+Whether the integral over a touched piece is finite is the caller's to say,
+since it follows from the model (see ``kernel_rate``).  Where the caller
+cannot say, the terms at the flagged ends decide: if they have not fallen
+below ``tol``, the integral is reported as +-inf.
 """
 
 from __future__ import annotations
@@ -17,15 +24,25 @@ import numpy as np
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
-# Return states for integrate_piece.
-OK = 0
-DIVERGED_POS = 1
-DIVERGED_NEG = -1
 
-_MAX_SHELLS = 48
-_SHELL_FLOOR = 1e-16       # shell contribution negligible below this * scale
-_DIVERGENCE_RATIO = 0.85   # mean shell ratio above this at max depth => divergent
-_VALUE_CAP = 1e15
+def _tanh_sinh_table():
+    """Distances from the nearer end and weights of tanh-sinh on [0, 1].
+
+    Step h = 1/64 in t; node t sits 1 / (1 + exp(pi sinh t)) from an end
+    with weight h (pi/4) cosh t sech^2((pi/2) sinh t).  Entry 0 is the
+    midpoint, each later entry stands for two mirrored nodes.  Entries stop
+    once the distance no longer moves 1.0 off itself.
+    """
+    h = 1.0 / 64.0
+    t = np.arange(0.0, 8.0, h)
+    q = np.exp(-math.pi * np.sinh(t))
+    dist = q / (1.0 + q)
+    weight = h * math.pi * np.cosh(t) * q / (1.0 + q) ** 2
+    keep = 1.0 - dist < 1.0
+    return dist[keep], weight[keep]
+
+
+_TS_DIST, _TS_WEIGHT = _tanh_sinh_table()
 
 
 def gl32(fn: Callable, a: float, b: float) -> float:
@@ -75,74 +92,33 @@ def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12,
     return acc
 
 
-def _shells(fn, anchor: float, other: float, tol: float):
-    """Integrate from ``other`` toward a singular ``anchor`` in dyadic shells.
-
-    Returns (value, status).  Shell k covers the slice whose distance to the
-    anchor lies in [h*2^-(k+1), h*2^-k], h = |anchor - other|.
-    """
-    h = abs(anchor - other)
-    sgn = 1.0 if anchor > other else -1.0  # direction from other toward anchor
-    total = 0.0
-    contribs = []
-    scale = 1.0
-    for k in range(_MAX_SHELLS):
-        far = anchor - sgn * h * 2.0 ** (-k)
-        near = anchor - sgn * h * 2.0 ** (-k - 1)
-        lo, hi = (far, near) if far < near else (near, far)
-        c = adaptive_gl(fn, lo, hi, tol=tol * 0.25)
-        total += c
-        contribs.append(c)
-        scale = max(scale, abs(total))
-        if abs(total) > _VALUE_CAP:
-            return math.copysign(math.inf, total), (DIVERGED_POS if total > 0 else DIVERGED_NEG)
-        if abs(c) < _SHELL_FLOOR * scale:
-            return total, OK
-    # Depth exhausted: decide between slow integrable decay and divergence.
-    tail = contribs[-6:]
-    ratios = [abs(tail[i + 1]) / abs(tail[i]) for i in range(len(tail) - 1)
-              if abs(tail[i]) > 0]
-    mean_ratio = sum(ratios) / len(ratios) if ratios else 0.0
-    last = contribs[-1]
-    if mean_ratio >= _DIVERGENCE_RATIO and abs(last) > _SHELL_FLOOR * scale:
-        sign = DIVERGED_POS if last > 0 else DIVERGED_NEG
-        return math.copysign(math.inf, last), sign
-    # Integrable but slow: extrapolate the geometric tail.
-    r = min(mean_ratio, 0.8)
-    total += last * r / (1.0 - r)
-    return total, OK
-
-
 def integrate_piece(fn: Callable, a: float, b: float,
                     singular_left: bool = False, singular_right: bool = False,
-                    tol: float = 1e-12):
-    """Integrate fn over [a, b] with optional singular endpoints.
+                    tol: float = 1e-12) -> float:
+    """Integrate fn over [a, b], whose flagged ends may be singular.
 
-    Returns (value, status) where status is OK, DIVERGED_POS or DIVERGED_NEG.
-    ``fn`` must be vectorised and finite strictly inside (a, b).
+    An unflagged piece goes to ``adaptive_gl`` with absolute accuracy
+    ``tol``.  A flagged piece goes through the tanh-sinh table; it returns
+    +-inf (the sign of the term) when the outermost term at a flagged end is
+    larger than ``tol``.  Pass ``tol=math.inf`` when the integral is known to
+    be finite.  ``fn`` must be vectorised and finite strictly inside (a, b);
+    a node where it is not finite has rounded onto a singular end.
     """
     if a >= b:
-        return 0.0, OK
+        return 0.0
     if not (singular_left or singular_right):
-        return adaptive_gl(fn, a, b, tol=tol), OK
-    if singular_left and singular_right:
-        mid = 0.5 * (a + b)
-        v1, s1 = integrate_piece(fn, a, mid, singular_left=True, tol=tol)
-        v2, s2 = integrate_piece(fn, mid, b, singular_right=True, tol=tol)
-        if s1 != OK and s2 != OK and s1 != s2:
-            # Opposing blow-ups never arise for convex integrands; refuse to guess.
-            raise ArithmeticError("conflicting endpoint divergences")
-        status = s1 if s1 != OK else s2
-        if status != OK:
-            return math.inf if status == DIVERGED_POS else -math.inf, status
-        return v1 + v2, OK
-    if singular_right:
-        anchor, other = b, a
-    else:
-        anchor, other = a, b
-    mid = 0.5 * (anchor + other)
-    smooth = adaptive_gl(fn, min(other, mid), max(other, mid), tol=tol * 0.5)
-    sing, status = _shells(fn, anchor, mid, tol)
-    if status != OK:
-        return sing, status
-    return smooth + sing, OK
+        return adaptive_gl(fn, a, b, tol=tol)
+    length = b - a
+    total = 0.0
+    for flagged, nodes, weights in (
+            (singular_left, a + length * _TS_DIST, _TS_WEIGHT),
+            (singular_right, b - length * _TS_DIST[1:], _TS_WEIGHT[1:])):
+        inside = (nodes > a) & (nodes < b)
+        terms = length * weights[inside] * np.asarray(fn(nodes[inside]), dtype=float)
+        # fn sees t, not the distance to the end, so a node next to a singular
+        # end can round onto the singularity; such a node is dropped
+        terms = terms[np.isfinite(terms)]
+        if flagged and abs(terms[-1]) > tol:
+            return math.copysign(math.inf, terms[-1])
+        total += float(np.sum(terms))
+    return total

@@ -223,6 +223,27 @@ def test_gaussian_vector_model():
     assert np.allclose(np.mean(xs, axis=0), mu, atol=0.05)
 
 
+def test_parses_share_the_analysis_cache():
+    # equality leaves the callables out, so two parses of one spec are one key
+    from ldpkit import ef_prime_range, identity
+    from ldpkit import kernel_rate as kr
+
+    kr._problem.cache_clear()
+    for _ in range(2):
+        ef_prime_range(parse_model("rademacher"), identity())
+    info = kr._problem.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_vector_gaussian_id_names_the_law():
+    # same mean and same largest eigenvalue: only the id tells them apart
+    a = gaussian(mu=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 2.0)))
+    b = gaussian(mu=(0.0, 0.0), cov=((2.0, 0.0), (0.0, 1.0)))
+    assert a.id != b.id
+    assert a != b
+    assert a == gaussian(mu=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 2.0)))
+
+
 def test_gaussian_scalar_requires_positive_sigma():
     with pytest.raises(ValueError):
         gaussian(mu=0.0, sigma=0.0)

@@ -64,6 +64,15 @@ def test_ef_command(capsys):
     assert float(row[2]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_ef_at_an_open_edge(capsys):
+    # lam = 1 touches the open edge of cexp at t = 1: E_f is the improper
+    # integral 1/2, and the slope is infinite
+    code, cap = _run(capsys, ["ef", "--model", "cexp",
+                              "--kernel", "affine:0,1", "--lam", "1"])
+    assert code == 0
+    assert cap.out.strip().splitlines()[1] == "1,0.5,inf"
+
+
 # -- path commands ----------------------------------------------------------------
 
 

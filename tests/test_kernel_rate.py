@@ -3,6 +3,7 @@ variational cross-check and minimizing paths."""
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -115,6 +116,79 @@ def test_e_f_grad_improper_at_cap():
     # synthetic slope at the domain cap is a convergent improper integral
     m = parse_model("synthetic-boundary")
     assert e_f_grad(m, ID, 1.0) == pytest.approx(7.0 / 30.0, abs=1e-8)
+
+
+# -- touched domain edges ----------------------------------------------------------
+
+AFFINE_1_2 = parse_kernel("affine:1,-2")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("integrate_piece called")
+
+
+@pytest.mark.parametrize("refuse", [False, True])
+def test_open_edge_touch_diverges_without_quadrature(monkeypatch, refuse):
+    # a log-MGF is lower semicontinuous, so K' and K'' blow up at an open
+    # edge: over a linear touch the K' integral is sign(lam) inf and the K''
+    # integral +inf, decided from the model alone
+    if refuse:
+        monkeypatch.setattr(kr.quad, "integrate_piece", _refuse)
+    m = parse_model("cexp")
+    calls = [(lambda: e_f_grad(m, ID, 1.0), math.inf),
+             (lambda: e_f_grad(m, AFFINE_1_2, 1.0), math.inf),
+             (lambda: e_f_grad(m, AFFINE_1_2, -1.0), -math.inf),
+             (lambda: kr._e_f_hess(m, ID, 1.0), math.inf)]
+    for call, want in calls:
+        t0 = time.perf_counter()
+        assert call() == want
+        assert time.perf_counter() - t0 < 0.01
+
+
+def test_closed_edge_hessian_is_finite():
+    # synthetic: K'(1) = 1 is finite, so int t^2 K''(t) dt = 8/15 converges
+    m = parse_model("synthetic-boundary")
+    assert kr._e_f_hess(m, ID, 1.0) == pytest.approx(8.0 / 15.0, abs=1e-7)
+
+
+def test_e_f_touching_an_open_edge_at_either_end():
+    # lam f = 1 -+ 2t reaches the open edge of cexp at t = 0 or t = 1; both
+    # give int_0^1 K(1 - 2t) dt = 1 - log 2
+    m = parse_model("cexp")
+    for lam in (1.0, -1.0):
+        assert e_f(m, AFFINE_1_2, lam) == pytest.approx(1.0 - math.log(2.0), abs=1e-12)
+
+
+def test_e_f_at_a_rounded_cap():
+    # M_plus = 1/0.7 and M_plus * f(t) rounds onto the edge 1 at nodes next
+    # to t = 0.3, where the true value is still below 1
+    m = parse_model("cexp")
+    k = parse_kernel("pwl:0:0,0.3:0.7,1:0.2")
+    cap = m_plus_minus(m, k)[0]
+    ref, _ = scipy_quad(lambda t: m.k(cap * float(k(t))), 0.0, 1.0,
+                        points=[0.3], limit=200)
+    assert e_f(m, k, cap) == pytest.approx(ref, abs=1e-9)
+
+
+def test_near_cap_hessian_is_cheap(monkeypatch):
+    # at x = +-3, lam* = +-0.99932 and f^2 K''(lam f) peaks near 2e6; the
+    # Hessian only shapes Newton steps, so it asks for a relative accuracy
+    panels = [0]
+    gl32 = kr.quad.gl32
+
+    def counting(*args):
+        panels[0] += 1
+        return gl32(*args)
+
+    monkeypatch.setattr(kr.quad, "gl32", counting)
+    m = parse_model("cexp")
+    for x in (3.0, -3.0):
+        values = []
+        for route in (i_f_conjugate, i_f_explicit):
+            panels[0] = 0
+            values.append(route(m, AFFINE_1_2, x).value)
+            assert panels[0] < 20_000, (route.__name__, x, panels[0])
+        assert values[0] == pytest.approx(values[1], abs=1e-9)
 
 
 # -- domain analysis -----------------------------------------------------------
