@@ -78,6 +78,11 @@ class CgfModel:
     one-sided limit values on the closed hull boundary.  Equality and the
     hash leave the callables out, so the other fields, ``id`` above all, must
     tell two laws apart; two parses of one spec then share cached analyses.
+
+    For d=1, ``grad_range`` is the slope range (K'(lower+), K'(upper-)) read
+    from the model with no search: +-inf at an open finite edge (a log-MGF
+    is lower semicontinuous, so K and K' blow up there), ``cgf_grad(edge)``
+    at a closed edge, and the matching ``rate_dom`` edge at an infinite one.
     """
 
     id: str
@@ -92,8 +97,8 @@ class CgfModel:
     rate_hess: Optional[Callable] = field(default=None, compare=False)
     # Open interval on which rate_grad is usable (d=1 solvers need it).  At
     # an infinite domain edge its matching edge is the limit K'(+-inf), the
-    # edge of the support; the slope range of E_f reads it there, and raises
-    # DomainError for a d=1 model with an infinite edge and rate_dom=None.
+    # edge of the support; grad_range reads it there, and raises DomainError
+    # for a d=1 model with an infinite edge and rate_dom=None.
     rate_dom: Optional[tuple] = None
     # (rng, count) -> draws and (theta, rng, count) -> draws
     sampler: Optional[Callable] = field(default=None, compare=False)
@@ -103,6 +108,24 @@ class CgfModel:
     @cached_property
     def mean_vec(self) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.mean, dtype=float))
+
+    @cached_property
+    def grad_range(self) -> tuple:
+        """(K'(lower+), K'(upper-)) of a d=1 model; see the class docstring."""
+        dom = self.domain
+        out = []
+        for side, edge, closed in ((0, dom.lower, dom.lower_closed),
+                                   (1, dom.upper, dom.upper_closed)):
+            if math.isfinite(edge):
+                out.append(float(self.cgf_grad(edge)) if closed
+                           else math.copysign(math.inf, edge))
+            elif self.rate_dom is None:
+                raise DomainError(
+                    f"model {self.id} has an infinite domain edge but no "
+                    "rate_dom, so K' has no known limit there")
+            else:
+                out.append(float(self.rate_dom[side]))
+        return tuple(out)
 
     # -- CGF surface ---------------------------------------------------
 
@@ -136,8 +159,10 @@ class CgfModel:
             return self.closed_rate(v)
         from .conjugate import ConvexOracle, legendre  # local: avoid cycle
 
-        oracle = ConvexOracle(domain=self.domain, eval=self.cgf,
-                              grad=self.cgf_grad, hess=self.cgf_hess)
+        oracle = ConvexOracle(
+            domain=self.domain, eval=self.cgf, grad=self.cgf_grad,
+            hess=self.cgf_hess,
+            grad_range=self.grad_range if self.dimension == 1 else None)
         if self.dimension == 1:
             arr = np.asarray(v, dtype=float)
             if arr.ndim == 0:

@@ -5,7 +5,8 @@ kernel transforms, minimizing paths, path costs, path metrics, Monte
 Carlo tail estimates, rate-curve sweeps, and a quick self test.
 
 Exit codes: 0 success, 2 configuration problems (bad flags, unparsable
-model or kernel strings), 3 domain errors, 4 solver non-convergence.
+model or kernel strings), 3 domain errors and an undetermined jump site,
+4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -179,6 +180,12 @@ def _selftest_checks():
             c = i_f_conjugate(model, kern, x).value
             e = i_f_explicit(model, kern, x).value
             assert abs(c - e) < 1e-8, (x, c, e)
+        # at the slope edges +-1/2 both routes state the same exact limit
+        model = parse_model("rademacher")
+        for x in (-0.5, 0.5):
+            c = i_f_conjugate(model, identity(), x).value
+            e = i_f_explicit(model, identity(), x).value
+            assert c == e, (x, c, e)
 
     def pairing_identity():
         model = parse_model("rademacher")

@@ -1,10 +1,11 @@
 """Legendre-Fenchel transforms of convex oracles.
 
-The one-dimensional path solves grad g = x by safeguarded Newton inside an
-expanding bracket, falls back to bisection whenever a step leaves the
-bracket, and handles boundary suprema explicitly: a finite domain endpoint
-is evaluated directly, an infinite one is probed along a geometric sequence
-until the recession behaviour is certified (finite limit or +inf).
+In one dimension the caller states the slope range (g'(lower+), g'(upper-))
+and the conjugate at each slope edge whose domain side is unbounded, and x
+is compared with the range exactly.  At or beyond an edge, a finite domain
+endpoint is evaluated directly and an infinite one gives +inf, or the stated
+value exactly at the edge.  Inside, grad g = x is solved by safeguarded
+Newton in an expanding bracket, bisecting whenever a step leaves it.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cgf import Domain, DomainInterval, FullSpace
+from .cgf import Domain, FullSpace
 from .errors import DomainError, GradientRangeError, NonConvergenceError
 
-_PROBE_CAP = 1e12        # gradient probe beyond this reads as infinite
 _VALUE_CAP = 1e14
-_MAX_PROBE = 56
 
 
 @dataclass
@@ -32,9 +31,12 @@ class ConvexOracle:
     grad: Callable
     hess: Optional[Callable] = None
     strict: bool = True
-    # One-sided gradient limits at the domain endpoints, computed lazily or
-    # supplied by callers that know them to higher accuracy.
+    # One-sided gradient limits (lower+, upper-) at the domain endpoints;
+    # required in d=1, where they decide the Legendre branches.
     grad_range: Optional[tuple] = None
+    # Conjugate values (lower, upper) at a slope edge whose domain side runs
+    # to infinity, each None where unknown; x exactly at such an edge needs it.
+    edge_values: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -44,60 +46,14 @@ class ConjugateResult:
     at_boundary: bool
 
 
-def _probe_limit(fn, points):
-    """Follow fn along points; classify the limit as (value, finite?)."""
-    vals = []
-    for p in points:
-        v = float(fn(p))
-        if not math.isfinite(v):
-            return v, False
-        vals.append(v)
-        if abs(v) > _PROBE_CAP:
-            return math.copysign(math.inf, v), False
-        if len(vals) >= 2 and abs(vals[-1] - vals[-2]) <= 1e-13 * max(1.0, abs(v)):
-            return v, True
-    # Never settled: non-shrinking increments mean divergence.
-    diffs = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    tail = diffs[-6:]
-    if tail and abs(tail[-1]) > 0.7 * abs(tail[0]) and \
-            abs(tail[-1]) > 1e-12 * max(1.0, abs(vals[-1])):
-        return math.copysign(math.inf, tail[-1]), False
-    return vals[-1], True
+def _approach(endpoint: float, n: int = 56):
+    """Geometric sequence approaching a finite endpoint from 0."""
+    return [endpoint - endpoint * 2.0 ** (-k) for k in range(1, n + 1)]
 
 
-def _approach(endpoint: float, inward: float, n: int = _MAX_PROBE):
-    """Geometric sequence approaching a finite endpoint from ``inward``."""
-    gap = endpoint - inward
-    return [endpoint - gap * 2.0 ** (-k) for k in range(1, n + 1)]
-
-
-def _grad_limits_1d(oracle: ConvexOracle):
-    dom = oracle.domain
-    # Upper side.
-    if math.isfinite(dom.upper):
-        pts = _approach(dom.upper, 0.0)
-        ghi, finite = _probe_limit(oracle.grad, pts)
-        if not finite:
-            ghi = math.inf
-    else:
-        ghi, finite = _probe_limit(oracle.grad, [2.0 ** k for k in range(0, 60)])
-        if not finite:
-            ghi = math.inf
-    if math.isfinite(dom.lower):
-        pts = _approach(dom.lower, 0.0)
-        glo, finite = _probe_limit(oracle.grad, pts)
-        if not finite:
-            glo = -math.inf
-    else:
-        glo, finite = _probe_limit(oracle.grad, [-(2.0 ** k) for k in range(0, 60)])
-        if not finite:
-            glo = -math.inf
-    return glo, ghi
-
-
-def grad_range_1d(oracle: ConvexOracle):
+def _stated_range(oracle: ConvexOracle) -> tuple:
     if oracle.grad_range is None:
-        oracle.grad_range = _grad_limits_1d(oracle)
+        raise ValueError("a one-dimensional oracle must state its grad_range")
     return oracle.grad_range
 
 
@@ -115,7 +71,7 @@ def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int) ->
         a, ra = 0.0, r0
         b = None
         if math.isfinite(dom.upper):
-            for u in _approach(dom.upper, 0.0):
+            for u in _approach(dom.upper):
                 r = float(g(u)) - x
                 if r >= 0:
                     b, rb = u, r
@@ -138,7 +94,7 @@ def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int) ->
         b, rb = 0.0, r0
         a = None
         if math.isfinite(dom.lower):
-            for u in _approach(dom.lower, 0.0):
+            for u in _approach(dom.lower):
                 r = float(g(u)) - x
                 if r <= 0:
                     a, ra = u, r
@@ -192,54 +148,6 @@ def _boundary_value(oracle: ConvexOracle, x: float, endpoint: float) -> Conjugat
     return ConjugateResult(x * endpoint - gv, endpoint, True)
 
 
-def _edge_value(oracle: ConvexOracle, x: float, sign: float, tol: float,
-                max_iter: int) -> ConjugateResult:
-    """sup of x*u - g(u) when x sits at the numeric edge of the slope range
-    and the domain runs to sign*inf.
-
-    Direct probing of phi(u) = x*u - g(u) at astronomically large u loses all
-    precision to cancellation (both terms grow like |x|*|u| while their
-    difference stays O(1)), so first try the ordinary stationarity solve.  A
-    moderate root means x was genuinely interior and the result is exact.  A
-    huge root is checked by doubling: if phi keeps climbing the supremum is
-    infinite, otherwise the best probe is a faithful limit value.
-    """
-    def phi(u):
-        return x * float(u) - float(oracle.eval(u))
-
-    try:
-        u = _solve_grad_1d(oracle, x, tol, max_iter)
-    except NonConvergenceError:
-        u = None
-
-    if u is not None:
-        if abs(u) <= 2048.0:
-            return ConjugateResult(phi(u), u, False)
-        p1, p3 = phi(u), phi(4.0 * u)
-        if p3 - p1 > 0.05 * max(1.0, abs(p1)):
-            return ConjugateResult(math.inf, None, True)
-        return ConjugateResult(max(p1, phi(2.0 * u), p3), None, True)
-
-    # No stationary point was reachable: follow phi along the ray.  Beyond
-    # 2^45 the cancellation noise swamps O(1) values, so classify by the
-    # trend seen while the evaluations are still trustworthy.
-    vals = []
-    for k in range(11, 46):
-        v = phi(sign * 2.0 ** k)
-        if not math.isfinite(v):
-            return ConjugateResult(math.inf, None, True)
-        vals.append(v)
-        if len(vals) >= 3 and \
-                abs(vals[-1] - vals[-2]) <= 1e-9 * max(1.0, abs(v)) and \
-                abs(vals[-2] - vals[-3]) <= 1e-9 * max(1.0, abs(v)):
-            return ConjugateResult(v, None, True)
-        if v > _VALUE_CAP:
-            return ConjugateResult(math.inf, None, True)
-    if vals[-1] - vals[-10] > 0.05 * max(1.0, abs(vals[-1])):
-        return ConjugateResult(math.inf, None, True)
-    return ConjugateResult(vals[-1], None, True)
-
-
 def legendre(oracle: ConvexOracle, x, tol: float = None,
              max_iter: int = 200) -> ConjugateResult:
     """sup_u { x.u - g(u) } with argmax and boundary/divergence reporting."""
@@ -252,29 +160,20 @@ def legendre(oracle: ConvexOracle, x, tol: float = None,
         tol = 1e-10
     x = float(x)
     dom = oracle.domain
-    glo, ghi = grad_range_1d(oracle)
-
-    # The slope limits are themselves numeric, so "at the edge" must be a
-    # tolerance test, not an equality test.  The probe limits settle to about
-    # 1e-13 relative, so 1e-12 absorbs that error without swallowing points
-    # that are genuinely interior by 1e-9 or more.
-    near_hi = math.isfinite(ghi) and \
-        abs(x - ghi) <= 1e-12 * max(1.0, abs(x), abs(ghi))
-    near_lo = math.isfinite(glo) and \
-        abs(x - glo) <= 1e-12 * max(1.0, abs(x), abs(glo))
-
-    if x > ghi or near_hi:
-        if math.isfinite(dom.upper):
-            return _boundary_value(oracle, x, dom.upper)
-        if near_hi:
-            return _edge_value(oracle, x, +1.0, tol, max_iter)
-        return ConjugateResult(math.inf, None, True)
-    if x < glo or near_lo:
-        if math.isfinite(dom.lower):
-            return _boundary_value(oracle, x, dom.lower)
-        if near_lo:
-            return _edge_value(oracle, x, -1.0, tol, max_iter)
-        return ConjugateResult(math.inf, None, True)
+    glo, ghi = _stated_range(oracle)
+    for side, edge, end, index in ((1.0, ghi, dom.upper, 1),
+                                   (-1.0, glo, dom.lower, 0)):
+        gap = side * (x - edge)     # how far x lies beyond this edge
+        if gap < 0:
+            continue
+        if math.isfinite(end):
+            return _boundary_value(oracle, x, end)
+        if gap > 0:
+            return ConjugateResult(math.inf, None, True)
+        value = (oracle.edge_values or (None, None))[index]
+        if value is None:
+            raise DomainError("no conjugate value stated at this slope edge")
+        return ConjugateResult(value, None, True)
 
     u = _solve_grad_1d(oracle, x, tol, max_iter)
     return ConjugateResult(x * u - float(oracle.eval(u)), u, False)
@@ -323,7 +222,7 @@ def grad_inverse(oracle: ConvexOracle, x, tol: float = None, max_iter: int = 200
     if tol is None:
         tol = 1e-10
     x = float(x)
-    glo, ghi = grad_range_1d(oracle)
+    glo, ghi = _stated_range(oracle)
     if x >= ghi:
         raise GradientRangeError("above")
     if x <= glo:

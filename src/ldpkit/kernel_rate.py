@@ -44,8 +44,7 @@ import numpy as np
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
 from .conjugate import ConvexOracle, grad_inverse, legendre
-from .errors import (AmbiguityError, DomainError, GradientRangeError,
-                     NonConvergenceError)
+from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
 
 _TOUCH_RTOL = 5e-13
@@ -266,7 +265,8 @@ class KernelRateProblem:
             # monotone convergence: K'(lam f) runs to K'(+-inf) where f != 0
             # (0 * inf = 0: a sign f never takes contributes nothing)
             _, _, pos, neg = _sign_split(self.kernel)
-            return sum(w * _grad_limit(self.model, side)
+            glo, ghi = self.model.grad_range
+            return sum(w * (ghi if side else glo)
                        for w, side in ((pos, upper), (neg, not upper)) if w != 0.0)
         dom = self.d_f
         if not (dom.upper_closed if upper else dom.lower_closed):
@@ -292,12 +292,20 @@ class KernelRateProblem:
                     eval=lambda l: e_f(model, kernel, l),
                     grad=lambda l: e_f_grad(model, kernel, l),
                     hess=lambda l: _e_f_hess(model, kernel, l))
+            # at a slope edge with an infinite cap the conjugate is the
+            # monotone limit of the clamped integrals, as in i_f_explicit
+            m_plus, m_minus = self.m_plus_minus
+            edges = tuple(
+                _clamp_integral(model, kernel, side * math.inf)
+                if math.isinf(cap) and model.closed_rate is not None else None
+                for side, cap in ((-1.0, m_minus), (1.0, m_plus)))
             return ConvexOracle(
                 domain=self.d_f,
                 eval=lambda l: e_f(model, kernel, float(l)),
                 grad=lambda l: e_f_grad(model, kernel, float(l)),
                 hess=lambda l: _e_f_hess(model, kernel, float(l)),
-                grad_range=(self.inf_ef_prime, self.sup_ef_prime))
+                grad_range=(self.inf_ef_prime, self.sup_ef_prime),
+                edge_values=edges)
         return self._memo("oracle", compute)
 
 
@@ -408,27 +416,6 @@ def _sign_split(kernel: Kernel):
     return pos, neg, pos_int, neg_int
 
 
-def _grad_limit(model: CgfModel, upper: bool) -> float:
-    """One-sided limit of K' at the upper or lower domain edge.
-
-    An open finite edge gives +-inf (a log-MGF is lower semicontinuous, so
-    K, and with it K', blows up there); a closed edge gives the model's
-    one-sided value K'(edge); an infinite edge gives the matching rate_dom
-    edge, which is the edge of the support.
-    """
-    lo, hi = _interval_bounds(model)
-    edge = hi if upper else lo
-    if math.isfinite(edge):
-        if getattr(model.domain, "upper_closed" if upper else "lower_closed"):
-            return float(model.cgf_grad(edge))
-        return math.inf if upper else -math.inf
-    if model.rate_dom is None:
-        raise DomainError(
-            f"model {model.id} has an infinite domain edge but no rate_dom, "
-            "so K' has no known limit there")
-    return float(model.rate_dom[1] if upper else model.rate_dom[0])
-
-
 def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
                     tol: float = 1e-12) -> float:
     """int_0^1 I(K'(lam_bar f(t))) dt, allowing lam_bar = +-inf as a limit."""
@@ -439,11 +426,12 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
 
     pos, neg, _, _ = _sign_split(kernel)
     up = lam_bar > 0
+    glo, ghi = model.grad_range
     total = 0.0
     for measure, upper in ((pos, up), (neg, not up)):
         if measure == 0.0:
             continue
-        v = _grad_limit(model, upper)
+        v = ghi if upper else glo
         r = float(model.rate(v)) if math.isfinite(v) else math.inf
         if not math.isfinite(r):
             return math.inf
@@ -578,7 +566,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     if inf_e < x < sup_e:
         try:
             lam = grad_inverse(prob.oracle, x, tol=min(tol, 1e-10))
-        except (GradientRangeError, NonConvergenceError):
+        except NonConvergenceError:
             lam = None  # boundary-grade x; fall through to the clamped form
         if lam is not None:
             slopes = _average_slopes(model, kernel, lam, grid, False)[:, 0]

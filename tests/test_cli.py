@@ -55,6 +55,16 @@ def test_rate_json_matches_csv_digits(capsys):
     assert rec["branch"] == vals[3] == "interior"
 
 
+@pytest.mark.parametrize("model,x,want", [("rademacher", "0.5", "0.69314718056"),
+                                          ("poisson:rate=1", "-0.5", "1")])
+def test_rate_routes_print_alike_at_a_slope_edge(capsys, model, x, want):
+    code, cap = _run(capsys, ["rate", "--model", model,
+                              "--kernel", "affine:0,1", "--x", x])
+    assert code == 0
+    row = cap.out.strip().splitlines()[1].split(",")
+    assert row[1] == row[2] == want
+
+
 def test_ef_command(capsys):
     code, cap = _run(capsys, ["ef", "--model", "gaussian:mu=0,sigma=1",
                               "--kernel", "affine:0,1", "--lam", "3.0"])
@@ -161,6 +171,14 @@ def test_mc_without_sampler_exits_3(capsys):
     code, cap = _run(capsys, ["mc", "--model", "synthetic-boundary",
                               "--kernel", "affine:0,1", "--n", "10",
                               "--a", "0.5", "--samples", "500"])
+    assert code == 3
+    assert "error:" in cap.err
+
+
+def test_undetermined_jump_site_exits_3(capsys):
+    # f = 1 is extremal on all of [0, 1], so the singular jump has no site
+    code, cap = _run(capsys, ["minimizer", "--model", "synthetic-boundary",
+                              "--kernel", "const:1", "--x", "2"])
     assert code == 3
     assert "error:" in cap.err
 

@@ -1,25 +1,28 @@
 """Numerical Legendre transform and gradient inversion."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ldpkit import (ConvexOracle, DomainInterval, GradientRangeError,
-                    grad_inverse, legendre, parse_model)
+from ldpkit import (CgfModel, ConvexOracle, DomainError, DomainInterval,
+                    GradientRangeError, grad_inverse, legendre, parse_model)
 from ldpkit.cgf import FullSpace
 
 
 def oracle_of(model):
     return ConvexOracle(domain=model.domain, eval=model.cgf,
-                        grad=model.cgf_grad, hess=model.cgf_hess)
+                        grad=model.cgf_grad, hess=model.cgf_hess,
+                        grad_range=model.grad_range)
 
 
 def quadratic_oracle():
     dom = DomainInterval(-math.inf, math.inf)
     return ConvexOracle(domain=dom, eval=lambda u: 0.5 * np.asarray(u) ** 2,
                         grad=lambda u: np.asarray(u),
-                        hess=lambda u: np.ones_like(np.asarray(u)))
+                        hess=lambda u: np.ones_like(np.asarray(u)),
+                        grad_range=(-math.inf, math.inf))
 
 
 # -- spot examples -----------------------------------------------------------
@@ -96,7 +99,8 @@ def test_biconjugacy_reproduces_cgf(spec):
         return res.argmax
 
     rate_oracle = ConvexOracle(domain=rate_dom, eval=rate_eval,
-                               grad=rate_grad, hess=None)
+                               grad=rate_grad, hess=None,
+                               grad_range=(rate_grad(lo2), rate_grad(hi2)))
     rng = np.random.default_rng(2)
     for u in rng.uniform(max(model.domain.lower, -2.0) + 0.1,
                          min(model.domain.upper, 2.0) - 0.1, size=8):
@@ -158,6 +162,50 @@ def test_conjugate_result_consistency():
     model = parse_model("gaussian:mu=0.5,sigma=2")
     assert res.value == pytest.approx(1.7 * res.argmax - model.k(res.argmax),
                                       abs=1e-12)
+
+
+# -- the stated slope range ---------------------------------------------------
+
+@pytest.mark.parametrize("spec,want", [
+    ("gaussian:mu=0,sigma=1", (-math.inf, math.inf)),
+    ("cexp", (-1.0, math.inf)),
+    ("rademacher", (-1.0, 1.0)),
+    ("poisson:rate=2", (-2.0, math.inf)),
+    ("synthetic-boundary", (-math.inf, 1.0)),
+])
+def test_model_grad_range(spec, want):
+    assert parse_model(spec).grad_range == want
+
+
+def test_open_finite_edges_need_no_rate_dom():
+    # K = -log(1 - u^2) blows up at both open edges, so K' runs to +-inf
+    model = CgfModel(id="open-edges", dimension=1,
+                     domain=DomainInterval(-1.0, 1.0), mean=0.0,
+                     cgf=lambda u: -np.log1p(-np.asarray(u) ** 2),
+                     cgf_grad=lambda u: 2.0 * np.asarray(u) / (1.0 - np.asarray(u) ** 2))
+    assert model.rate_dom is None
+    assert model.grad_range == (-math.inf, math.inf)
+
+
+def test_one_dimensional_oracle_must_state_its_range():
+    bare = dataclasses.replace(quadratic_oracle(), grad_range=None)
+    with pytest.raises(ValueError):
+        legendre(bare, 0.3)
+    with pytest.raises(ValueError):
+        grad_inverse(bare, 0.3)
+
+
+def test_infinite_domain_edge_needs_a_stated_value():
+    # the domain of log cosh runs to +-inf while its slope stays in (-1, 1)
+    oracle = oracle_of(parse_model("rademacher"))
+    with pytest.raises(DomainError):
+        legendre(oracle, 1.0)
+    assert legendre(oracle, 1.0 + 1e-12).value == math.inf
+    stated = dataclasses.replace(oracle, edge_values=(None, math.log(2.0)))
+    res = legendre(stated, 1.0)
+    assert res.value == math.log(2.0) and res.at_boundary
+    with pytest.raises(DomainError):
+        legendre(stated, -1.0)
 
 
 # -- multivariate -------------------------------------------------------------

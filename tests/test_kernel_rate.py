@@ -267,6 +267,17 @@ def test_infinite_edge_needs_rate_dom():
         ef_prime_range(bare, ID)    # K'(-inf) is unknown without rate_dom
 
 
+def test_conjugate_route_without_a_closed_rate():
+    # the edge value is the clamped integral of the closed rate, so without
+    # one only x exactly at the edge is refused; other levels are unchanged
+    m = parse_model("poisson:rate=1")
+    bare = dataclasses.replace(m, id="poisson-bare", closed_rate=None)
+    assert i_f_conjugate(bare, ID, 0.3).value == i_f_conjugate(m, ID, 0.3).value
+    assert i_f_conjugate(bare, ID, -0.6).value == math.inf
+    with pytest.raises(DomainError):
+        i_f_conjugate(bare, ID, -0.5)
+
+
 def test_rate_at_an_infinite_cap_edge():
     # x at the slope edge with an infinite tilt cap: the rate is the limit of
     # the clamped integrals, P(every step at the bottom of the support)
@@ -276,6 +287,38 @@ def test_rate_at_an_infinite_cap_edge():
         assert res.branch == "singular_minus"
         assert res.value == 1.0
         assert i_f_conjugate(m, k, x).value == pytest.approx(1.0, abs=1e-9)
+
+
+SLOPE_EDGES = [
+    ("rademacher", "affine:0,1", -0.5, math.log(2.0)),
+    ("rademacher", "affine:0,1", 0.5, math.log(2.0)),
+    ("rademacher", "const:1", -1.0, math.log(2.0)),
+    ("rademacher", "const:1", 1.0, math.log(2.0)),
+    ("poisson:rate=1", "affine:0,1", -0.5, 1.0),
+    ("poisson:rate=1", "const:1", -1.0, 1.0),
+    ("cexp", "affine:0,1", -0.5, math.inf),
+    ("cexp", "const:1", -1.0, math.inf),
+    ("synthetic-boundary", "affine:0,1", 7.0 / 30.0, 2.0 / 15.0),
+]
+
+
+@pytest.mark.parametrize("spec,kspec,edge,want", SLOPE_EDGES)
+def test_routes_are_identical_at_a_slope_edge(spec, kspec, edge, want):
+    # the conjugate route takes the edge value the analysis states (the
+    # monotone limit at an infinite cap, the boundary value at a closed
+    # one), so it matches the explicit route to the bit, with no search
+    m, k = parse_model(spec), parse_kernel(kspec)
+    lo, hi = ef_prime_range(m, k)
+    x = lo if edge < 0 else hi
+    assert x == pytest.approx(edge, abs=1e-15)
+    start = time.perf_counter()
+    a = i_f_conjugate(m, k, x)
+    elapsed = time.perf_counter() - start
+    b = i_f_explicit(m, k, x)
+    assert a.value == b.value
+    assert a.branch == b.branch
+    assert a.value == pytest.approx(want, rel=1e-15)
+    assert elapsed < 0.01
 
 
 # -- the two evaluation routes -------------------------------------------------
