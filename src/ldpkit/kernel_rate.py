@@ -71,28 +71,41 @@ def _interval_bounds(model: CgfModel):
 # Quadrature of t -> g(lam * f(t)) over the kernel pieces
 # ----------------------------------------------------------------------
 
-def _touch(model: CgfModel, u: float):
-    """(edge, closed) of the finite domain edge of K that u lies on, or None.
+def _finite_edges(model: CgfModel):
+    """(edge, closed) for each finite domain edge of K, upper edge first."""
+    lo, hi = _interval_bounds(model)
+    dom = model.domain
+    return [(edge, closed) for edge, closed in
+            ((hi, getattr(dom, "upper_closed", False)),
+             (lo, getattr(dom, "lower_closed", False))) if math.isfinite(edge)]
+
+
+def _on_edge(u, edge: float):
+    """Whether u (a number or an array) lies on the finite edge.
 
     _TOUCH_RTOL is a rounding guard: (e / max f) * max f can miss e by an ulp.
     """
-    lo, hi = _interval_bounds(model)
-    dom = model.domain
-    for edge, closed in ((hi, getattr(dom, "upper_closed", False)),
-                         (lo, getattr(dom, "lower_closed", False))):
-        if math.isfinite(edge) and abs(u - edge) <= _TOUCH_RTOL * max(1.0, abs(edge)):
+    return abs(u - edge) <= _TOUCH_RTOL * max(1.0, abs(edge))
+
+
+def _touch(model: CgfModel, u: float):
+    """(edge, closed) of the finite domain edge of K that u lies on, or None."""
+    for edge, closed in _finite_edges(model):
+        if _on_edge(u, edge):
             return edge, closed
     return None
 
 
 def _piece_integral(model: CgfModel, lam: float, integrand, carries: str,
-                    a: float, b: float, ua: float, ub: float, tol: float) -> float:
+                    a: float, b: float, ua: float, ub: float, tol: float,
+                    coarse: float | None = None) -> float:
     """int_a^b integrand(t) dt on a piece where lam f runs from ua to ub.
 
     ``carries`` names what the integrand evaluates at lam f(t): "K", "K'"
     (times f), "K''" or "I(K')".  At a touched edge the model decides
     finiteness (see the module docstring); only K at an open edge is left to
-    the quadrature.
+    the quadrature.  ``coarse``, the gl32 pass over the piece if the caller
+    has made it, seeds the adaptive rule.
     """
     left, right = _touch(model, ua), _touch(model, ub)
     if ua == ub:
@@ -110,12 +123,15 @@ def _piece_integral(model: CgfModel, lam: float, integrand, carries: str,
         else:
             return math.copysign(math.inf, lam) if carries == "K'" else math.inf
     return quad.integrate_piece(integrand, a, b, left is not None,
-                                right is not None, piece_tol)
+                                right is not None, piece_tol, coarse=coarse)
 
 
 def _integrate_kernel(model: CgfModel, kernel: Kernel, lam: float, integrand,
-                      carries: str, tol: float = 1e-12) -> float:
-    """int_0^1 integrand(t) dt over the kernel pieces; +inf off the domain."""
+                      carries: str, tol: float = 1e-12, coarse=None) -> float:
+    """int_0^1 integrand(t) dt over the kernel pieces; +inf off the domain.
+
+    ``coarse`` optionally lists each piece's gl32 pass, already made.
+    """
     lo, hi = _interval_bounds(model)
     plan = [(a, b, lam * va, lam * vb) for a, b, va, vb in kernel.pieces()]
     # the trace of lam f on an affine piece leaves the closed domain on a set
@@ -124,8 +140,9 @@ def _integrate_kernel(model: CgfModel, kernel: Kernel, lam: float, integrand,
            for piece in plan for u in piece[2:]):
         return math.inf
     total = 0.0
-    for a, b, ua, ub in plan:
-        total += _piece_integral(model, lam, integrand, carries, a, b, ua, ub, tol)
+    for (a, b, ua, ub), est in zip(plan, coarse or [None] * len(plan)):
+        total += _piece_integral(model, lam, integrand, carries, a, b, ua, ub,
+                                 tol, est)
         if math.isinf(total):
             return total    # every touch diverges with the sign of lam
     return total
@@ -174,7 +191,8 @@ def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
 
 def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
     """int f(t)^2 K''(lam f(t)) dt.  It only shapes Newton steps, so in d = 1
-    it is asked for 1e-10 relative to a one-pass gl32 estimate."""
+    it is asked for 1e-10 relative to a one-pass gl32 estimate, whose
+    per-piece passes then seed the adaptive rule."""
     if model.dimension > 1:
         lam = np.asarray(lam, dtype=float)
         d = model.dimension
@@ -194,8 +212,9 @@ def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
         fv = kernel.eval(ts)
         return fv * fv * model.cgf_hess(lam * fv)
 
-    scale = abs(sum(quad.gl32(fn, a, b) for a, b, _, _ in kernel.pieces()))
-    return _integrate_kernel(model, kernel, lam, fn, "K''", tol=1e-10 * scale)
+    coarse = [quad.gl32(fn, a, b) for a, b, _, _ in kernel.pieces()]
+    return _integrate_kernel(model, kernel, lam, fn, "K''",
+                             tol=1e-10 * abs(sum(coarse)), coarse=coarse)
 
 
 # ----------------------------------------------------------------------
@@ -500,44 +519,63 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
 # Minimizing trajectory
 # ----------------------------------------------------------------------
 
-def _refined_grid(kernel: Kernel, total: int):
-    pts = [0.0]
+def _refined_grid(kernel: Kernel, total: int) -> np.ndarray:
+    """About ``total`` cells, spread over the kernel pieces by length; every
+    breakpoint of f is a grid point."""
+    pts = [np.zeros(1)]
     for a, b, _, _ in kernel.pieces():
         n = max(1, int(round(total * (b - a))))
-        pts.extend(a + (b - a) * (i + 1) / n for i in range(n))
-    pts[-1] = 1.0
-    return pts
+        pts.append(a + (b - a) * np.arange(1, n + 1) / n)
+    grid = np.concatenate(pts)
+    grid[-1] = 1.0
+    return grid
 
 
-def _average_slopes(model: CgfModel, kernel: Kernel, lam: float, grid,
-                    improper: bool):
-    """Per-interval averages of K'(lam f) (vectors in d > 1)."""
+def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid,
+                    improper: bool) -> np.ndarray:
+    """Averages of K'(lam f) over the grid cells, as a (cells, d) array.
+
+    Each cell gets the 32-node Gauss-Legendre rule; the nodes of all cells
+    go to one ``cgf_grad`` call, and one weighted row sum per cell gives
+    the averages.  On the singular branch (``improper``, d = 1) a cell with
+    an end where lam f touches a finite domain edge of K goes through
+    ``_piece_integral`` instead, which knows whether the average is finite.
+    """
+    grid = np.asarray(grid, dtype=float)
     d = model.dimension
-    slopes = np.empty((len(grid) - 1, d))
+    a, b = grid[:-1], grid[1:]
+    touched = np.zeros(len(a), dtype=bool)
+    if d == 1 and improper:
+        u = lam * kernel.eval(grid)
+        on_edge = np.zeros(len(grid), dtype=bool)
+        for edge, _ in _finite_edges(model):
+            on_edge |= _on_edge(u, edge)
+        touched = on_edge[:-1] | on_edge[1:]
+
+    rest = ~touched
+    half, mid = 0.5 * (b[rest] - a[rest]), 0.5 * (a[rest] + b[rest])
+    fv = kernel.eval((mid[:, None] + half[:, None] * quad._NODES).reshape(-1))
+    if d == 1:
+        vals = model.cgf_grad(lam * fv)
+    else:
+        vals = model.cgf_grad(fv[:, None] * np.asarray(lam))
+    vals = np.asarray(vals, dtype=float).reshape(-1, len(quad._NODES), d)
+    slopes = np.empty((len(a), d))
+    # the rule's weights sum to 2 on [-1, 1], so the cell average is half
+    # the weighted sum of the node values
+    slopes[rest] = 0.5 * (quad._WEIGHTS @ vals)
 
     def raw(ts):
-        fv = kernel.eval(ts)
-        if d == 1:
-            return model.cgf_grad(lam * fv)
-        return model.cgf_grad(fv[:, None] * np.asarray(lam))
+        # lacks the factor f, so only finiteness counts at a touched end
+        return model.cgf_grad(lam * kernel.eval(ts))
 
-    for i, (a, b) in enumerate(zip(grid, grid[1:])):
-        if d == 1 and improper:
-            ua, ub = lam * kernel.eval(a), lam * kernel.eval(b)
-            if _touch(model, ua) or _touch(model, ub):
-                # raw lacks the factor f, so only finiteness counts here
-                val = _piece_integral(model, lam, raw, "K'", a, b, ua, ub, 1e-13)
-                if not math.isfinite(val):
-                    raise NonConvergenceError(
-                        "tilted slope average diverged near the domain edge")
-                slopes[i, 0] = val / (b - a)
-                continue
-        if d == 1:
-            slopes[i, 0] = quad.gl32(raw, a, b) / (b - a)
-        else:
-            nodes, weights = quad.scaled_nodes(a, b)
-            vals = raw(nodes)
-            slopes[i] = weights @ vals / (b - a)
+    for i in np.flatnonzero(touched):
+        val = _piece_integral(model, lam, raw, "K'", a[i], b[i],
+                              u[i], u[i + 1], 1e-13)
+        if not math.isfinite(val):
+            raise NonConvergenceError(
+                "tilted slope average diverged near the domain edge")
+        slopes[i, 0] = val / (b[i] - a[i])
     return slopes
 
 
@@ -549,7 +587,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     prob = _problem(model, kernel)
     total = int(min(4000, max(400, round(0.5 / math.sqrt(max(tol, 1e-12))))))
     grid = _refined_grid(kernel, total)
-    weights = np.asarray([kernel.integral(a, b) for a, b in zip(grid, grid[1:])])
+    weights = kernel.integrals(grid)
 
     if model.dimension > 1:
         res = i_f_conjugate(model, kernel, x, tol=tol)
@@ -558,8 +596,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         slopes = _average_slopes(model, kernel, res.lambda_star, grid, False)
         gap = np.asarray(x, dtype=float) - weights @ slopes
         slopes += np.outer(weights, gap) / float(weights @ weights)
-        return CadlagPath(model.dimension, tuple(grid),
-                          tuple(tuple(s) for s in slopes), ())
+        return CadlagPath(model.dimension, grid, slopes, ())
 
     x = float(x)
     sup_e, inf_e = prob.sup_ef_prime, prob.inf_ef_prime
@@ -572,7 +609,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
             slopes = _average_slopes(model, kernel, lam, grid, False)[:, 0]
             gap = x - float(weights @ slopes)
             slopes = slopes + weights * gap / float(weights @ weights)
-            return CadlagPath(1, tuple(grid), tuple(slopes.tolist()), ())
+            return CadlagPath(1, grid, slopes, ())
 
     if x >= sup_e:
         singular_plus = True
@@ -603,8 +640,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     jump_val = (x - raw) / kernel.eval(tau)
     if jump_val != 0.0 and math.isinf(model.recession(math.copysign(1.0, jump_val))):
         jump_val = 0.0  # residual of boundary-grade x; a priced jump would cost inf
-    return CadlagPath(1, tuple(grid), tuple(slopes.tolist()),
-                      ((tau, float(jump_val)),))
+    return CadlagPath(1, grid, slopes, ((tau, float(jump_val)),))
 
 
 # ----------------------------------------------------------------------
@@ -705,9 +741,9 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
         return _variational_nd(model, kernel, np.asarray(x, dtype=float), pieces)
 
     x = float(x)
-    grid = np.asarray(_refined_grid(kernel, pieces))
+    grid = _refined_grid(kernel, pieces)
     lens = np.diff(grid)
-    w = np.asarray([kernel.integral(a, b) for a, b in zip(grid, grid[1:])])
+    w = kernel.integrals(grid)
     fbar = w / lens
 
     i_plus = model.recession(1.0)
@@ -790,9 +826,9 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
 def _variational_nd(model: CgfModel, kernel: Kernel, x: np.ndarray,
                     pieces: int) -> float:
     d = model.dimension
-    grid = np.asarray(_refined_grid(kernel, pieces))
+    grid = _refined_grid(kernel, pieces)
     lens = np.diff(grid)
-    w = np.asarray([kernel.integral(a, b) for a, b in zip(grid, grid[1:])])
+    w = kernel.integrals(grid)
     fbar = w / lens
     mean = np.asarray(model.mean_vec)
 

@@ -53,9 +53,12 @@ class Kernel:
         return max(0.0, -float(self._vals.min()))
 
     @cached_property
+    def _slopes(self) -> np.ndarray:
+        return np.diff(self._vals) / np.diff(self._bp)
+
+    @cached_property
     def lipschitz(self) -> float:
-        slopes = np.diff(self._vals) / np.diff(self._bp)
-        return float(np.abs(slopes).max())
+        return float(np.abs(self._slopes).max())
 
     @cached_property
     def m1(self) -> float:
@@ -95,20 +98,23 @@ class Kernel:
         """Exact integral of f over [a, b] within [0, 1]."""
         if b < a:
             raise ValueError("integral endpoints out of order")
-        return self._antideriv_at(b) - self._antideriv_at(a)
+        return float(self.integrals((a, b))[0])
 
-    def _antideriv_at(self, t: float) -> float:
-        bp = self._bp
-        if t <= 0.0:
-            return 0.0
-        if t >= 1.0:
-            return float(self._antideriv[-1])
-        i = int(np.searchsorted(bp, t, side="right") - 1)
-        t0, t1 = bp[i], bp[i + 1]
-        v0, v1 = self._vals[i], self._vals[i + 1]
-        s = (t - t0)
-        slope = (v1 - v0) / (t1 - t0)
-        return float(self._antideriv[i] + v0 * s + 0.5 * slope * s * s)
+    def integrals(self, grid) -> np.ndarray:
+        """Exact integrals of f over the cells [grid[i], grid[i + 1]].
+
+        Takes differences of the antiderivative F(t) = int_0^t f, evaluated
+        at all grid points at once: on the piece [t0, t1] holding t,
+        F(t) = F(t0) + f(t0) s + slope s^2 / 2 with s = t - t0, F = 0 for
+        t <= 0 and F = F(1) for t >= 1.  The grid must be nondecreasing.
+        """
+        t = np.asarray(grid, dtype=float)
+        # index of the piece holding t, clamped to the first and last piece
+        i = np.searchsorted(self._bp[1:-1], t, side="right")
+        s = t - self._bp[i]
+        anti = self._antideriv[i] + self._vals[i] * s + 0.5 * self._slopes[i] * s * s
+        anti = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, self._antideriv[-1], anti))
+        return np.diff(anti)
 
     # -- extremal structure -------------------------------------------------
 

@@ -67,24 +67,23 @@ class CadlagPath:
         d = self.dimension
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        grid = tuple(float(t) for t in self.grid)
+        grid = np.asarray(self.grid, dtype=float).reshape(-1)
         if len(grid) < 2 or grid[0] != 0.0 or grid[-1] != 1.0:
             raise ValueError("grid must run from 0 to 1")
-        if any(a >= b for a, b in zip(grid, grid[1:])):
+        if (grid[:-1] >= grid[1:]).any():
             raise ValueError("grid must increase strictly")
-        slopes = tuple(_vec(s, d) for s in self.slopes)
+        slopes = np.asarray(self.slopes, dtype=float)
+        if slopes.size != d * len(slopes):
+            raise ValueError("component count does not match dimension")
+        slopes = slopes.reshape(len(slopes), d)
         if len(slopes) != len(grid) - 1:
             raise ValueError("need one slope per grid interval")
 
-        # Merge adjacent intervals carrying identical slopes.
-        merged_grid = [grid[0]]
-        merged_slopes = []
-        for i, s in enumerate(slopes):
-            if merged_slopes and merged_slopes[-1] == s:
-                merged_grid[-1] = grid[i + 1]
-            else:
-                merged_slopes.append(s)
-                merged_grid.append(grid[i + 1])
+        # Merge adjacent intervals carrying identical slopes: a grid point
+        # stays where the slope changes.
+        keep = np.concatenate(([True], (slopes[1:] != slopes[:-1]).any(axis=1)))
+        slopes = slopes[keep]
+        grid = grid[np.concatenate((keep, [True]))]
 
         # Combine jumps at equal times, drop zero jumps, sort by time.
         acc = {}
@@ -99,20 +98,15 @@ class CadlagPath:
         jumps = tuple((t, _vec(v, d)) for t, v in sorted(acc.items())
                       if float(np.max(np.abs(v))) != 0.0)
 
-        object.__setattr__(self, "grid", tuple(merged_grid))
-        object.__setattr__(self, "slopes", tuple(merged_slopes))
+        object.__setattr__(self, "grid", tuple(grid.tolist()))
+        object.__setattr__(self, "slopes", tuple(
+            slopes[:, 0].tolist() if d == 1 else map(tuple, slopes.tolist())))
         object.__setattr__(self, "jumps", jumps)
+        # numeric views of the canonical grid and slopes
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_slopes", slopes)
 
     # -- cached numeric views -------------------------------------------
-
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        return np.asarray(self.grid)
-
-    @cached_property
-    def _slopes(self) -> np.ndarray:
-        arr = np.asarray(self.slopes, dtype=float)
-        return arr.reshape(len(self.slopes), self.dimension)
 
     @cached_property
     def _jump_times(self) -> np.ndarray:
@@ -199,16 +193,11 @@ class CadlagPath:
         """Action of the path: rate of the slopes plus priced jump masses."""
         if model.dimension != self.dimension:
             raise ValueError("model dimension does not match path")
-        dt = np.diff(self._grid)
-        if self.dimension == 1:
-            rates = np.asarray(model.rate(self._slopes[:, 0]), dtype=float)
-        else:
-            rates = np.asarray(model.rate(self._slopes), dtype=float)
-        total = 0.0
-        for r, w in zip(np.atleast_1d(rates), dt):
-            if not math.isfinite(r):
-                return math.inf
-            total += float(r) * float(w)
+        slopes = self._slopes[:, 0] if self.dimension == 1 else self._slopes
+        rates = np.atleast_1d(np.asarray(model.rate(slopes), dtype=float))
+        if not np.all(np.isfinite(rates)):
+            return math.inf
+        total = float(np.sum(rates * np.diff(self._grid)))
         for direction, mass in self.directional().atoms:
             price = model.recession(direction)
             if not math.isfinite(price):
@@ -218,8 +207,7 @@ class CadlagPath:
 
     def pair(self, kernel: Kernel) -> object:
         """Pairing integral of f d h: exact on pieces plus f at jump times."""
-        ints = np.asarray([kernel.integral(a, b)
-                           for a, b in zip(self.grid, self.grid[1:])])
+        ints = kernel.integrals(self._grid)
         out = np.zeros(self.dimension)
         out += np.sum(self._slopes * ints[:, None], axis=0)
         if self.jumps:

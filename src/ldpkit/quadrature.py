@@ -61,18 +61,20 @@ def scaled_nodes(a: float, b: float):
 
 
 def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12,
-                max_depth: int = 30) -> float:
+                max_depth: int = 30, coarse: float | None = None) -> float:
     """Adaptive bisection built on gl32.
 
     Accepts a subinterval once halving changes its estimate by less than the
     length-prorated share of ``tol``.  Depth is capped; the cap is generous
     enough that only a genuine endpoint singularity (handled elsewhere) would
-    hit it.
+    hit it.  ``coarse`` is ``gl32(fn, a, b)`` when the caller already has it.
     """
     if a == b:
         return 0.0
     total_len = b - a
-    stack = [(a, b, gl32(fn, a, b), 0)]
+    if coarse is None:
+        coarse = gl32(fn, a, b)
+    stack = [(a, b, coarse, 0)]
     acc = 0.0
     while stack:
         lo, hi, coarse, depth = stack.pop()
@@ -94,7 +96,7 @@ def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12,
 
 def integrate_piece(fn: Callable, a: float, b: float,
                     singular_left: bool = False, singular_right: bool = False,
-                    tol: float = 1e-12) -> float:
+                    tol: float = 1e-12, coarse: float | None = None) -> float:
     """Integrate fn over [a, b], whose flagged ends may be singular.
 
     An unflagged piece goes to ``adaptive_gl`` with absolute accuracy
@@ -103,11 +105,12 @@ def integrate_piece(fn: Callable, a: float, b: float,
     larger than ``tol``.  Pass ``tol=math.inf`` when the integral is known to
     be finite.  ``fn`` must be vectorised and finite strictly inside (a, b);
     a node where it is not finite has rounded onto a singular end.
+    ``coarse`` passes a gl32 pass over [a, b] on to ``adaptive_gl``.
     """
     if a >= b:
         return 0.0
     if not (singular_left or singular_right):
-        return adaptive_gl(fn, a, b, tol=tol)
+        return adaptive_gl(fn, a, b, tol=tol, coarse=coarse)
     length = b - a
     total = 0.0
     for flagged, nodes, weights in (

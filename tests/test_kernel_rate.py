@@ -191,6 +191,35 @@ def test_near_cap_hessian_is_cheap(monkeypatch):
         assert values[0] == pytest.approx(values[1], abs=1e-9)
 
 
+@pytest.mark.parametrize("spec,kernel,lam", [
+    ("gaussian:mu=0,sigma=1", TENT, 0.5),
+    ("cexp", AFFINE_1_2, 0.999),
+    ("poisson:rate=1", TENT, -1.5),
+])
+def test_hessian_reuses_its_scale_pass(monkeypatch, spec, kernel, lam):
+    # the gl32 pass over each piece that sets the relative tolerance is the
+    # adaptive rule's first estimate; it is not computed a second time
+    m = parse_model(spec)
+    panels = [0]
+    gl32 = kr.quad.gl32
+
+    def counting(*args):
+        panels[0] += 1
+        return gl32(*args)
+
+    def fn(ts):
+        fv = kernel.eval(ts)
+        return fv * fv * m.cgf_hess(lam * fv)
+
+    pieces = [(a, b) for a, b, _, _ in kernel.pieces()]
+    tol = 1e-10 * abs(sum(gl32(fn, a, b) for a, b in pieces))
+    monkeypatch.setattr(kr.quad, "gl32", counting)
+    want = sum(kr.quad.adaptive_gl(fn, a, b, tol=tol) for a, b in pieces)
+    adaptive_panels, panels[0] = panels[0], 0
+    assert kr._e_f_hess(m, kernel, lam) == want
+    assert panels[0] == adaptive_panels
+
+
 # -- domain analysis -----------------------------------------------------------
 
 
@@ -490,6 +519,81 @@ def test_minimizer_singular_jump():
     tau, val = path.jumps[0]
     assert tau == 1.0  # f takes its maximum at the right endpoint
     assert val == pytest.approx(1.0 - 7.0 / 30.0, abs=1e-8)
+
+
+def _counting_grad(model):
+    calls = [0]
+    grad = model.cgf_grad
+
+    def counting(u):
+        calls[0] += 1
+        return grad(u)
+
+    return dataclasses.replace(model, cgf_grad=counting), calls
+
+
+@pytest.mark.parametrize("model,kernel,lam", [
+    (parse_model("gaussian:mu=0,sigma=1"), ID, 0.7),
+    (parse_model("cexp"), TENT, 0.9),
+    (gaussian(mu=(0.3, -0.2), cov=((1.0, 0.1), (0.1, 2.0))), TENT, (0.5, -0.3)),
+])
+def test_average_slopes_make_one_gradient_call(model, kernel, lam):
+    counted, calls = _counting_grad(model)
+    grid = kr._refined_grid(kernel, 4000)
+    assert len(grid) - 1 == 4000
+    slopes = kr._average_slopes(counted, kernel, lam, grid, False)
+    assert calls[0] == 1
+    assert slopes.shape == (4000, model.dimension)
+
+    # per-cell gl32 reference
+    def raw(ts):
+        fv = kernel.eval(ts)
+        if model.dimension == 1:
+            return model.cgf_grad(lam * fv)
+        return model.cgf_grad(fv[:, None] * np.asarray(lam))
+
+    want = np.empty_like(slopes)
+    for i, (a, b) in enumerate(zip(grid, grid[1:])):
+        if model.dimension == 1:
+            want[i, 0] = kr.quad.gl32(raw, a, b) / (b - a)
+        else:
+            nodes, weights = kr.quad.scaled_nodes(a, b)
+            want[i] = weights @ raw(nodes) / (b - a)
+    np.testing.assert_allclose(slopes, want, rtol=1e-14, atol=0.0)
+
+
+def test_singular_minimizer_keeps_its_jump():
+    # sup E_f' = int t (1 - sqrt(1 - t)) dt = 7/30 < 0.5: the path runs at
+    # the cap lam = 1, where lam f touches the closed edge K' = 1 at t = 1,
+    # and jumps at t = 1 by 0.5 minus the pairing of its slopes
+    m = parse_model("synthetic-boundary")
+    counted, calls = _counting_grad(m)
+    grid = kr._refined_grid(ID, 4000)
+    slopes = kr._average_slopes(counted, ID, 1.0, grid, True)[:, 0]
+    # untouched cells share one call; the touched last cell adds the calls
+    # of its tanh-sinh piece integral
+    assert 1 < calls[0] <= 4
+
+    def raw(ts):
+        return m.cgf_grad(ID.eval(ts))
+
+    want = np.empty_like(slopes)
+    for i, (a, b) in enumerate(zip(grid, grid[1:])):
+        ua, ub = float(ID.eval(a)), float(ID.eval(b))
+        if kr._touch(m, ua) or kr._touch(m, ub):
+            want[i] = kr._piece_integral(m, 1.0, raw, "K'", a, b, ua, ub, 1e-13) / (b - a)
+        else:
+            want[i] = kr.quad.gl32(raw, a, b) / (b - a)
+    assert kr._touch(m, float(ID.eval(grid[-1]))) is not None
+    np.testing.assert_allclose(slopes, want, rtol=1e-14, atol=0.0)
+
+    path = minimizer(m, ID, 0.5)
+    assert pair(ID, path) == pytest.approx(0.5, abs=1e-10)
+    ((tau, val),) = path.jumps
+    assert tau == 1.0
+    assert val == pytest.approx(0.5 - float(ID.integrals(grid) @ want), abs=1e-12)
+    assert val == pytest.approx(0.5 - 7.0 / 30.0, abs=1e-8)
+    assert i_d(path, m) == pytest.approx(i_f_explicit(m, ID, 0.5).value, abs=1e-6)
 
 
 def test_minimizer_ambiguous_jump_site():

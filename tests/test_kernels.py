@@ -128,6 +128,45 @@ def test_partial_integral():
         k.integral(0.7, 0.2)
 
 
+def _antideriv_scalar(k, t):
+    """int_0^t f, one point at a time: the per-point reference."""
+    bp, vals, anti = k._bp, k._vals, k._antideriv
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return float(anti[-1])
+    i = int(np.searchsorted(bp, t, side="right") - 1)
+    t0, t1 = bp[i], bp[i + 1]
+    v0, v1 = vals[i], vals[i + 1]
+    s = (t - t0)
+    slope = (v1 - v0) / (t1 - t0)
+    return float(anti[i] + v0 * s + 0.5 * slope * s * s)
+
+
+@pytest.mark.parametrize("spec", ["const:1", "affine:0,1", "affine:0.5,1",
+                                  "pwl:0:0,0.5:1,1:0",
+                                  "pwl:0:-1,0.3:2,0.6:-0.5,1:0.25"])
+def test_cell_integrals_match_per_cell_reference_bitwise(spec):
+    from ldpkit.kernel_rate import _refined_grid
+    k = parse_kernel(spec)
+    rng = np.random.default_rng(11)
+    inner = rng.uniform(0.0, 1.0, size=50)
+    grids = [
+        _refined_grid(k, 4000),
+        _refined_grid(k, 37),
+        np.asarray(k.breakpoints),
+        np.sort(np.concatenate([k.breakpoints, inner])),
+        np.asarray([0.0, 0.0, 0.5, 0.5, 1.0, 1.0]),      # empty cells
+    ]
+    for grid in grids:
+        want = [_antideriv_scalar(k, b) - _antideriv_scalar(k, a)
+                for a, b in zip(grid, grid[1:])]
+        got = k.integrals(grid)
+        assert got.tolist() == want
+        assert [k.integral(a, b) for a, b in zip(grid, grid[1:])] == want
+    assert k.integrals([0.0, 1.0])[0] == k._antideriv[-1]
+
+
 def test_integral_additive():
     rng = np.random.default_rng(3)
     for _ in range(10):

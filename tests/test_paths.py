@@ -1,6 +1,7 @@
 """Bounded-variation cadlag paths: variation, decomposition, action, pairing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,68 @@ def test_construction_rejects_bad_input():
         CadlagPath(1, (0.0, 1.0), (1.0,), ((1.5, 1.0),))
     with pytest.raises(ValueError):
         CadlagPath(2, (0.0, 1.0), ((1.0, 2.0, 3.0),))
+
+
+def _merged_reference(dimension, grid, slopes):
+    """Canonical (grid, slopes) by the one-interval-at-a-time merge loop."""
+    grid = tuple(float(t) for t in grid)
+    if dimension == 1:
+        slopes = tuple(float(np.asarray(s).reshape(())) for s in slopes)
+    else:
+        slopes = tuple(tuple(float(c) for c in np.asarray(s).reshape(-1))
+                       for s in slopes)
+    merged_grid, merged_slopes = [grid[0]], []
+    for i, s in enumerate(slopes):
+        if merged_slopes and merged_slopes[-1] == s:
+            merged_grid[-1] = grid[i + 1]
+        else:
+            merged_slopes.append(s)
+            merged_grid.append(grid[i + 1])
+    return tuple(merged_grid), tuple(merged_slopes)
+
+
+def test_construction_matches_the_reference_merge():
+    cases = []
+    for p in _random_paths(50, seed0=300):
+        # split every interval in two so that each slope appears twice
+        mids = [(a + b) / 2.0 for a, b in zip(p.grid, p.grid[1:])]
+        fine = sorted(set(p.grid) | set(mids))
+        slopes = [s for s in p.slopes for _ in range(2)]
+        cases.append((p.dimension, p.grid, p.slopes, p.jumps))
+        cases.append((p.dimension, tuple(fine), tuple(slopes), p.jumps))
+    rng = np.random.default_rng(8)
+    grid = (0.0, *np.sort(rng.uniform(0.0, 1.0, size=3999)).tolist(), 1.0)
+    runs = rng.choice([-1.5, -0.0, 0.0, 2.0], size=4000, p=[0.1, 0.1, 0.1, 0.7])
+    cases.append((1, grid, tuple(runs.tolist()), ((0.5, 1.0),)))
+    cases.append((1, grid, tuple((s,) for s in runs.tolist()), ()))
+    cases.append((2, grid, tuple(zip(runs.tolist(), np.roll(runs, 1).tolist())), ()))
+    for d, grid, slopes, jumps in cases:
+        p = CadlagPath(d, grid, slopes, jumps)
+        assert (p.grid, p.slopes) == _merged_reference(d, grid, slopes)
+        assert all(type(t) is float for t in p.grid)
+        assert all(type(s) is (float if d == 1 else tuple) for s in p.slopes)
+        assert p.jumps == CadlagPath(d, (0.0, 1.0), ((0.0,) * d,), jumps).jumps
+    assert len(CadlagPath(1, grid, tuple(runs.tolist())).slopes) < 4000
+
+
+@pytest.mark.parametrize("args,message", [
+    ((1, (0.0, 0.5), (1.0,)), "grid must run from 0 to 1"),
+    ((1, (0.1, 1.0), (1.0,)), "grid must run from 0 to 1"),
+    ((1, (0.0, 0.5, 0.5, 1.0), (1.0, 2.0, 3.0)), "grid must increase strictly"),
+    ((1, (0.0, 0.7, 0.3, 1.0), (1.0, 2.0, 3.0)), "grid must increase strictly"),
+    ((1, (0.0, 1.0), (1.0, 2.0)), "need one slope per grid interval"),
+    ((2, (0.0, 0.5, 1.0), ((1.0, 2.0),)), "need one slope per grid interval"),
+    ((2, (0.0, 1.0), ()), "need one slope per grid interval"),
+    ((2, (0.0, 1.0), ((1.0, 2.0, 3.0),)), "component count does not match dimension"),
+    ((2, (0.0, 1.0), (1.0,)), "component count does not match dimension"),
+    ((0, (0.0, 1.0), (1.0,)), "dimension must be >= 1"),
+    ((1, (0.0, 1.0), (1.0,), ((1.5, 1.0),)), "jump times must lie in [0, 1]"),
+    ((2, (0.0, 1.0), ((1.0, 2.0),), ((0.5, (1.0, 2.0, 3.0)),)),
+     "jump component count does not match dimension"),
+])
+def test_construction_error_messages(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CadlagPath(*args)
 
 
 def test_values_sides_and_jump_at_zero():
