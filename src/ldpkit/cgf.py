@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.special import spence
 
 from .errors import DomainError, NoSamplerError
 
@@ -83,6 +84,11 @@ class CgfModel:
     from the model with no search: +-inf at an open finite edge (a log-MGF
     is lower semicontinuous, so K and K' blow up there), ``cgf_grad(edge)``
     at a closed edge, and the matching ``rate_dom`` edge at an infinite one.
+
+    For d=1, ``cgf_int`` is the primitive P(u) = int_0^u K, with P(0) = 0
+    and its limit at a finite domain edge.  Every kernel is piecewise
+    linear, so ``kernel_rate`` reads the E_f-type integrals over a piece as
+    brackets of P, K and K' at the piece ends.
     """
 
     id: str
@@ -92,6 +98,7 @@ class CgfModel:
     cgf: Callable = field(compare=False)
     cgf_grad: Callable = field(compare=False)
     cgf_hess: Optional[Callable] = field(default=None, compare=False)
+    cgf_int: Optional[Callable] = field(default=None, compare=False)
     closed_rate: Optional[Callable] = field(default=None, compare=False)
     rate_grad: Optional[Callable] = field(default=None, compare=False)
     rate_hess: Optional[Callable] = field(default=None, compare=False)
@@ -242,6 +249,10 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
             u = np.asarray(u, dtype=float)
             return _scalarize(np.full_like(u, s2), u)
 
+        def kint(u):
+            u = np.asarray(u, dtype=float)
+            return _scalarize(u * u * (0.5 * m + s2 * u / 6.0), u)
+
         def rate(v):
             v = np.asarray(v, dtype=float)
             return _scalarize((v - m) ** 2 / (2.0 * s2), v)
@@ -266,7 +277,7 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
             dimension=1,
             domain=DomainInterval(-math.inf, math.inf),
             mean=m,
-            cgf=k, cgf_grad=kp, cgf_hess=kpp,
+            cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
             closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
             rate_dom=(-math.inf, math.inf),
             sampler=sampler, tilted_sampler=tilted,
@@ -351,6 +362,14 @@ def centered_exponential() -> CgfModel:
             val = 1.0 / (1.0 - safe) ** 2
         return _scalarize(np.where(u < 1.0, val, np.inf), u)
 
+    def kint(u):
+        # -u^2/2 + (1 - u) log(1 - u) + u, with limit 1/2 at the edge u = 1
+        u = np.asarray(u, dtype=float)
+        with np.errstate(all="ignore"):
+            safe = np.where(u < 1.0, u, 0.0)
+            val = safe - 0.5 * safe * safe + (1.0 - safe) * np.log1p(-safe)
+        return _scalarize(np.where(u < 1.0, val, np.where(u == 1.0, 0.5, np.inf)), u)
+
     def rate(v):
         v = np.asarray(v, dtype=float)
         with np.errstate(all="ignore"):
@@ -379,7 +398,7 @@ def centered_exponential() -> CgfModel:
         dimension=1,
         domain=DomainInterval(-math.inf, 1.0),
         mean=0.0,
-        cgf=k, cgf_grad=kp, cgf_hess=kpp,
+        cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
         closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
         rate_dom=(-1.0, math.inf),
         sampler=sampler, tilted_sampler=tilted,
@@ -405,6 +424,15 @@ def rademacher() -> CgfModel:
         e = np.exp(-2.0 * np.abs(u))
         sech = 2.0 * np.sqrt(e) / (1.0 + e)
         return _scalarize(sech * sech, u)
+
+    def kint(u):
+        # odd, since K is even; for u >= 0 it is
+        # u^2/2 - u log 2 + Li2(-e^{-2u})/2 + pi^2/24, and Li2(z) = spence(1 - z)
+        u = np.asarray(u, dtype=float)
+        a = np.abs(u)
+        val = (a * (0.5 * a - math.log(2.0)) + 0.5 * spence(1.0 + np.exp(-2.0 * a))
+               + math.pi ** 2 / 24.0)
+        return _scalarize(np.sign(u) * val, u)
 
     def rate(v):
         v = np.asarray(v, dtype=float)
@@ -436,7 +464,7 @@ def rademacher() -> CgfModel:
         dimension=1,
         domain=DomainInterval(-math.inf, math.inf),
         mean=0.0,
-        cgf=k, cgf_grad=kp, cgf_hess=kpp,
+        cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
         closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
         rate_dom=(-1.0, 1.0),
         sampler=sampler, tilted_sampler=tilted,
@@ -461,6 +489,10 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
     def kpp(u):
         u = np.asarray(u, dtype=float)
         return _scalarize(r * np.exp(u), u)
+
+    def kint(u):
+        u = np.asarray(u, dtype=float)
+        return _scalarize(r * (np.expm1(u) - u - 0.5 * u * u), u)
 
     def rate_fn(v):
         v = np.asarray(v, dtype=float)
@@ -491,7 +523,7 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
         dimension=1,
         domain=DomainInterval(-math.inf, math.inf),
         mean=0.0,
-        cgf=k, cgf_grad=kp, cgf_hess=kpp,
+        cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
         closed_rate=rate_fn, rate_grad=rate_g, rate_hess=rate_h,
         rate_dom=(-r, math.inf),
         sampler=sampler, tilted_sampler=tilted,
@@ -528,6 +560,14 @@ def synthetic_boundary() -> CgfModel:
             val = np.where(u < 1.0, 0.5 / np.sqrt(np.where(w > 0, w, 1.0)), np.inf)
         return _scalarize(np.where(u <= 1.0, val, np.inf), u)
 
+    def kint(u):
+        # u^2/2 - 2u/3 - (4/15)((1 - u)^{5/2} - 1); 1/10 at the edge u = 1
+        u = np.asarray(u, dtype=float)
+        with np.errstate(all="ignore"):
+            w = np.where(u <= 1.0, 1.0 - u, 0.0)
+            val = u * (0.5 * u - 2.0 / 3.0) - (4.0 / 15.0) * (w ** 2.5 - 1.0)
+        return _scalarize(np.where(u <= 1.0, val, np.inf), u)
+
     def rate(v):
         # Interior branch for v <= 1, affine with slope 1 beyond.
         v = np.asarray(v, dtype=float)
@@ -551,7 +591,7 @@ def synthetic_boundary() -> CgfModel:
         dimension=1,
         domain=DomainInterval(-math.inf, 1.0, upper_closed=True),
         mean=0.0,
-        cgf=k, cgf_grad=kp, cgf_hess=kpp,
+        cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
         closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
         rate_dom=(-math.inf, math.inf),
         sampler=None, tilted_sampler=None,

@@ -161,7 +161,9 @@ def _cmd_sweep(args, out) -> int:
 # ----------------------------------------------------------------------
 
 def _selftest_checks():
+    from .cgf import MODEL_FACTORIES
     from .kernels import affine, constant, identity
+    from .quadrature import adaptive_gl
 
     def gaussian_rate():
         model = parse_model("gaussian:mu=0,sigma=1")
@@ -216,13 +218,23 @@ def _selftest_checks():
             v = model.grad(u)
             assert abs(model.rate(v) - (u * v - model.k(u))) < 1e-10
 
+    def cgf_primitive():
+        # P = int_0^u K, whose brackets give E_f, E_f' and E_f'' exactly
+        for name in MODEL_FACTORIES:
+            model = parse_model(name)
+            for a, b in ((-1.5, 0.5), (0.2, 0.9)):
+                want = adaptive_gl(model.cgf, a, b)
+                got = model.cgf_int(b) - model.cgf_int(a)
+                assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (name, a, b, got)
+
     return [("gaussian identity rate", gaussian_rate),
             ("cexp flat kernel at zero", cexp_zero),
             ("conjugate vs explicit routes", route_agreement),
             ("pairing identity", pairing_identity),
             ("variation split", var_split),
             ("graph metric example", metric_example),
-            ("pointwise duality", duality_touch)]
+            ("pointwise duality", duality_touch),
+            ("cgf primitive", cgf_primitive)]
 
 
 def _cmd_selftest(args, out) -> int:

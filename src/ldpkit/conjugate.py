@@ -63,73 +63,42 @@ def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int) ->
     g = oracle.grad
     atol = tol * max(1.0, abs(x))
 
-    # Bracket the root starting from the interior point 0.
+    # Bracket the root starting from the interior point 0: approach a finite
+    # domain end geometrically, or step out by doubling lengths (+-1, 3, 7, ...)
     r0 = float(g(0.0)) - x
     if abs(r0) <= atol:
         return 0.0
-    if r0 < 0:   # root is to the right
-        a, ra = 0.0, r0
-        b = None
-        if math.isfinite(dom.upper):
-            for u in _approach(dom.upper):
-                r = float(g(u)) - x
-                if r >= 0:
-                    b, rb = u, r
-                    break
-                a, ra = u, r
-        else:
-            step = 1.0
-            u = step
-            for _ in range(200):
-                r = float(g(u)) - x
-                if r >= 0:
-                    b, rb = u, r
-                    break
-                a, ra = u, r
-                step *= 2.0
-                u = a + step
-        if b is None:
-            raise NonConvergenceError("failed to bracket gradient equation")
-    else:
-        b, rb = 0.0, r0
-        a = None
-        if math.isfinite(dom.lower):
-            for u in _approach(dom.lower):
-                r = float(g(u)) - x
-                if r <= 0:
-                    a, ra = u, r
-                    break
-                b, rb = u, r
-        else:
-            step = 1.0
-            u = -step
-            for _ in range(200):
-                r = float(g(u)) - x
-                if r <= 0:
-                    a, ra = u, r
-                    break
-                b, rb = u, r
-                step *= 2.0
-                u = b - step
-        if a is None:
-            raise NonConvergenceError("failed to bracket gradient equation")
+    side = 1.0 if r0 < 0 else -1.0     # the side of 0 the root lies on
+    end = dom.upper if side > 0 else dom.lower
+    probes = (_approach(end) if math.isfinite(end)
+              else [side * (2.0 ** k - 1.0) for k in range(1, 201)])
+    inner, outer = 0.0, None
+    for u in probes:
+        if side * (float(g(u)) - x) >= 0:
+            outer = u
+            break
+        inner = u
+    if outer is None:
+        raise NonConvergenceError("failed to bracket gradient equation")
+    a, b = min(inner, outer), max(inner, outer)
 
     # Safeguarded Newton: accept Newton steps inside the bracket, bisect
     # otherwise.  The gradient is nondecreasing, so the bracket is valid.
     u = 0.5 * (a + b)
     for _ in range(max_iter):
         r = float(g(u)) - x
-        if abs(r) <= atol:
+        h = float(oracle.hess(u)) if oracle.hess is not None else math.nan
+        # x u - g(u) misses the conjugate by about r^2 / (2h); near a slope
+        # edge h is tiny, so |r| <= atol alone would leave the value loose
+        if abs(r) <= atol and not r * r > atol * h:
             return u
         if r > 0:
-            b, rb = u, r
+            b = u
         else:
-            a, ra = u, r
+            a = u
         step = None
-        if oracle.hess is not None:
-            h = float(oracle.hess(u))
-            if math.isfinite(h) and h > 0:
-                step = u - r / h
+        if math.isfinite(h) and h > 0:
+            step = u - r / h
         if step is None or not (a < step < b):
             step = 0.5 * (a + b)
         if b - a <= 1e-17 * max(1.0, abs(a), abs(b)):

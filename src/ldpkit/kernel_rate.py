@@ -23,14 +23,21 @@ at an open edge and sup E_f' = +inf; at a closed edge sup E_f' is the
 (possibly improper) integral of f K'(M_plus f) at the cap.  inf E_f' is the
 mirror image.
 
-The same fact decides the integrals over a piece on which lam f runs
-linearly to a finite edge e (a touch).  At an open edge int K' du = K blows
-up, so the K' integral is sign(lam) inf and the K'' and clamp integrals
-int I(K'(u)) are +inf; only int K du is left to the tanh-sinh rule's end
-terms (1/2 for cexp with f(t) = t, +inf for K ~ 1/(e - u)).  At a closed
-edge K(e) is finite, so the K, K' and clamp integrals are finite, and the
-K'' integral is finite exactly when K'(e) is.  lam f held at an open edge
-on a whole piece is infeasible (+inf).
+In d = 1, u = lam f(t) turns the E_f-type integrals over a kernel piece of
+slope s != 0 into brackets: int f^k K^(k)(lam f) dt = [G_k] / (lam^(k+1) s)
+with G_0 = P, G_1 = uK - P and G_2 = u^2 K' - 2uK + 2P, P = int_0^u K
+being the model's ``cgf_int``.  A bracket stands when its rounding bound,
+eps (|term| + 1 + |u|) summed over its terms over |lam^(k+1) s|, is within
+the tolerance; else (small |lam s|) the adaptive rule takes the piece.
+
+Lower semicontinuity also decides a piece on which lam f runs linearly to
+a finite edge e (a touch; an end within a rounding guard of e is snapped
+onto it).  At an open edge K and K' blow up, so G_1 and G_2 run to
+sign(e) inf: the K' integral is sign(lam) inf, the K'' and clamp integrals
+int I(K'(u)) are +inf, and the K integral is the bracket of P (1/2 for
+cexp with f(t) = t).  At a closed edge K(e) and P(e) are finite, so only
+the K'' integral can diverge, exactly when K'(e) does.  lam f held at an
+open edge on a whole piece is infeasible (+inf).
 """
 
 from __future__ import annotations
@@ -68,8 +75,11 @@ def _interval_bounds(model: CgfModel):
 
 
 # ----------------------------------------------------------------------
-# Quadrature of t -> g(lam * f(t)) over the kernel pieces
+# Moments int_0^1 f^k K^(k)(lam f(t)) dt over the kernel pieces
 # ----------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+
 
 def _finite_edges(model: CgfModel):
     """(edge, closed) for each finite domain edge of K, upper edge first."""
@@ -96,53 +106,72 @@ def _touch(model: CgfModel, u: float):
     return None
 
 
-def _piece_integral(model: CgfModel, lam: float, integrand, carries: str,
-                    a: float, b: float, ua: float, ub: float, tol: float,
-                    coarse: float | None = None) -> float:
-    """int_a^b integrand(t) dt on a piece where lam f runs from ua to ub.
-
-    ``carries`` names what the integrand evaluates at lam f(t): "K", "K'"
-    (times f), "K''" or "I(K')".  At a touched edge the model decides
-    finiteness (see the module docstring); only K at an open edge is left to
-    the quadrature.  ``coarse``, the gl32 pass over the piece if the caller
-    has made it, seeds the adaptive rule.
-    """
-    left, right = _touch(model, ua), _touch(model, ub)
-    if ua == ub:
-        if left is not None and not left[1]:
-            return math.inf     # pinned to an open edge on positive measure
-        left = right = None     # constant at a closed edge: nothing singular
-    # a touched piece the model vouches for needs no test at its ends
-    piece_tol = tol if left is None and right is None else math.inf
-    for edge, closed in filter(None, (left, right)):
-        if closed:
-            if carries == "K''" and not math.isfinite(float(model.cgf_grad(edge))):
-                return math.inf
-        elif carries == "K":
-            piece_tol = tol     # the one integral the model leaves open
-        else:
-            return math.copysign(math.inf, lam) if carries == "K'" else math.inf
-    return quad.integrate_piece(integrand, a, b, left is not None,
-                                right is not None, piece_tol, coarse=coarse)
-
-
-def _integrate_kernel(model: CgfModel, kernel: Kernel, lam: float, integrand,
-                      carries: str, tol: float = 1e-12, coarse=None) -> float:
-    """int_0^1 integrand(t) dt over the kernel pieces; +inf off the domain.
-
-    ``coarse`` optionally lists each piece's gl32 pass, already made.
-    """
+def _piece_ends(model: CgfModel, kernel: Kernel, lam: float):
+    """The kernel pieces as (a, b, va, vb, ends), None once lam f leaves the
+    closed domain; ends holds (u, touch) at u = lam f, with u snapped onto
+    the edge of touch = (edge, closed) where it touches one."""
     lo, hi = _interval_bounds(model)
-    plan = [(a, b, lam * va, lam * vb) for a, b, va, vb in kernel.pieces()]
-    # the trace of lam f on an affine piece leaves the closed domain on a set
-    # of positive measure as soon as one end value does
-    if any(not lo <= u <= hi and _touch(model, u) is None
-           for piece in plan for u in piece[2:]):
+    out = []
+    for a, b, va, vb in kernel.pieces():
+        ends = [(float(lam * v), _touch(model, float(lam * v))) for v in (va, vb)]
+        # the trace of lam f on an affine piece leaves the closed domain on
+        # a set of positive measure as soon as one end value does
+        if any(t is None and not lo <= u <= hi for u, t in ends):
+            return None
+        out.append((a, b, va, vb, [(t[0] if t else u, t) for u, t in ends]))
+    return out
+
+
+def _bracket(model: CgfModel, fn, a: float, b: float, ends, terms, den: float,
+             tol: float) -> float:
+    """int_a^b fn as [G(ub) - G(ua)] / den, G(u) the sum of ``terms(u)``.
+
+    An infinite term at a touched end decides the piece: G runs to
+    sign(u) inf there.  Else the bracket stands if its bound allows it.
+    """
+    if model.cgf_int is None or den == 0.0:
+        if any(touch for _, touch in ends):
+            raise DomainError(f"model {model.id} has no cgf_int for a touched piece")
+        return quad.integrate_piece(fn, a, b, tol=tol)
+    vals = [terms(u) for u, _ in ends]
+    decided = [bool(touch) and not all(map(math.isfinite, v))
+               for (_, touch), v in zip(ends, vals)]
+    g = [math.copysign(math.inf, u) if d else sum(v)
+         for (u, _), v, d in zip(ends, vals, decided)]
+    value = (g[1] - g[0]) / den
+    if any(decided):
+        return value
+    scale = sum(abs(x) + 1.0 + abs(u) for (u, _), v in zip(ends, vals) for x in v)
+    return quad.integrate_piece(fn, a, b, closed=value, bound=_EPS * scale / abs(den),
+                                tol=tol)
+
+
+def _moment(model: CgfModel, kernel: Kernel, lam: float, k: int,
+            tol: float) -> float:
+    """int_0^1 f^k K^(k)(lam f(t)) dt in d = 1, +inf once lam f leaves the domain."""
+    pieces = _piece_ends(model, kernel, lam)
+    if pieces is None:
         return math.inf
+    deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
+
+    def fn(ts):
+        fv = kernel.eval(ts)
+        return fv ** k * deriv(lam * fv)
+
+    def terms(u):
+        p = model.cgf_int(u)
+        if k == 0:
+            return (p,)
+        uk = u * model.cgf(u)
+        return (uk, -p) if k == 1 else (u * u * model.cgf_grad(u), -2.0 * uk, 2.0 * p)
+
     total = 0.0
-    for (a, b, ua, ub), est in zip(plan, coarse or [None] * len(plan)):
-        total += _piece_integral(model, lam, integrand, carries, a, b, ua, ub,
-                                 tol, est)
+    for a, b, va, vb, ends in pieces:
+        if va == vb:
+            total += (b - a) * va ** k * float(deriv(ends[0][0]))
+        else:
+            total += _bracket(model, fn, a, b, ends, terms,
+                              lam ** (k + 1) * (vb - va) / (b - a), tol)
         if math.isinf(total):
             return total    # every touch diverges with the sign of lam
     return total
@@ -158,13 +187,7 @@ def e_f(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12) -> float:
 
         return sum(quad.adaptive_gl(fn, a, b, tol=tol)
                    for a, b, _, _ in kernel.pieces())
-
-    lam = float(lam)
-
-    def fn(ts):
-        return model.cgf(lam * kernel.eval(ts))
-
-    return _integrate_kernel(model, kernel, lam, fn, "K", tol=tol)
+    return _moment(model, kernel, float(lam), 0, tol)
 
 
 def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
@@ -179,20 +202,12 @@ def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
             out[c] = sum(quad.adaptive_gl(fn, a, b, tol=tol)
                          for a, b, _, _ in kernel.pieces())
         return out
-
-    lam = float(lam)
-
-    def fn(ts):
-        fv = kernel.eval(ts)
-        return fv * model.cgf_grad(lam * fv)
-
-    return _integrate_kernel(model, kernel, lam, fn, "K'", tol=tol)
+    return _moment(model, kernel, float(lam), 1, tol)
 
 
 def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
     """int f(t)^2 K''(lam f(t)) dt.  It only shapes Newton steps, so in d = 1
-    it is asked for 1e-10 relative to a one-pass gl32 estimate, whose
-    per-piece passes then seed the adaptive rule."""
+    its brackets and fallback are held to 1e-10."""
     if model.dimension > 1:
         lam = np.asarray(lam, dtype=float)
         d = model.dimension
@@ -205,16 +220,7 @@ def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
                 val = sum(quad.adaptive_gl(fn, a, b) for a, b, _, _ in kernel.pieces())
                 out[r, c] = out[c, r] = val
         return out
-
-    lam = float(lam)
-
-    def fn(ts):
-        fv = kernel.eval(ts)
-        return fv * fv * model.cgf_hess(lam * fv)
-
-    coarse = [quad.gl32(fn, a, b) for a, b, _, _ in kernel.pieces()]
-    return _integrate_kernel(model, kernel, lam, fn, "K''",
-                             tol=1e-10 * abs(sum(coarse)), coarse=coarse)
+    return _moment(model, kernel, float(lam), 2, 1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -437,11 +443,34 @@ def _sign_split(kernel: Kernel):
 
 def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
                     tol: float = 1e-12) -> float:
-    """int_0^1 I(K'(lam_bar f(t))) dt, allowing lam_bar = +-inf as a limit."""
+    """int_0^1 I(K'(lam_bar f(t))) dt, allowing lam_bar = +-inf as a limit.
+
+    Untouched pieces take the adaptive rule, so this route shares no value
+    formula with E_f.  A touch of an open edge gives +inf; on a piece
+    touching a closed edge, I(K'(u)) = u K'(u) - K(u) integrates to the
+    bracket of uK - P - P.
+    """
     if math.isfinite(lam_bar):
+        pieces = _piece_ends(model, kernel, lam_bar)
+        if pieces is None:
+            return math.inf
+
         def fn(ts):
             return model.closed_rate(model.cgf_grad(lam_bar * kernel.eval(ts)))
-        return _integrate_kernel(model, kernel, lam_bar, fn, "I(K')", tol=tol)
+
+        def terms(u):
+            p = model.cgf_int(u)
+            return (u * model.cgf(u), -p, -p)
+
+        total = 0.0
+        for a, b, va, vb, ends in pieces:
+            touches = [touch for _, touch in ends if touch]
+            if not all(closed for _, closed in touches):
+                return math.inf
+            total += (_bracket(model, fn, a, b, ends, terms,
+                               lam_bar * (vb - va) / (b - a), tol)
+                      if touches and va != vb else quad.adaptive_gl(fn, a, b, tol))
+        return total
 
     pos, neg, _, _ = _sign_split(kernel)
     up = lam_bar > 0
@@ -506,7 +535,7 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
                     side * cap if math.isfinite(cap) else None)
 
     lam = grad_inverse(prob.oracle, x, tol=min(tol, 1e-10))
-    value = _clamp_integral(model, kernel, lam)
+    value = _clamp_integral(model, kernel, lam, tol=0.1 * tol)
     if math.isfinite(value):
         # correct for the solver residual: without it the integral is the
         # rate at E_f'(lam) rather than at x, which matters when the tilt
@@ -538,8 +567,9 @@ def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid,
     Each cell gets the 32-node Gauss-Legendre rule; the nodes of all cells
     go to one ``cgf_grad`` call, and one weighted row sum per cell gives
     the averages.  On the singular branch (``improper``, d = 1) a cell with
-    an end where lam f touches a finite domain edge of K goes through
-    ``_piece_integral`` instead, which knows whether the average is finite.
+    an end where lam f touches a finite domain edge of K gets the exact
+    average [K(ub) - K(ua)] / (ub - ua) instead, with its ends snapped onto
+    the edge; it is +inf at an open edge.
     """
     grid = np.asarray(grid, dtype=float)
     d = model.dimension
@@ -549,7 +579,9 @@ def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid,
         u = lam * kernel.eval(grid)
         on_edge = np.zeros(len(grid), dtype=bool)
         for edge, _ in _finite_edges(model):
-            on_edge |= _on_edge(u, edge)
+            snap = _on_edge(u, edge)
+            u[snap] = edge
+            on_edge |= snap
         touched = on_edge[:-1] | on_edge[1:]
 
     rest = ~touched
@@ -565,17 +597,14 @@ def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid,
     # the weighted sum of the node values
     slopes[rest] = 0.5 * (quad._WEIGHTS @ vals)
 
-    def raw(ts):
-        # lacks the factor f, so only finiteness counts at a touched end
-        return model.cgf_grad(lam * kernel.eval(ts))
-
     for i in np.flatnonzero(touched):
-        val = _piece_integral(model, lam, raw, "K'", a[i], b[i],
-                              u[i], u[i + 1], 1e-13)
+        ua, ub = float(u[i]), float(u[i + 1])
+        val = (float(model.cgf_grad(ua)) if ua == ub
+               else (float(model.cgf(ub)) - float(model.cgf(ua))) / (ub - ua))
         if not math.isfinite(val):
             raise NonConvergenceError(
                 "tilted slope average diverged near the domain edge")
-        slopes[i, 0] = val / (b[i] - a[i])
+        slopes[i, 0] = val
     return slopes
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ldpkit import (DomainError, DomainInterval, NoSamplerError, parse_model)
+from ldpkit import quadrature as quad
 from ldpkit.cgf import (MODEL_FACTORIES, centered_exponential,
                         centered_poisson, gaussian, rademacher,
                         synthetic_boundary)
@@ -131,6 +132,31 @@ def test_convexity_midpoint(spec):
     for u, w in zip(us, ws):
         mid = m.k(0.5 * (u + w))
         assert mid <= 0.5 * m.k(float(u)) + 0.5 * m.k(float(w)) + 1e-12
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_primitive_contract(spec):
+    """P = cgf_int is int_0^u K: brackets match quadrature of K, P(0) = 0."""
+    m = parse_model(spec)
+    rng = np.random.default_rng(17)
+    us = interior_samples(m, rng, 40)
+    for a, b in zip(us[::2], us[1::2]):
+        a, b = sorted((float(a), float(b)))
+        want = quad.adaptive_gl(m.cgf, a, b)
+        got = m.cgf_int(b) - m.cgf_int(a)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13), (spec, a, b)
+    assert m.cgf_int(0.0) == 0.0
+
+
+def test_primitive_at_finite_edges_and_symmetry():
+    # the limits of P at the edge u = 1: int_0^1 K is 1/2 for cexp and
+    # 1/10 for the synthetic law; log cosh is even, so its P is odd
+    assert parse_model("cexp").cgf_int(1.0) == pytest.approx(0.5, abs=1e-16)
+    assert parse_model("synthetic-boundary").cgf_int(1.0) == pytest.approx(0.1, abs=1e-16)
+    m = parse_model("rademacher")
+    for u in (1e-8, 0.3, 2.0, 40.0, 1e6):
+        assert m.cgf_int(-u) == -m.cgf_int(u)
+    assert m.cgf_int(np.array([-2.0, 2.0])).tolist() == [-m.cgf_int(2.0), m.cgf_int(2.0)]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

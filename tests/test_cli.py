@@ -154,6 +154,12 @@ def test_selftest_passes(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+def test_selftest_checks_the_cgf_primitive(capsys):
+    code, cap = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   cgf primitive" in cap.out.splitlines()
+
+
 def test_bad_model_exits_2(capsys):
     code, cap = _run(capsys, ["rate", "--model", "wiggle:3",
                               "--kernel", "affine:0,1", "--x", "1.0"])
