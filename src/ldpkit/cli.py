@@ -21,7 +21,8 @@ import numpy as np
 from . import montecarlo as mc
 from .cgf import parse_model
 from .errors import DomainError, LdpkitError, NonConvergenceError
-from .kernel_rate import e_f, e_f_grad, i_f_conjugate, i_f_explicit, minimizer
+from .kernel_rate import (e_f, e_f_grad, i_f_conjugate, i_f_explicit, minimizer,
+                          variational_rate)
 from .kernels import parse_kernel
 from .metrics import METRICS, rho_2, rho_2_prime
 from .paths import CadlagPath, random_path
@@ -227,6 +228,14 @@ def _selftest_checks():
                 got = model.cgf_int(b) - model.cgf_int(a)
                 assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (name, a, b, got)
 
+    def variational_route():
+        # one interior level, and one past the slope range priced as a jump
+        for spec, x in (("gaussian:mu=0,sigma=1", 1.0), ("synthetic-boundary", 1.2)):
+            model = parse_model(spec)
+            gap = (variational_rate(model, identity(), x)
+                   - i_f_conjugate(model, identity(), x).value)
+            assert abs(gap) < 5e-3, (spec, x, gap)
+
     return [("gaussian identity rate", gaussian_rate),
             ("cexp flat kernel at zero", cexp_zero),
             ("conjugate vs explicit routes", route_agreement),
@@ -234,7 +243,8 @@ def _selftest_checks():
             ("variation split", var_split),
             ("graph metric example", metric_example),
             ("pointwise duality", duality_touch),
-            ("cgf primitive", cgf_primitive)]
+            ("cgf primitive", cgf_primitive),
+            ("variational vs conjugate", variational_route)]
 
 
 def _cmd_selftest(args, out) -> int:

@@ -10,9 +10,10 @@ share no value formula:
   * i_f_conjugate: Legendre transform of E_f via the generic solver;
   * i_f_explicit: the closed rate integrated along clamped tilt slopes,
     plus linear M_plus / M_minus terms outside [inf E_f', sup E_f'];
-  * variational_rate: direct minimisation of the discretised path action
-    under the exact pairing constraint (uses only the rate function and
-    its derivatives, never K).
+  * variational_rate: the discretised path action minimised under the
+    pairing constraint, as the Legendre transform of its discrete dual on
+    the same solver (uses only the rate function, its derivatives, the
+    domain and the recession prices, never K).
 
 The slope range [inf E_f', sup E_f'] follows from the model and the
 kernel, with no search.  E_f' is nondecreasing, so sup E_f' is its limit at
@@ -55,7 +56,6 @@ from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
 
 _TOUCH_RTOL = 5e-13
-_PROBE_START = 1.0
 
 
 def _quot(num: float, den: float) -> float:
@@ -673,222 +673,138 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
 
 
 # ----------------------------------------------------------------------
-# Variational oracle: minimise the discrete action directly
+# Variational route: the discrete action through its Legendre dual
 # ----------------------------------------------------------------------
 
-def _rate_dom_bounds(model: CgfModel):
+def _inner_slopes(model: CgfModel, s: np.ndarray) -> np.ndarray:
+    """The v nearest the mean with I'(v) = s, elementwise: I*(s) = s v - I(v).
+
+    I' maps the rate domain onto the domain of K, so s is reachable iff it
+    lies in ``model.domain``, a closed edge included; else v = sign(s) inf.
+    At a closed edge I is affine beyond v = K'(edge), where I'' vanishes.
+    Safeguarded Newton keeps v in [mean, rate_dom edge]: a step that would
+    leave the bracket bisects it or, where that side is infinite, doubles
+    the distance from the mean (plus one).
+    """
+    dom, mean = model.domain, float(model.mean)
     lo, hi = model.rate_dom
-    return float(lo), float(hi)
-
-
-def _slopes_from_rate_grad(model: CgfModel, svals: np.ndarray) -> np.ndarray:
-    """Solve I'(v_i) = s_i elementwise (smallest solution); +-inf when the
-    target slope is not attained inside the rate domain."""
-    rlo, rhi = _rate_dom_bounds(model)
-    mean = float(model.mean)
-    n = svals.size
-    vlo = np.full(n, mean)
-    vhi = np.full(n, mean)
-
-    def grad(v):
-        with np.errstate(all="ignore"):
-            g = np.asarray(model.rate_grad(v), dtype=float)
-        return g
-
-    up = svals > 0
-    down = svals < 0
-    for _ in range(130):
-        need = up & (grad(vhi) < svals)
-        if not np.any(need):
-            break
-        if math.isfinite(rhi):
-            vhi[need] = rhi - 0.5 * (rhi - vhi[need])
-        else:
-            vhi[need] = vhi[need] * 2.0 + 1.0
-    unreached_hi = up & (grad(vhi) < svals)
-
-    for _ in range(130):
-        need = down & (grad(vlo) > svals)
-        if not np.any(need):
-            break
-        if math.isfinite(rlo):
-            vlo[need] = rlo + 0.5 * (vlo[need] - rlo)
-        else:
-            vlo[need] = vlo[need] * 2.0 - 1.0
-    unreached_lo = down & (grad(vlo) > svals)
-
-    lo_b = np.where(up, mean, vlo)
-    hi_b = np.where(down, mean, vhi)
-    for _ in range(110):
-        mid = 0.5 * (lo_b + hi_b)
-        g = grad(mid)
-        take_lo = g < svals
-        lo_b = np.where(take_lo, mid, lo_b)
-        hi_b = np.where(take_lo, hi_b, mid)
-    out = 0.5 * (lo_b + hi_b)
-    out[unreached_hi] = math.inf
-    out[unreached_lo] = -math.inf
-    out[svals == 0.0] = mean
-    return out
-
-
-def _limit_slopes(model: CgfModel, fbar: np.ndarray, positive: bool) -> np.ndarray:
-    """Slopes as the tilt runs away to +-infinity."""
-    rlo, rhi = _rate_dom_bounds(model)
-    mean = float(model.mean)
-    edge_hi = rhi if math.isfinite(rhi) else math.inf
-    edge_lo = rlo if math.isfinite(rlo) else -math.inf
-    out = np.full(fbar.size, mean)
-    hi_side = fbar > 0 if positive else fbar < 0
-    lo_side = fbar < 0 if positive else fbar > 0
-    out[hi_side] = edge_hi
-    out[lo_side] = edge_lo
-    return out
-
-
-def _discrete_value(model: CgfModel, lens: np.ndarray, slopes: np.ndarray) -> float:
-    if not np.all(np.isfinite(slopes)):
-        return math.inf
+    at_edge = (((s == dom.upper) & dom.upper_closed)
+               | ((s == dom.lower) & dom.lower_closed))
+    reach = ((s > dom.lower) & (s < dom.upper)) | at_edge
+    out = np.where(s == 0, mean, np.copysign(math.inf, s))
+    live = np.flatnonzero(reach & (s != 0))
+    t, edge = s[live], at_edge[live]
+    a, b = np.where(t > 0, mean, lo), np.where(t > 0, hi, mean)
+    v, g_last = np.full(t.size, mean), np.full(t.size, math.nan)
     with np.errstate(all="ignore"):
-        rates = np.asarray(model.rate(slopes), dtype=float)
-    if not np.all(np.isfinite(rates)):
-        return math.inf
-    return float(np.sum(lens * rates))
+        for _ in range(400):
+            g = np.asarray(model.rate_grad(v), dtype=float)
+            h = np.asarray(model.rate_hess(v), dtype=float)
+            step = v - (g - t) / h
+            # below the solution: I' short of s, or (at an edge) on the side
+            # of v = K'(edge) where I is strictly convex towards the mean
+            below = np.where(edge, (h > 0) == (t > 0), g < t)
+            a, b = np.where(below, v, a), np.where(below, b, v)
+            # off an edge, v is settled where I' hits s, where Newton stays
+            # put, or where I' did not change over the last move (flat to
+            # rounding); anywhere, once the bracket is one ulp wide or v has
+            # run past the float range
+            done = ((~edge & ((g == t) | (step == v) | (g == g_last)))
+                    | (np.nextafter(a, math.inf) >= b) | np.isinf(v))
+            if done.all():
+                break
+            far = np.where(np.isinf(b), 2.0 * a - mean + 1.0,
+                           np.where(np.isinf(a), 2.0 * b - mean - 1.0, 0.5 * (a + b)))
+            v = np.where(done, v, np.where((a < step) & (step < b), step, far))
+            g_last = g
+        else:
+            raise NonConvergenceError("inner slope solve did not settle")
+    out[live] = np.where(edge, np.where(t > 0, b, a), v)
+    return out
+
+
+def _inner_slopes_nd(model: CgfModel, targets: np.ndarray) -> np.ndarray:
+    """Rows v with grad I(v) = target, by Newton batched over the rows."""
+    v = np.broadcast_to(model.mean_vec, targets.shape).copy()
+    for _ in range(100):
+        g = np.asarray(model.rate_grad(v), dtype=float) - targets
+        hess = np.broadcast_to(model.rate_hess(v), targets.shape + targets.shape[-1:])
+        step = np.linalg.solve(hess, g[..., None])[..., 0]
+        v = v - step
+        if np.all(np.abs(step) <= _EPS * (1.0 + np.abs(v))):
+            return v
+    raise NonConvergenceError("inner slope solve did not settle in d > 1")
 
 
 def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
                      tol: float = 1e-9) -> float:
     """Minimum of the discretised action over paths pairing to x.
 
-    Independent of the conjugate machinery: works purely with the rate
-    function I, its derivative, and exact kernel piece integrals.  Jumps
-    enter as linear channels priced at the recession constants.
+    On a ``pieces``-cell grid (lengths l_i, kernel integrals w_i, averages
+    fbar_i = w_i / l_i), slopes v_i plus jumps priced at the recession
+    constants cost sup_nu [nu x - Phi(nu)] over nu in [-M_minus, M_plus],
+    Phi(nu) = sum_i l_i I*(nu fbar_i) (Fenchel duality).  The generic solver
+    takes that transform, ``tol`` being its tolerance on the pairing
+    residual Phi' - x.  With I'(v_i) = nu fbar_i, Phi' = sum w_i v_i and
+    Phi'' = sum l_i fbar_i^2 / I''(v_i), so K never enters.  A finite cap
+    prices the rest of x as a jump; at an infinite one the slope edge is
+    sum w_i times the rate_dom edge that the sign of fbar_i picks.
     """
     if pieces < 1:
         raise ValueError("pieces must be >= 1")
+    grid = _refined_grid(kernel, pieces)
+    lens, w = np.diff(grid), kernel.integrals(grid)
+    fbar = w / lens
+    last = {}
+
+    def slopes(nu):
+        key = np.asarray(nu, dtype=float).tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = (_inner_slopes(model, nu * fbar) if model.dimension == 1
+                         else _inner_slopes_nd(model, np.outer(fbar, nu)))
+        return last[key]
+
+    def phi(nu):
+        v = slopes(nu)
+        return (float(np.sum(nu * (w @ v)) - lens @ model.rate(v))
+                if np.all(np.isfinite(v)) else math.inf)
+
+    def phi_grad(nu):
+        g = w @ slopes(nu)
+        return float(g) if model.dimension == 1 else g
+
+    def phi_hess(nu):
+        with np.errstate(divide="ignore"):
+            curv = np.asarray(model.rate_hess(slopes(nu)), dtype=float)
+            if model.dimension == 1:
+                return float(lens @ (fbar ** 2 / curv))
+        inv = np.broadcast_to(np.linalg.inv(curv), (len(lens),) + curv.shape[-2:])
+        return np.tensordot(lens * fbar ** 2, inv, axes=1)
+
     if model.dimension > 1:
-        return _variational_nd(model, kernel, np.asarray(x, dtype=float), pieces)
+        oracle = ConvexOracle(FullSpace(model.dimension), phi, phi_grad, phi_hess)
+        return legendre(oracle, np.asarray(x, dtype=float), tol=tol).value
 
-    x = float(x)
-    grid = _refined_grid(kernel, pieces)
-    lens = np.diff(grid)
-    w = kernel.integrals(grid)
-    fbar = w / lens
+    m_plus, m_minus = _problem(model, kernel).m_plus_minus
+    lo, hi = model.rate_dom
 
-    i_plus = model.recession(1.0)
-    i_minus = model.recession(-1.0)
-    price_up = min(_quot(i_plus, kernel.max_plus), _quot(i_minus, kernel.max_minus))
-    price_down = min(_quot(i_plus, kernel.max_minus), _quot(i_minus, kernel.max_plus))
-
-    def psi_and_slopes(nu):
-        slopes = _slopes_from_rate_grad(model, nu * fbar)
-        if not np.all(np.isfinite(slopes)):
-            return math.inf if nu > 0 else -math.inf, slopes
-        return float(w @ slopes), slopes
-
-    center, _ = psi_and_slopes(0.0)
-    scale = max(1.0, abs(x), abs(center))
-    if abs(x - center) <= 1e-14 * scale:
-        return _discrete_value(model, lens, _slopes_from_rate_grad(
-            model, np.zeros_like(fbar)))
-
-    upward = x > center
-    cap = price_up if upward else price_down
-    sgn = 1.0 if upward else -1.0
-
-    # search for a bracketing tilt, stopping at the jump price cap
-    nu_in, psi_in = 0.0, center
-    nu_out = None
-    probe = _PROBE_START
-    plateau = None
-    for _ in range(200):
-        nu = sgn * probe
-        if math.isfinite(cap) and probe >= cap:
-            nu = sgn * cap
-        psi, slopes = psi_and_slopes(nu)
-        reached = psi >= x if upward else psi <= x
-        if reached:
-            nu_out = nu
-            break
-        nu_in, psi_in = nu, psi
-        if math.isfinite(cap) and probe >= cap:
-            break
-        if plateau is not None and abs(psi - plateau) <= 1e-13 * max(1.0, abs(psi)):
-            break
-        plateau = psi
-        probe *= 2.0
-
-    if nu_out is None:
-        # pairing saturated before reaching x: pay for a jump, or report inf
+    def slope_edge(side, cap):
+        """Phi' at the cap, and the stated conjugate there if the cap is infinite."""
         if math.isfinite(cap):
-            base_slopes = _slopes_from_rate_grad(model, sgn * cap * fbar)
-            val = _discrete_value(model, lens, base_slopes)
-            if not math.isfinite(val):
-                return math.inf
-            gap = x - float(w @ base_slopes)
-            if sgn * gap < -1e-9 * scale:
-                raise NonConvergenceError("variational bracket lost the target")
-            return val + cap * abs(gap)
-        limit = _limit_slopes(model, fbar, positive=upward)
-        if np.all(np.isfinite(limit)):
-            psi_lim = float(w @ limit)
-            if abs(x - psi_lim) <= 1e-9 * max(1.0, abs(x), abs(psi_lim)):
-                return _discrete_value(model, lens, limit)
-        return math.inf
+            return phi_grad(side * cap), None
+        limit = np.where(side * fbar > 0, hi,
+                         np.where(side * fbar < 0, lo, float(model.mean)))
+        edge = float(w @ limit)
+        return edge, float(lens @ model.rate(limit)) if math.isfinite(edge) else None
 
-    # bisect between nu_in and nu_out
-    lo_nu, hi_nu = (nu_in, nu_out) if upward else (nu_out, nu_in)
-    for _ in range(120):
-        mid = 0.5 * (lo_nu + hi_nu)
-        psi, _ = psi_and_slopes(mid)
-        if psi < x:
-            lo_nu = mid
-        else:
-            hi_nu = mid
-    nu = 0.5 * (lo_nu + hi_nu)
-    psi, slopes = psi_and_slopes(nu)
-    if not np.all(np.isfinite(slopes)):
-        _, slopes = psi_and_slopes(lo_nu if upward else hi_nu)
-    return _discrete_value(model, lens, slopes)
-
-
-def _variational_nd(model: CgfModel, kernel: Kernel, x: np.ndarray,
-                    pieces: int) -> float:
-    d = model.dimension
-    grid = _refined_grid(kernel, pieces)
-    lens = np.diff(grid)
-    w = kernel.integrals(grid)
-    fbar = w / lens
-    mean = np.asarray(model.mean_vec)
-
-    def slopes_for(nu):
-        out = np.empty((len(lens), d))
-        for i, fb in enumerate(fbar):
-            target = fb * nu
-            v = mean.copy()
-            for _ in range(80):
-                g = np.asarray(model.rate_grad(v), dtype=float) - target
-                if np.linalg.norm(g) <= 1e-13 * max(1.0, np.linalg.norm(target)):
-                    break
-                h = np.asarray(model.rate_hess(v), dtype=float)
-                v = v - np.linalg.solve(h, g)
-            out[i] = v
-        return out
-
-    nu = np.zeros(d)
-    for _ in range(80):
-        slopes = slopes_for(nu)
-        gap = x - w @ slopes
-        if np.linalg.norm(gap) <= 1e-12 * max(1.0, float(np.linalg.norm(x))):
-            break
-        jac = np.zeros((d, d))
-        for i, fb in enumerate(fbar):
-            h = np.asarray(model.rate_hess(slopes[i]), dtype=float)
-            jac += lens[i] * fb * fb * np.linalg.inv(h)
-        nu = nu + np.linalg.solve(jac, gap)
-    else:
-        raise NonConvergenceError("variational solve stalled in d > 1")
-    return _discrete_value(model, lens, slopes)
+    (glo, vlo), (ghi, vhi) = slope_edge(-1.0, m_minus), slope_edge(1.0, m_plus)
+    oracle = ConvexOracle(
+        DomainInterval(-m_minus, m_plus,
+                       lower_closed=math.isfinite(m_minus) and math.isfinite(glo),
+                       upper_closed=math.isfinite(m_plus) and math.isfinite(ghi)),
+        phi, phi_grad, phi_hess, grad_range=(glo, ghi), edge_values=(vlo, vhi))
+    return legendre(oracle, float(x), tol=tol).value
 
 
 def x_grid(model: CgfModel, kernel: Kernel, count: int = 50, span: float = 3.0):

@@ -171,14 +171,11 @@ def rho_star(g: CadlagPath, h: CadlagPath) -> float:
     if g.dimension != h.dimension:
         raise ValueError("dimension mismatch")
     diff = g.shift(h, sign=-1.0)
-    events = diff._event_times()
-    total = 0.0
-    for e0, e1 in zip(events, events[1:]):
-        u = diff.values([e0])[0]
-        mid = 0.5 * (e0 + e1)
-        i = int(np.searchsorted(diff._grid, mid, side="right") - 1)
-        i = min(max(i, 0), len(diff.slopes) - 1)
-        total += _integral_norm_affine(u, diff._slopes[i], e1 - e0)
+    events = np.asarray(diff._event_times())
+    starts = diff.values(events[:-1])
+    rows = diff._slopes[diff._cells(0.5 * (events[:-1] + events[1:]))]
+    total = sum(_integral_norm_affine(u, w, dt)
+                for u, w, dt in zip(starts, rows, np.diff(events).tolist()))
     return total + float(np.linalg.norm(diff.values([1.0])[0]))
 
 

@@ -127,9 +127,13 @@ class CadlagPath:
 
     # -- evaluation -------------------------------------------------------
 
+    def _cells(self, ts) -> np.ndarray:
+        """Index of the grid cell holding each time (t = 1 in the last cell)."""
+        return np.clip(np.searchsorted(self._grid, ts, side="right") - 1,
+                       0, len(self.slopes) - 1)
+
     def _ac_at(self, ts: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self._grid, ts, side="right") - 1,
-                      0, len(self.slopes) - 1)
+        idx = self._cells(ts)
         base = self._ac_nodes[idx]
         return base + self._slopes[idx] * (ts - self._grid[idx])[:, None]
 
@@ -231,22 +235,13 @@ class CadlagPath:
         """self + sign * other on the merged grid."""
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        grid = sorted(set(self.grid) | set(other.grid))
-        mids = [(a + b) / 2.0 for a, b in zip(grid, grid[1:])]
-
-        def slope_at(path, t):
-            i = int(np.searchsorted(path._grid, t, side="right") - 1)
-            i = min(max(i, 0), len(path.slopes) - 1)
-            return path._slopes[i]
-
-        slopes = [tuple(slope_at(self, m) + sign * slope_at(other, m)) for m in mids]
-        if self.dimension == 1:
-            slopes = [s[0] for s in slopes]
-        jumps = list(self.jumps) + [(t, tuple(sign * c for c in np.atleast_1d(v)))
-                                    for t, v in other.jumps]
-        if self.dimension == 1:
-            jumps = [(t, v if np.ndim(v) == 0 else v[0]) for t, v in jumps]
-        return CadlagPath(self.dimension, tuple(grid), tuple(slopes), tuple(jumps))
+        grid = np.union1d(self._grid, other._grid)
+        mids = (grid[:-1] + grid[1:]) / 2.0
+        slopes = (self._slopes[self._cells(mids)]
+                  + sign * other._slopes[other._cells(mids)])
+        times = np.concatenate([self._jump_times, other._jump_times])
+        vals = np.concatenate([self._jump_vals, sign * other._jump_vals])
+        return CadlagPath(self.dimension, grid, slopes, tuple(zip(times, vals)))
 
     # -- serialization ------------------------------------------------------
 

@@ -160,6 +160,12 @@ def test_selftest_checks_the_cgf_primitive(capsys):
     assert "ok   cgf primitive" in cap.out.splitlines()
 
 
+def test_selftest_checks_the_variational_route(capsys):
+    code, cap = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   variational vs conjugate" in cap.out.splitlines()
+
+
 def test_bad_model_exits_2(capsys):
     code, cap = _run(capsys, ["rate", "--model", "wiggle:3",
                               "--kernel", "affine:0,1", "--x", "1.0"])

@@ -30,7 +30,7 @@ from ldpkit import (
     variational_rate,
     x_grid,
 )
-from ldpkit.cgf import gaussian
+from ldpkit.cgf import MODEL_FACTORIES, gaussian
 
 ID = identity()
 CONST1 = constant(1.0)
@@ -572,13 +572,44 @@ def test_infinite_below_slope_floor():
 def test_variational_matches_conjugate():
     cases = [("gaussian:mu=0,sigma=1", ID, (0.4, 1.0, -0.8)),
              ("cexp", CONST1, (0.5, -0.9, 2.0)),
-             ("synthetic-boundary", ID, (0.15, -0.5, 1.0))]
+             ("synthetic-boundary", ID, (0.15, -0.5, 1.0)),
+             # slope edges with an infinite cap (log 2 and 1), and past them
+             ("rademacher", ID, (0.5, 0.6)),
+             ("poisson:rate=1", ID, (-0.5, -0.6)),
+             # past the slope range at a finite cap: the rest of x is a jump
+             ("synthetic-boundary", ID, (1.2,)),
+             ("cexp", parse_kernel("affine:1,-2"), (2.0, -2.0))]
     for spec, k, xs in cases:
         m = parse_model(spec)
         for x in xs:
             want = i_f_conjugate(m, k, x).value
             got = variational_rate(m, k, x, pieces=200)
-            assert got == pytest.approx(want, abs=5e-3), (spec, x)
+            if math.isinf(want):
+                assert got == want, (spec, x)
+            else:
+                assert got == pytest.approx(want, abs=5e-3), (spec, x)
+
+
+def test_inner_slopes_contract():
+    # I' runs over the domain of K: an open edge and beyond are unreachable
+    cexp = parse_model("cexp")
+    assert np.array_equal(kr._inner_slopes(cexp, np.array([1.0, 1.5])), [math.inf] * 2)
+    # at synthetic's closed edge s = 1, I is affine for v >= 1 = K'(1)
+    synth = parse_model("synthetic-boundary")
+    assert kr._inner_slopes(synth, np.array([1.0]))[0] == 1.0
+    assert kr._inner_slopes(synth, np.array([1.5]))[0] == math.inf
+    s = np.sinh(np.linspace(-5.0, 5.0, 200))
+    for name in MODEL_FACTORIES:
+        m = parse_model(name)
+        lo, hi = m.rate_dom
+        t = s[(s > m.domain.lower) & (s < m.domain.upper)]
+        v = kr._inner_slopes(m, t)
+        inside = (v - lo >= 1e-12) & (hi - v >= 1e-12)
+        t, v = t[inside], v[inside]
+        # 1e-12 relative, or the change in I' over one ulp of v where I' is steep
+        bound = 1e-12 * np.abs(t) + m.rate_hess(v) * np.spacing(np.abs(v))
+        assert np.all(np.abs(m.rate_grad(v) - t) <= bound), name
+        assert inside.sum() >= 100, name
 
 
 def test_variational_rejects_bad_pieces():
@@ -751,6 +782,10 @@ def test_vector_variational():
     x = np.asarray([1.0, 0.5])
     got = variational_rate(m, ID, x, pieces=60)
     assert got == pytest.approx(1.875, abs=5e-3)
+    m = gaussian(mu=(0.0, 0.0), cov=((1.0, 0.6), (0.6, 2.0)))
+    x = np.asarray([0.3, -0.2])
+    got = variational_rate(m, TENT, x, pieces=60)
+    assert got == pytest.approx(i_f_conjugate(m, TENT, x).value, abs=5e-3)
 
 
 # -- x grids -----------------------------------------------------------------------
