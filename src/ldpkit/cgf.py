@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import spence
 
 from .errors import DomainError, NoSamplerError
 
@@ -42,7 +41,7 @@ class DomainInterval:
             raise ValueError("closed endpoint must be finite")
 
     def contains(self, u: float) -> bool:
-        if u < self.lower or u > self.upper:
+        if not self.lower <= u <= self.upper:
             return False
         if u == self.lower:
             return self.lower_closed
@@ -89,6 +88,14 @@ class CgfModel:
     and its limit at a finite domain edge.  Every kernel is piecewise
     linear, so ``kernel_rate`` reads the E_f-type integrals over a piece as
     brackets of P, K and K' at the piece ends.
+
+    ``tilted_sampler(theta, rng, count)`` takes an array of tilts, each in
+    ``domain`` (a closed edge included, where K is finite and the tilted law
+    exists), of shape B for d=1 or B + (d,) for d>1.  It draws from the law
+    tilted by each theta, count draws apiece, in one call, so its draws have
+    shape B + (count,) for d=1 and B + (count, d) for d>1; the draws for
+    theta[i] are those of a call with theta[i] alone, made in order of i on
+    the same generator.
     """
 
     id: str
@@ -107,7 +114,7 @@ class CgfModel:
     # edge of the support; grad_range reads it there, and raises DomainError
     # for a d=1 model with an infinite edge and rate_dom=None.
     rate_dom: Optional[tuple] = None
-    # (rng, count) -> draws and (theta, rng, count) -> draws
+    # (rng, count) -> draws and (theta, rng, count) -> draws; see above
     sampler: Optional[Callable] = field(default=None, compare=False)
     tilted_sampler: Optional[Callable] = field(default=None, compare=False)
     minorant: tuple = (0.0, 0.0)                # (c1, c2): I(v) >= c1|v| - c2
@@ -201,8 +208,10 @@ class CgfModel:
         if self.tilted_sampler is None:
             raise NoSamplerError(f"model {self.id} has no tilted sampler")
         if self.dimension == 1:
-            if not self.domain.interior_contains(float(theta)):
-                raise DomainError(f"tilt {theta} not interior to the CGF domain")
+            # the domain is an interval, so its extreme tilts decide them all
+            for end in (np.min(theta), np.max(theta)):
+                if not self.domain.contains(float(end)):
+                    raise DomainError(f"tilt {float(end)} outside the CGF domain")
         return self.tilted_sampler(theta, rng, count)
 
     def sample(self, count: int, seed: int):
@@ -269,7 +278,8 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
             return rng.normal(m, s, size=count)
 
         def tilted(theta, rng, count):
-            return rng.normal(m + s2 * float(theta), s, size=count)
+            theta = np.asarray(theta, dtype=float)
+            return (m + s2 * theta)[..., None] + s * rng.standard_normal(theta.shape + (count,))
 
         c2 = max(k(1.0), k(-1.0), 0.0)
         return CgfModel(
@@ -304,7 +314,7 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
         return mu_vec + u @ cov_m
 
     def kpp(u):
-        return cov_m.copy()
+        return np.broadcast_to(cov_m, np.shape(u)[:-1] + (d, d))
 
     def rate(v):
         v = np.asarray(v, dtype=float)
@@ -322,8 +332,9 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
         return mu_vec + rng.standard_normal((count, d)) @ chol.T
 
     def tilted(theta, rng, count):
-        shift = cov_m @ np.asarray(theta, dtype=float)
-        return (mu_vec + shift) + rng.standard_normal((count, d)) @ chol.T
+        theta = np.asarray(theta, dtype=float)
+        mean = (mu_vec + theta @ cov_m)[..., None, :]
+        return mean + rng.standard_normal(theta.shape[:-1] + (count, d)) @ chol.T
 
     c2 = float(np.linalg.norm(mu_vec) + 0.5 * evals.max())
     return CgfModel(
@@ -389,7 +400,8 @@ def centered_exponential() -> CgfModel:
         return rng.standard_exponential(count) - 1.0
 
     def tilted(theta, rng, count):
-        return rng.standard_exponential(count) / (1.0 - float(theta)) - 1.0
+        theta = np.asarray(theta, dtype=float)
+        return rng.standard_exponential(theta.shape + (count,)) / (1.0 - theta[..., None]) - 1.0
 
     # Supporting lines at u = +-1/2: c1 = 1/2, c2 = max K there.
     c2 = max(-0.5 - math.log(0.5), 0.5 - math.log(1.5))
@@ -428,6 +440,8 @@ def rademacher() -> CgfModel:
     def kint(u):
         # odd, since K is even; for u >= 0 it is
         # u^2/2 - u log 2 + Li2(-e^{-2u})/2 + pi^2/24, and Li2(z) = spence(1 - z)
+        from scipy.special import spence
+
         u = np.asarray(u, dtype=float)
         a = np.abs(u)
         val = (a * (0.5 * a - math.log(2.0)) + 0.5 * spence(1.0 + np.exp(-2.0 * a))
@@ -455,8 +469,10 @@ def rademacher() -> CgfModel:
         return rng.integers(0, 2, size=count) * 2.0 - 1.0
 
     def tilted(theta, rng, count):
-        p_plus = 1.0 / (1.0 + math.exp(-2.0 * float(theta)))
-        return (rng.random(count) < p_plus) * 2.0 - 1.0
+        theta = np.asarray(theta, dtype=float)
+        with np.errstate(over="ignore"):
+            p_plus = 1.0 / (1.0 + np.exp(-2.0 * theta))
+        return (rng.random(theta.shape + (count,)) < p_plus[..., None]) * 2.0 - 1.0
 
     c2 = float(k(1.0))  # supporting lines at u = +-1
     return CgfModel(
@@ -515,7 +531,8 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
         return rng.poisson(r, size=count) - r
 
     def tilted(theta, rng, count):
-        return rng.poisson(r * math.exp(float(theta)), size=count) - r
+        theta = np.asarray(theta, dtype=float)
+        return rng.poisson(r * np.exp(theta)[..., None], size=theta.shape + (count,)) - r
 
     c2 = max(float(k(1.0)), float(k(-1.0)))
     return CgfModel(

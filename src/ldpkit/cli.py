@@ -236,6 +236,14 @@ def _selftest_checks():
                    - i_f_conjugate(model, identity(), x).value)
             assert abs(gap) < 5e-3, (spec, x, gap)
 
+    def finite_n_tilt():
+        # a = 1/2 is the continuum slope edge of rademacher x identity, but
+        # inside the finite-n range (n + 1) / (2n)
+        model = parse_model("rademacher")
+        est = mc.estimate_tail(model, identity(), 20, 0.5, samples=10_000, seed=0)
+        exact = mc.exact_tail_oracle(model, identity(), 20, 0.5)
+        assert abs(est.log_prob - exact) <= 4.0 * est.std_error, (est.log_prob, exact)
+
     return [("gaussian identity rate", gaussian_rate),
             ("cexp flat kernel at zero", cexp_zero),
             ("conjugate vs explicit routes", route_agreement),
@@ -244,7 +252,8 @@ def _selftest_checks():
             ("graph metric example", metric_example),
             ("pointwise duality", duality_touch),
             ("cgf primitive", cgf_primitive),
-            ("variational vs conjugate", variational_route)]
+            ("variational vs conjugate", variational_route),
+            ("finite-n tilt", finite_n_tilt)]
 
 
 def _cmd_selftest(args, out) -> int:

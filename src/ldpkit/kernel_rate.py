@@ -227,6 +227,52 @@ def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
 # Cached per-(model, kernel) analysis
 # ----------------------------------------------------------------------
 
+def _tilt_domain(model: CgfModel, w_plus: float, w_minus: float) -> DomainInterval:
+    """The tilts lam with lam w in dom K for every weight w in [-w_minus, w_plus].
+
+    Each cap is the smallest ratio of a domain edge to the weight that runs
+    into it, and is closed iff every edge that binds there is closed.
+    """
+    dom = model.domain
+    ends = []
+    for up, down in ((w_plus, w_minus), (w_minus, w_plus)):    # lam > 0, lam < 0
+        bounds = ((_quot(dom.upper, up), dom.upper_closed),
+                  (_quot(-dom.lower, down), dom.lower_closed))
+        cap = min(b for b, _ in bounds)
+        ends.append((cap, math.isfinite(cap) and all(c for b, c in bounds if b == cap)))
+    (hi, hi_closed), (lo, lo_closed) = ends
+    return DomainInterval(-lo, hi, lower_closed=lo_closed, upper_closed=hi_closed)
+
+
+def _slope_edge(model: CgfModel, domain: DomainInterval, split: tuple, grad,
+                upper: bool) -> tuple:
+    """(slope edge, conjugate there or None) of g(lam) = int K(lam w) dmu(w).
+
+    ``domain`` is the tilt domain of the weights and split = (mu{w > 0},
+    mu{w < 0}, int_{w > 0} w dmu, int_{w < 0} w dmu).  The slope edge on the
+    upper (lower) side is g' at a closed cap and +-inf at an open one.  At
+    an infinite cap each weight w != 0 sends K'(lam w) to the support edge b
+    picked by the sign of lam w (monotone convergence), so the slope edge
+    is the split integrals times those b, and the conjugate there (stated
+    only where I is closed-form) the split measures times I(b).
+    """
+    side = 1.0 if upper else -1.0
+    cap = domain.upper if upper else -domain.lower
+    if math.isfinite(cap):
+        if not (domain.upper_closed if upper else domain.lower_closed):
+            return side * math.inf, None
+        val = grad(side * cap)
+        return (val if math.isfinite(val) else math.copysign(math.inf, val)), None
+    pos, neg, pos_int, neg_int = split
+    glo, ghi = model.grad_range
+    limits = ((pos, pos_int, ghi if upper else glo), (neg, neg_int, glo if upper else ghi))
+    slope = sum(w * b for _, w, b in limits if w != 0.0)
+    if model.closed_rate is None:
+        return slope, None
+    return slope, sum(m * (float(model.rate(b)) if math.isfinite(b) else math.inf)
+                      for m, _, b in limits if m != 0.0)
+
+
 class KernelRateProblem:
     def __init__(self, model: CgfModel, kernel: Kernel):
         self.model = model
@@ -240,72 +286,35 @@ class KernelRateProblem:
 
     @property
     def m_plus_minus(self):
-        def compute():
-            i_plus = self.model.recession(1.0)
-            i_minus = self.model.recession(-1.0)
-            k = self.kernel
-            m_plus = min(_quot(i_plus, k.max_plus), _quot(i_minus, k.max_minus))
-            m_minus = min(_quot(i_plus, k.max_minus), _quot(i_minus, k.max_plus))
-            return m_plus, m_minus
-        return self._memo("m", compute)
+        if self.model.dimension > 1:
+            return math.inf, math.inf
+        return self.d_f.upper, -self.d_f.lower
 
     @property
     def d_f(self):
         def compute():
             model, k = self.model, self.kernel
-            if model.dimension > 1:
-                if isinstance(model.domain, FullSpace):
-                    return FullSpace(model.dimension)
-                raise DomainError(
-                    "weighted domain is only available for full-space models "
-                    "in dimension > 1")
+            if model.dimension == 1:
+                return _tilt_domain(model, k.max_plus, k.max_minus)
             if isinstance(model.domain, FullSpace):
-                return DomainInterval(-math.inf, math.inf)
-            m_plus, m_minus = self.m_plus_minus
-            dom = model.domain
-            up_closed = False
-            if math.isfinite(m_plus):
-                # closure holds only if every binding side is closed
-                up_closed = True
-                if k.max_plus > 0 and m_plus == _quot(dom.upper, k.max_plus):
-                    up_closed = up_closed and dom.upper_closed
-                if k.max_minus > 0 and m_plus == _quot(-dom.lower, k.max_minus):
-                    up_closed = up_closed and dom.lower_closed
-            low_closed = False
-            if math.isfinite(m_minus):
-                low_closed = True
-                if k.max_minus > 0 and m_minus == _quot(dom.upper, k.max_minus):
-                    low_closed = low_closed and dom.upper_closed
-                if k.max_plus > 0 and m_minus == _quot(-dom.lower, k.max_plus):
-                    low_closed = low_closed and dom.lower_closed
-            return DomainInterval(-m_minus, m_plus,
-                                  lower_closed=low_closed, upper_closed=up_closed)
+                return FullSpace(model.dimension)
+            raise DomainError("weighted domain is only available for full-space "
+                              "models in dimension > 1")
         return self._memo("d_f", compute)
 
-    def _slope_limit(self, upper: bool) -> float:
-        """lim E_f'(lam) as lam runs to the cap M_plus (upper) or -M_minus."""
-        m_plus, m_minus = self.m_plus_minus
-        cap = m_plus if upper else m_minus
-        if math.isinf(cap):
-            # monotone convergence: K'(lam f) runs to K'(+-inf) where f != 0
-            # (0 * inf = 0: a sign f never takes contributes nothing)
-            _, _, pos, neg = _sign_split(self.kernel)
-            glo, ghi = self.model.grad_range
-            return sum(w * (ghi if side else glo)
-                       for w, side in ((pos, upper), (neg, not upper)) if w != 0.0)
-        dom = self.d_f
-        if not (dom.upper_closed if upper else dom.lower_closed):
-            return math.inf if upper else -math.inf
-        val = e_f_grad(self.model, self.kernel, cap if upper else -cap)
-        return val if math.isfinite(val) else math.copysign(math.inf, val)
+    def _edge(self, upper: bool) -> tuple:
+        model, kernel = self.model, self.kernel
+        return self._memo(("edge", upper), lambda: _slope_edge(
+            model, self.d_f, _sign_split(kernel),
+            lambda l: e_f_grad(model, kernel, l), upper))
 
     @property
     def sup_ef_prime(self) -> float:
-        return self._memo("sup", lambda: self._slope_limit(True))
+        return self._edge(True)[0]
 
     @property
     def inf_ef_prime(self) -> float:
-        return self._memo("inf", lambda: self._slope_limit(False))
+        return self._edge(False)[0]
 
     @property
     def oracle(self) -> ConvexOracle:
@@ -317,20 +326,13 @@ class KernelRateProblem:
                     eval=lambda l: e_f(model, kernel, l),
                     grad=lambda l: e_f_grad(model, kernel, l),
                     hess=lambda l: _e_f_hess(model, kernel, l))
-            # at a slope edge with an infinite cap the conjugate is the
-            # monotone limit of the clamped integrals, as in i_f_explicit
-            m_plus, m_minus = self.m_plus_minus
-            edges = tuple(
-                _clamp_integral(model, kernel, side * math.inf)
-                if math.isinf(cap) and model.closed_rate is not None else None
-                for side, cap in ((-1.0, m_minus), (1.0, m_plus)))
+            (lo, v_lo), (hi, v_hi) = self._edge(False), self._edge(True)
             return ConvexOracle(
                 domain=self.d_f,
                 eval=lambda l: e_f(model, kernel, float(l)),
                 grad=lambda l: e_f_grad(model, kernel, float(l)),
                 hess=lambda l: _e_f_hess(model, kernel, float(l)),
-                grad_range=(self.inf_ef_prime, self.sup_ef_prime),
-                edge_values=edges)
+                grad_range=(lo, hi), edge_values=(v_lo, v_hi))
         return self._memo("oracle", compute)
 
 
@@ -443,47 +445,32 @@ def _sign_split(kernel: Kernel):
 
 def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
                     tol: float = 1e-12) -> float:
-    """int_0^1 I(K'(lam_bar f(t))) dt, allowing lam_bar = +-inf as a limit.
+    """int_0^1 I(K'(lam_bar f(t))) dt for a finite lam_bar.
 
     Untouched pieces take the adaptive rule, so this route shares no value
     formula with E_f.  A touch of an open edge gives +inf; on a piece
     touching a closed edge, I(K'(u)) = u K'(u) - K(u) integrates to the
     bracket of uK - P - P.
     """
-    if math.isfinite(lam_bar):
-        pieces = _piece_ends(model, kernel, lam_bar)
-        if pieces is None:
-            return math.inf
+    pieces = _piece_ends(model, kernel, lam_bar)
+    if pieces is None:
+        return math.inf
 
-        def fn(ts):
-            return model.closed_rate(model.cgf_grad(lam_bar * kernel.eval(ts)))
+    def fn(ts):
+        return model.closed_rate(model.cgf_grad(lam_bar * kernel.eval(ts)))
 
-        def terms(u):
-            p = model.cgf_int(u)
-            return (u * model.cgf(u), -p, -p)
+    def terms(u):
+        p = model.cgf_int(u)
+        return (u * model.cgf(u), -p, -p)
 
-        total = 0.0
-        for a, b, va, vb, ends in pieces:
-            touches = [touch for _, touch in ends if touch]
-            if not all(closed for _, closed in touches):
-                return math.inf
-            total += (_bracket(model, fn, a, b, ends, terms,
-                               lam_bar * (vb - va) / (b - a), tol)
-                      if touches and va != vb else quad.adaptive_gl(fn, a, b, tol))
-        return total
-
-    pos, neg, _, _ = _sign_split(kernel)
-    up = lam_bar > 0
-    glo, ghi = model.grad_range
     total = 0.0
-    for measure, upper in ((pos, up), (neg, not up)):
-        if measure == 0.0:
-            continue
-        v = ghi if upper else glo
-        r = float(model.rate(v)) if math.isfinite(v) else math.inf
-        if not math.isfinite(r):
+    for a, b, va, vb, ends in pieces:
+        touches = [touch for _, touch in ends if touch]
+        if not all(closed for _, closed in touches):
             return math.inf
-        total += measure * r
+        total += (_bracket(model, fn, a, b, ends, terms,
+                           lam_bar * (vb - va) / (b - a), tol)
+                  if touches and va != vb else quad.adaptive_gl(fn, a, b, tol))
     return total
 
 
@@ -527,7 +514,7 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
         if math.isfinite(cap):
             value = cap * gap + _clamp_integral(model, kernel, side * cap)
         elif gap == 0:
-            value = _clamp_integral(model, kernel, side * math.inf)
+            value = prob._edge(side > 0)[1]
         else:
             value = math.inf
         label = "singular_plus" if side > 0 else "singular_minus"

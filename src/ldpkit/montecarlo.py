@@ -1,13 +1,15 @@
 """Importance-sampling Monte Carlo for kernel-weighted sums.
 
 The estimators target tail probabilities of W_n = (1/n) sum f(k/n) X_k
-under an exponential change of measure chosen so that the event of
-interest sits near the tilted mean.  Estimates are reproducible: the
-samples are drawn in fixed chunks of CHUNK, chunk k from the counter-based
-Philox stream with key = seed and counter = k, and the chunks are reduced
-in order, so the result depends only on the seed and the sample count.
-Importance weights are summed in log space, so tails far below the
-smallest double (log p of order -1000) still come out finite.
+under an exponential change of measure by the finite-n saddlepoint, the
+tilt that puts the mean of W_n at the level for every n.  At or past a
+finite-n slope edge with an infinite cap the tail is exact and nothing is
+sampled.  Estimates are reproducible: the samples are drawn in fixed
+chunks of CHUNK, chunk k from the counter-based Philox stream with key =
+seed and counter = k, and the chunks are reduced in order, so the result
+depends only on the seed and the sample count.  Importance weights are
+summed in log space, so tails far below the smallest double (log p of
+order -1000) still come out finite.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, logsumexp
 
-from .cgf import CgfModel
-from .conjugate import grad_inverse
-from .errors import DomainError, GradientRangeError, NoSamplerError
-from .kernel_rate import KernelRateProblem, _problem, i_f_conjugate
+from .cgf import CgfModel, DomainInterval
+from .conjugate import ConvexOracle, legendre
+from .errors import DomainError, NoSamplerError
+from .kernel_rate import _slope_edge, _tilt_domain, i_f_conjugate
 from .kernels import Kernel
 from .paths import CadlagPath
 
@@ -32,8 +33,10 @@ CHUNK = 2_500   # samples per counter-based stream
 class McEstimate:
     """Tail-probability estimate with its sampling setup.
 
-    tilt is the scalar tilt multiplier when the interior tilt was
-    solvable, or a short tag describing the fallback schedule.
+    tilt is the finite-n saddlepoint lam; "fixed" when the caller set lam;
+    or "boundary:above" / "boundary:below" at or past a slope edge of the
+    finite-n cumulant, where lam is a closed cap, or the cap is infinite
+    and log_prob is exact, with std_error 0.
     """
 
     n: int
@@ -104,71 +107,43 @@ def sample_traj(model: CgfModel, n: int, seed: int) -> CadlagPath:
 # Tilted estimator
 # ----------------------------------------------------------------------
 
-def _projected_tilt(model: CgfModel, kernel: Kernel, a: float, direction):
-    """Tilt multiplier lam with d/dlam E_f(lam; l) = a, or the boundary cap.
+def _projected_tilt(model: CgfModel, g: np.ndarray, a: float):
+    """Legendre transform at a of the finite-n cumulant of <l, W_n>.
 
-    Returns (lam, tag) where tag is None for interior solves and a string
-    describing the fallback when a sits at or beyond the gradient range.
+    With g_k = f(k/n) l, Lambda_n(lam) = (1/n) sum K(lam g_k) is the exact
+    cumulant of <l, W_n> divided by n, so an interior argmax lam (the
+    finite-n saddlepoint) is the tilt under which <l, W_n> has mean a.
+    Returns (result, tag): tag is None inside the slope range of Lambda_n,
+    and "boundary:above" or "boundary:below" at or past one of its edges.
     """
-    problem = _problem(model, kernel)
-    if model.dimension == 1:
-        try:
-            lam = grad_inverse(problem.oracle, a)
-            return float(lam), None
-        except GradientRangeError as err:
-            m_plus, m_minus = problem.m_plus_minus
-            cap = m_plus if err.side == "above" else m_minus
-            if math.isfinite(cap):
-                lam = cap if err.side == "above" else -cap
-                # nudge inside so tilted samplers accept the parameter
-                lam *= 1.0 - 1e-9
-                return float(lam), f"boundary:{err.side}"
-            lam = 706.0 if err.side == "above" else -706.0
-            return lam, f"boundary:{err.side}"
-    # d > 1: scalar tilt along the requested direction
-    l = np.asarray(direction, dtype=float)
+    def value(lam):
+        return float(np.mean(model.cgf(lam * g)))
 
-    def slope(lam: float) -> float:
-        return float(np.dot(e_f_grad_vec(problem, lam * l_unit(l)), l))
+    if model.dimension > 1:
+        # full-space domain: every tilt is allowed, and an unreachable level
+        # fails to bracket
+        oracle = ConvexOracle(
+            DomainInterval(-math.inf, math.inf), value,
+            lambda lam: float(np.mean(np.einsum("ki,ki->k", g, model.cgf_grad(lam * g)))),
+            lambda lam: float(np.mean(np.einsum("ki,kij,kj->k", g,
+                                                model.cgf_hess(lam * g), g))),
+            grad_range=(-math.inf, math.inf))
+    else:
+        def grad(lam):
+            return float(np.mean(g * model.cgf_grad(lam * g)))
 
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if slope(hi * 1.0) >= a:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        if slope(lo) <= a:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < a:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), None
-
-
-def l_unit(l: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(l))
-    if nrm <= 0:
-        raise DomainError("direction must be nonzero")
-    return l / nrm
-
-
-def e_f_grad_vec(problem: KernelRateProblem, lam_vec: np.ndarray) -> np.ndarray:
-    from .kernel_rate import e_f_grad
-
-    return np.asarray(e_f_grad(problem.model, problem.kernel, lam_vec))
-
-
-def _tilted_batch(model, theta, rng, count):
-    """Draw count samples for every per-step tilt in theta; (n, count)."""
-    n = len(theta)
-    out = np.empty((n, count), dtype=float)
-    for k in range(n):
-        out[k, :] = model.tilt_draw(float(theta[k]), rng, count)
-    return out
+        # the weights g_k, each of mass 1/n
+        dom = _tilt_domain(model, max(g.max(), 0.0), max(-g.min(), 0.0))
+        pos, neg = g > 0, g < 0
+        split = (np.mean(pos), np.mean(neg), np.sum(g[pos]) / g.size, np.sum(g[neg]) / g.size)
+        (lo, v_lo), (hi, v_hi) = (_slope_edge(model, dom, split, grad, up) for up in (False, True))
+        oracle = ConvexOracle(
+            dom, value, grad, lambda lam: float(np.mean(g * g * model.cgf_hess(lam * g))),
+            grad_range=(lo, hi), edge_values=(v_lo, v_hi))
+    # the tilted mean misses a by at most 1e-13 max(1, |a|)
+    res = legendre(oracle, a, tol=1e-13)
+    side = "above" if a >= oracle.grad_range[1] else "below"
+    return res, (f"boundary:{side}" if res.at_boundary else None)
 
 
 def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
@@ -176,11 +151,17 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
                   lam_override=None) -> McEstimate:
     """Importance-sampling estimate of log P(<l, W_n> >= a).
 
-    Per-step tilts theta_k = lam f(k/n) l keep the tilted mean of the
-    weighted sum at the target level, so the event has order-one tilted
-    probability and the weights stay tame.  lam_override forces a fixed
+    The steps are tilted by theta_k = lam f(k/n) l, lam from
+    ``_projected_tilt``: the tilted mean of <l, W_n> is a (the cap itself at
+    a closed cap), so the weights stay tame.  At or past a slope edge with
+    an infinite cap the answer is exact, with nothing sampled: <l, W_n>
+    reaches the upper edge only with every X_k at its support edge b_k, of
+    mass exp(-I(b_k)), so log P = -n Lambda_n*(a) (-inf past it); it never
+    lies below the lower edge (log P = 0).  lam_override forces a fixed
     tilt multiplier (0 gives the plain estimator).
     """
+    from scipy.special import logsumexp
+
     if samples < 100:
         raise ValueError("samples must be at least 100")
     if n < 1:
@@ -188,54 +169,41 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
     if model.sampler is None or model.tilted_sampler is None:
         raise NoSamplerError(f"model {model.id} has no tilted sampler")
 
-    if model.dimension == 1:
-        l_vec = None
-        sgn = float(np.asarray(direction).reshape(()))
-        if abs(abs(sgn) - 1.0) > 1e-12:
-            raise DomainError("direction must be a unit scalar for d = 1")
-        if sgn < 0:
-            # lower tail of f is the upper tail of -f
-            kernel = Kernel(kernel.breakpoints,
-                            tuple(-v for v in kernel.values))
-    else:
-        l_vec = l_unit(np.asarray(direction, dtype=float))
+    dim = model.dimension
+    l = np.asarray(direction, dtype=float).reshape(() if dim == 1 else (dim,))
+    norm = float(np.linalg.norm(l))
+    if norm <= 0 or (dim == 1 and abs(norm - 1.0) > 1e-12):
+        raise DomainError("direction must be +-1 in d = 1 and nonzero in d > 1")
+    l = l / norm
+    fv = np.asarray(kernel.eval(_step_times(n)), dtype=float)
+    g = np.multiply.outer(fv, l)               # g_k = f(k/n) l
 
     if lam_override is not None:
         lam, tag = float(lam_override), "fixed"
     else:
-        lam, tag = _projected_tilt(model, kernel, a,
-                                   direction if l_vec is None else l_vec)
+        res, tag = _projected_tilt(model, g, a)
+        if res.argmax is None:
+            log_prob = -n * res.value if tag == "boundary:above" else 0.0
+            return McEstimate(n=n, samples=samples, tilt=tag,
+                              log_prob=log_prob, std_error=0.0)
+        lam = float(res.argmax)
 
-    ts = _step_times(n)
-    fv = np.asarray(kernel.eval(ts), dtype=float)
-    if model.dimension == 1:
-        theta = lam * fv                       # per-step scalar tilts
-        log_norm = np.empty(n)
-        for k in range(n):
-            log_norm[k] = model.k(float(theta[k]))
-    else:
-        theta = lam * fv[:, None] * l_vec[None, :]
-        log_norm = np.array([model.k(theta[k]) for k in range(n)])
-    log_norm_total = float(np.sum(log_norm))
+    theta = lam * g                            # per-step tilts
+    log_norm_total = float(np.sum(model.k(theta)))
+    proj = g if dim == 1 else fv               # weights of the draws on l
+    eps_sum = np.finfo(float).eps * float(np.sum(np.abs(proj)))
 
     # per chunk: log of the sum of hit weights and of their squares
     log_s1 = log_s2 = -math.inf
     for k, start in enumerate(range(0, samples, CHUNK)):
         cnt = min(CHUNK, samples - start)
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k]))
-        if model.dimension == 1:
-            xs = _tilted_batch(model, theta, rng, cnt)     # (n, cnt)
-            wsum = np.sum(fv[:, None] * xs, axis=0) / n
-            score = np.sum(theta[:, None] * xs, axis=0)
-            hit = wsum >= a
-        else:
-            xs = np.empty((n, cnt, model.dimension))
-            for j in range(n):
-                xs[j] = model.tilt_draw(theta[j], rng, cnt)
-            wsum = np.sum(fv[:, None, None] * xs, axis=0) / n
-            score = np.einsum("kci,ki->c", xs, theta)
-            hit = wsum @ l_vec >= a
-        logw = (log_norm_total - score)[hit]
+        ys = model.tilt_draw(theta, rng, cnt)
+        ys = ys if dim == 1 else ys @ l                      # <l, X_k>: (n, cnt)
+        sums = proj @ ys                                     # n <l, W_n>
+        # <l, W_n> is good to eps_sum max |y|: an atom exactly at a still hits
+        hit = sums / n >= a - eps_sum * max(ys.max(), -ys.min())
+        logw = (log_norm_total - lam * sums)[hit]            # score = lam sums
         if logw.size:
             log_s1 = np.logaddexp(log_s1, logsumexp(logw))
             log_s2 = np.logaddexp(log_s2, logsumexp(2.0 * logw))
@@ -264,6 +232,8 @@ def exact_tail_oracle(model: CgfModel, kernel: Kernel, n: int, a: float) -> floa
     Sign steps: binomial tail for constant kernels, and a full
     enumeration of the 2^n sign patterns for n <= 24 otherwise.
     """
+    from scipy.special import gammaln, log_ndtr, logsumexp
+
     ts = _step_times(n)
     fv = np.asarray(kernel.eval(ts), dtype=float)
     if model.id.startswith("gaussian") and model.dimension == 1:
@@ -277,9 +247,9 @@ def exact_tail_oracle(model: CgfModel, kernel: Kernel, n: int, a: float) -> floa
     if model.id.startswith("rademacher"):
         const = float(fv[0])
         if np.all(fv == const) and const > 0:
-            # W_n = const * S_n / n; P(S_n >= t) is a binomial upper tail
+            # W_n = const S_n / n: a binomial tail; S_n within rounding of t hits
             t = a * n / const
-            m_lo = math.ceil((t + n) / 2.0 - 1e-9)
+            m_lo = math.ceil((t + n) / 2.0 - np.finfo(float).eps * (abs(t) + n))
             if m_lo > n:
                 return -math.inf
             if m_lo <= 0:

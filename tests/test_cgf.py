@@ -1,5 +1,6 @@
 """Catalog models: closed forms, domains, duality, samplers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -224,6 +225,38 @@ def test_tilt_requires_interior_point():
     m = parse_model("cexp")
     with pytest.raises(DomainError):
         m.tilt_sample(1.0, 10, seed=0)
+
+
+def test_tilt_accepts_a_closed_edge():
+    # K is finite at synthetic's closed edge u = 1, so the tilted law exists
+    m = dataclasses.replace(synthetic_boundary(),
+                            tilted_sampler=lambda th, rng, c: np.zeros(np.shape(th) + (c,)))
+    assert m.tilt_sample(np.array([-2.0, 0.5, 1.0]), 3, seed=0).shape == (3, 3)
+    with pytest.raises(DomainError):
+        m.tilt_sample(np.array([0.5, 1.0 + 1e-12]), 3, seed=0)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS[:4])
+def test_tilted_draws_broadcast_over_theta(spec):
+    # one call on an array of tilts gives the draws of one call per tilt,
+    # made in order on the same generator
+    m = parse_model(spec)
+    theta = np.array([[-0.4, 0.0, 0.3], [0.5, 0.1, -0.2]])
+    whole = m.tilt_draw(theta, np.random.default_rng(4), 50)
+    rng = np.random.default_rng(4)
+    apart = [m.tilt_draw(t, rng, 50) for t in theta.reshape(-1)]
+    assert whole.shape == (2, 3, 50)
+    assert np.array_equal(whole.reshape(6, 50), np.stack(apart))
+
+
+def test_vector_tilted_draws_broadcast_over_theta():
+    m = gaussian(mu=[0.0, 1.0], cov=[[1.0, 0.3], [0.3, 0.5]])
+    theta = np.array([[0.2, -0.1], [0.0, 0.4], [1.0, 1.0]])
+    whole = m.tilt_draw(theta, np.random.default_rng(5), 40)
+    rng = np.random.default_rng(5)
+    apart = np.stack([m.tilt_draw(t, rng, 40) for t in theta])
+    assert whole.shape == (3, 40, 2)
+    assert np.array_equal(whole, apart)
 
 
 def test_synthetic_has_no_sampler():

@@ -2,9 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ldpkit
 from ldpkit.cli import main
 
 
@@ -164,6 +168,22 @@ def test_selftest_checks_the_variational_route(capsys):
     code, cap = _run(capsys, ["selftest"])
     assert code == 0
     assert "ok   variational vs conjugate" in cap.out.splitlines()
+
+
+def test_selftest_checks_the_finite_n_tilt(capsys):
+    code, cap = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   finite-n tilt" in cap.out.splitlines()
+
+
+def test_import_leaves_scipy_special_out():
+    # scipy.special is imported where it is used, so start-up does not pay it
+    src = str(Path(ldpkit.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ldpkit; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_bad_model_exits_2(capsys):

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, gamma, norm, poisson
 
 from ldpkit import (
     NoSamplerError,
     constant,
+    gaussian,
     empirical_rate_curve,
     estimate_tail,
     exact_tail_oracle,
@@ -103,6 +104,56 @@ def test_rate_gap_shrinks_with_n():
     assert inversions <= 1
 
 
+def test_finite_n_tilt_inside_the_continuum_edge():
+    # the continuum slope edge of rademacher x identity is 1/2, the finite-n
+    # one (n + 1) / (2n) = 0.525, so a = 0.5 is an interior level at n = 20
+    m = parse_model("rademacher")
+    est = estimate_tail(m, ID, 20, 0.5, samples=10_000, seed=0)
+    assert isinstance(est.tilt, float)
+    assert est.log_prob == pytest.approx(exact_tail_oracle(m, ID, 20, 0.5),
+                                         abs=4.0 * est.std_error)
+    assert est.std_error > 0.0
+
+
+@pytest.mark.parametrize("spec", MODELS)
+@pytest.mark.parametrize("kernel", ["affine:0,1", "pwl:0:0,0.5:1,1:0"])
+def test_tilt_solves_the_finite_n_equation(spec, kernel):
+    m = parse_model(spec)
+    k = parse_kernel(kernel)
+    n, a = 50, 0.25
+    lam = estimate_tail(m, k, n, a, samples=100, seed=0).tilt
+    fv = np.asarray(k.eval(np.arange(1, n + 1) / n))
+    assert float(np.mean(fv * m.grad(lam * fv))) == pytest.approx(a, rel=1e-12)
+
+
+def test_correlated_gaussian_in_two_dimensions():
+    cov = np.array([[1.0, 0.6], [0.6, 2.0]])
+    m = gaussian(mu=[0.0, 0.0], cov=cov)
+    n, a = 40, 0.3
+    l = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    est = estimate_tail(m, ID, n, a, direction=[1.0, 1.0], samples=20_000, seed=3)
+    fv = np.arange(1, n + 1) / n
+    spread = float(l @ cov @ l)
+    assert est.tilt == pytest.approx(a / (spread * float(np.mean(fv * fv))), rel=1e-12)
+    sd = math.sqrt(spread * float(np.sum(fv * fv))) / n
+    exact = float(norm.logsf(a / sd))
+    assert est.log_prob == pytest.approx(exact, abs=4.0 * est.std_error)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_constant_kernel_tails_match_exact_laws(n):
+    a = 0.5
+    # n (W_n + 1) ~ Gamma(n, 1) for cexp steps
+    est = estimate_tail(parse_model("cexp"), CONST1, n, a, samples=20_000, seed=n)
+    exact = float(gamma.logsf(n * (1.0 + a), n))
+    assert est.log_prob == pytest.approx(exact, abs=4.0 * est.std_error)
+    # n (W_n + 1) ~ Poisson(n) for centered Poisson(1) steps, on the integers
+    est = estimate_tail(parse_model("poisson:rate=1"), CONST1, n, a,
+                        samples=20_000, seed=n + 1)
+    exact = float(poisson.logsf(math.ceil(n * (1.0 + a)) - 1, n))
+    assert est.log_prob == pytest.approx(exact, abs=4.0 * est.std_error)
+
+
 def test_lower_tail_via_direction():
     m = parse_model("gaussian:mu=0,sigma=1")
     up = estimate_tail(m, ID, 40, 0.3, samples=30000, seed=5)
@@ -156,6 +207,16 @@ def test_boundary_level_hits_point_mass():
     assert est.tilt == "boundary:above"
     assert est.log_prob == pytest.approx(-30.0 * math.log(2.0), abs=1e-9)
     assert est.std_error <= 1e-8       # every sample hits with equal weight
+
+    # W_n <= -1 only when every centered Poisson(1) step sits at its support
+    # edge -1, which has mass e^-1; cexp steps never reach -1
+    n = 30
+    est = estimate_tail(parse_model("poisson:rate=1"), CONST1, n, 1.0,
+                        direction=-1.0, samples=512, seed=2)
+    assert (est.log_prob, est.std_error) == (-float(n), 0.0)
+    est = estimate_tail(parse_model("cexp"), CONST1, n, 1.0, direction=-1.0,
+                        samples=512, seed=2)
+    assert (est.log_prob, est.std_error) == (-math.inf, 0.0)
 
 
 def test_astronomically_small_tail_stays_finite():
