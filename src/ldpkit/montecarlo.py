@@ -33,10 +33,12 @@ CHUNK = 2_500   # samples per counter-based stream
 class McEstimate:
     """Tail-probability estimate with its sampling setup.
 
-    tilt is the finite-n saddlepoint lam; "fixed" when the caller set lam;
-    or "boundary:above" / "boundary:below" at or past a slope edge of the
-    finite-n cumulant, where lam is a closed cap, or the cap is infinite
-    and log_prob is exact, with std_error 0.
+    tilt is the finite-n saddlepoint lam, or 0.0 (plain sampling) at a
+    level at or below the mean; "fixed" when the caller set lam;
+    "boundary:above" at or past the upper slope edge of the finite-n
+    cumulant, where lam is a closed cap, or the cap is infinite and
+    log_prob is exact, with std_error 0; "boundary:below" past the lower
+    edge with an infinite cap, where log_prob = 0 exactly.
     """
 
     n: int
@@ -153,7 +155,9 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
 
     The steps are tilted by theta_k = lam f(k/n) l, lam from
     ``_projected_tilt``: the tilted mean of <l, W_n> is a (the cap itself at
-    a closed cap), so the weights stay tame.  At or past a slope edge with
+    a closed cap), so the weights stay tame.  A level at or below the mean
+    is not rare, and a negative lam would make the weights explode, so
+    there lam = 0: plain sampling.  At or past a slope edge with
     an infinite cap the answer is exact, with nothing sampled: <l, W_n>
     reaches the upper edge only with every X_k at its support edge b_k, of
     mass exp(-I(b_k)), so log P = -n Lambda_n*(a) (-inf past it); it never
@@ -187,6 +191,9 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
             return McEstimate(n=n, samples=samples, tilt=tag,
                               log_prob=log_prob, std_error=0.0)
         lam = float(res.argmax)
+        if lam <= 0.0:
+            # a level at or below the mean is not rare: sample it plainly
+            lam, tag = 0.0, None
 
     theta = lam * g                            # per-step tilts
     log_norm_total = float(np.sum(model.k(theta)))

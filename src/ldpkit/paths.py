@@ -120,6 +120,12 @@ class CadlagPath:
             len(self.jumps), self.dimension)
 
     @cached_property
+    def _jump_cum(self) -> np.ndarray:
+        """Sum of the jumps up to each jump, from h(0-) = 0."""
+        return np.concatenate([np.zeros((1, self.dimension)),
+                               np.cumsum(self._jump_vals, axis=0)])
+
+    @cached_property
     def _ac_nodes(self) -> np.ndarray:
         """Absolutely continuous part evaluated at the grid nodes."""
         inc = self._slopes * np.diff(self._grid)[:, None]
@@ -129,8 +135,8 @@ class CadlagPath:
 
     def _cells(self, ts) -> np.ndarray:
         """Index of the grid cell holding each time (t = 1 in the last cell)."""
-        return np.clip(np.searchsorted(self._grid, ts, side="right") - 1,
-                       0, len(self.slopes) - 1)
+        idx = np.searchsorted(self._grid, ts, side="right") - 1
+        return np.maximum(np.minimum(idx, len(self.slopes) - 1), 0)
 
     def _ac_at(self, ts: np.ndarray) -> np.ndarray:
         idx = self._cells(ts)
@@ -144,9 +150,7 @@ class CadlagPath:
         if self.jumps:
             cmp = "right" if side == "right" else "left"
             counts = np.searchsorted(self._jump_times, ts, side=cmp)
-            cum = np.concatenate([np.zeros((1, self.dimension)),
-                                  np.cumsum(self._jump_vals, axis=0)])
-            out = out + cum[counts]
+            out = out + self._jump_cum[counts]
         return out
 
     def value(self, t: float, side: str = "right"):
@@ -163,16 +167,23 @@ class CadlagPath:
 
     def sup_norm(self) -> float:
         """Max of |h(t)| over [0, 1] (exact: linear between events)."""
-        best = 0.0
-        for t in self._event_times():
-            for side in ("left", "right"):
-                if t == 0.0 and side == "left":
-                    continue
-                best = max(best, _norm(self.value(t, side=side)))
-        return best
+        _, rows = self._event_values()
+        return max(map(_norm, rows[:, 0] if self.dimension == 1 else rows))
 
     def _event_times(self):
         return sorted(set(self.grid) | {t for t, _ in self.jumps})
+
+    def _event_values(self):
+        """(times, values): h(0), then h(t-) and h(t) at each later event.
+
+        h(0-) = 0 is a convention, not an attained value, so it is left out.
+        """
+        events = np.asarray(self._event_times())       # events[0] == 0.0
+        ts = np.repeat(events, 2)[1:]
+        rows = np.empty((len(ts), self.dimension))
+        rows[0::2] = self.values(events)
+        rows[1::2] = self.values(events[1:], side="left")
+        return ts, rows
 
     def lebesgue_split(self):
         """(absolutely continuous part, pure-jump part)."""
@@ -222,14 +233,8 @@ class CadlagPath:
     def sup_functional(self, direction) -> float:
         """sup over t of <h(t), l>, scanning event left/right values."""
         l = np.atleast_1d(np.asarray(direction, dtype=float))
-        best = -math.inf
-        for t in self._event_times():
-            for side in ("left", "right"):
-                if t == 0.0 and side == "left":
-                    continue  # h(0-) is a convention, not an attained value
-                v = self.values([t], side=side)[0]
-                best = max(best, float(v @ l))
-        return best
+        _, rows = self._event_values()
+        return max(float(v @ l) for v in rows)
 
     def shift(self, other: "CadlagPath", sign: float = 1.0) -> "CadlagPath":
         """self + sign * other on the merged grid."""

@@ -10,6 +10,7 @@ from ldpkit import (
     CadlagPath,
     CgfModel,
     DomainInterval,
+    NonConvergenceError,
     completed_graph,
     i_d,
     identity,
@@ -21,6 +22,7 @@ from ldpkit import (
     rho_star,
     var,
 )
+from ldpkit import metrics
 
 ID = identity()
 ZERO = CadlagPath(1, (0.0, 1.0), (0.0,))
@@ -46,6 +48,32 @@ def test_completed_graph_vertices():
     assert completed_graph(q).vertices == ((0.0, 0.5), (1.0, 0.5))
     assert completed_graph(q, modified=True).vertices == (
         (0.0, 0.0), (0.0, 0.5), (1.0, 0.5))
+
+
+def _per_event_graph(path, modified):
+    """The completed graph built one event time and one side at a time."""
+    verts = []
+
+    def push(t, x):
+        v = (float(t), *np.atleast_1d(x).tolist())
+        if not verts or verts[-1] != v:
+            verts.append(v)
+
+    if modified:
+        push(0.0, np.zeros(path.dimension))
+    push(0.0, path.values([0.0])[0])
+    for t in path._event_times():
+        if t > 0.0:
+            push(t, path.values([t], side="left")[0])
+            push(t, path.values([t])[0])
+    return tuple(verts)
+
+
+def test_completed_graph_matches_per_event_construction():
+    for i in range(90):
+        p = random_path(1 + i % 3, 4, 3, seed=5000 + i)
+        for modified in (False, True):
+            assert completed_graph(p, modified).vertices == _per_event_graph(p, modified)
 
 
 def test_graph_chain_rejects_time_reversal():
@@ -87,6 +115,37 @@ def test_rho_star_examples():
     vee = CadlagPath(1, (0.0, 0.5, 1.0), (1.0, -1.0))
     # int |t - (1-t) wedge| against zero: area 1/4, terminal gap 0
     assert rho_star(vee, ZERO) == pytest.approx(0.25, abs=1e-12)
+
+
+def _cell_integral(u, w, dt):
+    """Integral of |u + s w| over s in [0, dt], one cell at a time."""
+    aa = float(w @ w)
+    if aa == 0.0:
+        return float(np.linalg.norm(u)) * dt
+    shift = float(u @ w) / aa
+    k2 = max(float(u @ u) / aa - shift * shift, 0.0)
+    s0, s1 = shift, dt + shift
+    if k2 <= 0.0 or math.sqrt(k2) < 1e-15 * max(abs(s0), abs(s1), 1.0):
+        return math.sqrt(aa) * 0.5 * (s1 * abs(s1) - s0 * abs(s0))
+    k = math.sqrt(k2)
+
+    def anti(s):
+        return 0.5 * (s * math.hypot(s, k) + k2 * math.asinh(s / k))
+
+    return math.sqrt(aa) * (anti(s1) - anti(s0))
+
+
+def test_rho_star_cells_match_the_per_cell_formula():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3):
+        u, w = rng.normal(size=(40, d)), rng.normal(size=(40, d))
+        dt = rng.uniform(0.0, 0.5, size=40)
+        w[:5] = 0.0                       # flat cells
+        u[5:10] = -w[5:10] * dt[5:10, None] * rng.uniform(0, 1, size=(5, 1))
+        u[10:15] = 0.0                    # cells through or from zero
+        got = metrics._integral_norm_affine(u.T, w.T, dt)
+        want = [_cell_integral(*cell) for cell in zip(u, w, dt.tolist())]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # -- sampled oracles -----------------------------------------------------------------
@@ -203,6 +262,35 @@ def test_oscillating_paths_vanish_in_metric_not_variation():
         assert abs(pair(ID, g)) <= 1e-2              # smooth pairings vanish too
     assert rho_star(_oscillation(64), ZERO) < 1e-2
     assert rho_2(_oscillation(64), ZERO) < 1e-2
+
+
+def _two_block(n):
+    return CadlagPath(1, (0.0, 1.0), (0.0,), ((0.5, 1.0), (0.5 + 2.0 / n, -1.0)))
+
+
+def _four_block(n):
+    return CadlagPath(1, (0.0, 1.0), (0.0,), ((0.5, 1.0), (0.5 + 0.5 / n, -1.0),
+                                              (0.5 + 1.5 / n, 1.0), (0.5 + 2.0 / n, -1.0)))
+
+
+@pytest.mark.parametrize("n", [10, 50, 200, 1000])
+def test_narrow_blocks_sit_one_over_n_apart(n):
+    # the indicator of [1/2, 1/2 + 2/n) against the same block with a dip to
+    # zero over its middle half: the bottom of the dip lies 1/n from the
+    # vertical jumps of the plain block
+    assert rho_2(_two_block(n), _four_block(n)) == pytest.approx(1.0 / n, abs=1e-9)
+    assert rho_2_prime(_two_block(n), _four_block(n)) == pytest.approx(1.0 / n, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_oscillation_is_its_amplitude_from_zero(n):
+    assert rho_2(_oscillation(n), ZERO) == pytest.approx(1.0 / (2.0 * math.pi * n), abs=1e-9)
+
+
+def test_refinement_budget_raises(monkeypatch):
+    monkeypatch.setattr(metrics, "_MAX_NODES", 20)
+    with pytest.raises(NonConvergenceError):
+        rho_2(_oscillation(8), ZERO)
 
 
 # -- metric-close paths with far-apart actions ------------------------------------------

@@ -230,6 +230,19 @@ def test_astronomically_small_tail_stays_finite():
     assert est.log_prob == pytest.approx(exact, abs=4.0 * est.std_error)
 
 
+def test_level_below_the_mean_is_sampled_plainly():
+    # P(S_30 / 30 >= -0.9) for sign steps is 1 - 2^-30 (1 + 30): not rare,
+    # so nothing is tilted and the weights stay 1
+    m = parse_model("rademacher")
+    n, samples = 30, 10_000
+    est = estimate_tail(m, CONST1, n, -0.9, samples=samples, seed=2)
+    exact = exact_tail_oracle(m, CONST1, n, -0.9)
+    assert est.tilt == 0.0
+    # standard error of log p-hat for plain sampling at the exact p
+    se = math.sqrt(-math.expm1(exact) / (samples * math.exp(exact)))
+    assert est.log_prob == pytest.approx(exact, abs=4.0 * max(est.std_error, se))
+
+
 def test_unreachable_level_gives_zero_mass():
     m = parse_model("rademacher")
     est = estimate_tail(m, CONST1, 30, 1.2, samples=512, seed=2)

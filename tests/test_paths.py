@@ -304,6 +304,20 @@ def test_sup_norm_bounded_by_var():
         assert p.sup_norm() <= p.var() + 1e-12
 
 
+def test_sups_equal_the_per_event_scan():
+    # h(0) and then h(t-), h(t) at every later event, one values call each
+    rng = np.random.default_rng(3)
+    for p in _random_paths(150, dims=(1, 2, 3), seed0=900):
+        rows = [p.values([0.0])[0]]
+        for t in p._event_times()[1:]:
+            rows += [p.values([t], side="left")[0], p.values([t])[0]]
+        l = rng.normal(size=p.dimension)
+        norms = [abs(float(v[0])) if p.dimension == 1 else float(np.linalg.norm(v))
+                 for v in rows]
+        assert p.sup_norm() == max(norms)
+        assert sup_functional(p, l) == max(float(v @ l) for v in rows)
+
+
 # -- shift --------------------------------------------------------------------------
 
 
