@@ -236,6 +236,13 @@ def _selftest_checks():
                    - i_f_conjugate(model, identity(), x).value)
             assert abs(gap) < 5e-3, (spec, x, gap)
 
+    def minimizer_near_edge():
+        # lam* ~ 10: many cell averages of K' sit on the support edge +-1
+        model, kern = parse_model("rademacher"), identity()
+        gap = (minimizer(model, kern, 0.497).i_d(model)
+               - i_f_conjugate(model, kern, 0.497).value)
+        assert abs(gap) < 1e-5, gap
+
     def finite_n_tilt():
         # a = 1/2 is the continuum slope edge of rademacher x identity, but
         # inside the finite-n range (n + 1) / (2n)
@@ -253,6 +260,7 @@ def _selftest_checks():
             ("pointwise duality", duality_touch),
             ("cgf primitive", cgf_primitive),
             ("variational vs conjugate", variational_route),
+            ("minimizer near a slope edge", minimizer_near_edge),
             ("finite-n tilt", finite_n_tilt)]
 
 

@@ -4,14 +4,16 @@ In one dimension the caller states the slope range (g'(lower+), g'(upper-))
 and the conjugate at each slope edge whose domain side is unbounded, and x
 is compared with the range exactly.  At or beyond an edge, a finite domain
 endpoint is evaluated directly and an infinite one gives +inf, or the stated
-value exactly at the edge.  Inside, grad g = x is solved by safeguarded
-Newton in an expanding bracket, bisecting whenever a step leaves it.
+value exactly at the edge.  Inside, the root of grad g = x lies strictly
+inside the domain, which is the bracket (no probing) of ``solve_monotone``,
+the one safeguarded Newton for every monotone 1-D equation in ldpkit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,68 +48,68 @@ class ConjugateResult:
     at_boundary: bool
 
 
-def _approach(endpoint: float, n: int = 56):
-    """Geometric sequence approaching a finite endpoint from 0."""
-    return [endpoint - endpoint * 2.0 ** (-k) for k in range(1, n + 1)]
-
-
 def _stated_range(oracle: ConvexOracle) -> tuple:
     if oracle.grad_range is None:
         raise ValueError("a one-dimensional oracle must state its grad_range")
     return oracle.grad_range
 
 
-def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int) -> float:
-    """Root of grad g = x strictly inside the domain (caller checked range)."""
-    dom = oracle.domain
-    g = oracle.grad
+def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, start,
+                   atol, kink=0.0, max_iter: int = 400):
+    """Elementwise root v of grad(v) = target, grad nondecreasing, known to
+    lie in (lo, hi); returned with its residual r = grad(v) - target.
+
+    Bracketed Newton-bisection (``rtsafe``, Numerical Recipes 9.4) from
+    ``start`` in [lo, hi]: a Newton step on ``hess`` inside the bracket is
+    taken; else the bracket is bisected or, on an infinite side, the distance
+    from ``start`` doubled plus one.  An element settles once |r| <= atol and
+    r^2 <= atol h (the conjugate misses by about r^2 / 2h), once Newton stays
+    put or a finite grad is unchanged over a move, or once its bracket is one
+    ulp wide.  A ``kink`` element (+1 or -1) has grad flat at the target from
+    the root up or down: it seeks where hess vanishes, settles on its bracket
+    alone, and returns the bracket end on the flat side.
+    """
+    if np.ndim(target) == 0:    # numpy scalars: float semantics, no 0-d arrays
+        where, every, after, least = (lambda c, x, y: x if c else y), bool, math.nextafter, min
+        cast, v = np.float64, np.float64(start)
+    else:
+        where, every, after, least = np.where, np.ndarray.all, np.nextafter, np.fmin
+        cast = partial(np.asarray, dtype=float)
+        v = np.full(np.shape(target), start, dtype=float)
+    t, a, b, kink = map(cast, (target, lo, hi, kink))
+    plain, up = kink == 0, kink > 0
+    g_last = np.nan
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            g = cast(grad(v))
+            h = cast(hess(v)) if hess is not None else np.nan
+            r = g - t
+            below = where(plain, r < 0, (h > 0) == up)
+            a, b = where(below, v, a), where(below, b, v)
+            step = v - r / h
+            # |r| <= atol and r^2 <= atol h (a nan h, as without hess, drops out)
+            close = r * r <= atol * least(atol, h)
+            # g - g_last is 0 for an unchanged finite grad, never for inf
+            done = ((plain & (close | (step == v) | (g - g_last == 0)))
+                    | (after(a, math.inf) >= b))
+            if every(done):
+                return where(up, b, where(plain, v, a)), r
+            far = where(b == math.inf, 2.0 * a + (1.0 - start),
+                        where(a == -math.inf, 2.0 * b - (1.0 + start), 0.5 * (a + b)))
+            v = where(done, v, where((a < step) & (step < b), step, far))
+            g_last = g
+    raise NonConvergenceError(f"monotone solve did not settle in {max_iter} iterations")
+
+
+def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int = 200):
+    """(u, grad g(u) - x) at the root of grad g = x, which lies strictly inside
+    the domain, the bracket, as x lies strictly inside the stated range."""
     atol = tol * max(1.0, abs(x))
-
-    # Bracket the root starting from the interior point 0: approach a finite
-    # domain end geometrically, or step out by doubling lengths (+-1, 3, 7, ...)
-    r0 = float(g(0.0)) - x
-    if abs(r0) <= atol:
-        return 0.0
-    side = 1.0 if r0 < 0 else -1.0     # the side of 0 the root lies on
-    end = dom.upper if side > 0 else dom.lower
-    probes = (_approach(end) if math.isfinite(end)
-              else [side * (2.0 ** k - 1.0) for k in range(1, 201)])
-    inner, outer = 0.0, None
-    for u in probes:
-        if side * (float(g(u)) - x) >= 0:
-            outer = u
-            break
-        inner = u
-    if outer is None:
-        raise NonConvergenceError("failed to bracket gradient equation")
-    a, b = min(inner, outer), max(inner, outer)
-
-    # Safeguarded Newton: accept Newton steps inside the bracket, bisect
-    # otherwise.  The gradient is nondecreasing, so the bracket is valid.
-    u = 0.5 * (a + b)
-    for _ in range(max_iter):
-        r = float(g(u)) - x
-        h = float(oracle.hess(u)) if oracle.hess is not None else math.nan
-        # x u - g(u) misses the conjugate by about r^2 / (2h); near a slope
-        # edge h is tiny, so |r| <= atol alone would leave the value loose
-        if abs(r) <= atol and not r * r > atol * h:
-            return u
-        if r > 0:
-            b = u
-        else:
-            a = u
-        step = None
-        if math.isfinite(h) and h > 0:
-            step = u - r / h
-        if step is None or not (a < step < b):
-            step = 0.5 * (a + b)
-        if b - a <= 1e-17 * max(1.0, abs(a), abs(b)):
-            if abs(r) <= math.sqrt(atol):
-                return u
-            raise NonConvergenceError("gradient equation stalled on an ulp-wide bracket")
-        u = step
-    raise NonConvergenceError(f"gradient inversion did not meet tol={tol} "
-                              f"in {max_iter} iterations")
+    u, r = solve_monotone(oracle.grad, oracle.hess, x, oracle.domain.lower,
+                          oracle.domain.upper, 0.0, atol, max_iter=max_iter)
+    if abs(r) > math.sqrt(atol):
+        raise NonConvergenceError(f"gradient equation settled {r:.3g} from x at tol={tol}")
+    return float(u), float(r)
 
 
 def _boundary_value(oracle: ConvexOracle, x: float, endpoint: float) -> ConjugateResult:
@@ -144,7 +146,7 @@ def legendre(oracle: ConvexOracle, x, tol: float = None,
             raise DomainError("no conjugate value stated at this slope edge")
         return ConjugateResult(value, None, True)
 
-    u = _solve_grad_1d(oracle, x, tol, max_iter)
+    u = _solve_grad_1d(oracle, x, tol, max_iter)[0]
     return ConjugateResult(x * u - float(oracle.eval(u)), u, False)
 
 
@@ -196,4 +198,4 @@ def grad_inverse(oracle: ConvexOracle, x, tol: float = None, max_iter: int = 200
         raise GradientRangeError("above")
     if x <= glo:
         raise GradientRangeError("below")
-    return _solve_grad_1d(oracle, x, tol, max_iter)
+    return _solve_grad_1d(oracle, x, tol, max_iter)[0]

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
-from .conjugate import ConvexOracle, grad_inverse, legendre
+from .conjugate import ConvexOracle, _solve_grad_1d, grad_inverse, legendre, solve_monotone
 from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
 
@@ -98,9 +98,9 @@ def _on_edge(u, edge: float):
     return abs(u - edge) <= _TOUCH_RTOL * max(1.0, abs(edge))
 
 
-def _touch(model: CgfModel, u: float):
-    """(edge, closed) of the finite domain edge of K that u lies on, or None."""
-    for edge, closed in _finite_edges(model):
+def _touch(model: CgfModel, u: float, edges=None):
+    """(edge, closed) among ``edges`` (default: K's finite edges) at u, or None."""
+    for edge, closed in _finite_edges(model) if edges is None else edges:
         if _on_edge(u, edge):
             return edge, closed
     return None
@@ -111,9 +111,9 @@ def _piece_ends(model: CgfModel, kernel: Kernel, lam: float):
     closed domain; ends holds (u, touch) at u = lam f, with u snapped onto
     the edge of touch = (edge, closed) where it touches one."""
     lo, hi = _interval_bounds(model)
-    out = []
+    edges, out = _finite_edges(model), []
     for a, b, va, vb in kernel.pieces():
-        ends = [(float(lam * v), _touch(model, float(lam * v))) for v in (va, vb)]
+        ends = [(float(lam * v), _touch(model, float(lam * v), edges)) for v in (va, vb)]
         # the trace of lam f on an affine piece leaves the closed domain on
         # a set of positive measure as soon as one end value does
         if any(t is None and not lo <= u <= hi for u, t in ends):
@@ -149,10 +149,12 @@ def _bracket(model: CgfModel, fn, a: float, b: float, ends, terms, den: float,
 def _moment(model: CgfModel, kernel: Kernel, lam: float, k: int,
             tol: float) -> float:
     """int_0^1 f^k K^(k)(lam f(t)) dt in d = 1, +inf once lam f leaves the domain."""
+    deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
+    if lam == 0.0:
+        return (1.0, kernel.m1, kernel.m2)[k] * float(deriv(0.0))
     pieces = _piece_ends(model, kernel, lam)
     if pieces is None:
         return math.inf
-    deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
 
     def fn(ts):
         fv = kernel.eval(ts)
@@ -177,31 +179,31 @@ def _moment(model: CgfModel, kernel: Kernel, lam: float, k: int,
     return total
 
 
+def _moment_nd(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
+    """int_0^1 f^k D^k K(lam f(t)) dt in d > 1, a number, vector or matrix,
+    in one array-valued adaptive pass per kernel piece."""
+    lam = np.asarray(lam, dtype=float)
+    deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
+
+    def fn(ts):
+        fv = kernel.eval(ts)
+        vals = np.asarray(deriv(fv[:, None] * lam), dtype=float)
+        return (fv ** k).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+
+    return sum(quad.adaptive_gl(fn, a, b, tol=tol) for a, b, _, _ in kernel.pieces())
+
+
 def e_f(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12) -> float:
     """int_0^1 K(lam f(t)) dt, +inf when lam f leaves the domain."""
     if model.dimension > 1:
-        lam = np.asarray(lam, dtype=float)
-
-        def fn(ts):
-            return model.cgf(kernel.eval(ts)[:, None] * lam)
-
-        return sum(quad.adaptive_gl(fn, a, b, tol=tol)
-                   for a, b, _, _ in kernel.pieces())
+        return _moment_nd(model, kernel, lam, 0, tol)
     return _moment(model, kernel, float(lam), 0, tol)
 
 
 def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
     """int f(t) K'(lam f(t)) dt; +-inf flags an infinite one-sided slope."""
     if model.dimension > 1:
-        lam = np.asarray(lam, dtype=float)
-        out = np.empty(model.dimension)
-        for c in range(model.dimension):
-            def fn(ts, c=c):
-                fv = kernel.eval(ts)
-                return fv * model.cgf_grad(fv[:, None] * lam)[..., c]
-            out[c] = sum(quad.adaptive_gl(fn, a, b, tol=tol)
-                         for a, b, _, _ in kernel.pieces())
-        return out
+        return _moment_nd(model, kernel, lam, 1, tol)
     return _moment(model, kernel, float(lam), 1, tol)
 
 
@@ -209,17 +211,7 @@ def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
     """int f(t)^2 K''(lam f(t)) dt.  It only shapes Newton steps, so in d = 1
     its brackets and fallback are held to 1e-10."""
     if model.dimension > 1:
-        lam = np.asarray(lam, dtype=float)
-        d = model.dimension
-        out = np.empty((d, d))
-        for r in range(d):
-            for c in range(r + 1):
-                def fn(ts, r=r, c=c):
-                    fv = kernel.eval(ts)
-                    return fv * fv * model.cgf_hess(fv[:, None] * lam)[..., r, c]
-                val = sum(quad.adaptive_gl(fn, a, b) for a, b, _, _ in kernel.pieces())
-                out[r, c] = out[c, r] = val
-        return out
+        return _moment_nd(model, kernel, lam, 2, 1e-12)
     return _moment(model, kernel, float(lam), 2, 1e-10)
 
 
@@ -448,9 +440,10 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
     """int_0^1 I(K'(lam_bar f(t))) dt for a finite lam_bar.
 
     Untouched pieces take the adaptive rule, so this route shares no value
-    formula with E_f.  A touch of an open edge gives +inf; on a piece
-    touching a closed edge, I(K'(u)) = u K'(u) - K(u) integrates to the
-    bracket of uK - P - P.
+    formula with E_f, split where |lam_bar f| crosses 2^k, k >= 0, to see
+    the layer at t ~ 1/lam_bar where K' leaves its saturated value.  A touch
+    of an open edge gives +inf; on a piece touching a closed edge, I(K'(u))
+    = u K'(u) - K(u) integrates to the bracket of uK - P - P.
     """
     pieces = _piece_ends(model, kernel, lam_bar)
     if pieces is None:
@@ -468,9 +461,16 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
         touches = [touch for _, touch in ends if touch]
         if not all(closed for _, closed in touches):
             return math.inf
-        total += (_bracket(model, fn, a, b, ends, terms,
-                           lam_bar * (vb - va) / (b - a), tol)
-                  if touches and va != vb else quad.adaptive_gl(fn, a, b, tol))
+        if va == vb:
+            total += quad.adaptive_gl(fn, a, b, tol)
+        elif touches:
+            total += _bracket(model, fn, a, b, ends, terms,
+                              lam_bar * (vb - va) / (b - a), tol)
+        else:
+            top = max(1.0, abs(lam_bar) * max(abs(va), abs(vb)))
+            u = 2.0 ** np.arange(math.ceil(math.log2(top)) + 1) / lam_bar
+            ts = a + (np.concatenate([u, -u]) - va) * (b - a) / (vb - va)
+            total += quad.adaptive_gl(fn, a, b, tol, cuts=np.unique(ts[(ts > a) & (ts < b)]))
     return total
 
 
@@ -521,13 +521,13 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
         return done(value, label if math.isfinite(value) else "infinite",
                     side * cap if math.isfinite(cap) else None)
 
-    lam = grad_inverse(prob.oracle, x, tol=min(tol, 1e-10))
+    lam, resid = _solve_grad_1d(prob.oracle, x, min(tol, 1e-10))   # x inside the range
     value = _clamp_integral(model, kernel, lam, tol=0.1 * tol)
     if math.isfinite(value):
-        # correct for the solver residual: without it the integral is the
-        # rate at E_f'(lam) rather than at x, which matters when the tilt
-        # is large and d I_f / d x = lam amplifies the difference
-        value += lam * (x - e_f_grad(model, kernel, lam))
+        # correct for the solver residual E_f'(lam) - x: without it the
+        # integral is the rate at E_f'(lam) rather than at x, which matters
+        # when the tilt is large and d I_f / d x = lam amplifies the difference
+        value -= lam * resid
     return done(value, "interior", lam)
 
 
@@ -622,9 +622,14 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         except NonConvergenceError:
             lam = None  # boundary-grade x; fall through to the clamped form
         if lam is not None:
+            # close the pairing gap along d slopes / d lam ~ f K''(lam f) at
+            # the cell midpoints, which leaves saturated cells (K'' = 0) and
+            # slopes rounded onto an edge of the rate domain put
             slopes = _average_slopes(model, kernel, lam, grid, False)[:, 0]
+            fm = kernel.eval(0.5 * (grid[:-1] + grid[1:]))
+            curv = fm * np.asarray(model.cgf_hess(lam * fm), dtype=float)
             gap = x - float(weights @ slopes)
-            slopes = slopes + weights * gap / float(weights @ weights)
+            slopes = np.clip(slopes + curv * gap / float(weights @ curv), *model.rate_dom)
             return CadlagPath(1, grid, slopes, ())
 
     if x >= sup_e:
@@ -668,10 +673,9 @@ def _inner_slopes(model: CgfModel, s: np.ndarray) -> np.ndarray:
 
     I' maps the rate domain onto the domain of K, so s is reachable iff it
     lies in ``model.domain``, a closed edge included; else v = sign(s) inf.
-    At a closed edge I is affine beyond v = K'(edge), where I'' vanishes.
-    Safeguarded Newton keeps v in [mean, rate_dom edge]: a step that would
-    leave the bracket bisects it or, where that side is infinite, doubles
-    the distance from the mean (plus one).
+    At a closed edge I is affine beyond v = K'(edge), where I'' vanishes, and
+    the root nearest the mean is that kink.  The root lies in (mean, rate_dom
+    edge) on the side of s: that is the bracket, with no probing.
     """
     dom, mean = model.domain, float(model.mean)
     lo, hi = model.rate_dom
@@ -680,33 +684,10 @@ def _inner_slopes(model: CgfModel, s: np.ndarray) -> np.ndarray:
     reach = ((s > dom.lower) & (s < dom.upper)) | at_edge
     out = np.where(s == 0, mean, np.copysign(math.inf, s))
     live = np.flatnonzero(reach & (s != 0))
-    t, edge = s[live], at_edge[live]
-    a, b = np.where(t > 0, mean, lo), np.where(t > 0, hi, mean)
-    v, g_last = np.full(t.size, mean), np.full(t.size, math.nan)
-    with np.errstate(all="ignore"):
-        for _ in range(400):
-            g = np.asarray(model.rate_grad(v), dtype=float)
-            h = np.asarray(model.rate_hess(v), dtype=float)
-            step = v - (g - t) / h
-            # below the solution: I' short of s, or (at an edge) on the side
-            # of v = K'(edge) where I is strictly convex towards the mean
-            below = np.where(edge, (h > 0) == (t > 0), g < t)
-            a, b = np.where(below, v, a), np.where(below, b, v)
-            # off an edge, v is settled where I' hits s, where Newton stays
-            # put, or where I' did not change over the last move (flat to
-            # rounding); anywhere, once the bracket is one ulp wide or v has
-            # run past the float range
-            done = ((~edge & ((g == t) | (step == v) | (g == g_last)))
-                    | (np.nextafter(a, math.inf) >= b) | np.isinf(v))
-            if done.all():
-                break
-            far = np.where(np.isinf(b), 2.0 * a - mean + 1.0,
-                           np.where(np.isinf(a), 2.0 * b - mean - 1.0, 0.5 * (a + b)))
-            v = np.where(done, v, np.where((a < step) & (step < b), step, far))
-            g_last = g
-        else:
-            raise NonConvergenceError("inner slope solve did not settle")
-    out[live] = np.where(edge, np.where(t > 0, b, a), v)
+    t, up = s[live], s[live] > 0
+    out[live], _ = solve_monotone(model.rate_grad, model.rate_hess, t,
+                                  np.where(up, mean, lo), np.where(up, hi, mean), mean,
+                                  0.0, kink=np.where(at_edge[live], np.sign(t), 0.0))
     return out
 
 

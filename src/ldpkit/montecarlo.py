@@ -123,7 +123,7 @@ def _projected_tilt(model: CgfModel, g: np.ndarray, a: float):
 
     if model.dimension > 1:
         # full-space domain: every tilt is allowed, and an unreachable level
-        # fails to bracket
+        # does not settle (NonConvergenceError)
         oracle = ConvexOracle(
             DomainInterval(-math.inf, math.inf), value,
             lambda lam: float(np.mean(np.einsum("ki,ki->k", g, model.cgf_grad(lam * g)))),

@@ -85,39 +85,34 @@ class CadlagPath:
         slopes = slopes[keep]
         grid = grid[np.concatenate((keep, [True]))]
 
-        # Combine jumps at equal times, drop zero jumps, sort by time.
-        acc = {}
-        for t, delta in self.jumps:
-            t = float(t)
-            if not 0.0 <= t <= 1.0:
+        # Combine jumps at equal times (added in the order given: np.add.at
+        # is unbuffered), drop zero jumps, sort by time.
+        times, vals = np.zeros(0), np.zeros((0, d))
+        if self.jumps:
+            ts = [float(t) for t, _ in self.jumps]
+            if not all(0.0 <= t <= 1.0 for t in ts):
                 raise ValueError("jump times must lie in [0, 1]")
-            v = np.atleast_1d(np.asarray(delta, dtype=float))
-            if v.size != d:
+            rows = [np.asarray(v, dtype=float).reshape(-1) for _, v in self.jumps]
+            if any(r.size != d for r in rows):
                 raise ValueError("jump component count does not match dimension")
-            acc[t] = acc.get(t, np.zeros(d)) + v
-        jumps = tuple((t, _vec(v, d)) for t, v in sorted(acc.items())
-                      if float(np.max(np.abs(v))) != 0.0)
+            times = np.array(sorted(set(ts)))
+            vals = np.zeros((len(times), d))
+            np.add.at(vals, np.searchsorted(times, ts), rows)
+            keep = vals.any(axis=1)
+            times, vals = times[keep], vals[keep]
 
         object.__setattr__(self, "grid", tuple(grid.tolist()))
         object.__setattr__(self, "slopes", tuple(
             slopes[:, 0].tolist() if d == 1 else map(tuple, slopes.tolist())))
-        object.__setattr__(self, "jumps", jumps)
-        # numeric views of the canonical grid and slopes
+        object.__setattr__(self, "jumps", tuple(zip(
+            times.tolist(), vals[:, 0].tolist() if d == 1 else map(tuple, vals.tolist()))))
+        # numeric views of the canonical grid, slopes and jumps
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_jump_times", times)
+        object.__setattr__(self, "_jump_vals", vals)
 
     # -- cached numeric views -------------------------------------------
-
-    @cached_property
-    def _jump_times(self) -> np.ndarray:
-        return np.asarray([t for t, _ in self.jumps])
-
-    @cached_property
-    def _jump_vals(self) -> np.ndarray:
-        if not self.jumps:
-            return np.zeros((0, self.dimension))
-        return np.asarray([v for _, v in self.jumps], dtype=float).reshape(
-            len(self.jumps), self.dimension)
 
     @cached_property
     def _jump_cum(self) -> np.ndarray:

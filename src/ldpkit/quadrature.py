@@ -1,7 +1,8 @@
 """Gauss-Legendre quadrature, and the guard that lets a closed form replace it.
 
 Integrands here are smooth inside their interval.  ``adaptive_gl`` bisects
-with a fixed 32-node rule.  ``integrate_piece`` takes the caller's closed
+with a fixed 32-node rule, one level at a time, and takes scalar or
+array-valued integrands.  ``integrate_piece`` takes the caller's closed
 form of an integral when the caller's bound on its rounding error is within
 ``tol`` (relative to the value once it exceeds 1), and falls back to
 ``adaptive_gl`` otherwise.  For the E_f-type integrals the closed form is a
@@ -20,12 +21,18 @@ import numpy as np
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def gl32(fn: Callable, a: float, b: float) -> float:
-    """Single 32-node Gauss-Legendre pass over [a, b]."""
+def gl32(fn: Callable, a, b):
+    """32-node Gauss-Legendre passes over the panels [a, b] (numbers, or
+    arrays of panel ends) from one call of fn, which maps a 1-D array of
+    times to values with the times on the leading axis."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = np.asarray(fn(mid + half * _NODES), dtype=float)
-    return half * float(np.dot(_WEIGHTS, vals))
+    nodes = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
+    vals = np.asarray(fn(nodes.reshape(-1)), dtype=float)
+    sums = np.tensordot(vals.reshape(nodes.shape + vals.shape[1:]), _WEIGHTS,
+                        axes=([a.ndim], [0]))
+    out = half.reshape(half.shape + (1,) * (sums.ndim - half.ndim)) * sums
+    return float(out) if out.ndim == 0 else out
 
 
 def scaled_nodes(a: float, b: float):
@@ -36,34 +43,37 @@ def scaled_nodes(a: float, b: float):
 
 
 def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12,
-                max_depth: int = 30) -> float:
-    """Adaptive bisection built on gl32.
+                max_depth: int = 30, cuts=()):
+    """Adaptive bisection built on gl32, over [a, b] split first at ``cuts``.
 
-    Accepts a subinterval once halving changes its estimate by less than the
-    length-prorated share of ``tol``.  Depth is capped, so an endpoint
-    singularity costs at most ``max_depth`` levels of panels.
+    Accepts a panel once halving changes its estimate (its largest
+    component, for an array-valued fn) by less than the length-prorated
+    share of ``tol``.  All panels of one level go to one gl32 call.  Depth
+    is capped, so an endpoint singularity costs at most ``max_depth`` levels.
     """
     if a == b:
         return 0.0
-    total_len = b - a
-    stack = [(a, b, gl32(fn, a, b), 0)]
+    edges = np.concatenate(([a], np.asarray(cuts, dtype=float), [b]))
+    lo, hi = edges[:-1], edges[1:]
+    whole = gl32(fn, lo, hi)
     acc = 0.0
-    while stack:
-        lo, hi, whole, depth = stack.pop()
+    for depth in range(max_depth + 1):
         mid = 0.5 * (lo + hi)
-        left = gl32(fn, lo, mid)
-        right = gl32(fn, mid, hi)
+        halves = gl32(fn, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        left, right = halves[:len(lo)], halves[len(lo):]
         fine = left + right
-        if not math.isfinite(fine) or not math.isfinite(whole):
-            acc += fine
-            continue
-        share = tol * (hi - lo) / total_len
-        if abs(fine - whole) <= max(share, 1e-17 * (1.0 + abs(fine))) or depth >= max_depth:
-            acc += fine
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    return acc
+        # a panel with a non-finite estimate is accepted as it is
+        change = np.abs(fine - whole).reshape(len(lo), -1)
+        scale = np.abs(fine).reshape(len(lo), -1).max(axis=1)
+        split = np.isfinite(change).all(axis=1) & (depth < max_depth) & (
+            change.max(axis=1) > np.maximum(tol * (hi - lo) / (b - a), 1e-17 * (1.0 + scale)))
+        acc = acc + fine[~split].sum(axis=0)
+        if not split.any():
+            break
+        lo, hi = (np.concatenate((lo[split], mid[split])),
+                  np.concatenate((mid[split], hi[split])))
+        whole = np.concatenate((left[split], right[split]))
+    return float(acc) if np.ndim(acc) == 0 else acc
 
 
 def integrate_piece(fn: Callable, a: float, b: float, closed: float | None = None,

@@ -170,6 +170,12 @@ def test_selftest_checks_the_variational_route(capsys):
     assert "ok   variational vs conjugate" in cap.out.splitlines()
 
 
+def test_selftest_checks_the_minimizer_near_a_slope_edge(capsys):
+    code, cap = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   minimizer near a slope edge" in cap.out.splitlines()
+
+
 def test_selftest_checks_the_finite_n_tilt(capsys):
     code, cap = _run(capsys, ["selftest"])
     assert code == 0

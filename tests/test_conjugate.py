@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from ldpkit import (CgfModel, ConvexOracle, DomainError, DomainInterval,
-                    GradientRangeError, grad_inverse, legendre, parse_model)
+                    GradientRangeError, grad_inverse, legendre, parse_kernel,
+                    parse_model)
+from ldpkit import kernel_rate as kr
 from ldpkit.cgf import FullSpace
+from ldpkit.conjugate import solve_monotone
 
 
 def oracle_of(model):
@@ -206,6 +209,96 @@ def test_infinite_domain_edge_needs_a_stated_value():
     assert res.value == math.log(2.0) and res.at_boundary
     with pytest.raises(DomainError):
         legendre(stated, -1.0)
+
+
+# -- the one monotone solver ----------------------------------------------------
+
+def recording(oracle):
+    """The oracle with every point its grad and hess were asked at recorded."""
+    seen = []
+
+    def rec(fn):
+        def wrapped(u):
+            seen.append(float(u))
+            return fn(u)
+        return wrapped
+
+    return dataclasses.replace(oracle, grad=rec(oracle.grad), hess=rec(oracle.hess)), seen
+
+
+ORACLES = [(spec, None) for spec in CATALOG] + [
+    ("cexp", "affine:0,1"), ("rademacher", "affine:0,1"), ("poisson:rate=1", "affine:0,1"),
+    ("synthetic-boundary", "affine:0,1"), ("cexp", "pwl:0:0,0.3:0.7,1:0.2")]
+
+
+@pytest.mark.parametrize("spec,kernel", ORACLES)
+def test_solves_stay_inside_the_open_domain(spec, kernel):
+    # the stated domain is the bracket: no grad or hess call ever leaves it,
+    # not even onto a closed edge, at levels inside and outside the range
+    model = parse_model(spec)
+    base = (oracle_of(model) if kernel is None
+            else kr._problem(model, parse_kernel(kernel)).oracle)
+    oracle, seen = recording(base)
+    lo, hi = oracle.grad_range
+    if math.isfinite(lo) and math.isfinite(hi):
+        levels = [lo + (hi - lo) * q for q in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9)]
+    else:   # decades either side of the finite slope edge, or of 0
+        centre = lo if math.isfinite(lo) else hi if math.isfinite(hi) else 0.0
+        levels = [x for x in (centre + s * 10.0 ** e for s in (-1, 1) for e in range(-6, 2))
+                  if lo < x < hi]
+    for x in levels:
+        assert grad_inverse(oracle, x) == legendre(oracle, x).argmax
+    for x in (lo - 1.0, hi + 1.0):
+        if math.isfinite(x):
+            legendre(oracle, x)
+    dom = oracle.domain
+    assert seen and all(dom.lower < u < dom.upper for u in seen), spec
+
+
+def test_solve_settles_on_a_saturating_oracle():
+    # rademacher x identity: E_f'(lam) = 1/2 - pi^2 / (24 lam^2) + ..., so
+    # lam* ~ 6e5 lies where E_f' is flat to 1e-12
+    rad = kr._problem(parse_model("rademacher"), parse_kernel("affine:0,1"))
+    oracle, seen = recording(rad.oracle)
+    lam = 6e5
+    x = 0.5 - math.pi ** 2 / (24.0 * lam ** 2)
+    res = legendre(oracle, x)
+    assert not res.at_boundary
+    assert res.argmax == pytest.approx(lam, rel=1e-3)
+    assert abs(oracle.grad(res.argmax) - x) <= 1e-10
+    assert len(seen) < 200
+
+
+def test_solve_settles_near_an_open_finite_edge():
+    # cexp x identity: E_f' blows up like -log(1 - lam) at the open cap
+    # lam = 1, and x = 25 puts lam* within 1e-11 of it, where one ulp of lam
+    # moves E_f' by about 1e-5
+    cexp = kr._problem(parse_model("cexp"), parse_kernel("affine:0,1"))
+    oracle, seen = recording(cexp.oracle)
+    for x in (5.0, 15.0, 25.0):
+        lam = grad_inverse(oracle, x)
+        assert 0.0 < lam < 1.0
+        bound = 1e-10 * x + oracle.hess(lam) * np.spacing(lam)
+        assert abs(oracle.grad(lam) - x) <= bound, x
+    assert all(u < 1.0 for u in seen)
+
+
+def test_solve_monotone_elementwise():
+    # tanh on the whole line: the root of each element from start 0, by
+    # Newton steps, doublings and bisections; |r| is within atol
+    t = np.array([-0.999, -0.5, 0.0, 0.25, 0.9999])
+    v, r = solve_monotone(np.tanh, lambda v: 1.0 / np.cosh(v) ** 2, t,
+                          -math.inf, math.inf, 0.0, 1e-13)
+    assert np.allclose(v, np.arctanh(t), rtol=1e-10, atol=0.0)
+    assert np.all(np.abs(r) <= 1e-13)
+    # without hess: bisection and doubling only, down to a one-ulp bracket
+    w, _ = solve_monotone(np.tanh, None, t, -math.inf, math.inf, 0.0, 0.0)
+    assert np.allclose(w, np.arctanh(t), rtol=1e-10, atol=0.0)
+    # a kink element: g flat at the target from the root up, found where
+    # hess vanishes
+    flat = solve_monotone(lambda v: np.minimum(v, 1.0), lambda v: (v < 1.0) * 1.0,
+                          np.array([1.0]), 0.0, math.inf, 0.0, 0.0, kink=1.0)[0]
+    assert flat[0] == 1.0
 
 
 # -- multivariate -------------------------------------------------------------

@@ -436,9 +436,9 @@ NEAR_EDGE = [("rademacher", 0.5 - 1e-9, 0.69310662277263339),
 def test_rate_within_1e9_of_a_slope_edge(spec, x, want):
     m = parse_model(spec)
     assert i_f_conjugate(m, ID, x).value == pytest.approx(want, abs=1e-9)
-    # the explicit route's clamp quadrature does not resolve the layer at
-    # t ~ 1/lam*, so only a finite value is asked of it here
-    assert math.isfinite(i_f_explicit(m, ID, x).value)
+    # I(K'(lam* t)) leaves its saturated value in a layer at t ~ 1/lam*,
+    # which the explicit route's clamp quadrature must resolve
+    assert i_f_explicit(m, ID, x).value == pytest.approx(want, abs=1e-9)
 
 
 def test_routes_near_the_cexp_slope_edge():
@@ -634,6 +634,28 @@ def test_minimizer_interior(spec, k, x):
     assert pair(k, path) == pytest.approx(x, abs=1e-8)
     assert i_d(path, m) == pytest.approx(want, abs=1e-6 * max(1.0, want))
     assert path.jumps == ()
+
+
+SIGNED = parse_kernel("pwl:0:-1,0.3:2,0.6:-0.5,1:0.25")
+
+
+@pytest.mark.parametrize("spec,k,bound", [
+    ("rademacher", ID, 1e-5),
+    ("poisson:rate=1", ID, 1e-5),
+    # at the x_grid ends lam* ~ 790 and f is steep: the 4000-cell grid's
+    # discretisation error is about 9e-5 there
+    ("rademacher", SIGNED, 2e-4),
+])
+def test_minimizer_action_is_finite_up_to_the_slope_edges(spec, k, bound):
+    # near a slope edge with an infinite cap many cell averages of K' sit on
+    # the support edge; closing the pairing gap along the tilt keeps them
+    # there, so the action stays finite and near I_f
+    m = parse_model(spec)
+    for x in x_grid(m, k, 30):
+        path = minimizer(m, k, float(x))
+        want = i_f_conjugate(m, k, float(x)).value
+        assert pair(k, path) == pytest.approx(x, abs=1e-8), x
+        assert i_d(path, m) == pytest.approx(want, abs=bound * max(1.0, want)), x
 
 
 def test_minimizer_singular_jump():

@@ -99,6 +99,32 @@ def test_construction_matches_the_reference_merge():
     assert len(CadlagPath(1, grid, tuple(runs.tolist())).slopes) < 4000
 
 
+def _jumps_reference(dimension, jumps):
+    """Canonical jumps by the dict loop: same-time jumps added in the order
+    given, zero sums dropped, sorted by time."""
+    acc = {}
+    for t, delta in jumps:
+        acc[float(t)] = acc.get(float(t), np.zeros(dimension)) + np.ravel(delta)
+    return tuple((t, float(v[0]) if dimension == 1 else tuple(v.tolist()))
+                 for t, v in sorted(acc.items()) if np.any(v != 0.0))
+
+
+def test_jumps_match_the_reference_loop():
+    # sums of same-time jumps must be bit-identical to adding them in turn
+    rng = np.random.default_rng(9)
+    for trial in range(300):
+        d, n = 1 + trial % 2, int(rng.integers(0, 8))
+        times = rng.choice([0.0, 0.3, 1.0, float(rng.uniform())], size=n)
+        vals = rng.normal(size=(n, d)) * rng.choice([0.0, 1e-300, 1.0, 1e300], size=(n, 1))
+        if n > 1:
+            times[1], vals[1] = times[0], -vals[0]     # a cancelling pair
+        jumps = tuple((float(t), float(v[0]) if d == 1 else tuple(v.tolist()))
+                      for t, v in zip(times, vals))
+        p = CadlagPath(d, (0.0, 1.0), ((1.0,) * d,), jumps)
+        assert repr(p.jumps) == repr(_jumps_reference(d, jumps))
+        assert p._jump_times.tolist() == [t for t, _ in p.jumps]
+
+
 @pytest.mark.parametrize("args,message", [
     ((1, (0.0, 0.5), (1.0,)), "grid must run from 0 to 1"),
     ((1, (0.1, 1.0), (1.0,)), "grid must run from 0 to 1"),
