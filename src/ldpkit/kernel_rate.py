@@ -60,18 +60,12 @@ _TOUCH_RTOL = 5e-13
 
 def _quot(num: float, den: float) -> float:
     """num / den for num in [0, inf], den >= 0, with c/0 := +inf."""
-    if den == 0.0:
-        return math.inf
-    if math.isinf(num):
-        return math.inf
-    return num / den
+    return math.inf if den == 0.0 or math.isinf(num) else num / den
 
 
 def _interval_bounds(model: CgfModel):
     dom = model.domain
-    if isinstance(dom, FullSpace):
-        return -math.inf, math.inf
-    return dom.lower, dom.upper
+    return (-math.inf, math.inf) if isinstance(dom, FullSpace) else (dom.lower, dom.upper)
 
 
 # ----------------------------------------------------------------------
@@ -98,9 +92,9 @@ def _on_edge(u, edge: float):
     return abs(u - edge) <= _TOUCH_RTOL * max(1.0, abs(edge))
 
 
-def _touch(model: CgfModel, u: float, edges=None):
-    """(edge, closed) among ``edges`` (default: K's finite edges) at u, or None."""
-    for edge, closed in _finite_edges(model) if edges is None else edges:
+def _touch(u: float, edges):
+    """(edge, closed) among ``edges`` (as from ``_finite_edges``) at u, or None."""
+    for edge, closed in edges:
         if _on_edge(u, edge):
             return edge, closed
     return None
@@ -113,7 +107,7 @@ def _piece_ends(model: CgfModel, kernel: Kernel, lam: float):
     lo, hi = _interval_bounds(model)
     edges, out = _finite_edges(model), []
     for a, b, va, vb in kernel.pieces():
-        ends = [(float(lam * v), _touch(model, float(lam * v), edges)) for v in (va, vb)]
+        ends = [(float(lam * v), _touch(float(lam * v), edges)) for v in (va, vb)]
         # the trace of lam f on an affine piece leaves the closed domain on
         # a set of positive measure as soon as one end value does
         if any(t is None and not lo <= u <= hi for u, t in ends):
@@ -392,8 +386,7 @@ def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kern
     hit = _center_result(model, kernel, x, prob)
     if hit is not None:
         return hit
-    m_plus, m_minus = (prob.m_plus_minus if model.dimension == 1
-                       else (math.inf, math.inf))
+    m_plus, m_minus = prob.m_plus_minus
     if model.dimension > 1:
         res = legendre(prob.oracle, np.asarray(x, dtype=float), tol=tol)
         branch = "infinite" if math.isinf(res.value) else "interior"
@@ -402,12 +395,8 @@ def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kern
 
     x = float(x)
     res = legendre(prob.oracle, x, tol=tol)
-    if math.isinf(res.value):
-        branch = "infinite"
-    elif res.at_boundary:
-        branch = _branch_of(x, prob)
-    else:
-        branch = "interior"
+    branch = ("infinite" if math.isinf(res.value)
+              else _branch_of(x, prob) if res.at_boundary else "interior")
     return KernelRateResult(x, res.value, branch, res.argmax, m_plus, m_minus,
                             prob.sup_ef_prime, prob.inf_ef_prime)
 
@@ -476,12 +465,12 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
 
 def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> KernelRateResult:
     """I_f(x) from the clamped-tilt rate integral plus linear edge terms."""
-    hit = _center_result(model, kernel, x, _problem(model, kernel))
+    prob = _problem(model, kernel)
+    hit = _center_result(model, kernel, x, prob)
     if hit is not None:
         return hit
     if model.dimension > 1:
         # no explicit formula off the gradient range in d > 1; interior only
-        prob = _problem(model, kernel)
         x = np.asarray(x, dtype=float)
         try:
             lam = grad_inverse(prob.oracle, x, tol=tol)
@@ -499,7 +488,6 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
                                 math.inf, -math.inf)
 
     x = float(x)
-    prob = _problem(model, kernel)
     m_plus, m_minus = prob.m_plus_minus
     sup_e, inf_e = prob.sup_ef_prime, prob.inf_ef_prime
 
@@ -623,13 +611,18 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
             lam = None  # boundary-grade x; fall through to the clamped form
         if lam is not None:
             # close the pairing gap along d slopes / d lam ~ f K''(lam f) at
-            # the cell midpoints, which leaves saturated cells (K'' = 0) and
-            # slopes rounded onto an edge of the rate domain put
+            # the cell midpoints (scaled: K'' can be subnormal), so saturated
+            # cells (K'' = 0) stay put; if K'' is 0 at every midpoint, along
+            # the unsaturated cells
+            lo, hi = model.rate_dom
             slopes = _average_slopes(model, kernel, lam, grid, False)[:, 0]
             fm = kernel.eval(0.5 * (grid[:-1] + grid[1:]))
             curv = fm * np.asarray(model.cgf_hess(lam * fm), dtype=float)
-            gap = x - float(weights @ slopes)
-            slopes = np.clip(slopes + curv * gap / float(weights @ curv), *model.rate_dom)
+            top = float(np.max(np.abs(curv)))
+            move = curv / top if top > 0 else weights * ((lo < slopes) & (slopes < hi))
+            den = float(weights @ move)
+            if den > 0:
+                slopes = np.clip(slopes + move * ((x - float(weights @ slopes)) / den), lo, hi)
             return CadlagPath(1, grid, slopes, ())
 
     if x >= sup_e:

@@ -612,6 +612,23 @@ def test_inner_slopes_contract():
         assert inside.sum() >= 100, name
 
 
+def test_inner_slopes_past_the_float_range():
+    # poisson: I'(v) = log(1 + v), so v = e^s - 1 overflows from s ~ 709.8
+    m = parse_model("poisson:rate=1")
+    v = kr._inner_slopes(m, np.array([709.0, 1e3, 1e66]))
+    assert math.isfinite(v[0]) and np.array_equal(v[1:], [math.inf] * 2)
+
+
+@pytest.mark.parametrize("x", [100.0, 300.0])
+def test_variational_far_out_on_an_exponential_tail(x):
+    # the first Newton step on Phi from 0 lands near 3x, far above the root
+    # of an exponential Phi', and inner solves there overflow; the solve
+    # still settles, on the discretised rate
+    m = parse_model("poisson:rate=1")
+    want = i_f_conjugate(m, ID, x).value
+    assert variational_rate(m, ID, x) == pytest.approx(want, rel=1e-4)
+
+
 def test_variational_rejects_bad_pieces():
     with pytest.raises(ValueError):
         variational_rate(parse_model("cexp"), CONST1, 0.5, pieces=0)
@@ -656,6 +673,19 @@ def test_minimizer_action_is_finite_up_to_the_slope_edges(spec, k, bound):
         want = i_f_conjugate(m, k, float(x)).value
         assert pair(k, path) == pytest.approx(x, abs=1e-8), x
         assert i_d(path, m) == pytest.approx(want, abs=bound * max(1.0, want)), x
+
+
+@pytest.mark.parametrize("gap", [5e-14, 1e-14])
+def test_minimizer_where_the_tilt_curvature_underflows(gap):
+    # 0.5 - E_f'(lam) ~ pi^2 / (24 lam^2), so lam* ~ 2.8e6 and 5.9e6:
+    # f K''(lam f) is subnormal or 0 at every cell midpoint, and the first
+    # cell's slope is still short of 1
+    m = parse_model("rademacher")
+    x = 0.5 - gap
+    path = minimizer(m, ID, x)
+    assert np.all(np.isfinite(path.slopes))
+    assert pair(ID, path) == pytest.approx(x, abs=1e-10)
+    assert i_d(path, m) == pytest.approx(i_f_conjugate(m, ID, x).value, abs=1e-5)
 
 
 def test_minimizer_singular_jump():
@@ -725,14 +755,14 @@ def test_singular_minimizer_keeps_its_jump():
     def raw(ts):
         return m.cgf_grad(ID.eval(ts))
 
-    want = np.empty_like(slopes)
+    want, edges = np.empty_like(slopes), kr._finite_edges(m)
     for i, (a, b) in enumerate(zip(grid, grid[1:])):
         ua, ub = float(ID.eval(a)), float(ID.eval(b))
-        if kr._touch(m, ua) or kr._touch(m, ub):
+        if kr._touch(ua, edges) or kr._touch(ub, edges):
             want[i] = (m.cgf(ub) - m.cgf(ua)) / (ub - ua)
         else:
             want[i] = kr.quad.gl32(raw, a, b) / (b - a)
-    assert kr._touch(m, float(ID.eval(grid[-1]))) is not None
+    assert kr._touch(float(ID.eval(grid[-1])), edges) is not None
     np.testing.assert_allclose(slopes, want, rtol=1e-14, atol=0.0)
 
     path = minimizer(m, ID, 0.5)
