@@ -243,6 +243,12 @@ def _selftest_checks():
                - i_f_conjugate(model, kern, 0.497).value)
         assert abs(gap) < 1e-5, gap
 
+    def open_cap_far_out():
+        # lam* lies within an ulp of the open cap 1 of cexp x identity, where
+        # I_f = x - 1/2 up to rounding
+        r = i_f_conjugate(parse_model("cexp"), identity(), 40.0)
+        assert abs(r.value - 39.5) < 1e-12 * 39.5, r.value
+
     def finite_n_tilt():
         # a = 1/2 is the continuum slope edge of rademacher x identity, but
         # inside the finite-n range (n + 1) / (2n)
@@ -261,6 +267,7 @@ def _selftest_checks():
             ("cgf primitive", cgf_primitive),
             ("variational vs conjugate", variational_route),
             ("minimizer near a slope edge", minimizer_near_edge),
+            ("open cap far out", open_cap_far_out),
             ("finite-n tilt", finite_n_tilt)]
 
 

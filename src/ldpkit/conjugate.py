@@ -110,11 +110,17 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
 
 def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int = 200):
     """(u, grad g(u) - x) at the root of grad g = x, which lies strictly inside
-    the domain, the bracket, as x lies strictly inside the stated range."""
+    the domain, the bracket, as x lies strictly inside the stated range.
+
+    A residual r above sqrt(atol) stands when the root lies within one ulp
+    of u: the conjugate at u then misses by at most |r| ulp(u), which near
+    an open cap is far below what |r| suggests.
+    """
     atol = tol * max(1.0, abs(x))
     u, r = solve_monotone(oracle.grad, oracle.hess, x, oracle.domain.lower,
                           oracle.domain.upper, 0.0, atol, max_iter=max_iter)
-    if abs(r) > math.sqrt(atol):
+    if abs(r) > math.sqrt(atol) and (
+            oracle.grad(math.nextafter(u, math.copysign(math.inf, -r))) - x) * r > 0:
         raise NonConvergenceError(f"gradient equation settled {r:.3g} from x at tol={tol}")
     return float(u), float(r)
 

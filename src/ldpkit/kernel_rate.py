@@ -31,14 +31,15 @@ being the model's ``cgf_int``.  A bracket stands when its rounding bound,
 eps (|term| + 1 + |u|) summed over its terms over |lam^(k+1) s|, is within
 the tolerance; else (small |lam s|) the adaptive rule takes the piece.
 
-Lower semicontinuity also decides a piece on which lam f runs linearly to
-a finite edge e (a touch; an end within a rounding guard of e is snapped
-onto it).  At an open edge K and K' blow up, so G_1 and G_2 run to
+The tilt domain d_f decides where lam f lies, exactly: it leaves the
+closed domain of K iff lam lies outside d_f, and it touches a finite edge e
+iff lam is the cap of d_f that e binds, at the nodes where f is the weight
+running into e; u is e itself there.  Lower semicontinuity then decides a
+touched piece.  At an open edge K and K' blow up, so G_1 and G_2 run to
 sign(e) inf: the K' integral is sign(lam) inf, the K'' and clamp integrals
 int I(K'(u)) are +inf, and the K integral is the bracket of P (1/2 for
 cexp with f(t) = t).  At a closed edge K(e) and P(e) are finite, so only
-the K'' integral can diverge, exactly when K'(e) does.  lam f held at an
-open edge on a whole piece is infeasible (+inf).
+the K'' integral can diverge, exactly when K'(e) does.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from .cgf import CgfModel, DomainInterval, FullSpace
 from .conjugate import ConvexOracle, _solve_grad_1d, grad_inverse, legendre, solve_monotone
 from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
-
-_TOUCH_RTOL = 5e-13
 
 
 def _quot(num: float, den: float) -> float:
@@ -75,45 +74,24 @@ def _interval_bounds(model: CgfModel):
 _EPS = float(np.finfo(float).eps)
 
 
-def _finite_edges(model: CgfModel):
-    """(edge, closed) for each finite domain edge of K, upper edge first."""
-    lo, hi = _interval_bounds(model)
-    dom = model.domain
-    return [(edge, closed) for edge, closed in
-            ((hi, getattr(dom, "upper_closed", False)),
-             (lo, getattr(dom, "lower_closed", False))) if math.isfinite(edge)]
-
-
-def _on_edge(u, edge: float):
-    """Whether u (a number or an array) lies on the finite edge.
-
-    _TOUCH_RTOL is a rounding guard: (e / max f) * max f can miss e by an ulp.
-    """
-    return abs(u - edge) <= _TOUCH_RTOL * max(1.0, abs(edge))
-
-
-def _touch(u: float, edges):
-    """(edge, closed) among ``edges`` (as from ``_finite_edges``) at u, or None."""
-    for edge, closed in edges:
-        if _on_edge(u, edge):
-            return edge, closed
-    return None
-
-
-def _piece_ends(model: CgfModel, kernel: Kernel, lam: float):
-    """The kernel pieces as (a, b, va, vb, ends), None once lam f leaves the
-    closed domain; ends holds (u, touch) at u = lam f, with u snapped onto
-    the edge of touch = (edge, closed) where it touches one."""
-    lo, hi = _interval_bounds(model)
-    edges, out = _finite_edges(model), []
-    for a, b, va, vb in kernel.pieces():
-        ends = [(float(lam * v), _touch(float(lam * v), edges)) for v in (va, vb)]
-        # the trace of lam f on an affine piece leaves the closed domain on
-        # a set of positive measure as soon as one end value does
-        if any(t is None and not lo <= u <= hi for u, t in ends):
-            return None
-        out.append((a, b, va, vb, [(t[0] if t else u, t) for u, t in ends]))
-    return out
+def _trace(model: CgfModel, kernel: Kernel, lam: float, values: np.ndarray):
+    """(u, touched) for u = lam * values, values of f; None once lam f leaves
+    the closed domain of K, exactly when lam lies outside d_f.  lam f touches
+    a finite edge e, and u is set to e, exactly where lam is the cap |e| / |w|
+    of d_f and a value is the weight w running into e (max_plus or
+    -max_minus): fl(e / w) w can miss e by an ulp."""
+    caps = _problem(model, kernel).d_f
+    if not caps.lower <= lam <= caps.upper:
+        return None
+    u = lam * values
+    touched = np.zeros(u.shape, dtype=bool)
+    if lam in (caps.lower, caps.upper):
+        for edge in _interval_bounds(model):
+            w = kernel.max_plus if (edge > 0) == (lam > 0) else -kernel.max_minus
+            hit = (values == w) & (_quot(abs(edge), abs(w)) == abs(lam))
+            u[hit] = edge
+            touched |= hit
+    return u, touched
 
 
 def _bracket(model: CgfModel, fn, a: float, b: float, ends, terms, den: float,
@@ -146,9 +124,10 @@ def _moment(model: CgfModel, kernel: Kernel, lam: float, k: int,
     deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
     if lam == 0.0:
         return (1.0, kernel.m1, kernel.m2)[k] * float(deriv(0.0))
-    pieces = _piece_ends(model, kernel, lam)
-    if pieces is None:
+    trace = _trace(model, kernel, lam, kernel._vals)
+    if trace is None:
         return math.inf
+    lf, touched = trace[0].tolist(), trace[1].tolist()
 
     def fn(ts):
         fv = kernel.eval(ts)
@@ -162,9 +141,10 @@ def _moment(model: CgfModel, kernel: Kernel, lam: float, k: int,
         return (uk, -p) if k == 1 else (u * u * model.cgf_grad(u), -2.0 * uk, 2.0 * p)
 
     total = 0.0
-    for a, b, va, vb, ends in pieces:
+    for i, (a, b, va, vb) in enumerate(kernel.pieces()):
+        ends = ((lf[i], touched[i]), (lf[i + 1], touched[i + 1]))
         if va == vb:
-            total += (b - a) * va ** k * float(deriv(ends[0][0]))
+            total += (b - a) * va ** k * float(deriv(lf[i]))
         else:
             total += _bracket(model, fn, a, b, ends, terms,
                               lam ** (k + 1) * (vb - va) / (b - a), tol)
@@ -424,43 +404,78 @@ def _sign_split(kernel: Kernel):
     return pos, neg, pos_int, neg_int
 
 
-def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
-                    tol: float = 1e-12) -> float:
-    """int_0^1 I(K'(lam_bar f(t))) dt for a finite lam_bar.
+def _edge_layer(model: CgfModel, edge: float, d_near: float, d_far: float):
+    """(int I(K'(edge - d)) dd from d_near to d_far, rounding estimate) for
+    distances d to a finite edge, signed like it, |d_near| < |d_far| <= |edge|/2.
 
-    Untouched pieces take the adaptive rule, so this route shares no value
-    formula with E_f, split where |lam_bar f| crosses 2^k, k >= 0, to see
-    the layer at t ~ 1/lam_bar where K' leaves its saturated value.  A touch
-    of an open edge gives +inf; on a piece touching a closed edge, I(K'(u))
-    = u K'(u) - K(u) integrates to the bracket of uK - P - P.
+    Cuts at d = edge 2^-k keep the singular edge a panel width or more from
+    each panel, so the 32-node rule is exact there up to rounding, mostly
+    that of u = edge - d, which floats hold to ulp(edge) while d is far
+    smaller.  Each node value is corrected by d/du I(K'(u)) = u K''(u) times
+    the exact lattice error s = (edge - u) - d; the estimate is the change
+    from one rule to two on the halves plus the correction times s / d.
     """
-    pieces = _piece_ends(model, kernel, lam_bar)
-    if pieces is None:
-        return math.inf
+    cuts = edge * 2.0 ** -np.arange(1, np.finfo(float).nmant + 1)
+    bounds = np.sort(np.concatenate(
+        ([d_near, d_far], cuts[(abs(cuts) > abs(d_near)) & (abs(cuts) < abs(d_far))])))
+    lo, mid, hi = bounds[:-1], 0.5 * (bounds[:-1] + bounds[1:]), bounds[1:]
 
-    def fn(ts):
-        return model.closed_rate(model.cgf_grad(lam_bar * kernel.eval(ts)))
+    def fn(d):
+        u = edge - d
+        s = (edge - u) - d
+        fix = u * model.cgf_hess(u) * s
+        return np.stack([model.closed_rate(model.cgf_grad(u)) + fix, np.abs(fix * s / d)], -1)
 
-    def terms(u):
-        p = model.cgf_int(u)
-        return (u * model.cgf(u), -p, -p)
+    whole = quad.gl32(fn, lo, hi)[:, 0]
+    fine = quad.gl32(fn, np.stack((lo, mid)), np.stack((mid, hi))).sum(axis=0)
+    return float(fine[:, 0].sum()), float(np.abs(fine[:, 0] - whole).sum() + fine[:, 1].sum())
 
-    total = 0.0
-    for a, b, va, vb, ends in pieces:
-        touches = [touch for _, touch in ends if touch]
-        if not all(closed for _, closed in touches):
-            return math.inf
-        if va == vb:
-            total += quad.adaptive_gl(fn, a, b, tol)
-        elif touches:
-            total += _bracket(model, fn, a, b, ends, terms,
-                              lam_bar * (vb - va) / (b - a), tol)
-        else:
-            top = max(1.0, abs(lam_bar) * max(abs(va), abs(vb)))
-            u = 2.0 ** np.arange(math.ceil(math.log2(top)) + 1) / lam_bar
-            ts = a + (np.concatenate([u, -u]) - va) * (b - a) / (vb - va)
-            total += quad.adaptive_gl(fn, a, b, tol, cuts=np.unique(ts[(ts > a) & (ts < b)]))
-    return total
+
+def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
+                    tol: float = 1e-12) -> tuple:
+    """(int_0^1 I(K'(lam_bar f(t))) dt, rounding estimate) for a finite lam_bar.
+
+    Untouched pieces take quadrature in u = lam_bar f, so this route shares
+    no value formula with E_f: ``_edge_layer`` within |e| / 2 of a finite
+    domain edge e, else the adaptive rule split where |u| crosses 2^k,
+    k >= 0, to see where K' leaves its saturated value.  A touch of an open
+    edge gives +inf; on a piece touching a closed edge, I(K'(u)) = u K'(u)
+    - K(u) integrates to the bracket of uK - 2P.
+    """
+    if not _problem(model, kernel).d_f.contains(lam_bar):
+        return math.inf, 0.0    # lam_bar f leaves the domain or touches an open edge
+
+    def g(u):
+        return model.closed_rate(model.cgf_grad(u))
+
+    lf, touched = _trace(model, kernel, lam_bar, kernel._vals)
+    total = rounding = 0.0
+    for i, (a, b, va, vb) in enumerate(kernel.pieces()):
+        ua, ub = lf[i], lf[i + 1]
+        if ua == ub:
+            total += (b - a) * float(g(ua))
+            continue
+        if touched[i] or touched[i + 1]:
+            total += _bracket(model, lambda ts: g(lam_bar * kernel.eval(ts)), a, b,
+                              ((ua, touched[i]), (ub, touched[i + 1])),
+                              lambda u: (u * model.cgf(u), -2.0 * model.cgf_int(u)),
+                              (ub - ua) / (b - a), tol)
+            continue
+        lo, hi = sorted((ua, ub))
+        rate = (hi - lo) / (b - a)      # |du / dt|
+        for edge in _interval_bounds(model):
+            near = hi if edge > 0 else lo
+            if not abs(edge - near) < 0.5 * abs(edge) < math.inf:
+                continue
+            far = max(lo, 0.5 * edge) if edge > 0 else min(hi, 0.5 * edge)
+            lo, hi = (lo, far) if edge > 0 else (far, hi)
+            value, err = _edge_layer(model, edge, edge - near, edge - far)
+            total, rounding = total + value / rate, rounding + err / rate
+        cuts = 2.0 ** np.arange(math.ceil(math.log2(max(1.0, -lo, hi))) + 1)
+        cuts = np.concatenate((-cuts[::-1], cuts))
+        cuts = cuts[(cuts > lo) & (cuts < hi)]
+        total += quad.adaptive_gl(g, lo, hi, tol * rate, cuts=cuts) / rate
+    return total, rounding
 
 
 def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> KernelRateResult:
@@ -491,7 +506,9 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
     m_plus, m_minus = prob.m_plus_minus
     sup_e, inf_e = prob.sup_ef_prime, prob.inf_ef_prime
 
-    def done(value, branch, lam):
+    def done(value, branch, lam, rounding=0.0):
+        if rounding > tol * max(1.0, abs(value)):
+            raise NonConvergenceError(f"edge layer rounding {rounding:.3g} exceeds tol={tol}")
         return KernelRateResult(x, value, branch, lam, m_plus, m_minus,
                                 sup_e, inf_e)
 
@@ -499,24 +516,24 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
         gap = side * (x - edge)     # how far x lies beyond this edge
         if gap < 0:
             continue
+        value, rounding = math.inf, 0.0
         if math.isfinite(cap):
-            value = cap * gap + _clamp_integral(model, kernel, side * cap)
+            value, rounding = _clamp_integral(model, kernel, side * cap)
+            value += cap * gap
         elif gap == 0:
             value = prob._edge(side > 0)[1]
-        else:
-            value = math.inf
         label = "singular_plus" if side > 0 else "singular_minus"
         return done(value, label if math.isfinite(value) else "infinite",
-                    side * cap if math.isfinite(cap) else None)
+                    side * cap if math.isfinite(cap) else None, rounding)
 
     lam, resid = _solve_grad_1d(prob.oracle, x, min(tol, 1e-10))   # x inside the range
-    value = _clamp_integral(model, kernel, lam, tol=0.1 * tol)
+    value, rounding = _clamp_integral(model, kernel, lam, tol=0.1 * tol)
     if math.isfinite(value):
         # correct for the solver residual E_f'(lam) - x: without it the
         # integral is the rate at E_f'(lam) rather than at x, which matters
         # when the tilt is large and d I_f / d x = lam amplifies the difference
         value -= lam * resid
-    return done(value, "interior", lam)
+    return done(value, "interior", lam, rounding)
 
 
 # ----------------------------------------------------------------------
@@ -529,35 +546,28 @@ def _refined_grid(kernel: Kernel, total: int) -> np.ndarray:
     pts = [np.zeros(1)]
     for a, b, _, _ in kernel.pieces():
         n = max(1, int(round(total * (b - a))))
-        pts.append(a + (b - a) * np.arange(1, n + 1) / n)
-    grid = np.concatenate(pts)
-    grid[-1] = 1.0
-    return grid
+        cell = a + (b - a) * np.arange(1, n + 1) / n
+        cell[-1] = b
+        pts.append(cell)
+    return np.concatenate(pts)
 
 
-def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid,
-                    improper: bool) -> np.ndarray:
+def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid) -> np.ndarray:
     """Averages of K'(lam f) over the grid cells, as a (cells, d) array.
 
     Each cell gets the 32-node Gauss-Legendre rule; the nodes of all cells
     go to one ``cgf_grad`` call, and one weighted row sum per cell gives
-    the averages.  On the singular branch (``improper``, d = 1) a cell with
-    an end where lam f touches a finite domain edge of K gets the exact
-    average [K(ub) - K(ua)] / (ub - ua) instead, with its ends snapped onto
-    the edge; it is +inf at an open edge.
+    the averages.  In d = 1 a cell with an end where lam f touches a domain
+    edge of K (as decided by ``_trace``) gets the exact average
+    [K(ub) - K(ua)] / (ub - ua) instead, infinite at an open edge.
     """
     grid = np.asarray(grid, dtype=float)
     d = model.dimension
     a, b = grid[:-1], grid[1:]
     touched = np.zeros(len(a), dtype=bool)
-    if d == 1 and improper:
-        u = lam * kernel.eval(grid)
-        on_edge = np.zeros(len(grid), dtype=bool)
-        for edge, _ in _finite_edges(model):
-            snap = _on_edge(u, edge)
-            u[snap] = edge
-            on_edge |= snap
-        touched = on_edge[:-1] | on_edge[1:]
+    if d == 1:
+        u, on_edge = _trace(model, kernel, lam, kernel.eval(grid))
+        touched = (on_edge[:-1] | on_edge[1:]) & (u[:-1] != u[1:])
 
     rest = ~touched
     half, mid = 0.5 * (b[rest] - a[rest]), 0.5 * (a[rest] + b[rest])
@@ -571,15 +581,9 @@ def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid,
     # the rule's weights sum to 2 on [-1, 1], so the cell average is half
     # the weighted sum of the node values
     slopes[rest] = 0.5 * (quad._WEIGHTS @ vals)
-
-    for i in np.flatnonzero(touched):
-        ua, ub = float(u[i]), float(u[i + 1])
-        val = (float(model.cgf_grad(ua)) if ua == ub
-               else (float(model.cgf(ub)) - float(model.cgf(ua))) / (ub - ua))
-        if not math.isfinite(val):
-            raise NonConvergenceError(
-                "tilted slope average diverged near the domain edge")
-        slopes[i, 0] = val
+    if touched.any():
+        ua, ub = u[:-1][touched], u[1:][touched]
+        slopes[touched, 0] = (model.cgf(ub) - model.cgf(ua)) / (ub - ua)
     return slopes
 
 
@@ -597,7 +601,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         res = i_f_conjugate(model, kernel, x, tol=tol)
         if not math.isfinite(res.value):
             raise DomainError("rate is infinite at x; no minimizing path")
-        slopes = _average_slopes(model, kernel, res.lambda_star, grid, False)
+        slopes = _average_slopes(model, kernel, res.lambda_star, grid)
         gap = np.asarray(x, dtype=float) - weights @ slopes
         slopes += np.outer(weights, gap) / float(weights @ weights)
         return CadlagPath(model.dimension, grid, slopes, ())
@@ -615,7 +619,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
             # cells (K'' = 0) stay put; if K'' is 0 at every midpoint, along
             # the unsaturated cells
             lo, hi = model.rate_dom
-            slopes = _average_slopes(model, kernel, lam, grid, False)[:, 0]
+            slopes = _average_slopes(model, kernel, lam, grid)[:, 0]
             fm = kernel.eval(0.5 * (grid[:-1] + grid[1:]))
             curv = fm * np.asarray(model.cgf_hess(lam * fm), dtype=float)
             top = float(np.max(np.abs(curv)))
@@ -637,19 +641,14 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     if not math.isfinite(lam_bar):
         raise DomainError("rate is infinite at x; no minimizing path")
 
-    dom = model.domain
-    if singular_plus:
-        to_max = kernel.max_plus > 0 and m_plus == _quot(dom.upper, kernel.max_plus)
-    else:
-        to_max = kernel.max_plus > 0 and m_minus == _quot(-dom.lower, kernel.max_plus)
-    intervals = kernel.argmax_intervals if to_max else kernel.argmin_intervals
-    a0, b0 = intervals[0]
-    if b0 > a0:
+    # the jump sits at the first node where lam_bar f touches the binding edge
+    first = int(np.argmax(_trace(model, kernel, lam_bar, kernel._vals)[1]))
+    if kernel.values[first + 1:first + 2] == kernel.values[first:first + 1]:
         raise AmbiguityError(
             "the extremizer set of f has positive measure; the jump location "
             "is not determined")
-    tau = a0
-    slopes = _average_slopes(model, kernel, lam_bar, grid, True)[:, 0]
+    tau = kernel.breakpoints[first]
+    slopes = _average_slopes(model, kernel, lam_bar, grid)[:, 0]
     raw = float(weights @ slopes)
     jump_val = (x - raw) / kernel.eval(tau)
     if jump_val != 0.0 and math.isinf(model.recession(math.copysign(1.0, jump_val))):

@@ -176,6 +176,12 @@ def test_selftest_checks_the_minimizer_near_a_slope_edge(capsys):
     assert "ok   minimizer near a slope edge" in cap.out.splitlines()
 
 
+def test_selftest_checks_an_open_cap_far_out(capsys):
+    code, cap = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   open cap far out" in cap.out.splitlines()
+
+
 def test_selftest_checks_the_finite_n_tilt(capsys):
     code, cap = _run(capsys, ["selftest"])
     assert code == 0

@@ -31,6 +31,7 @@ from ldpkit import (
     x_grid,
 )
 from ldpkit.cgf import MODEL_FACTORIES, gaussian
+from ldpkit.errors import NonConvergenceError
 
 ID = identity()
 CONST1 = constant(1.0)
@@ -448,6 +449,87 @@ def test_routes_near_the_cexp_slope_edge():
         assert route(m, ID, -0.499999).value == pytest.approx(11.815525373597523, abs=1e-9)
 
 
+# -- exact touches at the tilt caps, and open caps far out ---------------------
+
+
+def test_touch_is_decided_by_the_cap_itself():
+    # fl(1/49) * 49 = 0.9999999999999999: at the cap M_plus = fl(1/49) the
+    # weight 49 meets the edge 1 of K only because the cap is read as a touch
+    cexp, sb = parse_model("cexp"), parse_model("synthetic-boundary")
+    flat, ramp = parse_kernel("const:49"), parse_kernel("affine:0,49")
+    cap = d_f(cexp, flat).upper
+    assert e_f(cexp, flat, cap) == math.inf
+    assert math.isfinite(e_f(cexp, flat, math.nextafter(cap, 0.0)))
+    assert e_f(cexp, flat, math.nextafter(cap, 1.0)) == math.inf
+    assert e_f_grad(cexp, ramp, d_f(cexp, ramp).upper) == math.inf
+    assert ef_prime_range(sb, flat)[1] == 49.0
+    assert ef_prime_range(sb, ramp)[1] == pytest.approx(49.0 * 7.0 / 30.0, rel=1e-12)
+
+
+def _mp_rate(forms, x):
+    """I_f(x) = x lam - E_f(lam) at E_f'(lam) = x for a tilt lam = 1 - delta
+    below the cap 1, solved in mpmath for y = -log(delta); forms(mp, delta)
+    gives (E_f, E_f')."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        y = mp.findroot(lambda y: forms(mp, mp.exp(-y))[1] - x, x + 1.5)
+        return float(x * (1 - mp.exp(-y)) - forms(mp, mp.exp(-y))[0])
+
+
+def _mp_cexp_identity(mp, delta):
+    # E_f = 1 - lam/2 + delta log(delta) / lam,
+    # E_f' = -1/2 - 1/lam - log(delta) / lam^2
+    lam = 1 - delta
+    return (1 - lam / 2 + delta * mp.log(delta) / lam,
+            -0.5 - 1 / lam - mp.log(delta) / lam ** 2)
+
+
+def _mp_cexp_affine_1_2(mp, delta):
+    # E_f = (P(lam) - P(-lam)) / (2 lam) with P = int K, K(u) = -u - log(1 - u)
+    lam = 1 - delta
+    p_up = lam - lam ** 2 / 2 + delta * mp.log(delta)
+    p_down = -lam - lam ** 2 / 2 + (1 + lam) * mp.log(1 + lam)
+    ef = (p_up - p_down) / (2 * lam)
+    return ef, (-mp.log(delta) - mp.log(1 + lam)) / (2 * lam) - ef / lam
+
+
+@pytest.mark.parametrize("x", [20.0, 24.0, 26.0, 27.0, 30.0, 40.0, 100.0])
+def test_cexp_identity_toward_the_open_cap(x):
+    # lam* = 1 - O(e^-x) nears the open cap 1, within an ulp of it from
+    # x ~ 36 on, while I_f stays finite.  The conjugate holds to rounding.
+    # The explicit route meets 1e-9 while rounding in lam f near the edge
+    # allows it, and says so when it does not
+    m = parse_model("cexp")
+    want = _mp_rate(_mp_cexp_identity, x)
+    assert i_f_conjugate(m, ID, x).value == pytest.approx(want, rel=1e-12)
+    try:
+        got = i_f_explicit(m, ID, x).value
+    except NonConvergenceError:
+        assert x >= 28.0
+    else:
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_cexp_affine_both_caps_far_out(monkeypatch):
+    # lam f = lam (1 - 2t) nears the open edge 1 at t = 0 (lam -> 1) and at
+    # t = 1 (lam -> -1); the edge layer costs a bounded number of panels
+    nodes = [0]
+    gl32 = kr.quad.gl32
+
+    def counting(fn, a, b):
+        nodes[0] += 32 * np.size(a)
+        return gl32(fn, a, b)
+
+    monkeypatch.setattr(kr.quad, "gl32", counting)
+    m = parse_model("cexp")
+    want = _mp_rate(_mp_cexp_affine_1_2, 10.0)    # I_f is even: f(1 - t) = -f(t)
+    for x in (10.0, -10.0):
+        assert i_f_conjugate(m, AFFINE_1_2, x).value == pytest.approx(want, rel=1e-12)
+        nodes[0] = 0
+        assert i_f_explicit(m, AFFINE_1_2, x).value == pytest.approx(want, rel=1e-12)
+        assert nodes[0] < 20_000, (x, nodes[0])
+
+
 @pytest.mark.parametrize("spec,k", PAIRS)
 def test_routes_agree(spec, k):
     m = parse_model(spec)
@@ -719,7 +801,7 @@ def test_average_slopes_make_one_gradient_call(model, kernel, lam):
     counted, calls = _counting_grad(model)
     grid = kr._refined_grid(kernel, 4000)
     assert len(grid) - 1 == 4000
-    slopes = kr._average_slopes(counted, kernel, lam, grid, False)
+    slopes = kr._average_slopes(counted, kernel, lam, grid)
     assert calls[0] == 1
     assert slopes.shape == (4000, model.dimension)
 
@@ -747,7 +829,7 @@ def test_singular_minimizer_keeps_its_jump():
     m = parse_model("synthetic-boundary")
     counted, calls = _counting_grad(m)
     grid = kr._refined_grid(ID, 4000)
-    slopes = kr._average_slopes(counted, ID, 1.0, grid, True)[:, 0]
+    slopes = kr._average_slopes(counted, ID, 1.0, grid)[:, 0]
     # untouched cells share one call; the touched last cell is the exact
     # difference quotient of K
     assert calls[0] == 1
@@ -755,14 +837,12 @@ def test_singular_minimizer_keeps_its_jump():
     def raw(ts):
         return m.cgf_grad(ID.eval(ts))
 
-    want, edges = np.empty_like(slopes), kr._finite_edges(m)
-    for i, (a, b) in enumerate(zip(grid, grid[1:])):
-        ua, ub = float(ID.eval(a)), float(ID.eval(b))
-        if kr._touch(ua, edges) or kr._touch(ub, edges):
-            want[i] = (m.cgf(ub) - m.cgf(ua)) / (ub - ua)
-        else:
-            want[i] = kr.quad.gl32(raw, a, b) / (b - a)
-    assert kr._touch(float(ID.eval(grid[-1])), edges) is not None
+    # lam = 1 is the closed cap of d_f and f reaches max_plus = 1 only at
+    # t = 1, so lam f touches the edge at the last grid point alone
+    u, touched = kr._trace(m, ID, 1.0, grid)
+    assert np.flatnonzero(touched).tolist() == [len(grid) - 1] and u[-1] == 1.0
+    want = np.array([kr.quad.gl32(raw, a, b) / (b - a) for a, b in zip(grid, grid[1:])])
+    want[-1] = (m.cgf(1.0) - m.cgf(grid[-2])) / (1.0 - grid[-2])
     np.testing.assert_allclose(slopes, want, rtol=1e-14, atol=0.0)
 
     path = minimizer(m, ID, 0.5)
