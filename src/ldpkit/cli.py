@@ -20,7 +20,7 @@ import numpy as np
 
 from . import montecarlo as mc
 from .cgf import parse_model
-from .errors import DomainError, LdpkitError, NonConvergenceError
+from .errors import LdpkitError, NonConvergenceError
 from .kernel_rate import (e_f, e_f_grad, i_f_conjugate, i_f_explicit, minimizer,
                           variational_rate)
 from .kernels import parse_kernel
@@ -272,8 +272,9 @@ def _selftest_checks():
 
 
 def _cmd_selftest(args, out) -> int:
+    checks = _selftest_checks()
     failures = 0
-    for name, fn in _selftest_checks():
+    for name, fn in checks:
         try:
             fn()
         except Exception as err:    # report and keep going
@@ -281,8 +282,7 @@ def _cmd_selftest(args, out) -> int:
             out.write(f"FAIL {name}: {err}\n")
         else:
             out.write(f"ok   {name}\n")
-    total = len(_selftest_checks())
-    out.write(f"{total - failures}/{total} checks passed\n")
+    out.write(f"{len(checks) - failures}/{len(checks)} checks passed\n")
     return 0 if failures == 0 else 1
 
 
@@ -372,9 +372,6 @@ def main(argv=None) -> int:
     except NonConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except LdpkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -381,26 +381,31 @@ def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kern
                             prob.sup_ef_prime, prob.inf_ef_prime)
 
 
+def _sign_pieces(kernel: Kernel):
+    """The pieces (a, b, f(a), f(b)) of f, each split at its root where f
+    changes sign inside it, so f keeps one sign on every piece."""
+    for a, b, va, vb in kernel.pieces():
+        if va * vb < 0:
+            root = a + (b - a) * va / (va - vb)
+            yield from ((a, root, va, 0.0), (root, b, 0.0, vb))
+        else:
+            yield a, b, va, vb
+
+
 def _sign_split(kernel: Kernel):
     """Exact measures and integrals of f over {f > 0} and {f < 0}.
 
     Returns (pos_measure, neg_measure, pos_integral, neg_integral), the last
-    one <= 0.  A piece that changes sign splits at its root.
+    one <= 0.
     """
     pos = neg = pos_int = neg_int = 0.0
-    for a, b, va, vb in kernel.pieces():
-        if va * vb < 0:
-            root = a + (b - a) * va / (va - vb)
-            parts = ((root - a, va, 0.0), (b - root, 0.0, vb))
-        else:
-            parts = ((b - a, va, vb),)
-        for length, u, v in parts:
-            if u > 0 or v > 0:
-                pos += length
-                pos_int += 0.5 * length * (u + v)
-            elif u < 0 or v < 0:
-                neg += length
-                neg_int += 0.5 * length * (u + v)
+    for a, b, u, v in _sign_pieces(kernel):
+        if u > 0 or v > 0:
+            pos += b - a
+            pos_int += 0.5 * (b - a) * (u + v)
+        elif u < 0 or v < 0:
+            neg += b - a
+            neg_int += 0.5 * (b - a) * (u + v)
     return pos, neg, pos_int, neg_int
 
 
@@ -541,10 +546,13 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
 # ----------------------------------------------------------------------
 
 def _refined_grid(kernel: Kernel, total: int) -> np.ndarray:
-    """About ``total`` cells, spread over the kernel pieces by length; every
-    breakpoint of f is a grid point."""
+    """About ``total`` cells, spread over the pieces of ``_sign_pieces`` by
+    length: every breakpoint of f and every root where f changes sign inside
+    a piece is a grid point, so f keeps one sign on each cell."""
     pts = [np.zeros(1)]
-    for a, b, _, _ in kernel.pieces():
+    for a, b, _, _ in _sign_pieces(kernel):
+        if a == b:
+            continue    # a root rounded onto a piece end
         n = max(1, int(round(total * (b - a))))
         cell = a + (b - a) * np.arange(1, n + 1) / n
         cell[-1] = b
@@ -552,44 +560,53 @@ def _refined_grid(kernel: Kernel, total: int) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid) -> np.ndarray:
-    """Averages of K'(lam f) over the grid cells, as a (cells, d) array.
+def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid: np.ndarray) -> np.ndarray:
+    """Averages of K'(lam f) over the grid cells, a (cells, d) array, by the
+    32-node rule on each cell, with all nodes in one ``cgf_grad`` call."""
+    lam = np.reshape(lam, (1, -1))
+    return quad.gl32(lambda ts: model.cgf_grad(kernel.eval(ts)[:, None] * lam),
+                     grid[:-1], grid[1:]) / np.diff(grid)[:, None]
 
-    Each cell gets the 32-node Gauss-Legendre rule; the nodes of all cells
-    go to one ``cgf_grad`` call, and one weighted row sum per cell gives
-    the averages.  In d = 1 a cell with an end where lam f touches a domain
-    edge of K (as decided by ``_trace``) gets the exact average
-    [K(ub) - K(ua)] / (ub - ua) instead, infinite at an open edge.
-    """
-    grid = np.asarray(grid, dtype=float)
-    d = model.dimension
-    a, b = grid[:-1], grid[1:]
-    touched = np.zeros(len(a), dtype=bool)
-    if d == 1:
-        u, on_edge = _trace(model, kernel, lam, kernel.eval(grid))
-        touched = (on_edge[:-1] | on_edge[1:]) & (u[:-1] != u[1:])
 
-    rest = ~touched
-    half, mid = 0.5 * (b[rest] - a[rest]), 0.5 * (a[rest] + b[rest])
-    fv = kernel.eval((mid[:, None] + half[:, None] * quad._NODES).reshape(-1))
-    if d == 1:
-        vals = model.cgf_grad(lam * fv)
-    else:
-        vals = model.cgf_grad(fv[:, None] * np.asarray(lam))
-    vals = np.asarray(vals, dtype=float).reshape(-1, len(quad._NODES), d)
-    slopes = np.empty((len(a), d))
-    # the rule's weights sum to 2 on [-1, 1], so the cell average is half
-    # the weighted sum of the node values
-    slopes[rest] = 0.5 * (quad._WEIGHTS @ vals)
-    if touched.any():
-        ua, ub = u[:-1][touched], u[1:][touched]
-        slopes[touched, 0] = (model.cgf(ub) - model.cgf(ua)) / (ub - ua)
-    return slopes
+def _cell_slopes(model: CgfModel, kernel: Kernel, lam: float, grid: np.ndarray,
+                 tol: float) -> tuple:
+    """(v, dv / dlam), v the exact averages of K'(lam f) over the cells of a
+    d = 1 grid: f is linear on a cell, so v = [K(u)] / (u_b - u_a) and
+    dv / dlam = [u K'(u) - K(u)] / (lam (u_b - u_a)) at u = lam f of its ends
+    (from ``_trace``).  A flat cell, or one whose quotient has a rounding
+    bound (``_bracket``'s) above tol, takes fbar K''(lam fbar), fbar the mean
+    of f on it, and K'(u_a) or the 32-node rule.  v is clipped to the closed
+    ``rate_dom``, which rounding can carry a saturated cell past."""
+    u = _trace(model, kernel, lam, kernel.eval(grid))[0]
+    k, kp = np.asarray(model.cgf(u), dtype=float), np.asarray(model.cgf_grad(u), dtype=float)
+    du, scale = np.diff(u), np.abs(k) + 1.0 + np.abs(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v, dv = np.diff(k) / du, np.diff(u * kp - k) / (lam * du)
+        bound = _EPS * (scale[:-1] + scale[1:]) / np.abs(du)
+    flat = du == 0
+    v[flat] = kp[:-1][flat]
+    rough = ~flat & (bound > tol * np.maximum(1.0, np.abs(v)))
+    if rough.any():
+        a, b = grid[:-1][rough], grid[1:][rough]
+        v[rough] = quad.gl32(lambda ts: model.cgf_grad(lam * kernel.eval(ts)), a, b) / (b - a)
+    fbar = kernel.eval(0.5 * (grid[:-1] + grid[1:])[flat | rough])
+    dv[flat | rough] = fbar * model.cgf_hess(lam * fbar)
+    return np.clip(v, *model.rate_dom), dv
 
 
 def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
-    """The path attaining I_f(x): tilted slopes, plus one jump on the
-    singular branch placed at the first extremizer of f."""
+    """The path attaining I_f(x), on a grid of 400 to 4000 cells set by tol.
+
+    In d = 1 the slopes are the exact cell averages v_i(lam) of K'(lam f)
+    (``_cell_slopes``), and lam solves the grid's own pairing
+    sum_i w_i v_i(lam) = x, w_i the integral of f over cell i, bracketed by
+    d_f.  f has one sign on each cell, so the pairing is monotone and runs to
+    the stated slope edge at an infinite cap.  Past the pairing at a finite
+    cap (at the last float tilt inside an open one) the path takes the
+    slopes there and one jump by the rest of x at the first extremizer of f.
+    In d > 1 the slopes are 32-node cell averages at the conjugate's tilt,
+    moved along the weights to pair to x.
+    """
     from .paths import CadlagPath
 
     prob = _problem(model, kernel)
@@ -606,54 +623,36 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         slopes += np.outer(weights, gap) / float(weights @ weights)
         return CadlagPath(model.dimension, grid, slopes, ())
 
-    x = float(x)
-    sup_e, inf_e = prob.sup_ef_prime, prob.inf_ef_prime
-    if inf_e < x < sup_e:
-        try:
-            lam = grad_inverse(prob.oracle, x, tol=min(tol, 1e-10))
-        except NonConvergenceError:
-            lam = None  # boundary-grade x; fall through to the clamped form
-        if lam is not None:
-            # close the pairing gap along d slopes / d lam ~ f K''(lam f) at
-            # the cell midpoints (scaled: K'' can be subnormal), so saturated
-            # cells (K'' = 0) stay put; if K'' is 0 at every midpoint, along
-            # the unsaturated cells
-            lo, hi = model.rate_dom
-            slopes = _average_slopes(model, kernel, lam, grid)[:, 0]
-            fm = kernel.eval(0.5 * (grid[:-1] + grid[1:]))
-            curv = fm * np.asarray(model.cgf_hess(lam * fm), dtype=float)
-            top = float(np.max(np.abs(curv)))
-            move = curv / top if top > 0 else weights * ((lo < slopes) & (slopes < hi))
-            den = float(weights @ move)
-            if den > 0:
-                slopes = np.clip(slopes + move * ((x - float(weights @ slopes)) / den), lo, hi)
-            return CadlagPath(1, grid, slopes, ())
+    x, dom = float(x), prob.d_f
+    cells = lru_cache(maxsize=1)(lambda lam: _cell_slopes(model, kernel, lam, grid, tol))
+    for side, cap in ((1.0, dom.upper), (-1.0, dom.lower)):
+        if math.isinf(cap):
+            if side * (x - prob._edge(side > 0)[0]) >= 0:
+                raise DomainError("x is at or past a slope edge with an infinite tilt cap")
+            continue
+        # an open cap pairs no further than the last float tilt inside it
+        top = cap if dom.contains(cap) else math.nextafter(cap, 0.0)
+        if side * (gap := x - float(weights @ cells(top)[0])) >= 0:
+            # the jump sits at the first node where cap f touches the binding edge
+            first = int(np.argmax(_trace(model, kernel, cap, kernel._vals)[1]))
+            if kernel.values[first + 1:first + 2] == kernel.values[first:first + 1]:
+                raise AmbiguityError(
+                    "the extremizer set of f has positive measure; the jump location "
+                    "is not determined")
+            return CadlagPath(1, grid, cells(top)[0],
+                              ((kernel.breakpoints[first], gap / kernel.values[first]),))
 
-    if x >= sup_e:
-        singular_plus = True
-    elif x <= inf_e:
-        singular_plus = False
-    else:
-        # interior solve failed at boundary grade; clamp toward the nearer edge
-        singular_plus = (sup_e - x) <= (x - inf_e)
-    m_plus, m_minus = prob.m_plus_minus
-    lam_bar = m_plus if singular_plus else -m_minus
-    if not math.isfinite(lam_bar):
-        raise DomainError("rate is infinite at x; no minimizing path")
-
-    # the jump sits at the first node where lam_bar f touches the binding edge
-    first = int(np.argmax(_trace(model, kernel, lam_bar, kernel._vals)[1]))
-    if kernel.values[first + 1:first + 2] == kernel.values[first:first + 1]:
-        raise AmbiguityError(
-            "the extremizer set of f has positive measure; the jump location "
-            "is not determined")
-    tau = kernel.breakpoints[first]
-    slopes = _average_slopes(model, kernel, lam_bar, grid)[:, 0]
-    raw = float(weights @ slopes)
-    jump_val = (x - raw) / kernel.eval(tau)
-    if jump_val != 0.0 and math.isinf(model.recession(math.copysign(1.0, jump_val))):
-        jump_val = 0.0  # residual of boundary-grade x; a priced jump would cost inf
-    return CadlagPath(1, grid, slopes, ((tau, float(jump_val)),))
+    pairing = ConvexOracle(dom, None, lambda lam: float(weights @ cells(lam)[0]),
+                           lambda lam: float(weights @ cells(lam)[1]))
+    lam, r = _solve_grad_1d(pairing, x, _EPS)
+    slopes = cells(lam)[0]
+    if abs(r) > _EPS * max(1.0, abs(x)):
+        # next to an open cap the root can fall between two float tilts: mix them
+        other = math.nextafter(lam, math.copysign(math.inf, -r))
+        rest = pairing.grad(other) - x
+        if r * rest < 0:
+            slopes = slopes + r / (r - rest) * (cells(other)[0] - slopes)
+    return CadlagPath(1, grid, slopes, ())
 
 
 # ----------------------------------------------------------------------

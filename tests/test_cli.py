@@ -114,6 +114,16 @@ def test_minimizer_idcost_round_trip(tmp_path, capsys):
     assert float(row[2]) == pytest.approx(1.5 * 0.81, abs=1e-5)
 
 
+def test_minimizer_json_reads_back(capsys):
+    code, cap = _run(capsys, ["minimizer", "--model", "rademacher",
+                              "--kernel", "affine:0,1", "--x", "0.3",
+                              "--format", "json"])
+    assert code == 0
+    path = ldpkit.CadlagPath.from_dict(json.loads(cap.out))
+    assert path.dimension == 1 and path.jumps == ()
+    assert ldpkit.pair(ldpkit.identity(), path) == pytest.approx(0.3, abs=1e-10)
+
+
 # -- monte carlo -------------------------------------------------------------------
 
 

@@ -757,6 +757,43 @@ def test_minimizer_action_is_finite_up_to_the_slope_edges(spec, k, bound):
         assert i_d(path, m) == pytest.approx(want, abs=bound * max(1.0, want)), x
 
 
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_minimizer_pairs_next_to_a_slope_edge_with_sign_changes(side):
+    # f changes sign inside three pieces; with those roots on the grid each
+    # cell holds one sign of f, so the grid's pairing runs to the stated
+    # slope edge and 1e-9 inside it is reached
+    m = parse_model("rademacher")
+    lo, hi = ef_prime_range(m, SIGNED)
+    x = hi - 1e-9 if side > 0 else lo + 1e-9
+    grid = kr._refined_grid(SIGNED, 4000)
+    fv = SIGNED.eval(grid)
+    assert np.all(fv[:-1] * fv[1:] >= -1e-15)
+    path = minimizer(m, SIGNED, x)
+    assert pair(SIGNED, path) == pytest.approx(x, abs=1e-8)
+    assert i_d(path, m) >= i_f_conjugate(m, SIGNED, x).value
+
+
+def test_minimizer_where_a_sign_root_rounds_onto_a_piece_end():
+    # the root of f = -1 + (1 + 1e-300) t rounds to t = 1: no empty cell
+    k = parse_kernel("pwl:0:-1,1:1e-300")
+    assert np.all(np.diff(kr._refined_grid(k, 400)) > 0)
+    path = minimizer(parse_model("gaussian:mu=0,sigma=1"), k, -0.3)
+    assert pair(k, path) == pytest.approx(-0.3, abs=1e-10)
+
+
+@pytest.mark.parametrize("x", [20.0, 40.0])
+def test_minimizer_pairs_next_to_an_open_cap(x):
+    # 1 - lam* ~ e^(-2x) for cexp x identity: at x = 20 adjacent float tilts
+    # pair 1e-8 apart, and at x = 40 the last float tilt below the open cap
+    # 1 pairs short of x, so the rest is a jump at t = 1 priced at the edge
+    m = parse_model("cexp")
+    path = minimizer(m, ID, x)
+    assert pair(ID, path) == pytest.approx(x, abs=1e-10 * x)
+    assert len(path.jumps) == (x > 30.0)
+    # the 4000-cell grid leaves the layer of width 1 - lam* at t = 1 unresolved
+    assert 0.0 <= i_d(path, m) - i_f_conjugate(m, ID, x).value <= 5e-3
+
+
 @pytest.mark.parametrize("gap", [5e-14, 1e-14])
 def test_minimizer_where_the_tilt_curvature_underflows(gap):
     # 0.5 - E_f'(lam) ~ pi^2 / (24 lam^2), so lam* ~ 2.8e6 and 5.9e6:
@@ -779,6 +816,18 @@ def test_minimizer_singular_jump():
     tau, val = path.jumps[0]
     assert tau == 1.0  # f takes its maximum at the right endpoint
     assert val == pytest.approx(1.0 - 7.0 / 30.0, abs=1e-8)
+
+
+def test_minimizer_singular_minus_jump():
+    # the mirror of the singular jump: f = -t runs into the closed edge 1 at
+    # the lower cap lam = -1, so the path jumps up at t = 1 where f = -1
+    m = parse_model("synthetic-boundary")
+    path = minimizer(m, NEGID, -0.5)
+    assert pair(NEGID, path) == pytest.approx(-0.5, abs=1e-10)
+    ((tau, val),) = path.jumps
+    assert tau == 1.0
+    assert val == pytest.approx(0.5 - 7.0 / 30.0, abs=1e-8)
+    assert i_d(path, m) == pytest.approx(i_f_conjugate(m, NEGID, -0.5).value, abs=1e-6)
 
 
 def _counting_grad(model):
@@ -826,24 +875,35 @@ def test_singular_minimizer_keeps_its_jump():
     # sup E_f' = int t (1 - sqrt(1 - t)) dt = 7/30 < 0.5: the path runs at
     # the cap lam = 1, where lam f touches the closed edge K' = 1 at t = 1,
     # and jumps at t = 1 by 0.5 minus the pairing of its slopes
+    mp = pytest.importorskip("mpmath")
     m = parse_model("synthetic-boundary")
-    counted, calls = _counting_grad(m)
-    grid = kr._refined_grid(ID, 4000)
-    slopes = kr._average_slopes(counted, ID, 1.0, grid)[:, 0]
-    # untouched cells share one call; the touched last cell is the exact
-    # difference quotient of K
-    assert calls[0] == 1
+    calls = [0]
 
-    def raw(ts):
-        return m.cgf_grad(ID.eval(ts))
+    def counting(u):
+        calls[0] += 1
+        return m.cgf(u)
+
+    grid = kr._refined_grid(ID, 4000)
+    slopes = kr._cell_slopes(dataclasses.replace(m, cgf=counting), ID, 1.0, grid, 1e-8)[0]
+    # every cell is a difference quotient of K from one cgf call on the grid
+    assert calls[0] == 1
 
     # lam = 1 is the closed cap of d_f and f reaches max_plus = 1 only at
     # t = 1, so lam f touches the edge at the last grid point alone
     u, touched = kr._trace(m, ID, 1.0, grid)
     assert np.flatnonzero(touched).tolist() == [len(grid) - 1] and u[-1] == 1.0
-    want = np.array([kr.quad.gl32(raw, a, b) / (b - a) for a, b in zip(grid, grid[1:])])
-    want[-1] = (m.cgf(1.0) - m.cgf(grid[-2])) / (1.0 - grid[-2])
-    np.testing.assert_allclose(slopes, want, rtol=1e-14, atol=0.0)
+    # each quotient against the exact cell average of K' in 50 digits, within
+    # the rounding bound of the quotient: eps (|K| + 1 + |u|) at both ends
+    # over the cell's width in u
+    k = m.cgf(u)
+    scale = np.abs(k) + 1.0 + np.abs(u)
+    bound = kr._EPS * (scale[:-1] + scale[1:]) / np.diff(u)
+    with mp.workdps(50):
+        exact = [mp.mpf(b) + mp.mpf(2) / 3 * ((1 - mp.mpf(b)) ** mp.mpf(1.5) - 1)
+                 for b in u.tolist()]
+        want = np.array([float((kb - ka) / (mp.mpf(b) - mp.mpf(a)))
+                         for ka, kb, a, b in zip(exact, exact[1:], u, u[1:])])
+    assert np.all(np.abs(slopes - want) <= bound)
 
     path = minimizer(m, ID, 0.5)
     assert pair(ID, path) == pytest.approx(0.5, abs=1e-10)
@@ -891,6 +951,20 @@ def test_vector_gaussian_closed_form():
     assert res.value == pytest.approx(1.875, abs=1e-7)
     assert res.value == pytest.approx(want, abs=1e-7)
     assert np.allclose(res.lambda_star, 3.0 * x, atol=1e-6)
+
+
+@pytest.mark.parametrize("mu,cov,x,want", [
+    # the closed form |x|^2 / (2 m2) for the standard Gaussian
+    ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (1.0, 0.5), 1.875),
+    ((0.3, -0.2), ((1.0, 0.1), (0.1, 2.0)), (1.0, -1.0), 1.81507537688442),
+])
+def test_vector_gaussian_explicit_route(mu, cov, x, want):
+    m = gaussian(mu=mu, cov=cov)
+    x = np.asarray(x)
+    res = i_f_explicit(m, ID, x)
+    assert res.branch == "interior"
+    assert res.value == pytest.approx(i_f_conjugate(m, ID, x).value, abs=1e-9)
+    assert res.value == pytest.approx(want, abs=1e-9)
 
 
 def test_vector_gaussian_minimizer():
