@@ -89,13 +89,17 @@ class CgfModel:
     linear, so ``kernel_rate`` reads the E_f-type integrals over a piece as
     brackets of P, K and K' at the piece ends.
 
-    ``tilted_sampler(theta, rng, count)`` takes an array of tilts, each in
-    ``domain`` (a closed edge included, where K is finite and the tilted law
-    exists), of shape B for d=1 or B + (d,) for d>1.  It draws from the law
-    tilted by each theta, count draws apiece, in one call, so its draws have
-    shape B + (count,) for d=1 and B + (count, d) for d>1; the draws for
-    theta[i] are those of a call with theta[i] alone, made in order of i on
-    the same generator.
+    ``tilted_sampler(theta, rng, count, copies=1)`` takes an array of tilts,
+    each in ``domain`` (a closed edge included, where K is finite and the
+    tilted law exists), of shape B for d=1 or B + (d,) for d>1, and positive
+    integer ``copies`` that broadcast with B.  Each draw is the sum of
+    ``copies`` independent steps tilted by theta, drawn at once from that
+    sum's law, the copies-fold convolution of the tilted law, whose CGF is
+    copies K(theta + .) - copies K(theta); copies = 1 is one tilted step.
+    All the draws come from one call, count apiece, so they have shape
+    B + (count,) for d=1 and B + (count, d) for d>1, with B the broadcast
+    shape; the draws for (theta[i], copies[i]) are those of a call with that
+    pair alone, made in order of i on the same generator.
     """
 
     id: str
@@ -114,7 +118,7 @@ class CgfModel:
     # edge of the support; grad_range reads it there, and raises DomainError
     # for a d=1 model with an infinite edge and rate_dom=None.
     rate_dom: Optional[tuple] = None
-    # (rng, count) -> draws and (theta, rng, count) -> draws; see above
+    # (rng, count) -> draws and (theta, rng, count, copies) -> draws; see above
     sampler: Optional[Callable] = field(default=None, compare=False)
     tilted_sampler: Optional[Callable] = field(default=None, compare=False)
     minorant: tuple = (0.0, 0.0)                # (c1, c2): I(v) >= c1|v| - c2
@@ -204,7 +208,8 @@ class CgfModel:
             raise NoSamplerError(f"model {self.id} has no sampler")
         return self.sampler(rng, count)
 
-    def tilt_draw(self, theta, rng: np.random.Generator, count: int):
+    def tilt_draw(self, theta, rng: np.random.Generator, count: int, copies=1):
+        """Draws of the sum of ``copies`` steps tilted by theta; see the class."""
         if self.tilted_sampler is None:
             raise NoSamplerError(f"model {self.id} has no tilted sampler")
         if self.dimension == 1:
@@ -212,13 +217,15 @@ class CgfModel:
             for end in (np.min(theta), np.max(theta)):
                 if not self.domain.contains(float(end)):
                     raise DomainError(f"tilt {float(end)} outside the CGF domain")
-        return self.tilted_sampler(theta, rng, count)
+        if np.min(copies) < 1:
+            raise ValueError("copies must be positive")
+        return self.tilted_sampler(theta, rng, count, copies)
 
     def sample(self, count: int, seed: int):
         return self.draw(np.random.default_rng(seed), count)
 
-    def tilt_sample(self, theta, count: int, seed: int):
-        return self.tilt_draw(theta, np.random.default_rng(seed), count)
+    def tilt_sample(self, theta, count: int, seed: int, copies=1):
+        return self.tilt_draw(theta, np.random.default_rng(seed), count, copies)
 
     # -- helpers -------------------------------------------------------
 
@@ -277,9 +284,14 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
         def sampler(rng, count):
             return rng.normal(m, s, size=count)
 
-        def tilted(theta, rng, count):
-            theta = np.asarray(theta, dtype=float)
-            return (m + s2 * theta)[..., None] + s * rng.standard_normal(theta.shape + (count,))
+        def tilted(theta, rng, count, copies=1):
+            # N(c (m + s^2 theta), c s^2); c = 1 multiplies by one exactly
+            c = np.asarray(copies)
+            mean = c * (m + s2 * np.asarray(theta, dtype=float))
+            z = rng.standard_normal(mean.shape + (count,))
+            z *= (np.sqrt(c) * s)[..., None]
+            z += mean[..., None]
+            return z
 
         c2 = max(k(1.0), k(-1.0), 0.0)
         return CgfModel(
@@ -331,10 +343,14 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
     def sampler(rng, count):
         return mu_vec + rng.standard_normal((count, d)) @ chol.T
 
-    def tilted(theta, rng, count):
-        theta = np.asarray(theta, dtype=float)
-        mean = (mu_vec + theta @ cov_m)[..., None, :]
-        return mean + rng.standard_normal(theta.shape[:-1] + (count, d)) @ chol.T
+    def tilted(theta, rng, count, copies=1):
+        # c (mu + Sigma theta) + sqrt(c) L Z; c = 1 multiplies by one exactly
+        c = np.asarray(copies)[..., None, None]
+        mean = c * (mu_vec + np.asarray(theta, dtype=float) @ cov_m)[..., None, :]
+        z = rng.standard_normal(mean.shape[:-2] + (count, d)) @ chol.T
+        z *= np.sqrt(c)
+        z += mean
+        return z
 
     c2 = float(np.linalg.norm(mu_vec) + 0.5 * evals.max())
     return CgfModel(
@@ -399,9 +415,12 @@ def centered_exponential() -> CgfModel:
     def sampler(rng, count):
         return rng.standard_exponential(count) - 1.0
 
-    def tilted(theta, rng, count):
-        theta = np.asarray(theta, dtype=float)
-        return rng.standard_exponential(theta.shape + (count,)) / (1.0 - theta[..., None]) - 1.0
+    def tilted(theta, rng, count, copies=1):
+        # Gamma(c) / (1 - theta) - c
+        c = np.asarray(copies)[..., None]
+        rate = 1.0 - np.asarray(theta, dtype=float)[..., None]
+        shape = np.broadcast_shapes(c.shape, rate.shape)[:-1] + (count,)
+        return rng.standard_gamma(c, size=shape) / rate - c
 
     # Supporting lines at u = +-1/2: c1 = 1/2, c2 = max K there.
     c2 = max(-0.5 - math.log(0.5), 0.5 - math.log(1.5))
@@ -468,11 +487,13 @@ def rademacher() -> CgfModel:
     def sampler(rng, count):
         return rng.integers(0, 2, size=count) * 2.0 - 1.0
 
-    def tilted(theta, rng, count):
-        theta = np.asarray(theta, dtype=float)
+    def tilted(theta, rng, count, copies=1):
+        # 2 Binomial(c, p_plus(theta)) - c
+        c = np.asarray(copies)[..., None]
         with np.errstate(over="ignore"):
-            p_plus = 1.0 / (1.0 + np.exp(-2.0 * theta))
-        return (rng.random(theta.shape + (count,)) < p_plus[..., None]) * 2.0 - 1.0
+            p_plus = 1.0 / (1.0 + np.exp(-2.0 * np.asarray(theta, dtype=float)))[..., None]
+        shape = np.broadcast_shapes(c.shape, p_plus.shape)[:-1] + (count,)
+        return 2.0 * rng.binomial(c, p_plus, size=shape) - c
 
     c2 = float(k(1.0))  # supporting lines at u = +-1
     return CgfModel(
@@ -530,9 +551,11 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
     def sampler(rng, count):
         return rng.poisson(r, size=count) - r
 
-    def tilted(theta, rng, count):
-        theta = np.asarray(theta, dtype=float)
-        return rng.poisson(r * np.exp(theta)[..., None], size=theta.shape + (count,)) - r
+    def tilted(theta, rng, count, copies=1):
+        # Poisson(c r e^theta) - c r
+        cr = np.asarray(copies)[..., None] * r
+        lam = cr * np.exp(np.asarray(theta, dtype=float))[..., None]
+        return rng.poisson(lam, size=lam.shape[:-1] + (count,)) - cr
 
     c2 = max(float(k(1.0)), float(k(-1.0)))
     return CgfModel(

@@ -257,6 +257,16 @@ def _selftest_checks():
         exact = mc.exact_tail_oracle(model, identity(), 20, 0.5)
         assert abs(est.log_prob - exact) <= 4.0 * est.std_error, (est.log_prob, exact)
 
+    def convolved_tail():
+        # the 10^4 steps of a flat kernel share one tilted law: each sample is
+        # one Gamma(n) draw, and n (W_n + 1) ~ Gamma(n, 1) gives the exact tail
+        from scipy.special import gammaincc
+
+        n, a = 10_000, 0.1
+        est = mc.estimate_tail(parse_model("cexp"), constant(1.0), n, a, samples=10_000, seed=0)
+        exact = math.log(gammaincc(n, n * (1.0 + a)))
+        assert abs(est.log_prob - exact) <= 4.0 * est.std_error, (est.log_prob, exact)
+
     return [("gaussian identity rate", gaussian_rate),
             ("cexp flat kernel at zero", cexp_zero),
             ("conjugate vs explicit routes", route_agreement),
@@ -268,7 +278,8 @@ def _selftest_checks():
             ("variational vs conjugate", variational_route),
             ("minimizer near a slope edge", minimizer_near_edge),
             ("open cap far out", open_cap_far_out),
-            ("finite-n tilt", finite_n_tilt)]
+            ("finite-n tilt", finite_n_tilt),
+            ("convolved flat-kernel tail", convolved_tail)]
 
 
 def _cmd_selftest(args, out) -> int:

@@ -2,14 +2,17 @@
 
 The estimators target tail probabilities of W_n = (1/n) sum f(k/n) X_k
 under an exponential change of measure by the finite-n saddlepoint, the
-tilt that puts the mean of W_n at the level for every n.  At or past a
-finite-n slope edge with an infinite cap the tail is exact and nothing is
-sampled.  Estimates are reproducible: the samples are drawn in fixed
-chunks of CHUNK, chunk k from the counter-based Philox stream with key =
-seed and counter = k, and the chunks are reduced in order, so the result
-depends only on the seed and the sample count.  Importance weights are
-summed in log space, so tails far below the smallest double (log p of
-order -1000) still come out finite.
+tilt that puts the mean of W_n at the level for every n.  The steps that
+share a kernel weight share one tilted law, so each sample draws their sum
+at once from its convolution law: a constant kernel costs one draw per
+sample, not n.  At or past a finite-n slope edge with an infinite cap the
+tail is exact and nothing is sampled.  Estimates are reproducible: the
+samples are drawn in fixed chunks of CHUNK, chunk k from the
+counter-based Philox stream with key = seed and counter = k, and the
+chunks are reduced in order, so the result depends only on the seed and
+the sample count.  Importance weights are summed in log space, so tails
+far below the smallest double (log p of order -1000) still come out
+finite.
 """
 
 from __future__ import annotations
@@ -109,38 +112,37 @@ def sample_traj(model: CgfModel, n: int, seed: int) -> CadlagPath:
 # Tilted estimator
 # ----------------------------------------------------------------------
 
-def _projected_tilt(model: CgfModel, g: np.ndarray, a: float):
+def _projected_tilt(model: CgfModel, g: np.ndarray, w: np.ndarray, a: float):
     """Legendre transform at a of the finite-n cumulant of <l, W_n>.
 
-    With g_k = f(k/n) l, Lambda_n(lam) = (1/n) sum K(lam g_k) is the exact
-    cumulant of <l, W_n> divided by n, so an interior argmax lam (the
+    The distinct step weights are g_j = f_j l, each with mass w_j, its share
+    of the n steps, so Lambda_n(lam) = sum_j w_j K(lam g_j) is the exact
+    cumulant of <l, W_n> divided by n, and an interior argmax lam (the
     finite-n saddlepoint) is the tilt under which <l, W_n> has mean a.
     Returns (result, tag): tag is None inside the slope range of Lambda_n,
     and "boundary:above" or "boundary:below" at or past one of its edges.
     """
     def value(lam):
-        return float(np.mean(model.cgf(lam * g)))
+        return float(w @ model.cgf(lam * g))
 
     if model.dimension > 1:
         # full-space domain: every tilt is allowed, and an unreachable level
         # does not settle (NonConvergenceError)
         oracle = ConvexOracle(
             DomainInterval(-math.inf, math.inf), value,
-            lambda lam: float(np.mean(np.einsum("ki,ki->k", g, model.cgf_grad(lam * g)))),
-            lambda lam: float(np.mean(np.einsum("ki,kij,kj->k", g,
-                                                model.cgf_hess(lam * g), g))),
+            lambda lam: float(w @ np.einsum("ki,ki->k", g, model.cgf_grad(lam * g))),
+            lambda lam: float(w @ np.einsum("ki,kij,kj->k", g, model.cgf_hess(lam * g), g)),
             grad_range=(-math.inf, math.inf))
     else:
         def grad(lam):
-            return float(np.mean(g * model.cgf_grad(lam * g)))
+            return float(w @ (g * model.cgf_grad(lam * g)))
 
-        # the weights g_k, each of mass 1/n
         dom = _tilt_domain(model, max(g.max(), 0.0), max(-g.min(), 0.0))
         pos, neg = g > 0, g < 0
-        split = (np.mean(pos), np.mean(neg), np.sum(g[pos]) / g.size, np.sum(g[neg]) / g.size)
+        split = (np.sum(w[pos]), np.sum(w[neg]), w[pos] @ g[pos], w[neg] @ g[neg])
         (lo, v_lo), (hi, v_hi) = (_slope_edge(model, dom, split, grad, up) for up in (False, True))
         oracle = ConvexOracle(
-            dom, value, grad, lambda lam: float(np.mean(g * g * model.cgf_hess(lam * g))),
+            dom, value, grad, lambda lam: float(w @ (g * g * model.cgf_hess(lam * g))),
             grad_range=(lo, hi), edge_values=(v_lo, v_hi))
     # the tilted mean misses a by at most 1e-13 max(1, |a|)
     res = legendre(oracle, a, tol=1e-13)
@@ -155,17 +157,19 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
 
     The steps are tilted by theta_k = lam f(k/n) l, lam from
     ``_projected_tilt``: the tilted mean of <l, W_n> is a (the cap itself at
-    a closed cap), so the weights stay tame.  A level at or below the mean
-    is not rare, and a negative lam would make the weights explode, so
-    there lam = 0: plain sampling.  At or past a slope edge with
-    an infinite cap the answer is exact, with nothing sampled: <l, W_n>
+    a closed cap), so the weights stay tame.  The c_j steps of one distinct
+    weight f_j are drawn as one sum Y_j from the c_j-fold convolution of
+    their tilted law (``copies`` of the tilted sampler), so n <l, W_n> =
+    sum_j f_j <l, Y_j> and the log-normaliser is sum_j c_j K(lam f_j l);
+    the sample has the law of the step-by-step draw.  A level at or below
+    the mean is not rare, and a negative lam would make the weights
+    explode, so there lam = 0: plain sampling.  At or past a slope edge
+    with an infinite cap the answer is exact, with nothing sampled: <l, W_n>
     reaches the upper edge only with every X_k at its support edge b_k, of
     mass exp(-I(b_k)), so log P = -n Lambda_n*(a) (-inf past it); it never
     lies below the lower edge (log P = 0).  lam_override forces a fixed
     tilt multiplier (0 gives the plain estimator).
     """
-    from scipy.special import logsumexp
-
     if samples < 100:
         raise ValueError("samples must be at least 100")
     if n < 1:
@@ -179,13 +183,14 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
     if norm <= 0 or (dim == 1 and abs(norm - 1.0) > 1e-12):
         raise DomainError("direction must be +-1 in d = 1 and nonzero in d > 1")
     l = l / norm
-    fv = np.asarray(kernel.eval(_step_times(n)), dtype=float)
-    g = np.multiply.outer(fv, l)               # g_k = f(k/n) l
+    fu, copies = np.unique(np.asarray(kernel.eval(_step_times(n)), dtype=float),
+                           return_counts=True)
+    g = np.multiply.outer(fu, l)               # g_j = f_j l
 
     if lam_override is not None:
         lam, tag = float(lam_override), "fixed"
     else:
-        res, tag = _projected_tilt(model, g, a)
+        res, tag = _projected_tilt(model, g, copies / n, a)
         if res.argmax is None:
             log_prob = -n * res.value if tag == "boundary:above" else 0.0
             return McEstimate(n=n, samples=samples, tilt=tag,
@@ -195,9 +200,9 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
             # a level at or below the mean is not rare: sample it plainly
             lam, tag = 0.0, None
 
-    theta = lam * g                            # per-step tilts
-    log_norm_total = float(np.sum(model.k(theta)))
-    proj = g if dim == 1 else fv               # weights of the draws on l
+    theta = lam * g                            # per-group tilts
+    log_norm_total = float(copies @ model.k(theta))
+    proj = g if dim == 1 else fu               # weights of the group sums on l
     eps_sum = np.finfo(float).eps * float(np.sum(np.abs(proj)))
 
     # per chunk: log of the sum of hit weights and of their squares
@@ -205,15 +210,18 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
     for k, start in enumerate(range(0, samples, CHUNK)):
         cnt = min(CHUNK, samples - start)
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k]))
-        ys = model.tilt_draw(theta, rng, cnt)
-        ys = ys if dim == 1 else ys @ l                      # <l, X_k>: (n, cnt)
+        ys = model.tilt_draw(theta, rng, cnt, copies)
+        ys = ys if dim == 1 else ys @ l                      # group sums Y_j: (m, cnt)
         sums = proj @ ys                                     # n <l, W_n>
-        # <l, W_n> is good to eps_sum max |y|: an atom exactly at a still hits
+        # the m <= n products p_j Y_j sum to within m eps/2 sum_j |p_j Y_j|, so
+        # <l, W_n> is good to eps_sum max |Y|: an atom exactly at a still hits
         hit = sums / n >= a - eps_sum * max(ys.max(), -ys.min())
         logw = (log_norm_total - lam * sums)[hit]            # score = lam sums
         if logw.size:
-            log_s1 = np.logaddexp(log_s1, logsumexp(logw))
-            log_s2 = np.logaddexp(log_s2, logsumexp(2.0 * logw))
+            top = logw.max()
+            e = np.exp(logw - top)
+            log_s1 = np.logaddexp(log_s1, top + math.log(e.sum()))
+            log_s2 = np.logaddexp(log_s2, 2.0 * top + math.log(e @ e))
 
     if math.isfinite(log_s1):
         log_prob = float(log_s1) - math.log(samples)

@@ -230,7 +230,7 @@ def test_tilt_requires_interior_point():
 def test_tilt_accepts_a_closed_edge():
     # K is finite at synthetic's closed edge u = 1, so the tilted law exists
     m = dataclasses.replace(synthetic_boundary(),
-                            tilted_sampler=lambda th, rng, c: np.zeros(np.shape(th) + (c,)))
+                            tilted_sampler=lambda th, rng, c, copies=1: np.zeros(np.shape(th) + (c,)))
     assert m.tilt_sample(np.array([-2.0, 0.5, 1.0]), 3, seed=0).shape == (3, 3)
     with pytest.raises(DomainError):
         m.tilt_sample(np.array([0.5, 1.0 + 1e-12]), 3, seed=0)
@@ -238,25 +238,87 @@ def test_tilt_accepts_a_closed_edge():
 
 @pytest.mark.parametrize("spec", ALL_SPECS[:4])
 def test_tilted_draws_broadcast_over_theta(spec):
-    # one call on an array of tilts gives the draws of one call per tilt,
-    # made in order on the same generator
+    # one call on arrays of tilts and copies gives the draws of one call per
+    # (tilt, copies) pair, made in order on the same generator
     m = parse_model(spec)
     theta = np.array([[-0.4, 0.0, 0.3], [0.5, 0.1, -0.2]])
-    whole = m.tilt_draw(theta, np.random.default_rng(4), 50)
-    rng = np.random.default_rng(4)
-    apart = [m.tilt_draw(t, rng, 50) for t in theta.reshape(-1)]
-    assert whole.shape == (2, 3, 50)
-    assert np.array_equal(whole.reshape(6, 50), np.stack(apart))
+    for copies in (1, np.array([[1, 2, 3], [7, 1, 40]]), np.array([2, 1, 9])):
+        whole = m.tilt_draw(theta, np.random.default_rng(4), 50, copies)
+        rng = np.random.default_rng(4)
+        apart = [m.tilt_draw(t, rng, 50, c) for t, c in
+                 zip(theta.reshape(-1), np.broadcast_to(copies, theta.shape).reshape(-1))]
+        assert whole.shape == (2, 3, 50)
+        assert np.array_equal(whole.reshape(6, 50), np.stack(apart))
 
 
 def test_vector_tilted_draws_broadcast_over_theta():
     m = gaussian(mu=[0.0, 1.0], cov=[[1.0, 0.3], [0.3, 0.5]])
     theta = np.array([[0.2, -0.1], [0.0, 0.4], [1.0, 1.0]])
-    whole = m.tilt_draw(theta, np.random.default_rng(5), 40)
-    rng = np.random.default_rng(5)
-    apart = np.stack([m.tilt_draw(t, rng, 40) for t in theta])
-    assert whole.shape == (3, 40, 2)
-    assert np.array_equal(whole, apart)
+    for copies in (1, np.array([1, 4, 9])):
+        whole = m.tilt_draw(theta, np.random.default_rng(5), 40, copies)
+        rng = np.random.default_rng(5)
+        apart = np.stack([m.tilt_draw(t, rng, 40, c)
+                          for t, c in zip(theta, np.broadcast_to(copies, (3,)))])
+        assert whole.shape == (3, 40, 2)
+        assert np.array_equal(whole, apart)
+
+
+def _within(draws, want, sigmas):
+    """Sample mean of draws against want, in standard errors of the mean."""
+    return abs(float(np.mean(draws)) - want) <= sigmas * float(np.std(draws)) / math.sqrt(draws.size)
+
+
+@pytest.mark.parametrize("spec,theta", [
+    ("gaussian:mu=0.5,sigma=2", 0.7),
+    ("cexp", 0.6),
+    ("rademacher", -0.8),
+    ("poisson:rate=1.5", 0.4),
+])
+def test_convolved_draws_match_the_cumulants(spec, theta):
+    # the sum of c tilted steps has mean c K'(theta) and variance c K''(theta)
+    m = parse_model(spec)
+    c, count = 7, 40_000
+    ys = np.asarray(m.tilt_sample(theta, count, seed=12, copies=c), dtype=float)
+    mean, var = c * float(m.grad(theta)), c * float(m.hessian(theta))
+    assert _within(ys, mean, 5.0)
+    assert _within((ys - np.mean(ys)) ** 2, var, 5.0)
+
+
+def test_vector_convolved_draws_match_the_cumulants():
+    cov = np.array([[1.0, 0.3], [0.3, 0.5]])
+    m = gaussian(mu=[0.0, 1.0], cov=cov)
+    theta, c, count = np.array([0.2, -0.6]), 5, 40_000
+    ys = m.tilt_sample(theta, count, seed=13, copies=c)
+    mean = c * m.grad(theta)
+    for i in range(2):
+        assert _within(ys[:, i], mean[i], 5.0)
+        for j in range(2):
+            dev = (ys[:, i] - np.mean(ys[:, i])) * (ys[:, j] - np.mean(ys[:, j]))
+            assert _within(dev, c * cov[i, j], 5.0)
+
+
+def test_gaussian_single_copies_keep_the_per_step_draws():
+    # copies = 1 multiplies by one exactly: the draws are those of the
+    # per-step law N(m + s^2 theta, s^2), bit for bit
+    m = parse_model("gaussian:mu=0.5,sigma=2")
+    theta = np.array([[-0.4, 0.0, 0.3], [0.5, 0.1, -0.2]])
+    want = (0.5 + 4.0 * theta)[..., None] + 2.0 * np.random.default_rng(4).standard_normal((2, 3, 50))
+    for copies in (1, np.ones(theta.shape, dtype=int)):
+        assert np.array_equal(m.tilt_draw(theta, np.random.default_rng(4), 50, copies), want)
+
+    cov = np.array([[1.0, 0.3], [0.3, 0.5]])
+    mu = np.array([0.0, 1.0])
+    m = gaussian(mu=mu, cov=cov)
+    theta = np.array([[0.2, -0.1], [0.0, 0.4], [1.0, 1.0]])
+    z = np.random.default_rng(5).standard_normal((3, 40, 2))
+    want = (mu + theta @ cov)[..., None, :] + z @ np.linalg.cholesky(cov).T
+    for copies in (1, np.ones(3, dtype=int)):
+        assert np.array_equal(m.tilt_draw(theta, np.random.default_rng(5), 40, copies), want)
+
+
+def test_copies_must_be_positive():
+    with pytest.raises(ValueError):
+        parse_model("cexp").tilt_sample(0.2, 10, seed=0, copies=np.array([2, 0]))
 
 
 def test_synthetic_has_no_sampler():

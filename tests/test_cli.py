@@ -198,6 +198,12 @@ def test_selftest_checks_the_finite_n_tilt(capsys):
     assert "ok   finite-n tilt" in cap.out.splitlines()
 
 
+def test_selftest_checks_a_convolved_flat_kernel_tail(capsys):
+    code, cap = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   convolved flat-kernel tail" in cap.out.splitlines()
+
+
 def test_import_leaves_scipy_special_out():
     # scipy.special is imported where it is used, so start-up does not pay it
     src = str(Path(ldpkit.__file__).resolve().parents[1])

@@ -2,6 +2,7 @@
 exact oracles, reproducibility, boundary behavior."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -140,18 +141,45 @@ def test_correlated_gaussian_in_two_dimensions():
     assert est.log_prob == pytest.approx(exact, abs=4.0 * est.std_error)
 
 
-@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("n", [50, 200, 10_000, 100_000])
 def test_constant_kernel_tails_match_exact_laws(n):
-    a = 0.5
-    # n (W_n + 1) ~ Gamma(n, 1) for cexp steps
-    est = estimate_tail(parse_model("cexp"), CONST1, n, a, samples=20_000, seed=n)
-    exact = float(gamma.logsf(n * (1.0 + a), n))
-    assert est.log_prob == pytest.approx(exact, abs=4.0 * est.std_error)
-    # n (W_n + 1) ~ Poisson(n) for centered Poisson(1) steps, on the integers
-    est = estimate_tail(parse_model("poisson:rate=1"), CONST1, n, a,
-                        samples=20_000, seed=n + 1)
-    exact = float(poisson.logsf(math.ceil(n * (1.0 + a)) - 1, n))
-    assert est.log_prob == pytest.approx(exact, abs=4.0 * est.std_error)
+    # at large n, n a = k + 1/2 sits off both lattices and puts the tails
+    # near e^-50, within scipy's range
+    a = {10_000: 1000.5 / 10_000, 100_000: 3162.5 / 100_000}.get(n, 0.5)
+    # the n steps share one weight, so each sample is one convolved draw
+    # n (W_n + 1) ~ Gamma(n, 1) for cexp steps; n (W_n + 1) ~ Poisson(n) for
+    # centered Poisson(1) steps and (n W_n + n) / 2 ~ Binomial(n, 1/2) for
+    # sign steps, both on the integers
+    laws = (("cexp", float(gamma.logsf(n * (1.0 + a), n))),
+            ("poisson:rate=1", float(poisson.logsf(math.ceil(n * (1.0 + a) - 1e-9) - 1, n))),
+            ("rademacher", float(binom.logsf(math.ceil(n * (1.0 + a) / 2.0 - 1e-9) - 1, n, 0.5))))
+    for i, (spec, exact) in enumerate(laws):
+        m = parse_model(spec)
+        t0 = time.perf_counter()
+        est = estimate_tail(m, CONST1, n, a, samples=20_000, seed=n + i)
+        assert time.perf_counter() - t0 < 0.05
+        assert est.log_prob == pytest.approx(exact, abs=4.0 * est.std_error)
+
+
+def test_repeated_and_distinct_weights_match_sign_enumeration():
+    # f = 1 on [0, 1/2] gives ten steps one weight, the other ten their own
+    m, k = parse_model("rademacher"), parse_kernel("pwl:0:1,0.5:1,1:0")
+    n, a = 20, 0.4
+    est = estimate_tail(m, k, n, a, samples=20_000, seed=5)
+    assert isinstance(est.tilt, float)
+    assert est.log_prob == pytest.approx(exact_tail_oracle(m, k, n, a),
+                                         abs=4.0 * est.std_error)
+
+
+def test_atom_at_the_level_still_hits():
+    # S_200 = 100 puts W_n exactly at a = 1/2, and that atom carries most of
+    # the tail: dropping it would move log p by about 1, not 4 standard errors
+    m = parse_model("rademacher")
+    n, a = 200, 0.5
+    est = estimate_tail(m, CONST1, n, a, samples=20_000, seed=3)
+    with_atom = float(binom.logsf(149, n, 0.5))
+    assert est.log_prob == pytest.approx(with_atom, abs=4.0 * est.std_error)
+    assert est.log_prob - float(binom.logsf(150, n, 0.5)) > 10.0 * est.std_error
 
 
 def test_lower_tail_via_direction():
@@ -280,12 +308,15 @@ def test_estimates_are_reproducible():
 
 def test_sample_chunks_are_fixed():
     # 10 000 samples are four chunks of 2 500, drawn from Philox counters
-    # 0..3 with key = seed; these values pin that layout (and match the
-    # linear-space sum of the same weights to the last digit or two)
-    est = estimate_tail(parse_model("rademacher"), CONST1, 25, 0.5,
-                        samples=10_000, seed=7)
-    assert est.log_prob == pytest.approx(-4.9248523687593035, rel=1e-14)
-    assert est.std_error == pytest.approx(0.014753109210111531, rel=1e-12)
+    # 0..3 with key = seed, one Binomial(25, p) sign sum per sample; these
+    # values pin that layout (and match the linear-space sum of the same
+    # weights to the last digit or two)
+    m = parse_model("rademacher")
+    est = estimate_tail(m, CONST1, 25, 0.5, samples=10_000, seed=7)
+    assert est.log_prob == pytest.approx(-4.9235474698647765, rel=1e-14)
+    assert est.std_error == pytest.approx(0.014709818612235566, rel=1e-12)
+    assert est.log_prob == pytest.approx(exact_tail_oracle(m, CONST1, 25, 0.5),
+                                         abs=4.0 * est.std_error)
 
 
 def test_empirical_rate_curve_rows():
