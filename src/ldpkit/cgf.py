@@ -5,6 +5,8 @@ convex, K(0)=0), its effective domain, gradient, and the pieces the rest of
 the toolkit needs: closed-form rate function where available, recession
 values, samplers, and exponentially tilted samplers.  Multivariate entries
 are restricted to full-space domains; bounded domains are one-dimensional.
+Catalog formulas are plain code on float arrays; ``_catalog_model`` wraps
+them once, so that a 0-d input gives a Python float and any other the array.
 """
 
 from __future__ import annotations
@@ -235,10 +237,23 @@ class CgfModel:
             raise DomainError("dimension mismatch")
 
 
-def _scalarize(arr, template):
-    if np.ndim(template) == 0:
-        return float(arr)
-    return arr
+def _catalog_model(**fields) -> CgfModel:
+    """A ``CgfModel`` with its formulas wrapped as the module docstring says;
+    wrapping here, not in the model, keeps ``dataclasses.replace`` from
+    stacking wrappers."""
+
+    def on_floats(formula):
+        def wrapped(u):
+            u = np.asarray(u, dtype=float)
+            out = formula(u)
+            return float(out) if u.ndim == 0 else out
+        return wrapped
+
+    for name in ("cgf", "cgf_grad", "cgf_hess", "cgf_int", "closed_rate", "rate_grad",
+                 "rate_hess"):
+        if fields.get(name) is not None:
+            fields[name] = on_floats(fields[name])
+    return CgfModel(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -254,32 +269,25 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
         s2 = s * s
 
         def k(u):
-            u = np.asarray(u, dtype=float)
-            return _scalarize(m * u + 0.5 * s2 * u * u, u)
+            return m * u + 0.5 * s2 * u * u
 
         def kp(u):
-            u = np.asarray(u, dtype=float)
-            return _scalarize(m + s2 * u, u)
+            return m + s2 * u
 
         def kpp(u):
-            u = np.asarray(u, dtype=float)
-            return _scalarize(np.full_like(u, s2), u)
+            return np.full_like(u, s2)
 
         def kint(u):
-            u = np.asarray(u, dtype=float)
-            return _scalarize(u * u * (0.5 * m + s2 * u / 6.0), u)
+            return u * u * (0.5 * m + s2 * u / 6.0)
 
         def rate(v):
-            v = np.asarray(v, dtype=float)
-            return _scalarize((v - m) ** 2 / (2.0 * s2), v)
+            return (v - m) ** 2 / (2.0 * s2)
 
         def rate_g(v):
-            v = np.asarray(v, dtype=float)
-            return _scalarize((v - m) / s2, v)
+            return (v - m) / s2
 
         def rate_h(v):
-            v = np.asarray(v, dtype=float)
-            return _scalarize(np.full_like(v, 1.0 / s2), v)
+            return np.full_like(v, 1.0 / s2)
 
         def sampler(rng, count):
             return rng.normal(m, s, size=count)
@@ -294,7 +302,7 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
             return z
 
         c2 = max(k(1.0), k(-1.0), 0.0)
-        return CgfModel(
+        return _catalog_model(
             id=f"gaussian:mu={m:g},sigma={s:g}",
             dimension=1,
             domain=DomainInterval(-math.inf, math.inf),
@@ -318,23 +326,19 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
     prec = np.linalg.inv(cov_m)
 
     def k(u):
-        u = np.asarray(u, dtype=float)
         return u @ mu_vec + 0.5 * np.einsum("...i,ij,...j->...", u, cov_m, u)
 
     def kp(u):
-        u = np.asarray(u, dtype=float)
         return mu_vec + u @ cov_m
 
     def kpp(u):
         return np.broadcast_to(cov_m, np.shape(u)[:-1] + (d, d))
 
     def rate(v):
-        v = np.asarray(v, dtype=float)
         c = v - mu_vec
         return 0.5 * np.einsum("...i,ij,...j->...", c, prec, c)
 
     def rate_g(v):
-        v = np.asarray(v, dtype=float)
         return (v - mu_vec) @ prec
 
     def rate_h(v):
@@ -353,7 +357,7 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
         return z
 
     c2 = float(np.linalg.norm(mu_vec) + 0.5 * evals.max())
-    return CgfModel(
+    return _catalog_model(
         id=f"gaussian:d={d},mu={mu_vec.tolist()},cov={cov_m.tolist()}",
         dimension=d,
         domain=FullSpace(d),
@@ -369,48 +373,41 @@ def centered_exponential() -> CgfModel:
     """Unit-mean exponential shifted to mean zero: X = Y - 1, Y ~ Exp(1)."""
 
     def k(u):
-        u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             safe = np.where(u < 1.0, u, 0.0)
             val = -safe - np.log1p(-safe)
-        return _scalarize(np.where(u < 1.0, val, np.inf), u)
+        return np.where(u < 1.0, val, np.inf)
 
     def kp(u):
-        u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             safe = np.where(u < 1.0, u, 0.0)
             val = safe / (1.0 - safe)
-        return _scalarize(np.where(u < 1.0, val, np.inf), u)
+        return np.where(u < 1.0, val, np.inf)
 
     def kpp(u):
-        u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             safe = np.where(u < 1.0, u, 0.0)
             val = 1.0 / (1.0 - safe) ** 2
-        return _scalarize(np.where(u < 1.0, val, np.inf), u)
+        return np.where(u < 1.0, val, np.inf)
 
     def kint(u):
         # -u^2/2 + (1 - u) log(1 - u) + u, with limit 1/2 at the edge u = 1
-        u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             safe = np.where(u < 1.0, u, 0.0)
             val = safe - 0.5 * safe * safe + (1.0 - safe) * np.log1p(-safe)
-        return _scalarize(np.where(u < 1.0, val, np.where(u == 1.0, 0.5, np.inf)), u)
+        return np.where(u < 1.0, val, np.where(u == 1.0, 0.5, np.inf))
 
     def rate(v):
-        v = np.asarray(v, dtype=float)
         with np.errstate(all="ignore"):
             safe = np.where(v > -1.0, v, 0.0)
             val = safe - np.log1p(safe)
-        return _scalarize(np.where(v > -1.0, val, np.inf), v)
+        return np.where(v > -1.0, val, np.inf)
 
     def rate_g(v):
-        v = np.asarray(v, dtype=float)
-        return _scalarize(v / (1.0 + v), v)
+        return v / (1.0 + v)
 
     def rate_h(v):
-        v = np.asarray(v, dtype=float)
-        return _scalarize(1.0 / (1.0 + v) ** 2, v)
+        return 1.0 / (1.0 + v) ** 2
 
     def sampler(rng, count):
         return rng.standard_exponential(count) - 1.0
@@ -424,7 +421,7 @@ def centered_exponential() -> CgfModel:
 
     # Supporting lines at u = +-1/2: c1 = 1/2, c2 = max K there.
     c2 = max(-0.5 - math.log(0.5), 0.5 - math.log(1.5))
-    return CgfModel(
+    return _catalog_model(
         id="cexp",
         dimension=1,
         domain=DomainInterval(-math.inf, 1.0),
@@ -441,48 +438,41 @@ def rademacher() -> CgfModel:
     """Symmetric +-1 variable: K(u) = log cosh u."""
 
     def k(u):
-        u = np.asarray(u, dtype=float)
         a = np.abs(u)
         # log cosh u, overflow-safe
-        return _scalarize(a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0), u)
+        return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
     def kp(u):
-        u = np.asarray(u, dtype=float)
-        return _scalarize(np.tanh(u), u)
+        return np.tanh(u)
 
     def kpp(u):
-        u = np.asarray(u, dtype=float)
         e = np.exp(-2.0 * np.abs(u))
         sech = 2.0 * np.sqrt(e) / (1.0 + e)
-        return _scalarize(sech * sech, u)
+        return sech * sech
 
     def kint(u):
         # odd, since K is even; for u >= 0 it is
         # u^2/2 - u log 2 + Li2(-e^{-2u})/2 + pi^2/24, and Li2(z) = spence(1 - z)
         from scipy.special import spence
 
-        u = np.asarray(u, dtype=float)
         a = np.abs(u)
         val = (a * (0.5 * a - math.log(2.0)) + 0.5 * spence(1.0 + np.exp(-2.0 * a))
                + math.pi ** 2 / 24.0)
-        return _scalarize(np.sign(u) * val, u)
+        return np.sign(u) * val
 
     def rate(v):
-        v = np.asarray(v, dtype=float)
         with np.errstate(all="ignore"):
             safe = np.clip(v, -1.0, 1.0)
             p, q = 0.5 * (1.0 + safe), 0.5 * (1.0 - safe)
             val = (np.where(p > 0, p * np.log(np.where(p > 0, 2.0 * p, 1.0)), 0.0)
                    + np.where(q > 0, q * np.log(np.where(q > 0, 2.0 * q, 1.0)), 0.0))
-        return _scalarize(np.where(np.abs(v) <= 1.0, val, np.inf), v)
+        return np.where(np.abs(v) <= 1.0, val, np.inf)
 
     def rate_g(v):
-        v = np.asarray(v, dtype=float)
-        return _scalarize(np.arctanh(v), v)
+        return np.arctanh(v)
 
     def rate_h(v):
-        v = np.asarray(v, dtype=float)
-        return _scalarize(1.0 / (1.0 - v * v), v)
+        return 1.0 / (1.0 - v * v)
 
     def sampler(rng, count):
         return rng.integers(0, 2, size=count) * 2.0 - 1.0
@@ -496,7 +486,7 @@ def rademacher() -> CgfModel:
         return 2.0 * rng.binomial(c, p_plus, size=shape) - c
 
     c2 = float(k(1.0))  # supporting lines at u = +-1
-    return CgfModel(
+    return _catalog_model(
         id="rademacher",
         dimension=1,
         domain=DomainInterval(-math.inf, math.inf),
@@ -516,37 +506,29 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
         raise ValueError("rate must be positive")
 
     def k(u):
-        u = np.asarray(u, dtype=float)
-        return _scalarize(r * (np.expm1(u) - u), u)
+        return r * (np.expm1(u) - u)
 
     def kp(u):
-        u = np.asarray(u, dtype=float)
-        return _scalarize(r * np.expm1(u), u)
+        return r * np.expm1(u)
 
     def kpp(u):
-        u = np.asarray(u, dtype=float)
-        return _scalarize(r * np.exp(u), u)
+        return r * np.exp(u)
 
     def kint(u):
-        u = np.asarray(u, dtype=float)
-        return _scalarize(r * (np.expm1(u) - u - 0.5 * u * u), u)
+        return r * (np.expm1(u) - u - 0.5 * u * u)
 
     def rate_fn(v):
-        v = np.asarray(v, dtype=float)
         with np.errstate(all="ignore"):
             w = np.where(v > -r, v + r, 1.0)
             val = w * np.log(w / r) - v
         val = np.where(v > -r, val, np.inf)
-        val = np.where(v == -r, r, val)
-        return _scalarize(val, v)
+        return np.where(v == -r, r, val)
 
     def rate_g(v):
-        v = np.asarray(v, dtype=float)
-        return _scalarize(np.log((v + r) / r), v)
+        return np.log((v + r) / r)
 
     def rate_h(v):
-        v = np.asarray(v, dtype=float)
-        return _scalarize(1.0 / (v + r), v)
+        return 1.0 / (v + r)
 
     def sampler(rng, count):
         return rng.poisson(r, size=count) - r
@@ -558,7 +540,7 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
         return rng.poisson(lam, size=lam.shape[:-1] + (count,)) - cr
 
     c2 = max(float(k(1.0)), float(k(-1.0)))
-    return CgfModel(
+    return _catalog_model(
         id=f"poisson:rate={r:g}",
         dimension=1,
         domain=DomainInterval(-math.inf, math.inf),
@@ -580,53 +562,46 @@ def synthetic_boundary() -> CgfModel:
     """
 
     def k(u):
-        u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             w = np.where(u <= 1.0, 1.0 - u, 0.0)
             val = u + (2.0 / 3.0) * (w ** 1.5 - 1.0)
-        return _scalarize(np.where(u <= 1.0, val, np.inf), u)
+        return np.where(u <= 1.0, val, np.inf)
 
     def kp(u):
-        u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             w = np.where(u <= 1.0, 1.0 - u, 0.0)
             val = 1.0 - np.sqrt(w)
-        return _scalarize(np.where(u <= 1.0, val, np.inf), u)
+        return np.where(u <= 1.0, val, np.inf)
 
     def kpp(u):
-        u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             w = np.where(u < 1.0, 1.0 - u, 0.0)
             val = np.where(u < 1.0, 0.5 / np.sqrt(np.where(w > 0, w, 1.0)), np.inf)
-        return _scalarize(np.where(u <= 1.0, val, np.inf), u)
+        return np.where(u <= 1.0, val, np.inf)
 
     def kint(u):
         # u^2/2 - 2u/3 - (4/15)((1 - u)^{5/2} - 1); 1/10 at the edge u = 1
-        u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             w = np.where(u <= 1.0, 1.0 - u, 0.0)
             val = u * (0.5 * u - 2.0 / 3.0) - (4.0 / 15.0) * (w ** 2.5 - 1.0)
-        return _scalarize(np.where(u <= 1.0, val, np.inf), u)
+        return np.where(u <= 1.0, val, np.inf)
 
     def rate(v):
         # Interior branch for v <= 1, affine with slope 1 beyond.
-        v = np.asarray(v, dtype=float)
         w = 1.0 - np.minimum(v, 1.0)
         below = 2.0 / 3.0 - w + w ** 3 / 3.0
-        return _scalarize(np.where(v <= 1.0, below, v - 1.0 / 3.0), v)
+        return np.where(v <= 1.0, below, v - 1.0 / 3.0)
 
     def rate_g(v):
-        v = np.asarray(v, dtype=float)
         w = 1.0 - np.minimum(v, 1.0)
-        return _scalarize(np.where(v <= 1.0, 1.0 - w * w, 1.0), v)
+        return np.where(v <= 1.0, 1.0 - w * w, 1.0)
 
     def rate_h(v):
-        v = np.asarray(v, dtype=float)
         w = 1.0 - np.minimum(v, 1.0)
-        return _scalarize(np.where(v <= 1.0, 2.0 * w, 0.0), v)
+        return np.where(v <= 1.0, 2.0 * w, 0.0)
 
     c2 = max(float(k(0.5)), float(k(-1.0)), 0.0)  # lines at u = 1/2 and u = -1
-    return CgfModel(
+    return _catalog_model(
         id="synthetic-boundary",
         dimension=1,
         domain=DomainInterval(-math.inf, 1.0, upper_closed=True),
