@@ -466,7 +466,8 @@ def rademacher() -> CgfModel:
             p, q = 0.5 * (1.0 + safe), 0.5 * (1.0 - safe)
             val = (np.where(p > 0, p * np.log(np.where(p > 0, 2.0 * p, 1.0)), 0.0)
                    + np.where(q > 0, q * np.log(np.where(q > 0, 2.0 * q, 1.0)), 0.0))
-        return np.where(np.abs(v) <= 1.0, val, np.inf)
+        # the two terms cancel to O(v^2) next to the mean: keep the sum >= 0
+        return np.where(np.abs(v) <= 1.0, np.maximum(val, 0.0), np.inf)
 
     def rate_g(v):
         return np.arctanh(v)
@@ -520,7 +521,7 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
     def rate_fn(v):
         with np.errstate(all="ignore"):
             w = np.where(v > -r, v + r, 1.0)
-            val = w * np.log(w / r) - v
+            val = np.maximum(w * np.log(w / r) - v, 0.0)   # it cancels next to the mean
         val = np.where(v > -r, val, np.inf)
         return np.where(v == -r, r, val)
 
@@ -587,14 +588,14 @@ def synthetic_boundary() -> CgfModel:
         return np.where(u <= 1.0, val, np.inf)
 
     def rate(v):
-        # Interior branch for v <= 1, affine with slope 1 beyond.
-        w = 1.0 - np.minimum(v, 1.0)
-        below = 2.0 / 3.0 - w + w ** 3 / 3.0
-        return np.where(v <= 1.0, below, v - 1.0 / 3.0)
+        # v^2 (1 - v/3) for v <= 1, affine with slope 1 beyond; written in v,
+        # not in 1 - v, so that nothing cancels next to the mean
+        b = np.minimum(v, 1.0)
+        return np.where(v <= 1.0, b * b * (1.0 - b / 3.0), v - 1.0 / 3.0)
 
     def rate_g(v):
-        w = 1.0 - np.minimum(v, 1.0)
-        return np.where(v <= 1.0, 1.0 - w * w, 1.0)
+        b = np.minimum(v, 1.0)
+        return np.where(v <= 1.0, b * (2.0 - b), 1.0)
 
     def rate_h(v):
         w = 1.0 - np.minimum(v, 1.0)

@@ -29,7 +29,7 @@ from .paths import CadlagPath, random_path
 
 
 def _fmt(v) -> str:
-    """Twelve significant digits; shared by the csv and json writers."""
+    """Twelve significant digits, or inf, -inf, nan; shared by both writers."""
     if v is None:
         return ""
     if isinstance(v, str):
@@ -45,21 +45,21 @@ def _fmt(v) -> str:
 
 
 def _json_value(v):
+    """The csv cell as JSON: a number if finite, else the string "inf", "-inf"
+    or "nan", since JSON (RFC 8259) has no non-finite numbers."""
     if v is None or isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):
         return int(v)
-    x = float(v)
-    if math.isfinite(x):
-        return float(f"{x:.12g}")
-    return x
+    text = _fmt(v)
+    return float(text) if math.isfinite(float(v)) else text
 
 
 def _emit(header, rows, fmt: str, out) -> None:
     if fmt == "json":
         payload = [{k: _json_value(v) for k, v in zip(header, row)}
                    for row in rows]
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         out.write(",".join(header) + "\n")
         for row in rows:

@@ -160,7 +160,8 @@ def legendre(oracle: ConvexOracle, x, tol: float = None,
         return ConjugateResult(value, None, True)
 
     u = _solve_grad_1d(oracle, x, tol, max_iter)[0]
-    return ConjugateResult(x * u - float(oracle.eval(u)), u, False)
+    # + 0.0 turns the -0.0 that x u - g(u) gives at u = 0 for x <= 0 into 0.0
+    return ConjugateResult(x * u - float(oracle.eval(u)) + 0.0, u, False)
 
 
 def _legendre_nd(oracle: ConvexOracle, x: np.ndarray, tol: float,

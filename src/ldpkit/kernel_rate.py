@@ -344,28 +344,9 @@ def _branch_of(x: float, prob: KernelRateProblem) -> str:
     return "interior"
 
 
-def _center_result(model: CgfModel, kernel: Kernel, x, prob):
-    """Exact zero of I_f at x = m1 * mean (lam* = 0), or None."""
-    center = kernel.m1 * model.mean_vec
-    if model.dimension == 1:
-        if float(x) != float(center[0]):
-            return None
-        m_plus, m_minus = prob.m_plus_minus
-        return KernelRateResult(float(x), 0.0, "interior", 0.0, m_plus,
-                                m_minus, prob.sup_ef_prime, prob.inf_ef_prime)
-    xv = np.asarray(x, dtype=float)
-    if not np.array_equal(xv, center):
-        return None
-    return KernelRateResult(xv, 0.0, "interior", np.zeros(model.dimension),
-                            math.inf, math.inf, math.inf, -math.inf)
-
-
 def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> KernelRateResult:
     """I_f(x) as the Legendre transform of E_f."""
     prob = _problem(model, kernel)
-    hit = _center_result(model, kernel, x, prob)
-    if hit is not None:
-        return hit
     m_plus, m_minus = prob.m_plus_minus
     if model.dimension > 1:
         res = legendre(prob.oracle, np.asarray(x, dtype=float), tol=tol)
@@ -486,9 +467,6 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
 def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> KernelRateResult:
     """I_f(x) from the clamped-tilt rate integral plus linear edge terms."""
     prob = _problem(model, kernel)
-    hit = _center_result(model, kernel, x, prob)
-    if hit is not None:
-        return hit
     if model.dimension > 1:
         # no explicit formula off the gradient range in d > 1; interior only
         x = np.asarray(x, dtype=float)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ def test_synthetic_boundary_shape():
                                         abs=1e-14)
 
 
+def test_synthetic_rate_next_to_the_mean():
+    # I(v) = v^2 (1 - v/3) and I'(v) = v (2 - v) on v <= 1, exact in fractions
+    syn = parse_model("synthetic-boundary")
+    g = np.geomspace(1e-18, 1e-3, 50)
+    for v in np.concatenate((g, -g, [-1e-8, 1e-5, -1e-5, 0.4, 0.99, -3.0])).tolist():
+        q = Fraction(v)
+        for got, want in ((syn.rate(v), q * q * (1 - q / 3)), (syn.rate_grad(v), q * (2 - q))):
+            assert abs(Fraction(got) - want) <= 4 * Fraction(math.ulp(float(want))), v
+
+
 # -- invariants -------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -95,6 +106,16 @@ def test_k_zero_and_rate_at_mean(spec):
     assert m.k(0.0) == 0.0
     mean = float(m.mean_vec[0])
     assert m.rate(mean) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + ("poisson:rate=2.5",))
+def test_rate_is_nonnegative_next_to_the_mean(spec):
+    m = parse_model(spec)
+    mean = float(m.mean_vec[0])
+    assert m.rate(mean) == 0.0
+    g = np.geomspace(1e-18, 1e-3, 200)
+    v = mean + np.concatenate((g, -g))
+    assert np.all(m.rate(v) >= 0.0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -181,6 +202,41 @@ def test_rate_nonnegative_and_convex(spec):
         mid = m.rate(0.5 * (float(v) + float(w)))
         if math.isfinite(rv) and math.isfinite(rw):
             assert mid <= 0.5 * rv + 0.5 * rw + 1e-10
+
+
+FORMULAS = ("cgf", "cgf_grad", "cgf_hess", "cgf_int", "closed_rate", "rate_grad",
+            "rate_hess")
+
+
+@pytest.mark.parametrize("name", FORMULAS)
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_formulas_take_numbers_and_arrays(spec, name):
+    # -1 and 1 are finite edges of a domain or rate domain; -3 and 1.5 lie
+    # beyond them for every law with such an edge
+    m = parse_model(spec)
+    fn = getattr(m, name)
+    pts = [-3.0, -1.0, -0.5, 0.0, 1.0, 1.5]
+    with np.errstate(all="ignore"):
+        grid = fn(np.array(pts).reshape(2, 3))
+        for p in pts:
+            outs = [fn(x) for x in (p, np.float64(p), np.array(p))]
+            assert [type(out) for out in outs] == [float] * 3, p
+            np.testing.assert_array_equal(outs, outs[0])
+    assert type(grid) is np.ndarray and grid.shape == (2, 3) and grid.dtype == float
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(grid.ravel(), [fn(p) for p in pts])
+    lo, hi = m.rate_dom
+    outside = {"cgf": [p for p in pts if not m.domain.contains(p)],
+               "closed_rate": [p for p in pts if not lo <= p <= hi]}.get(name, [])
+    assert all(fn(p) == math.inf for p in outside)
+
+
+def test_vector_gaussian_formulas_take_a_list():
+    m = gaussian(mu=(0.5, -1.0), cov=((1.0, 0.3), (0.3, 2.0)))
+    for name in FORMULAS:
+        fn = getattr(m, name)
+        if fn is not None:
+            np.testing.assert_array_equal(fn([0.4, 0.2]), fn(np.array([0.4, 0.2])))
 
 
 # -- samplers ----------------------------------------------------------------

@@ -59,6 +59,19 @@ def test_rate_json_matches_csv_digits(capsys):
     assert rec["branch"] == vals[3] == "interior"
 
 
+def test_json_writes_non_finite_numbers_as_strings(capsys):
+    code, cap = _run(capsys, ["rate", "--model", "cexp", "--kernel", "const:1",
+                              "--x", "-1.5", "--format", "json"])
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rec, = json.loads(cap.out, parse_constant=refuse)
+    assert rec["i_f_conjugate"] == rec["i_f_explicit"] == "inf"
+    assert rec["branch"] == "infinite"
+
+
 @pytest.mark.parametrize("model,x,want", [("rademacher", "0.5", "0.69314718056"),
                                           ("poisson:rate=1", "-0.5", "1")])
 def test_rate_routes_print_alike_at_a_slope_edge(capsys, model, x, want):

@@ -602,6 +602,22 @@ def test_exact_zero_at_center():
         assert i_f_explicit(m, k, center).value == 0.0
 
 
+@pytest.mark.parametrize("spec,kernel", [
+    ("gaussian:mu=-0.5,sigma=1", "affine:0,1"),
+    ("gaussian:mu=0.5,sigma=2", "const:-2"),
+    ("cexp", "const:-2"),
+])
+def test_zero_at_a_negative_center_is_positive(spec, kernel):
+    # x 0 - 0 is -0.0 for x <= 0; the CLI would print it as "-0"
+    m, k = parse_model(spec), parse_kernel(kernel)
+    center = k.m1 * float(m.mean)
+    assert center <= 0.0 and math.copysign(1.0, center) < 0
+    for route in (i_f_conjugate, i_f_explicit):
+        res = route(m, k, center)
+        assert (res.value, math.copysign(1.0, res.value)) == (0.0, 1.0), route
+        assert (res.branch, res.lambda_star) == ("interior", 0.0)
+
+
 def test_synthetic_singular_branch():
     m = parse_model("synthetic-boundary")
     a = i_f_conjugate(m, ID, 1.0)
