@@ -521,7 +521,7 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
     def rate_fn(v):
         with np.errstate(all="ignore"):
             w = np.where(v > -r, v + r, 1.0)
-            val = np.maximum(w * np.log(w / r) - v, 0.0)   # it cancels next to the mean
+            val = np.maximum(w * np.log(w / r) - v, 0.0)   # >= 0 where it cancels
         val = np.where(v > -r, val, np.inf)
         return np.where(v == -r, r, val)
 
