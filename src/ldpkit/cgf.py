@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import DomainError, NoSamplerError
 
+_EPS = np.finfo(float).eps
+_BD0_TERMS = 9      # |e| < 0.1 in the bd0 series: 0.01^9 is below eps
+
 
 @dataclass(frozen=True)
 class DomainInterval:
@@ -102,6 +105,17 @@ class CgfModel:
     B + (count,) for d=1 and B + (count, d) for d>1, with B the broadcast
     shape; the draws for (theta[i], copies[i]) are those of a call with that
     pair alone, made in order of i on the same generator.
+
+    ``tilt_draw_sum(theta, weights, rng, count, copies=1)`` takes tilts of
+    shape (m,) for d=1 or (m, d) for d>1, weights of the same shape and
+    copies that broadcast with (m,), and draws S = sum_j <weights_j, Y_j>,
+    count times, with Y_j the sum of copies_j steps tilted by theta_j.  It
+    returns the draws, shape (count,), and a bound on the rounding error of
+    each, so that a caller testing S against a level can count an atom that
+    lies exactly there.  By default it reduces ``tilt_draw``.  A law closed
+    under linear combination, whose S has a law of the same family, sets
+    ``tilted_sum_sampler`` with the same signature and return value and
+    draws S at once: one draw per sample, whatever m.
     """
 
     id: str
@@ -123,6 +137,8 @@ class CgfModel:
     # (rng, count) -> draws and (theta, rng, count, copies) -> draws; see above
     sampler: Optional[Callable] = field(default=None, compare=False)
     tilted_sampler: Optional[Callable] = field(default=None, compare=False)
+    # (theta, weights, rng, count, copies) -> (draws, rounding bound); see above
+    tilted_sum_sampler: Optional[Callable] = field(default=None, compare=False)
     minorant: tuple = (0.0, 0.0)                # (c1, c2): I(v) >= c1|v| - c2
 
     @cached_property
@@ -214,14 +230,21 @@ class CgfModel:
         """Draws of the sum of ``copies`` steps tilted by theta; see the class."""
         if self.tilted_sampler is None:
             raise NoSamplerError(f"model {self.id} has no tilted sampler")
-        if self.dimension == 1:
-            # the domain is an interval, so its extreme tilts decide them all
-            for end in (np.min(theta), np.max(theta)):
-                if not self.domain.contains(float(end)):
-                    raise DomainError(f"tilt {float(end)} outside the CGF domain")
-        if np.min(copies) < 1:
-            raise ValueError("copies must be positive")
+        self._check_tilt(theta, copies)
         return self.tilted_sampler(theta, rng, count, copies)
+
+    def tilt_draw_sum(self, theta, weights, rng: np.random.Generator, count: int,
+                      copies=1):
+        """Draws of sum_j <weights_j, Y_j> and their rounding bound; see the class."""
+        if self.tilted_sum_sampler is not None:
+            self._check_tilt(theta, copies)
+            return self.tilted_sum_sampler(theta, weights, rng, count, copies)
+        ys = self.tilt_draw(theta, rng, count, copies)       # (m, count) or (m, count, d)
+        w = np.asarray(weights, dtype=float)
+        sums = w @ ys if self.dimension == 1 else np.einsum("jcd,jd->c", ys, w)
+        # rounding moves each sum by about eps sum_j |<w_j, Y_j>|, at most
+        # eps sum |w| max |Y|
+        return sums, _EPS * float(np.sum(np.abs(w))) * max(ys.max(), -ys.min())
 
     def sample(self, count: int, seed: int):
         return self.draw(np.random.default_rng(seed), count)
@@ -231,10 +254,44 @@ class CgfModel:
 
     # -- helpers -------------------------------------------------------
 
+    def _check_tilt(self, theta, copies):
+        if self.dimension == 1:
+            # the domain is an interval, so its extreme tilts decide them all
+            for end in (np.min(theta), np.max(theta)):
+                if not self.domain.contains(float(end)):
+                    raise DomainError(f"tilt {float(end)} outside the CGF domain")
+        if np.min(copies) < 1:
+            raise ValueError("copies must be positive")
+
     def _check_dim(self, u):
         # d=1 callables are vectorised over points, so any shape is a batch.
         if self.dimension > 1 and np.shape(u)[-1:] != (self.dimension,):
             raise DomainError("dimension mismatch")
+
+
+def _normal_sum(terms, sd, rng, count):
+    """Draws of N(sum terms, sd^2) and the rounding bound of that formula: a
+    normal law has no atoms, so nothing else needs a bound."""
+    z = rng.standard_normal(count)
+    err = _EPS * (float(np.sum(np.abs(terms))) + sd * float(np.max(np.abs(z))))
+    return float(np.sum(terms)) + sd * z, err
+
+
+def _by_runs(theta, copies, count, single, several):
+    """Tilted draws, count per broadcast (theta, copies) pair, made in order of
+    the pairs on one generator: each run of pairs with copies = 1 by
+    ``single(t, size)``, the cheap one-step law, and each other run by
+    ``several(t, c, size)``, with t and c columns of the run's tilts and
+    copies and size = (run length, count)."""
+    t, c = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(copies))
+    shape, t, c = t.shape, t.reshape(-1, 1), c.reshape(-1, 1)
+    one = c[:, 0] == 1
+    cuts = [0, *(np.flatnonzero(one[1:] != one[:-1]) + 1), one.size]
+    out = np.empty((one.size, count))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        size = (hi - lo, count)
+        out[lo:hi] = single(t[lo:hi], size) if one[lo] else several(t[lo:hi], c[lo:hi], size)
+    return out.reshape(shape + (count,))
 
 
 def _catalog_model(**fields) -> CgfModel:
@@ -301,6 +358,12 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
             z += mean[..., None]
             return z
 
+        def tilted_sum(theta, weights, rng, count, copies=1):
+            # N(sum c w (m + s^2 theta), s^2 sum c w^2)
+            c, w = np.asarray(copies), np.asarray(weights, dtype=float)
+            terms = c * w * (m + s2 * np.asarray(theta, dtype=float))
+            return _normal_sum(terms, s * math.sqrt(float(np.sum(c * w * w))), rng, count)
+
         c2 = max(k(1.0), k(-1.0), 0.0)
         return _catalog_model(
             id=f"gaussian:mu={m:g},sigma={s:g}",
@@ -310,7 +373,7 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
             cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
             closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
             rate_dom=(-math.inf, math.inf),
-            sampler=sampler, tilted_sampler=tilted,
+            sampler=sampler, tilted_sampler=tilted, tilted_sum_sampler=tilted_sum,
             minorant=(1.0, c2),
         )
 
@@ -356,6 +419,12 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
         z += mean
         return z
 
+    def tilted_sum(theta, weights, rng, count, copies=1):
+        # N(sum c <w, mu + Sigma theta>, sum c |L^T w|^2)
+        c, w = np.asarray(copies)[..., None], np.asarray(weights, dtype=float)
+        terms = c * w * (mu_vec + np.asarray(theta, dtype=float) @ cov_m)
+        return _normal_sum(terms, math.sqrt(float(np.sum(c * (w @ chol) ** 2))), rng, count)
+
     c2 = float(np.linalg.norm(mu_vec) + 0.5 * evals.max())
     return _catalog_model(
         id=f"gaussian:d={d},mu={mu_vec.tolist()},cov={cov_m.tolist()}",
@@ -364,7 +433,7 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
         mean=tuple(mu_vec),
         cgf=k, cgf_grad=kp, cgf_hess=kpp,
         closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
-        sampler=sampler, tilted_sampler=tilted,
+        sampler=sampler, tilted_sampler=tilted, tilted_sum_sampler=tilted_sum,
         minorant=(1.0, c2),
     )
 
@@ -413,11 +482,10 @@ def centered_exponential() -> CgfModel:
         return rng.standard_exponential(count) - 1.0
 
     def tilted(theta, rng, count, copies=1):
-        # Gamma(c) / (1 - theta) - c
-        c = np.asarray(copies)[..., None]
-        rate = 1.0 - np.asarray(theta, dtype=float)[..., None]
-        shape = np.broadcast_shapes(c.shape, rate.shape)[:-1] + (count,)
-        return rng.standard_gamma(c, size=shape) / rate - c
+        # Exp(1) / (1 - theta) - 1 for one step, Gamma(c) / (1 - theta) - c for c
+        return _by_runs(theta, copies, count,
+                        lambda t, size: rng.standard_exponential(size) / (1.0 - t) - 1.0,
+                        lambda t, c, size: rng.standard_gamma(c, size=size) / (1.0 - t) - c)
 
     # Supporting lines at u = +-1/2: c1 = 1/2, c2 = max K there.
     c2 = max(-0.5 - math.log(0.5), 0.5 - math.log(1.5))
@@ -461,13 +529,16 @@ def rademacher() -> CgfModel:
         return np.sign(u) * val
 
     def rate(v):
+        # ((1 + a) log(1 + a) + (1 - a) log(1 - a)) / 2 with a = |v|, exact
+        # up to the edge a = 1, but its terms cancel to O(v^2) next to the
+        # mean; there it is a atanh(a) + log1p(-a^2) / 2, whose terms cancel
+        # only by a factor 2
+        a = np.abs(v)
         with np.errstate(all="ignore"):
-            safe = np.clip(v, -1.0, 1.0)
-            p, q = 0.5 * (1.0 + safe), 0.5 * (1.0 - safe)
-            val = (np.where(p > 0, p * np.log(np.where(p > 0, 2.0 * p, 1.0)), 0.0)
-                   + np.where(q > 0, q * np.log(np.where(q > 0, 2.0 * q, 1.0)), 0.0))
-        # the two terms cancel to O(v^2) next to the mean: keep the sum >= 0
-        return np.where(np.abs(v) <= 1.0, np.maximum(val, 0.0), np.inf)
+            near = a * np.arctanh(a) + 0.5 * np.log1p(-a * a)
+            far = 0.5 * ((1.0 + a) * np.log1p(a)
+                         + np.where(a < 1.0, (1.0 - a) * np.log1p(-a), 0.0))
+        return np.where(a <= 1.0, np.where(a < 0.5, near, far), np.inf)
 
     def rate_g(v):
         return np.arctanh(v)
@@ -479,12 +550,15 @@ def rademacher() -> CgfModel:
         return rng.integers(0, 2, size=count) * 2.0 - 1.0
 
     def tilted(theta, rng, count, copies=1):
-        # 2 Binomial(c, p_plus(theta)) - c
-        c = np.asarray(copies)[..., None]
-        with np.errstate(over="ignore"):
-            p_plus = 1.0 / (1.0 + np.exp(-2.0 * np.asarray(theta, dtype=float)))[..., None]
-        shape = np.broadcast_shapes(c.shape, p_plus.shape)[:-1] + (count,)
-        return 2.0 * rng.binomial(c, p_plus, size=shape) - c
+        # a step is +1 with probability p_plus(theta), so c steps sum to
+        # 2 Binomial(c, p_plus) - c
+        def p_plus(t):
+            with np.errstate(over="ignore"):
+                return 1.0 / (1.0 + np.exp(-2.0 * t))
+
+        return _by_runs(theta, copies, count,
+                        lambda t, size: 2.0 * (rng.random(size) < p_plus(t)) - 1.0,
+                        lambda t, c, size: 2.0 * rng.binomial(c, p_plus(t), size=size) - c)
 
     c2 = float(k(1.0))  # supporting lines at u = +-1
     return _catalog_model(
@@ -519,9 +593,18 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
         return r * (np.expm1(u) - u - 0.5 * u * u)
 
     def rate_fn(v):
+        # bd0(v + r, r) = (v + r) log1p(v / r) - v, whose terms cancel to
+        # O(v^2) next to the mean; there, with e = v / (v + 2r), it is
+        # v e + 2 (v + r) sum_{j>=1} e^(2j+1) / (2j+1) (Loader 2000), whose
+        # second term is at most |e| < 0.1 times the first
         with np.errstate(all="ignore"):
             w = np.where(v > -r, v + r, 1.0)
-            val = np.maximum(w * np.log(w / r) - v, 0.0)   # >= 0 where it cancels
+            e = v / (v + 2.0 * r)
+            tail = 0.0
+            for j in range(_BD0_TERMS, 0, -1):
+                tail = e * e * (1.0 / (2 * j + 1) + tail)
+            near = v * e + 2.0 * w * e * tail
+            val = np.where(np.abs(e) < 0.1, near, w * np.log1p(v / r) - v)
         val = np.where(v > -r, val, np.inf)
         return np.where(v == -r, r, val)
 

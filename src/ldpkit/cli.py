@@ -267,6 +267,13 @@ def _selftest_checks():
         exact = math.log(gammaincc(n, n * (1.0 + a)))
         assert abs(est.log_prob - exact) <= 4.0 * est.std_error, (est.log_prob, exact)
 
+    def gaussian_any_kernel_tail():
+        # n <W_n> is one normal draw per sample, whatever the kernel
+        model, kern = parse_model("gaussian:mu=0,sigma=1"), identity()
+        est = mc.estimate_tail(model, kern, 100_000, 0.1, samples=10_000, seed=0)
+        exact = mc.exact_tail_oracle(model, kern, 100_000, 0.1)
+        assert abs(est.log_prob - exact) <= 4.0 * est.std_error, (est.log_prob, exact)
+
     return [("gaussian identity rate", gaussian_rate),
             ("cexp flat kernel at zero", cexp_zero),
             ("conjugate vs explicit routes", route_agreement),
@@ -279,7 +286,8 @@ def _selftest_checks():
             ("minimizer near a slope edge", minimizer_near_edge),
             ("open cap far out", open_cap_far_out),
             ("finite-n tilt", finite_n_tilt),
-            ("convolved flat-kernel tail", convolved_tail)]
+            ("convolved flat-kernel tail", convolved_tail),
+            ("gaussian any-kernel tail", gaussian_any_kernel_tail)]
 
 
 def _cmd_selftest(args, out) -> int:

@@ -5,14 +5,16 @@ under an exponential change of measure by the finite-n saddlepoint, the
 tilt that puts the mean of W_n at the level for every n.  The steps that
 share a kernel weight share one tilted law, so each sample draws their sum
 at once from its convolution law: a constant kernel costs one draw per
-sample, not n.  At or past a finite-n slope edge with an infinite cap the
-tail is exact and nothing is sampled.  Estimates are reproducible: the
-samples are drawn in fixed chunks of CHUNK, chunk k from the
-counter-based Philox stream with key = seed and counter = k, and the
-chunks are reduced in order, so the result depends only on the seed and
-the sample count.  Importance weights are summed in log space, so tails
-far below the smallest double (log p of order -1000) still come out
-finite.
+sample, not n.  A law closed under linear combination draws the whole
+projected sum at once (``CgfModel.tilt_draw_sum``): a Gaussian estimate
+takes one normal per sample, whatever the kernel.  At or past a finite-n
+slope edge with an infinite cap the tail is exact and nothing is sampled.
+Estimates are reproducible: the samples are drawn in fixed chunks of
+CHUNK, chunk k from the counter-based Philox stream with key = seed and
+counter = k, and the chunks are reduced in order, so the result depends
+only on the seed and the sample count.  Importance weights are summed in
+log space, so tails far below the smallest double (log p of order -1000)
+still come out finite.
 """
 
 from __future__ import annotations
@@ -158,12 +160,12 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
     The steps are tilted by theta_k = lam f(k/n) l, lam from
     ``_projected_tilt``: the tilted mean of <l, W_n> is a (the cap itself at
     a closed cap), so the weights stay tame.  The c_j steps of one distinct
-    weight f_j are drawn as one sum Y_j from the c_j-fold convolution of
-    their tilted law (``copies`` of the tilted sampler), so n <l, W_n> =
-    sum_j f_j <l, Y_j> and the log-normaliser is sum_j c_j K(lam f_j l);
-    the sample has the law of the step-by-step draw.  A level at or below
-    the mean is not rare, and a negative lam would make the weights
-    explode, so there lam = 0: plain sampling.  At or past a slope edge
+    weight f_j sum to Y_j, of the c_j-fold convolution of their tilted law,
+    and n <l, W_n> = sum_j <f_j l, Y_j> is drawn by one ``tilt_draw_sum``
+    call per chunk; the log-normaliser is sum_j c_j K(lam f_j l), and the
+    sample has the law of the step-by-step draw.  A level at or below the
+    mean is not rare, and a negative lam would make the weights explode, so
+    there lam = 0: plain sampling.  At or past a slope edge
     with an infinite cap the answer is exact, with nothing sampled: <l, W_n>
     reaches the upper edge only with every X_k at its support edge b_k, of
     mass exp(-I(b_k)), so log P = -n Lambda_n*(a) (-inf past it); it never
@@ -202,20 +204,14 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
 
     theta = lam * g                            # per-group tilts
     log_norm_total = float(copies @ model.k(theta))
-    proj = g if dim == 1 else fu               # weights of the group sums on l
-    eps_sum = np.finfo(float).eps * float(np.sum(np.abs(proj)))
 
     # per chunk: log of the sum of hit weights and of their squares
     log_s1 = log_s2 = -math.inf
     for k, start in enumerate(range(0, samples, CHUNK)):
         cnt = min(CHUNK, samples - start)
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k]))
-        ys = model.tilt_draw(theta, rng, cnt, copies)
-        ys = ys if dim == 1 else ys @ l                      # group sums Y_j: (m, cnt)
-        sums = proj @ ys                                     # n <l, W_n>
-        # the m <= n products p_j Y_j sum to within m eps/2 sum_j |p_j Y_j|, so
-        # <l, W_n> is good to eps_sum max |Y|: an atom exactly at a still hits
-        hit = sums / n >= a - eps_sum * max(ys.max(), -ys.min())
+        sums, err = model.tilt_draw_sum(theta, g, rng, cnt, copies)   # n <l, W_n>
+        hit = sums / n >= a - err            # an atom exactly at a still hits
         logw = (log_norm_total - lam * sums)[hit]            # score = lam sums
         if logw.size:
             top = logw.max()

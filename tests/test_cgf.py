@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,6 +117,21 @@ def test_rate_is_nonnegative_next_to_the_mean(spec):
     g = np.geomspace(1e-18, 1e-3, 200)
     v = mean + np.concatenate((g, -g))
     assert np.all(m.rate(v) >= 0.0)
+
+
+@pytest.mark.parametrize("spec,exact", [
+    ("rademacher", lambda v: v * mpmath.atanh(v) + mpmath.log1p(-v * v) / 2),
+    ("poisson:rate=1", lambda v: (v + 1) * mpmath.log1p(v) - v),
+    ("poisson:rate=2.5", lambda v: (v + 2.5) * mpmath.log1p(v / 2.5) - v),
+])
+def test_rate_keeps_full_accuracy_next_to_the_mean(spec, exact):
+    # the closed forms cancel to O(v^2) there; the rates must not
+    m = parse_model(spec)
+    with mpmath.workdps(50):
+        for v in (1e-3, 1e-5, 1e-8, 1e-12):
+            for x in (v, -v):
+                want = float(exact(mpmath.mpf(x)))
+                assert m.rate(x) == pytest.approx(want, rel=1e-14, abs=0.0), x
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -371,6 +387,50 @@ def test_gaussian_single_copies_keep_the_per_step_draws():
     want = (mu + theta @ cov)[..., None, :] + z @ np.linalg.cholesky(cov).T
     for copies in (1, np.ones(3, dtype=int)):
         assert np.array_equal(m.tilt_draw(theta, np.random.default_rng(5), 40, copies), want)
+
+
+@pytest.mark.parametrize("spec", ["cexp", "rademacher"])
+def test_default_tilted_sum_reduces_the_tilted_draws(spec):
+    # without a closed form the sum is the reduction of tilt_draw, bit for bit
+    m = parse_model(spec)
+    theta = np.array([-0.4, 0.0, 0.3, 0.5, 0.1])
+    weights = np.array([0.2, -1.0, 0.7, 3.0, 0.05])
+    for copies in (1, np.array([1, 1, 3, 1, 40])):
+        sums, err = m.tilt_draw_sum(theta, weights, np.random.default_rng(4), 50, copies)
+        ys = m.tilt_draw(theta, np.random.default_rng(4), 50, copies)
+        assert np.array_equal(sums, weights @ ys)
+        assert err == np.finfo(float).eps * float(np.sum(np.abs(weights))) * np.max(np.abs(ys))
+
+
+def test_gaussian_tilted_sum_matches_the_cumulants():
+    # sum_j c_j <g_j, Y_j> has mean sum_j c_j <g_j, K'(theta_j)> and
+    # variance sum_j c_j g_j^T K'' g_j, drawn as one normal per sample
+    count = 40_000
+    m = parse_model("gaussian:mu=0.5,sigma=2")
+    theta, g, c = np.array([0.7, -0.2, 0.0]), np.array([1.5, -0.3, 0.8]), np.array([3, 1, 7])
+    sums, err = m.tilt_draw_sum(theta, g, np.random.default_rng(14), count, c)
+    assert sums.shape == (count,) and 0.0 < err < 1e-12
+    assert _within(sums, float(np.sum(c * g * m.grad(theta))), 5.0)
+    assert _within((sums - np.mean(sums)) ** 2, float(np.sum(c * g * g)) * 4.0, 5.0)
+
+    cov = np.array([[1.0, 0.3], [0.3, 0.5]])
+    m = gaussian(mu=[0.0, 1.0], cov=cov)
+    theta = np.array([[0.2, -0.6], [1.0, 0.4]])
+    g, c = np.array([[1.0, 2.0], [-0.5, 0.3]]), np.array([5, 2])
+    sums, _ = m.tilt_draw_sum(theta, g, np.random.default_rng(15), count, c)
+    assert sums.shape == (count,)
+    assert _within(sums, float(np.sum(c[:, None] * g * m.grad(theta))), 5.0)
+    var = float(c @ np.einsum("ji,ik,jk->j", g, cov, g))
+    assert _within((sums - np.mean(sums)) ** 2, var, 5.0)
+
+
+def test_tilted_sum_checks_its_tilts():
+    with pytest.raises(DomainError):
+        parse_model("cexp").tilt_draw_sum(np.array([0.2, 1.0]), np.ones(2),
+                                          np.random.default_rng(0), 10)
+    with pytest.raises(ValueError):
+        parse_model("gaussian:mu=0,sigma=1").tilt_draw_sum(
+            np.zeros(2), np.ones(2), np.random.default_rng(0), 10, np.array([1, 0]))
 
 
 def test_copies_must_be_positive():

@@ -161,6 +161,17 @@ def test_constant_kernel_tails_match_exact_laws(n):
         assert est.log_prob == pytest.approx(exact, abs=4.0 * est.std_error)
 
 
+@pytest.mark.parametrize("n", [10_000, 100_000])
+@pytest.mark.parametrize("kernel", ["pwl:0:0,0.5:1,1:0", "affine:0.5,1"])
+def test_gaussian_tails_match_the_normal_law_for_any_kernel(kernel, n):
+    # n <l, W_n> is one normal draw per sample, however many distinct weights
+    m, k = parse_model("gaussian:mu=0,sigma=1"), parse_kernel(kernel)
+    est = estimate_tail(m, k, n, 0.1, samples=10_000, seed=n % 97)
+    assert isinstance(est.tilt, float)
+    assert est.log_prob == pytest.approx(exact_tail_oracle(m, k, n, 0.1),
+                                         abs=4.0 * est.std_error)
+
+
 def test_repeated_and_distinct_weights_match_sign_enumeration():
     # f = 1 on [0, 1/2] gives ten steps one weight, the other ten their own
     m, k = parse_model("rademacher"), parse_kernel("pwl:0:1,0.5:1,1:0")
