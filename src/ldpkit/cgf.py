@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, NoSamplerError
 
 _EPS = np.finfo(float).eps
-_BD0_TERMS = 9      # |e| < 0.1 in the bd0 series: 0.01^9 is below eps
+_BD0_TERMS = 8      # |e| < 0.1 in the bd0 series: 0.1^17 / 19 is below eps
 
 
 @dataclass(frozen=True)
@@ -598,15 +598,14 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
         # v e + 2 (v + r) sum_{j>=1} e^(2j+1) / (2j+1) (Loader 2000), whose
         # second term is at most |e| < 0.1 times the first
         with np.errstate(all="ignore"):
-            w = np.where(v > -r, v + r, 1.0)
-            e = v / (v + 2.0 * r)
-            tail = 0.0
-            for j in range(_BD0_TERMS, 0, -1):
-                tail = e * e * (1.0 / (2 * j + 1) + tail)
-            near = v * e + 2.0 * w * e * tail
-            val = np.where(np.abs(e) < 0.1, near, w * np.log1p(v / r) - v)
-        val = np.where(v > -r, val, np.inf)
-        return np.where(v == -r, r, val)
+            w, e = v + r, v / (v + 2.0 * r)
+            ee = e * e
+            tail = ee / (2 * _BD0_TERMS + 1)
+            for j in range(_BD0_TERMS - 1, 0, -1):
+                tail = ee * (1.0 / (2 * j + 1) + tail)
+            val = np.where(np.abs(e) < 0.1, v * e + 2.0 * w * e * tail,
+                           w * np.log1p(v / r) - v)
+        return np.where(v > -r, val, np.where(v == -r, r, np.inf))
 
     def rate_g(v):
         return np.log((v + r) / r)
