@@ -402,6 +402,16 @@ def test_default_tilted_sum_reduces_the_tilted_draws(spec):
         assert err == np.finfo(float).eps * float(np.sum(np.abs(weights))) * np.max(np.abs(ys))
 
 
+def test_default_tilted_sum_in_two_dimensions():
+    m = dataclasses.replace(gaussian(mu=[0.0, 1.0], cov=[[1.0, 0.3], [0.3, 0.5]]),
+                            tilted_sum_sampler=None)
+    theta, g = np.array([[0.2, -0.6], [1.0, 0.4]]), np.array([[1.0, 2.0], [-0.5, 0.3]])
+    sums, err = m.tilt_draw_sum(theta, g, np.random.default_rng(6), 30, np.array([5, 2]))
+    ys = m.tilt_draw(theta, np.random.default_rng(6), 30, np.array([5, 2]))
+    np.testing.assert_allclose(sums, ys[0] @ g[0] + ys[1] @ g[1], rtol=1e-14)
+    assert err == np.finfo(float).eps * 3.8 * np.max(np.abs(ys))
+
+
 def test_gaussian_tilted_sum_matches_the_cumulants():
     # sum_j c_j <g_j, Y_j> has mean sum_j c_j <g_j, K'(theta_j)> and
     # variance sum_j c_j g_j^T K'' g_j, drawn as one normal per sample
