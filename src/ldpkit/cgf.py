@@ -467,10 +467,11 @@ def centered_exponential() -> CgfModel:
         return np.where(u < 1.0, val, np.where(u == 1.0, 0.5, np.inf))
 
     def rate(v):
+        live = (v > -1.0) & (v < np.inf)
         with np.errstate(all="ignore"):
-            safe = np.where(v > -1.0, v, 0.0)
+            safe = np.where(live, v, 0.0)
             val = safe - np.log1p(safe)
-        return np.where(v > -1.0, val, np.inf)
+        return np.where(live, val, np.inf)
 
     def rate_g(v):
         return v / (1.0 + v)
@@ -605,7 +606,7 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
                 tail = ee * (1.0 / (2 * j + 1) + tail)
             val = np.where(np.abs(e) < 0.1, v * e + 2.0 * w * e * tail,
                            w * np.log1p(v / r) - v)
-        return np.where(v > -r, val, np.where(v == -r, r, np.inf))
+        return np.where((v > -r) & (v < np.inf), val, np.where(v == -r, r, np.inf))
 
     def rate_g(v):
         return np.log((v + r) / r)

@@ -24,22 +24,25 @@ at an open edge and sup E_f' = +inf; at a closed edge sup E_f' is the
 (possibly improper) integral of f K'(M_plus f) at the cap.  inf E_f' is the
 mirror image.
 
-In d = 1, u = lam f(t) turns the E_f-type integrals over a kernel piece of
-slope s != 0 into brackets: int f^k K^(k)(lam f) dt = [G_k] / (lam^(k+1) s)
-with G_0 = P, G_1 = uK - P and G_2 = u^2 K' - 2uK + 2P, P = int_0^u K
-being the model's ``cgf_int``.  A bracket stands when its rounding bound,
-eps (|term| + 1 + |u|) summed over its terms over |lam^(k+1) s|, is within
-the tolerance; else (small |lam s|) the adaptive rule takes the piece.
+In d = 1 one walker, ``_walk``, takes every integral of f^j phi(lam f) over
+a linear interval of f: u = lam f turns its mean into the bracket [Psi] /
+(lam^j du) of a primitive, d Psi / du = u^j phi(u), read from model
+formulas evaluated once per node.  E_f, E_f' and E_f'' pass Psi = P, uK - P
+and u^2 K' - 2uK + 2P (P = int_0^u K, ``cgf_int``), the minimizer's cells
+K and uK' - K, the clamp uK - 2P on its flat and touched pieces.  A bracket
+stands when its rounding bound, eps (|term| + 1 + |u|) summed over its
+terms at both ends over |lam^j du|, is within tol max(1, |mean|); else the
+caller's rule takes it: adaptive for moments and clamp, gl32 for cells.
 
 The tilt domain d_f decides where lam f lies, exactly: it leaves the
 closed domain of K iff lam lies outside d_f, and it touches a finite edge e
 iff lam is the cap of d_f that e binds, at the nodes where f is the weight
 running into e; u is e itself there.  Lower semicontinuity then decides a
-touched piece.  At an open edge K and K' blow up, so G_1 and G_2 run to
-sign(e) inf: the K' integral is sign(lam) inf, the K'' and clamp integrals
-int I(K'(u)) are +inf, and the K integral is the bracket of P (1/2 for
-cexp with f(t) = t).  At a closed edge K(e) and P(e) are finite, so only
-the K'' integral can diverge, exactly when K'(e) does.
+touched piece: a term of Psi that is not finite there sends Psi to sign(e)
+inf.  At an open edge K and K' blow up, so the K' integral is sign(lam) inf,
+the K'' and clamp integrals int I(K'(u)) are +inf, and the K integral is the
+bracket of P (1/2 for cexp with f(t) = t).  At a closed edge K(e) and P(e)
+are finite, so only the K'' integral can diverge, exactly when K'(e) does.
 """
 
 from __future__ import annotations
@@ -94,99 +97,109 @@ def _trace(model: CgfModel, kernel: Kernel, lam: float, values: np.ndarray):
     return u, touched
 
 
-def _bracket(model: CgfModel, fn, a: float, b: float, ends, terms, den: float,
-             tol: float) -> float:
-    """int_a^b fn as [G(ub) - G(ua)] / den, G(u) the sum of ``terms(u)``.
+def _walk(model: CgfModel, kernel: Kernel, lam: float, values: np.ndarray):
+    """``bracket`` for the intervals between the nodes where f takes
+    ``values``, from one ``_trace`` at lam; None once lam f leaves the domain.
 
-    An infinite term at a touched end decides the piece: G runs to
-    sign(u) inf there.  Else the bracket stands if its bound allows it.
-    """
-    if model.cgf_int is None or den == 0.0:
-        if any(touch for _, touch in ends):
-            raise DomainError(f"model {model.id} has no cgf_int for a touched piece")
-        return quad.integrate_piece(fn, a, b, tol=tol)
-    vals = [terms(u) for u, _ in ends]
-    decided = [bool(touch) and not all(map(math.isfinite, v))
-               for (_, touch), v in zip(ends, vals)]
-    g = [math.copysign(math.inf, u) if d else sum(v)
-         for (u, _), v, d in zip(ends, vals, decided)]
-    value = (g[1] - g[0]) / den
-    if any(decided):
-        return value
-    scale = sum(abs(x) + 1.0 + abs(u) for (u, _), v in zip(ends, vals) for x in v)
-    return quad.integrate_piece(fn, a, b, closed=value, bound=_EPS * scale / abs(den),
-                                tol=tol)
+    ``bracket(j, (formulas, terms), point, tol)`` returns (mean, rough) per
+    interval as the module docstring says, Psi being the sum of terms(u,
+    *formulas at u); a flat interval takes fbar^j point(u), fbar the mean of
+    f there.  tol None skips the rough test.  If the model lacks a formula,
+    every other interval is rough, and a touched one raises DomainError."""
+    if (trace := _trace(model, kernel, lam, values)) is None:
+        return None
+    u, touched = trace
+    du, scale_u, at = u[1:] - u[:-1], 1.0 + abs(u), {}
+    flat = du == 0
+    n_flat, touch = np.count_nonzero(flat), np.count_nonzero(touched)
 
-
-def _moment(model: CgfModel, kernel: Kernel, lam: float, k: int,
-            tol: float) -> float:
-    """int_0^1 f^k K^(k)(lam f(t)) dt in d = 1, +inf once lam f leaves the domain."""
-    deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
-    if lam == 0.0:
-        return (1.0, kernel.m1, kernel.m2)[k] * float(deriv(0.0))
-    trace = _trace(model, kernel, lam, kernel._vals)
-    if trace is None:
-        return math.inf
-    lf, touched = trace[0].tolist(), trace[1].tolist()
-
-    def fn(ts):
-        fv = kernel.eval(ts)
-        return fv ** k * deriv(lam * fv)
-
-    def terms(u):
-        p = model.cgf_int(u)
-        if k == 0:
-            return (p,)
-        uk = u * model.cgf(u)
-        return (uk, -p) if k == 1 else (u * u * model.cgf_grad(u), -2.0 * uk, 2.0 * p)
-
-    total = 0.0
-    for i, (a, b, va, vb) in enumerate(kernel.pieces()):
-        ends = ((lf[i], touched[i]), (lf[i + 1], touched[i + 1]))
-        if va == vb:
-            total += (b - a) * va ** k * float(deriv(lf[i]))
+    def bracket(j, psi, point, tol):
+        if n_flat:
+            at_flat = (0.5 * (values[:-1] + values[1:])[flat]) ** j * point(u[:-1][flat])
+            if n_flat == len(du):
+                return at_flat, ~flat
+        names, terms = psi
+        if any(getattr(model, n) is None for n in names):
+            if touch and np.count_nonzero(~flat & (touched[:-1] | touched[1:])):
+                raise DomainError(f"model {model.id} lacks a primitive for a touched piece")
+            value, rough = np.full(len(du), math.nan), ~flat
         else:
-            total += _bracket(model, fn, a, b, ends, terms,
-                              lam ** (k + 1) * (vb - va) / (b - a), tol)
-        if math.isinf(total):
-            return total    # every touch diverges with the sign of lam
-    return total
+            at.update({n: np.asarray(getattr(model, n)(u), dtype=float)
+                       for n in names if n not in at})
+            with np.errstate(invalid="ignore", divide="ignore"):
+                parts = terms(u, *map(at.get, names))
+                psi_u, scale = sum(parts[1:], parts[0]), sum(map(abs, parts), len(parts) * scale_u)
+                if touch:   # Psi runs to sign(u) inf where a touched term is not finite
+                    decided = touched & ~np.isfinite(parts).all(axis=0)
+                    psi_u = np.where(decided, np.copysign(np.inf, u), psi_u)
+                    scale[decided] = 0.0
+                den = lam ** j * du if j else du
+                value, bound = (psi_u[1:] - psi_u[:-1]) / den, _EPS * (scale[:-1] + scale[1:])
+                rough = None if tol is None else ~(
+                    flat | (bound <= tol * np.maximum(1.0, abs(value)) * abs(den)))
+        if n_flat:
+            value[flat] = at_flat
+        return value, rough
+
+    return bracket
 
 
-def _moment_nd(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
-    """int_0^1 f^k D^k K(lam f(t)) dt in d > 1, a number, vector or matrix,
-    in one array-valued adaptive pass per kernel piece."""
-    lam = np.asarray(lam, dtype=float)
+# (formulas, terms) of the primitive Psi_k, d Psi_k / du = u^k K^(k)(u)
+_MOMENT_PSI = ((("cgf_int",), lambda u, p: (p,)),
+               (("cgf", "cgf_int"), lambda u, k, p: (u * k, -p)),
+               (("cgf_grad", "cgf", "cgf_int"),
+                lambda u, kp, k, p: (u * u * kp, -2.0 * (u * k), 2.0 * p)))
+
+
+def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
+    """int_0^1 f^k D^k K(lam f(t)) dt, +inf once lam f leaves the domain: one
+    array-valued adaptive pass per kernel piece in d > 1; in d = 1 the walk's
+    brackets of Psi_k, with the adaptive rule on the rough pieces."""
     deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
+    lam = float(lam) if model.dimension == 1 else np.asarray(lam, dtype=float)
 
     def fn(ts):
         fv = kernel.eval(ts)
-        vals = np.asarray(deriv(fv[:, None] * lam), dtype=float)
+        vals = np.asarray(deriv(np.multiply.outer(fv, lam)), dtype=float)
         return (fv ** k).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
 
-    return sum(quad.adaptive_gl(fn, a, b, tol=tol) for a, b, _, _ in kernel.pieces())
+    if model.dimension > 1:
+        return sum(quad.adaptive_gl(fn, a, b, tol=tol) for a, b, _, _ in kernel.pieces())
+    if lam == 0.0:
+        return (1.0, kernel.m1, kernel.m2)[k] * float(deriv(0.0))
+    if kernel.lipschitz == 0.0:     # f = c: lam f is constant
+        u = _trace(model, kernel, lam, kernel._vals[:1])
+        return math.inf if u is None else kernel.values[0] ** k * float(deriv(u[0][0]))
+    cache = _problem(model, kernel)._cache    # Newton asks for E_f'' right after E_f'
+    if (last := cache.get("walk")) is None or last[0] is not model or last[1] != lam:
+        last = cache["walk"] = model, lam, _walk(model, kernel, lam, kernel._vals)
+    if (bracket := last[2]) is None:
+        return math.inf
+    mean, rough = bracket(k, _MOMENT_PSI[k], deriv, tol)
+    value = mean * kernel._widths
+    if np.count_nonzero(rough):
+        if np.isinf(value[~rough]).any():
+            return sum(value[~rough].tolist())    # every touch diverges with the sign of lam
+        bp = kernel.breakpoints
+        for i in np.flatnonzero(rough):
+            value[i] = quad.adaptive_gl(fn, bp[i], bp[i + 1], tol)
+    return sum(value.tolist())
 
 
 def e_f(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12) -> float:
     """int_0^1 K(lam f(t)) dt, +inf when lam f leaves the domain."""
-    if model.dimension > 1:
-        return _moment_nd(model, kernel, lam, 0, tol)
-    return _moment(model, kernel, float(lam), 0, tol)
+    return _moment(model, kernel, lam, 0, tol)
 
 
 def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
     """int f(t) K'(lam f(t)) dt; +-inf flags an infinite one-sided slope."""
-    if model.dimension > 1:
-        return _moment_nd(model, kernel, lam, 1, tol)
-    return _moment(model, kernel, float(lam), 1, tol)
+    return _moment(model, kernel, lam, 1, tol)
 
 
 def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
     """int f(t)^2 K''(lam f(t)) dt.  It only shapes Newton steps, so in d = 1
     its brackets and fallback are held to 1e-10."""
-    if model.dimension > 1:
-        return _moment_nd(model, kernel, lam, 2, 1e-12)
-    return _moment(model, kernel, float(lam), 2, 1e-10)
+    return _moment(model, kernel, lam, 2, 1e-10 if model.dimension == 1 else 1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -286,19 +299,13 @@ class KernelRateProblem:
     def oracle(self) -> ConvexOracle:
         def compute():
             model, kernel = self.model, self.kernel
-            if model.dimension > 1:
-                return ConvexOracle(
-                    domain=self.d_f,
-                    eval=lambda l: e_f(model, kernel, l),
-                    grad=lambda l: e_f_grad(model, kernel, l),
-                    hess=lambda l: _e_f_hess(model, kernel, l))
-            (lo, v_lo), (hi, v_hi) = self._edge(False), self._edge(True)
-            return ConvexOracle(
-                domain=self.d_f,
-                eval=lambda l: e_f(model, kernel, float(l)),
-                grad=lambda l: e_f_grad(model, kernel, float(l)),
-                hess=lambda l: _e_f_hess(model, kernel, float(l)),
-                grad_range=(lo, hi), edge_values=(v_lo, v_hi))
+            edges = {}
+            if model.dimension == 1:
+                (lo, v_lo), (hi, v_hi) = self._edge(False), self._edge(True)
+                edges = dict(grad_range=(lo, hi), edge_values=(v_lo, v_hi))
+            return ConvexOracle(domain=self.d_f, eval=lambda l: e_f(model, kernel, l),
+                                grad=lambda l: e_f_grad(model, kernel, l),
+                                hess=lambda l: _e_f_hess(model, kernel, l), **edges)
         return self._memo("oracle", compute)
 
 
@@ -425,8 +432,8 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
     no value formula with E_f: ``_edge_layer`` within |e| / 2 of a finite
     domain edge e, else the adaptive rule split where |u| crosses 2^k,
     k >= 0, to see where K' leaves its saturated value.  A touch of an open
-    edge gives +inf; on a piece touching a closed edge, I(K'(u)) = u K'(u)
-    - K(u) integrates to the bracket of uK - 2P.
+    edge gives +inf; a flat piece, or one touching a closed edge, is a
+    ``_walk`` bracket of uK - 2P, d/du (uK - 2P) = I(K'(u)) = u K'(u) - K(u).
     """
     if not _problem(model, kernel).d_f.contains(lam_bar):
         return math.inf, 0.0    # lam_bar f leaves the domain or touches an open edge
@@ -434,20 +441,21 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
     def g(u):
         return model.closed_rate(model.cgf_grad(u))
 
-    lf, touched = _trace(model, kernel, lam_bar, kernel._vals)
+    if kernel.lipschitz == 0.0:     # lam_bar f is constant
+        return float(g(_trace(model, kernel, lam_bar, kernel._vals[:1])[0][0])), 0.0
+    u, touched = _trace(model, kernel, lam_bar, kernel._vals)
+    closed = touched[:-1] | touched[1:] | (u[:-1] == u[1:])
+    if np.count_nonzero(closed):
+        mean, rough = _walk(model, kernel, lam_bar, kernel._vals)(
+            0, (("cgf", "cgf_int"), lambda u, k, p: (u * k, -2.0 * p)), g, tol)
+        value = mean * kernel._widths
     total = rounding = 0.0
-    for i, (a, b, va, vb) in enumerate(kernel.pieces()):
-        ua, ub = lf[i], lf[i + 1]
-        if ua == ub:
-            total += (b - a) * float(g(ua))
+    for i, (a, b, _, _) in enumerate(kernel.pieces()):
+        if closed[i]:
+            total += (quad.adaptive_gl(lambda ts: g(lam_bar * kernel.eval(ts)), a, b, tol)
+                      if rough[i] else float(value[i]))
             continue
-        if touched[i] or touched[i + 1]:
-            total += _bracket(model, lambda ts: g(lam_bar * kernel.eval(ts)), a, b,
-                              ((ua, touched[i]), (ub, touched[i + 1])),
-                              lambda u: (u * model.cgf(u), -2.0 * model.cgf_int(u)),
-                              (ub - ua) / (b - a), tol)
-            continue
-        lo, hi = sorted((ua, ub))
+        lo, hi = sorted(u[i:i + 2].tolist())
         rate = (hi - lo) / (b - a)      # |du / dt|
         for edge in _interval_bounds(model):
             near = hi if edge > 0 else lo
@@ -455,8 +463,8 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
                 continue
             far = max(lo, 0.5 * edge) if edge > 0 else min(hi, 0.5 * edge)
             lo, hi = (lo, far) if edge > 0 else (far, hi)
-            value, err = _edge_layer(model, edge, edge - near, edge - far)
-            total, rounding = total + value / rate, rounding + err / rate
+            layer, err = _edge_layer(model, edge, edge - near, edge - far)
+            total, rounding = total + layer / rate, rounding + err / rate
         cuts = 2.0 ** np.arange(math.ceil(math.log2(max(1.0, -lo, hi))) + 1)
         cuts = np.concatenate((-cuts[::-1], cuts))
         cuts = cuts[(cuts > lo) & (cuts < hi)]
@@ -549,26 +557,17 @@ def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid: np.ndarray) -> n
 def _cell_slopes(model: CgfModel, kernel: Kernel, lam: float, grid: np.ndarray,
                  tol: float) -> tuple:
     """(v, dv / dlam), v the exact averages of K'(lam f) over the cells of a
-    d = 1 grid: f is linear on a cell, so v = [K(u)] / (u_b - u_a) and
-    dv / dlam = [u K'(u) - K(u)] / (lam (u_b - u_a)) at u = lam f of its ends
-    (from ``_trace``).  A flat cell, or one whose quotient has a rounding
-    bound (``_bracket``'s) above tol, takes fbar K''(lam fbar), fbar the mean
-    of f on it, and K'(u_a) or the 32-node rule.  v is clipped to the closed
-    ``rate_dom``, which rounding can carry a saturated cell past."""
-    u = _trace(model, kernel, lam, kernel.eval(grid))[0]
-    k, kp = np.asarray(model.cgf(u), dtype=float), np.asarray(model.cgf_grad(u), dtype=float)
-    du, scale = np.diff(u), np.abs(k) + 1.0 + np.abs(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v, dv = np.diff(k) / du, np.diff(u * kp - k) / (lam * du)
-        bound = _EPS * (scale[:-1] + scale[1:]) / np.abs(du)
-    flat = du == 0
-    v[flat] = kp[:-1][flat]
-    rough = ~flat & (bound > tol * np.maximum(1.0, np.abs(v)))
+    d = 1 grid: one walk's brackets of K and of u K' - K.  A rough v takes the
+    32-node rule on its cell and dv / dlam there fbar K''(lam fbar), fbar the
+    mean of f on it.  v is clipped to the closed ``rate_dom`` it can round past."""
+    bracket = _walk(model, kernel, lam, kernel.eval(grid))
+    v, rough = bracket(0, (("cgf",), lambda u, k: (k,)), model.cgf_grad, tol)
+    dv = bracket(1, (("cgf_grad", "cgf"), lambda u, kp, k: (u * kp, -k)), model.cgf_hess, None)[0]
     if rough.any():
         a, b = grid[:-1][rough], grid[1:][rough]
         v[rough] = quad.gl32(lambda ts: model.cgf_grad(lam * kernel.eval(ts)), a, b) / (b - a)
-    fbar = kernel.eval(0.5 * (grid[:-1] + grid[1:])[flat | rough])
-    dv[flat | rough] = fbar * model.cgf_hess(lam * fbar)
+        fbar = kernel.eval(0.5 * (a + b))
+        dv[rough] = fbar * model.cgf_hess(lam * fbar)
     return np.clip(v, *model.rate_dom), dv
 
 

@@ -53,8 +53,12 @@ class Kernel:
         return max(0.0, -float(self._vals.min()))
 
     @cached_property
+    def _widths(self) -> np.ndarray:
+        return np.diff(self._bp)
+
+    @cached_property
     def _slopes(self) -> np.ndarray:
-        return np.diff(self._vals) / np.diff(self._bp)
+        return np.diff(self._vals) / self._widths
 
     @cached_property
     def lipschitz(self) -> float:

@@ -5,10 +5,12 @@ with a fixed 32-node rule, one level at a time, and takes scalar or
 array-valued integrands.  ``integrate_piece`` takes the caller's closed
 form of an integral when the caller's bound on its rounding error is within
 ``tol`` (relative to the value once it exceeds 1), and falls back to
-``adaptive_gl`` otherwise.  For the E_f-type integrals the closed form is a
-bracket of the model primitive (see ``kernel_rate``); it loses digits only
-where the tilt is small and the integrand nearly constant, which is where
-the adaptive rule is cheapest.
+``adaptive_gl`` otherwise.  In d = 1 the E_f-type integrals make that choice
+in ``kernel_rate._walk``, the one piece walker, for all intervals at once:
+the closed form is a bracket of a primitive of K, which loses digits only
+where the tilt is small and the integrand nearly constant, where
+``adaptive_gl`` (E_f and its derivatives, the clamp integral) or one
+``gl32`` pass over the rough grid cells (the minimizer) takes over.
 """
 
 from __future__ import annotations

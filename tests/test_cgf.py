@@ -246,6 +246,10 @@ def test_formulas_take_numbers_and_arrays(spec, name):
         assert all(fn(p) == math.inf for p in pts if not m.domain.contains(p))
     if name == "closed_rate":
         assert all(fn(p) == math.inf for p in pts if not lo <= p <= hi)
+        # a rate grows without bound: +inf at v = +-inf, never inf - inf
+        with np.errstate(all="ignore"):
+            assert fn(-math.inf) == fn(math.inf) == math.inf
+            assert fn(np.array([-math.inf, math.inf])).tolist() == [math.inf, math.inf]
 
 
 def test_vector_gaussian_formulas_take_a_list():

@@ -294,6 +294,55 @@ def test_hessian_is_a_bracket(monkeypatch, spec, kernel, lam):
     assert panels[0] == 0
 
 
+THREE_PIECES = parse_kernel("pwl:0:-1,0.3:2,0.6:-0.5,1:0.25")
+
+
+def _counting_formulas(model):
+    """The model with each call of K, K', K'' and P counted."""
+    calls = dict.fromkeys(("cgf", "cgf_grad", "cgf_hess", "cgf_int"), 0)
+
+    def counted(name):
+        formula = getattr(model, name)
+
+        def wrapped(u):
+            calls[name] += 1
+            return formula(u)
+
+        return wrapped
+
+    return dataclasses.replace(model, **{name: counted(name) for name in calls}), calls
+
+
+@pytest.mark.parametrize("spec,kernel,lam", [("rademacher", THREE_PIECES, 0.7),
+                                             ("cexp", TENT, 0.5)])
+def test_each_moment_evaluates_a_formula_once(spec, kernel, lam):
+    # one node walk evaluates each formula a primitive reads over every kernel
+    # node at once, whatever the number of pieces; no piece is rough here
+    for moment in MOMENTS:
+        counted, calls = _counting_formulas(parse_model(spec))
+        moment(counted, kernel, lam)
+        assert max(calls.values()) == 1, (moment.__name__, calls)
+
+
+@pytest.mark.parametrize("spec", ["gaussian:mu=0,sigma=1", "poisson:rate=1"])
+def test_moments_without_a_primitive_take_quadrature(spec):
+    # without cgf_int every piece goes to the adaptive rule
+    m = parse_model(spec)
+    bare = dataclasses.replace(m, cgf_int=None)
+    for lam in (-1.3, 0.4, 2.0):
+        for moment in MOMENTS:
+            assert moment(bare, TENT, lam) == pytest.approx(moment(m, TENT, lam),
+                                                            rel=1e-10, abs=1e-10), lam
+
+
+def test_a_touched_piece_without_a_primitive_is_refused():
+    # cexp f(t) = t touches the open edge at lam = 1, where only the
+    # primitive decides the piece
+    bare = dataclasses.replace(parse_model("cexp"), cgf_int=None)
+    with pytest.raises(DomainError):
+        e_f_grad(bare, ID, 1.0)
+
+
 # -- domain analysis -----------------------------------------------------------
 
 
