@@ -38,11 +38,12 @@ The tilt domain d_f decides where lam f lies, exactly: it leaves the
 closed domain of K iff lam lies outside d_f, and it touches a finite edge e
 iff lam is the cap of d_f that e binds, at the nodes where f is the weight
 running into e; u is e itself there.  Lower semicontinuity then decides a
-touched piece: a term of Psi that is not finite there sends Psi to sign(e)
-inf.  At an open edge K and K' blow up, so the K' integral is sign(lam) inf,
-the K'' and clamp integrals int I(K'(u)) are +inf, and the K integral is the
-bracket of P (1/2 for cexp with f(t) = t).  At a closed edge K(e) and P(e)
-are finite, so only the K'' integral can diverge, exactly when K'(e) does.
+touched piece: where a term of Psi is not finite at e, Psi(e), the integral
+of u^j phi up to e, diverges with the sign of e^(j+1) phi(e).  At an open
+edge K and K' blow up, so the K' integral is sign(lam) inf, the K'' integral
++inf, and the K integral the bracket of P (1/2 for cexp with f(t) = t).  At a
+closed edge K(e) and P(e) are finite, so only the integrals of K'' (the
+moment's and the cells' dv / dlam) can diverge, exactly when K'(e) does.
 """
 
 from __future__ import annotations
@@ -129,10 +130,11 @@ def _walk(model: CgfModel, kernel: Kernel, lam: float, values: np.ndarray):
             with np.errstate(invalid="ignore", divide="ignore"):
                 parts = terms(u, *map(at.get, names))
                 psi_u, scale = sum(parts[1:], parts[0]), sum(map(abs, parts), len(parts) * scale_u)
-                if touch:   # Psi runs to sign(u) inf where a touched term is not finite
-                    decided = touched & ~np.isfinite(parts).all(axis=0)
-                    psi_u = np.where(decided, np.copysign(np.inf, u), psi_u)
-                    scale[decided] = 0.0
+                if touch and (decided := touched & ~np.isfinite(parts).all(axis=0)).any():
+                    # Psi(u) = int^u v^j point(v) dv diverges there, with the
+                    # sign of u^(j+1) point(u)
+                    e, psi_u, scale[decided] = u[decided], psi_u.copy(), 0.0
+                    psi_u[decided] = np.copysign(np.inf, e ** (j + 1)) * np.sign(point(e))
                 den = lam ** j * du if j else du
                 value, bound = (psi_u[1:] - psi_u[:-1]) / den, _EPS * (scale[:-1] + scale[1:])
                 rough = None if tol is None else ~(
@@ -167,13 +169,10 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
         return sum(quad.adaptive_gl(fn, a, b, tol=tol) for a, b, _, _ in kernel.pieces())
     if lam == 0.0:
         return (1.0, kernel.m1, kernel.m2)[k] * float(deriv(0.0))
-    if kernel.lipschitz == 0.0:     # f = c: lam f is constant
+    if kernel.lipschitz == 0.0:     # f = c: the walk's all-flat value at a third of its cost
         u = _trace(model, kernel, lam, kernel._vals[:1])
         return math.inf if u is None else kernel.values[0] ** k * float(deriv(u[0][0]))
-    cache = _problem(model, kernel)._cache    # Newton asks for E_f'' right after E_f'
-    if (last := cache.get("walk")) is None or last[0] is not model or last[1] != lam:
-        last = cache["walk"] = model, lam, _walk(model, kernel, lam, kernel._vals)
-    if (bracket := last[2]) is None:
+    if (bracket := _walk(model, kernel, lam, kernel._vals)) is None:
         return math.inf
     mean, rough = bracket(k, _MOMENT_PSI[k], deriv, tol)
     value = mean * kernel._widths
@@ -441,8 +440,6 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
     def g(u):
         return model.closed_rate(model.cgf_grad(u))
 
-    if kernel.lipschitz == 0.0:     # lam_bar f is constant
-        return float(g(_trace(model, kernel, lam_bar, kernel._vals[:1])[0][0])), 0.0
     u, touched = _trace(model, kernel, lam_bar, kernel._vals)
     closed = touched[:-1] | touched[1:] | (u[:-1] == u[1:])
     if np.count_nonzero(closed):

@@ -30,7 +30,7 @@ from ldpkit import (
     variational_rate,
     x_grid,
 )
-from ldpkit.cgf import MODEL_FACTORIES, gaussian
+from ldpkit.cgf import MODEL_FACTORIES, CgfModel, DomainInterval, gaussian
 from ldpkit.errors import NonConvergenceError
 
 ID = identity()
@@ -341,6 +341,45 @@ def test_a_touched_piece_without_a_primitive_is_refused():
     bare = dataclasses.replace(parse_model("cexp"), cgf_int=None)
     with pytest.raises(DomainError):
         e_f_grad(bare, ID, 1.0)
+
+
+def _negated_inverse_gaussian():
+    """The law of 1 - X, X inverse Gaussian with mean and shape 1: K(u) =
+    1 + u - sqrt(1 + 2u) on the closed [-1/2, inf), with K(-1/2) = 1/2 finite
+    and K' running to -inf there."""
+
+    def root(u):
+        return np.sqrt(np.maximum(1.0 + 2.0 * np.asarray(u, dtype=float), 0.0))
+
+    def hess(u):
+        with np.errstate(divide="ignore"):
+            return 1.0 / root(u) ** 3
+
+    def grad(u):
+        with np.errstate(divide="ignore"):
+            return 1.0 - 1.0 / root(u)
+
+    return CgfModel(
+        id="negated-inverse-gaussian", dimension=1,
+        domain=DomainInterval(-0.5, math.inf, lower_closed=True), mean=0.0,
+        cgf=lambda u: 1.0 + u - root(u), cgf_grad=grad, cgf_hess=hess,
+        cgf_int=lambda u: u + 0.5 * u * u - (root(u) ** 3 - 1.0) / 3.0,
+        rate_dom=(-math.inf, 1.0))
+
+
+def test_a_closed_lower_edge_with_an_infinite_slope():
+    # lam = -1/2 touches the closed edge -1/2 at t = 1: K and P are finite
+    # there, so E_f and E_f' are brackets, while K' = -inf makes the K''
+    # integrals diverge upwards, E_f'' and the last cell's dv / dlam alike
+    m = _negated_inverse_gaussian()
+    assert (d_f(m, ID).lower, d_f(m, ID).lower_closed) == (-0.5, True)
+    assert e_f(m, ID, -0.5) == pytest.approx(1.0 / 12.0, rel=1e-12)
+    assert e_f_grad(m, ID, -0.5) == pytest.approx(-5.0 / 6.0, rel=1e-12)
+    assert kr._e_f_hess(m, ID, -0.5) == math.inf
+    v, dv = kr._cell_slopes(m, ID, -0.5, kr._refined_grid(ID, 400), 1e-8)
+    assert np.isfinite(v).all()
+    assert dv[-1] == math.inf
+    assert (np.isfinite(dv[:-1]) & (dv[:-1] > 0)).all()
 
 
 # -- domain analysis -----------------------------------------------------------
