@@ -129,32 +129,22 @@ def _cmd_metric(args, out) -> int:
     return 0
 
 
-def _cmd_mc(args, out) -> int:
-    model = parse_model(args.model)
-    kernel = parse_kernel(args.kernel)
-    est = mc.estimate_tail(model, kernel, args.n, args.a,
-                           samples=args.samples, seed=args.seed)
-    i_f = i_f_conjugate(model, kernel, args.a).value
-    try:
-        exact = -mc.exact_tail_oracle(model, kernel, args.n, args.a) / args.n
-    except ValueError:
-        exact = None
+def _emit_curve(args, out, levels, n_list) -> int:
+    rows = mc.empirical_rate_curve(parse_model(args.model), parse_kernel(args.kernel),
+                                   levels, n_list, samples=args.samples, seed=args.seed)
     header = ("n", "a", "rate_estimate", "std_error", "i_f", "exact_rate")
-    rows = [(args.n, args.a, est.rate_estimate, est.std_error, i_f, exact)]
     _emit(header, rows, args.format, out)
     return 0
+
+
+def _cmd_mc(args, out) -> int:
+    # the one-row rate curve: its row is drawn with seed + 0
+    return _emit_curve(args, out, [args.a], [args.n])
 
 
 def _cmd_sweep(args, out) -> int:
-    model = parse_model(args.model)
-    kernel = parse_kernel(args.kernel)
-    levels = [float(s) for s in args.levels.split(",") if s]
-    n_list = [int(s) for s in args.n_list.split(",") if s]
-    rows = mc.empirical_rate_curve(model, kernel, levels, n_list,
-                                   samples=args.samples, seed=args.seed)
-    header = ("n", "a", "rate_estimate", "std_error", "i_f", "exact_rate")
-    _emit(header, rows, args.format, out)
-    return 0
+    return _emit_curve(args, out, [float(s) for s in args.levels.split(",") if s],
+                       [int(s) for s in args.n_list.split(",") if s])
 
 
 # ----------------------------------------------------------------------
@@ -291,18 +281,22 @@ def _selftest_checks():
 
 
 def _cmd_selftest(args, out) -> int:
-    checks = _selftest_checks()
-    failures = 0
-    for name, fn in checks:
+    rows = []
+    for name, fn in _selftest_checks():
         try:
             fn()
         except Exception as err:    # report and keep going
-            failures += 1
-            out.write(f"FAIL {name}: {err}\n")
+            rows.append((name, "FAIL", str(err)))
         else:
-            out.write(f"ok   {name}\n")
-    out.write(f"{len(checks) - failures}/{len(checks)} checks passed\n")
-    return 0 if failures == 0 else 1
+            rows.append((name, "ok", None))
+    passed = sum(status == "ok" for _, status, _ in rows)
+    if args.format == "json":
+        _emit(("check", "status", "error"), rows, "json", out)
+    else:
+        for name, status, err in rows:
+            out.write(f"ok   {name}\n" if err is None else f"FAIL {name}: {err}\n")
+        out.write(f"{passed}/{len(rows)} checks passed\n")
+    return 0 if passed == len(rows) else 1
 
 
 # ----------------------------------------------------------------------

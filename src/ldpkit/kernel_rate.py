@@ -230,9 +230,10 @@ def _slope_edge(model: CgfModel, domain: DomainInterval, split: tuple, grad,
     mu{w < 0}, int_{w > 0} w dmu, int_{w < 0} w dmu).  The slope edge on the
     upper (lower) side is g' at a closed cap and +-inf at an open one.  At
     an infinite cap each weight w != 0 sends K'(lam w) to the support edge b
-    picked by the sign of lam w (monotone convergence), so the slope edge
-    is the split integrals times those b, and the conjugate there (stated
-    only where I is closed-form) the split measures times I(b).
+    picked by the sign of lam w (monotone convergence), read from
+    ``rate_dom`` with no call to K', so the slope edge is the split
+    integrals times those b, and the conjugate there (stated only where I
+    is closed-form) the split measures times I(b).
     """
     side = 1.0 if upper else -1.0
     cap = domain.upper if upper else -domain.lower
@@ -241,8 +242,11 @@ def _slope_edge(model: CgfModel, domain: DomainInterval, split: tuple, grad,
             return side * math.inf, None
         val = grad(side * cap)
         return (val if math.isfinite(val) else math.copysign(math.inf, val)), None
+    if model.rate_dom is None:
+        raise DomainError(f"model {model.id} has an infinite domain edge but no "
+                          "rate_dom, so K' has no known limit there")
     pos, neg, pos_int, neg_int = split
-    glo, ghi = model.grad_range
+    glo, ghi = model.rate_dom
     limits = ((pos, pos_int, ghi if upper else glo), (neg, neg_int, glo if upper else ghi))
     slope = sum(w * b for _, w, b in limits if w != 0.0)
     if model.closed_rate is None:
@@ -577,7 +581,9 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     d_f.  f has one sign on each cell, so the pairing is monotone and runs to
     the stated slope edge at an infinite cap.  Past the pairing at a finite
     cap (at the last float tilt inside an open one) the path takes the
-    slopes there and one jump by the rest of x at the first extremizer of f.
+    slopes there and one jump by the rest of x at the first extremizer of f;
+    if f stays extreme over a whole piece the site is not determined
+    (AmbiguityError).
     In d > 1 the slopes are 32-node cell averages at the conjugate's tilt,
     moved along the weights to pair to x.
     """
@@ -607,12 +613,14 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         # an open cap pairs no further than the last float tilt inside it
         top = cap if dom.contains(cap) else math.nextafter(cap, 0.0)
         if side * (gap := x - float(weights @ cells(top)[0])) >= 0:
-            # the jump sits at the first node where cap f touches the binding edge
-            first = int(np.argmax(_trace(model, kernel, cap, kernel._vals)[1]))
-            if kernel.values[first + 1:first + 2] == kernel.values[first:first + 1]:
+            # the jump sits at the first node where cap f touches the binding
+            # edge, unless f runs along that edge over a whole piece
+            touched = _trace(model, kernel, cap, kernel._vals)[1]
+            if (touched[:-1] & touched[1:]).any():
                 raise AmbiguityError(
                     "the extremizer set of f has positive measure; the jump location "
                     "is not determined")
+            first = int(np.argmax(touched))
             return CadlagPath(1, grid, cells(top)[0],
                               ((kernel.breakpoints[first], gap / kernel.values[first]),))
 
@@ -719,24 +727,16 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
         oracle = ConvexOracle(FullSpace(model.dimension), phi, phi_grad, phi_hess)
         return legendre(oracle, np.asarray(x, dtype=float), tol=tol).value
 
+    # Phi(nu) = sum_i l_i K(nu fbar_i), as I* = K: the slope edges of
+    # ``_slope_edge`` with the cell lengths for mu, Phi' read at a finite cap
     m_plus, m_minus = _problem(model, kernel).m_plus_minus
-    lo, hi = model.rate_dom
-
-    def slope_edge(side, cap):
-        """Phi' at the cap, and the stated conjugate there if the cap is infinite."""
-        if math.isfinite(cap):
-            return phi_grad(side * cap), None
-        limit = np.where(side * fbar > 0, hi,
-                         np.where(side * fbar < 0, lo, float(model.mean)))
-        edge = float(w @ limit)
-        return edge, float(lens @ model.rate(limit)) if math.isfinite(edge) else None
-
-    (glo, vlo), (ghi, vhi) = slope_edge(-1.0, m_minus), slope_edge(1.0, m_plus)
-    oracle = ConvexOracle(
-        DomainInterval(-m_minus, m_plus,
-                       lower_closed=math.isfinite(m_minus) and math.isfinite(glo),
-                       upper_closed=math.isfinite(m_plus) and math.isfinite(ghi)),
-        phi, phi_grad, phi_hess, grad_range=(glo, ghi), edge_values=(vlo, vhi))
+    dom = DomainInterval(-m_minus, m_plus, lower_closed=math.isfinite(m_minus),
+                         upper_closed=math.isfinite(m_plus))
+    pos, neg = fbar > 0, fbar < 0
+    split = (np.sum(lens[pos]), np.sum(lens[neg]), np.sum(w[pos]), np.sum(w[neg]))
+    (glo, vlo), (ghi, vhi) = (_slope_edge(model, dom, split, phi_grad, up) for up in (False, True))
+    oracle = ConvexOracle(dom, phi, phi_grad, phi_hess, grad_range=(glo, ghi),
+                          edge_values=(vlo, vhi))
     return legendre(oracle, float(x), tol=tol).value
 
 

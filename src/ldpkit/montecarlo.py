@@ -65,6 +65,12 @@ def _step_times(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) / n
 
 
+def _step_groups(kernel: Kernel, n: int):
+    """The distinct step weights f(k/n), ascending, and how many steps take each."""
+    return np.unique(np.asarray(kernel.eval(_step_times(n)), dtype=float),
+                     return_counts=True)
+
+
 def _nonzero_steps(model: CgfModel, n: int, seed: int):
     """Step times and scaled draws X_k/n, with exact-zero steps removed.
 
@@ -185,8 +191,7 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
     if norm <= 0 or (dim == 1 and abs(norm - 1.0) > 1e-12):
         raise DomainError("direction must be +-1 in d = 1 and nonzero in d > 1")
     l = l / norm
-    fu, copies = np.unique(np.asarray(kernel.eval(_step_times(n)), dtype=float),
-                           return_counts=True)
+    fu, copies = _step_groups(kernel, n)
     g = np.multiply.outer(fu, l)               # g_j = f_j l
 
     if lam_override is not None:
@@ -240,14 +245,19 @@ def exact_tail_oracle(model: CgfModel, kernel: Kernel, n: int, a: float) -> floa
 
     Gaussian steps: W_n is normal with mean mu (1/n) sum f(k/n) and
     variance sigma^2 (1/n^2) sum f(k/n)^2, any kernel and any n.
-    Sign steps: binomial tail for constant kernels, and a full
-    enumeration of the 2^n sign patterns for n <= 24 otherwise.
+    Sign steps: the c_j steps of weight f_j sum to 2 B_j - c_j with B_j ~
+    Binomial(c_j, 1/2), so n W_n = sum_j f_j (2 B_j - c_j) over the nonzero
+    weights.  The sums of each half of the groups are enumerated and meet in
+    the middle; a sum within (groups + 1) eps sum_j c_j |f_j| of a n, a bound
+    on the rounding of the sums and of a n, reaches it.  Any kernel and n
+    qualify whose groups but the largest have at most 2^24 sums together: a
+    constant kernel at every n, distinct weights up to n = 25.  Every other
+    case raises ValueError.
     """
     from scipy.special import gammaln, log_ndtr, logsumexp
 
-    ts = _step_times(n)
-    fv = np.asarray(kernel.eval(ts), dtype=float)
     if model.id.startswith("gaussian") and model.dimension == 1:
+        fv = np.asarray(kernel.eval(_step_times(n)), dtype=float)
         mu = float(model.mean_vec[0])
         sig2 = float(model.hessian(0.0))    # K'' is the constant sigma^2
         m = mu * float(np.sum(fv)) / n
@@ -256,42 +266,27 @@ def exact_tail_oracle(model: CgfModel, kernel: Kernel, n: int, a: float) -> floa
             return 0.0 if a <= m else -math.inf
         return float(log_ndtr((m - a) / s))
     if model.id.startswith("rademacher"):
-        const = float(fv[0])
-        if np.all(fv == const) and const > 0:
-            # W_n = const S_n / n: a binomial tail; S_n within rounding of t hits
-            t = a * n / const
-            m_lo = math.ceil((t + n) / 2.0 - np.finfo(float).eps * (abs(t) + n))
-            if m_lo > n:
-                return -math.inf
-            if m_lo <= 0:
-                return 0.0
-            ks = np.arange(m_lo, n + 1)
-            logs = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-            return float(logsumexp(logs) - n * math.log(2.0))
-        if n <= 24:
-            half = n // 2
-            rest = n - half
-            sa = _all_sign_sums(fv[:half])
-            sb = np.sort(_all_sign_sums(fv[half:]))
-            need = a * n
-            count = 0
-            for s in sa:
-                # patterns with s + t >= need, tolerating float dust
-                idx = np.searchsorted(sb, need - s - 1e-12, side="left")
-                count += sb.size - idx
-            if count == 0:
-                return -math.inf
-            return float(math.log(count) - n * math.log(2.0))
+        fu, copies = _step_groups(kernel, n)
+        fu, copies = fu[fu != 0.0], copies[fu != 0.0]
+        bits = np.log2(copies + 1.0)
+        if bits.sum() - bits.max(initial=0.0) <= 24.0:
+            sums, logp = [np.zeros(1)] * 2, [np.zeros(1)] * 2
+            for j in np.argsort(-copies, kind="stable"):
+                # largest group first, each into the half with fewer sums so far
+                h = int(sums[1].size <= sums[0].size)
+                c, b = copies[j], np.arange(copies[j] + 1)
+                sums[h] = np.add.outer(sums[h], fu[j] * (2 * b - c)).ravel()
+                logp[h] = np.add.outer(logp[h], gammaln(c + 1) - gammaln(b + 1)
+                                       - gammaln(c - b + 1) - c * math.log(2.0)).ravel()
+            order = np.argsort(sums[1], kind="stable")
+            # tail[i] = log P(T >= t_i) over the sorted sums t_i of the second
+            # half T; -inf past them
+            tail = np.append(np.logaddexp.accumulate(logp[1][order][::-1])[::-1], -math.inf)
+            tol = (fu.size + 1) * np.finfo(float).eps * float(copies @ np.abs(fu))
+            idx = np.searchsorted(sums[1][order], a * n - sums[0] - tol, side="left")
+            # exactly 0.0 when every pair of sums reaches the level
+            return 0.0 if not idx.any() else float(logsumexp(logp[0] + tail[idx]))
     raise ValueError(f"no exact oracle for model {model.id} with this kernel")
-
-
-def _all_sign_sums(fv: np.ndarray) -> np.ndarray:
-    m = fv.size
-    if m == 0:
-        return np.zeros(1)
-    masks = np.arange(2 ** m, dtype=np.int64)
-    signs = ((masks[:, None] >> np.arange(m)) & 1) * 2.0 - 1.0
-    return signs @ fv
 
 
 # ----------------------------------------------------------------------

@@ -181,6 +181,15 @@ def test_selftest_passes(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+def test_selftest_json(capsys):
+    code, cap = _run(capsys, ["selftest", "--format", "json"])
+    assert code == 0
+    rows = json.loads(cap.out)
+    assert len(rows) == 14
+    assert all(set(row) == {"check", "status", "error"} for row in rows)
+    assert all(row["status"] == "ok" and row["error"] is None for row in rows)
+
+
 def test_selftest_checks_the_cgf_primitive(capsys):
     code, cap = _run(capsys, ["selftest"])
     assert code == 0

@@ -1025,6 +1025,15 @@ def test_minimizer_ambiguous_jump_site():
         minimizer(m, PLATEAU, hi + 0.5)
 
 
+def test_minimizer_ambiguous_behind_an_isolated_extremizer():
+    # f = 1 at t = 0 and on [0.5, 0.7]: the first extremizer is a point, but
+    # the jump could as well sit anywhere on the plateau
+    m, k = parse_model("synthetic-boundary"), parse_kernel("pwl:0:1,0.2:0,0.5:1,0.7:1,1:0")
+    assert k.argmax_intervals == [(0.0, 0.0), (0.5, 0.7)]
+    with pytest.raises(AmbiguityError):
+        minimizer(m, k, ef_prime_range(m, k)[1] + 0.5)
+
+
 def test_minimizer_perturbations_cost_more():
     m = parse_model("gaussian:mu=0,sigma=1")
     x = 0.8

@@ -237,6 +237,74 @@ def test_oracle_refuses_unknown_model():
         exact_tail_oracle(parse_model("cexp"), ID, 10, 0.3)
 
 
+def _sign_count(weights, level):
+    """Sign patterns of integer weights whose signed sum is >= level, and
+    how many patterns there are, by an exact integer convolution."""
+    counts = {0: 1}
+    for w in weights:
+        nxt = {}
+        for s, c in counts.items():
+            for t in (s + w, s - w):
+                nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    return sum(c for s, c in counts.items() if s >= level), 2 ** len(weights)
+
+
+def _log_ratio(num, den):
+    """log(num / den) to a few ulps, also next to 1."""
+    if 2 * num > den:
+        return math.log1p(-((den - num) / den))
+    return -math.inf if num == 0 else math.log(num / den)
+
+
+def test_negative_constant_kernel_is_one_binomial_group():
+    # W_n = -S_n / n: P(W_n >= a) sums C(n, b) over b <= n (1 - a) / 2; at
+    # every level but 0.333 that bound is an integer, an atom at the level
+    m, n = parse_model("rademacher"), 200
+    for a in (-0.3, 0.1, 0.3, 0.333, 0.5, 0.7):
+        top = math.floor(n * (1.0 - a) / 2.0 + 1e-9)
+        want = _log_ratio(sum(math.comb(n, b) for b in range(top + 1)), 2 ** n)
+        assert exact_tail_oracle(m, constant(-1.0), n, a) == pytest.approx(want, rel=1e-12)
+    assert exact_tail_oracle(m, constant(-1.0), n, 1.01) == -math.inf
+    assert exact_tail_oracle(m, constant(-1.0), n, -1.0) == 0.0
+
+
+def test_grouped_weights_match_an_integer_convolution():
+    # f(k/40) = 1 for k <= 20 (one group of 20 steps) and (40 - k) / 20
+    # after, so 20 n W_n is a sum of signed integer weights; 2^40 patterns
+    m, k, n = parse_model("rademacher"), parse_kernel("pwl:0:1,0.5:1,1:0"), 40
+    weights = [20] * 20 + [40 - j for j in range(21, n + 1)]
+    for a in (-0.3, 0.1, 0.33, 0.5, 0.7, 0.74):
+        want = _log_ratio(*_sign_count(weights, math.ceil(20 * n * a - 1e-9)))
+        assert exact_tail_oracle(m, k, n, a) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec, scale, level", [("affine:0,1", 20, 200), ("affine:0,1", 20, 62),
+                                                ("pwl:0:1,0.5:1,1:0", 10, 99),
+                                                ("pwl:0:1,0.5:1,1:0", 10, 37)])
+def test_oracle_counts_an_atom_at_the_level(spec, scale, level):
+    # n W_n = level / scale is the sum of some sign patterns exactly, though
+    # the float weights sum to it only up to rounding: those patterns count
+    m, k, n = parse_model("rademacher"), parse_kernel(spec), 20
+    weights = [round(scale * float(f)) for f in k.eval(np.arange(1, n + 1) / n)]
+    at, total = _sign_count(weights, level)
+    above, _ = _sign_count(weights, level + 1)
+    assert at > above
+    a = level / scale / n
+    assert exact_tail_oracle(m, k, n, a) == pytest.approx(_log_ratio(at, total), rel=1e-13)
+
+
+def test_oracle_budget():
+    # distinct weights: the groups but the largest may have 2^24 sums together
+    m = parse_model("rademacher")
+    assert math.isfinite(exact_tail_oracle(m, ID, 25, 0.3))
+    with pytest.raises(ValueError):
+        exact_tail_oracle(m, ID, 26, 0.3)
+    # one group of n + 1 sums is within the budget at any n
+    assert exact_tail_oracle(m, CONST1, 100_000, 0.01) == pytest.approx(
+        float(binom.logsf(50_499, 100_000, 0.5)), rel=1e-9)
+
+
 # -- boundary and degenerate targets ---------------------------------------------------
 
 
