@@ -22,6 +22,8 @@ from .errors import DomainError, NoSamplerError
 
 _EPS = np.finfo(float).eps
 _BD0_TERMS = 8      # |e| < 0.1 in the bd0 series: 0.1^17 / 19 is below eps
+# K itself as a weighted cumulant: mu = delta_1, split as ``slope_edges`` takes it
+_UNIT_WEIGHT = (1.0, 0.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,17 @@ class CgfModel:
     one-sided limit values on the closed hull boundary.  Equality and the
     hash leave the callables out, so the other fields, ``id`` above all, must
     tell two laws apart; two parses of one spec then share cached analyses.
+    Such a cache holds law facts only (tilt caps, slope edges and the
+    conjugate there), never a formula: every evaluation calls the formulas
+    of the model the caller passed, so a ``dataclasses.replace`` copy with
+    other callables runs its own.
 
     For d=1, ``grad_range`` is the slope range (K'(lower+), K'(upper-)) read
-    from the model with no search: +-inf at an open finite edge (a log-MGF
-    is lower semicontinuous, so K and K' blow up there), ``cgf_grad(edge)``
-    at a closed edge, and the matching ``rate_dom`` edge at an infinite one.
+    from the model with no search, by the weighted-cumulant rule of
+    ``conjugate.slope_edges`` with all weight at 1: +-inf at an open finite
+    edge (a log-MGF is lower semicontinuous, so K and K' blow up there),
+    ``cgf_grad(edge)`` at a closed edge, and the matching ``rate_dom`` edge
+    at an infinite one.
 
     For d=1, ``cgf_int`` is the primitive P(u) = int_0^u K, with P(0) = 0
     and its limit at a finite domain edge.  Every kernel is piecewise
@@ -148,20 +156,9 @@ class CgfModel:
     @cached_property
     def grad_range(self) -> tuple:
         """(K'(lower+), K'(upper-)) of a d=1 model; see the class docstring."""
-        dom = self.domain
-        out = []
-        for side, edge, closed in ((0, dom.lower, dom.lower_closed),
-                                   (1, dom.upper, dom.upper_closed)):
-            if math.isfinite(edge):
-                out.append(float(self.cgf_grad(edge)) if closed
-                           else math.copysign(math.inf, edge))
-            elif self.rate_dom is None:
-                raise DomainError(
-                    f"model {self.id} has an infinite domain edge but no "
-                    "rate_dom, so K' has no known limit there")
-            else:
-                out.append(float(self.rate_dom[side]))
-        return tuple(out)
+        from .conjugate import slope_edges  # local: avoid cycle
+
+        return tuple(e for e, _ in slope_edges(self, self.domain, _UNIT_WEIGHT, self.cgf_grad))
 
     # -- CGF surface ---------------------------------------------------
 
@@ -193,19 +190,17 @@ class CgfModel:
         self._check_dim(v)
         if self.closed_rate is not None:
             return self.closed_rate(v)
-        from .conjugate import ConvexOracle, legendre  # local: avoid cycle
+        from .conjugate import ConvexOracle, legendre, weighted_oracle  # local: avoid cycle
 
-        oracle = ConvexOracle(
-            domain=self.domain, eval=self.cgf, grad=self.cgf_grad,
-            hess=self.cgf_hess,
-            grad_range=self.grad_range if self.dimension == 1 else None)
         if self.dimension == 1:
+            oracle = weighted_oracle(self, self.domain, _UNIT_WEIGHT, self.cgf, self.cgf_grad,
+                                     self.cgf_hess)
             arr = np.asarray(v, dtype=float)
             if arr.ndim == 0:
                 return legendre(oracle, float(arr)).value
             flat = [legendre(oracle, float(c)).value for c in arr.reshape(-1)]
             return np.asarray(flat).reshape(arr.shape)
-        return legendre(oracle, v).value
+        return legendre(ConvexOracle(self.domain, self.cgf, self.cgf_grad, self.cgf_hess), v).value
 
     def recession(self, direction) -> float:
         """Support function of the domain at a unit direction: the jump price."""

@@ -7,6 +7,11 @@ endpoint is evaluated directly and an infinite one gives +inf, or the stated
 value exactly at the edge.  Inside, the root of grad g = x lies strictly
 inside the domain, which is the bracket (no probing) of ``solve_monotone``,
 the one safeguarded Newton for every monotone 1-D equation in ldpkit.
+
+Every d = 1 function ldpkit transforms is a weighted cumulant g(lam) =
+int K(lam w) dmu(w): K (mu = delta_1), E_f, the tail sampler's finite-n
+cumulant and the variational dual.  ``tilt_domain`` and ``slope_edges``
+state its domain and slope range from dom K and mu alone, once for all.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cgf import Domain, FullSpace
+from .cgf import CgfModel, Domain, DomainInterval, FullSpace
 from .errors import DomainError, GradientRangeError, NonConvergenceError
 
 _VALUE_CAP = 1e14
@@ -52,6 +57,80 @@ def _stated_range(oracle: ConvexOracle) -> tuple:
     if oracle.grad_range is None:
         raise ValueError("a one-dimensional oracle must state its grad_range")
     return oracle.grad_range
+
+
+# ----------------------------------------------------------------------
+# The d = 1 weighted cumulant g(lam) = int K(lam w) dmu(w)
+# ----------------------------------------------------------------------
+
+def _quot(num: float, den: float) -> float:
+    """num / den for num in [0, inf], den >= 0, with c/0 := +inf."""
+    return math.inf if den == 0.0 or math.isinf(num) else num / den
+
+
+def tilt_domain(model: CgfModel, w_plus: float, w_minus: float) -> DomainInterval:
+    """The tilts lam with lam w in dom K for every weight w in [-w_minus, w_plus].
+
+    Each cap is the smallest ratio of a domain edge to the weight that runs
+    into it, and is closed iff every edge that binds there is closed.
+    """
+    dom = model.domain
+    ends = []
+    for up, down in ((w_plus, w_minus), (w_minus, w_plus)):    # lam > 0, lam < 0
+        bounds = ((_quot(dom.upper, up), dom.upper_closed),
+                  (_quot(-dom.lower, down), dom.lower_closed))
+        cap = min(b for b, _ in bounds)
+        ends.append((cap, math.isfinite(cap) and all(c for b, c in bounds if b == cap)))
+    (hi, hi_closed), (lo, lo_closed) = ends
+    return DomainInterval(-lo, hi, lower_closed=lo_closed, upper_closed=hi_closed)
+
+
+def slope_edges(model: CgfModel, domain: DomainInterval, split: tuple, grad,
+                sides: tuple = (False, True)) -> list:
+    """(slope edge, conjugate there or None) of g on each of ``sides``, False
+    for the lower side and True for the upper one.
+
+    ``domain`` is the tilt domain of the weights and split = (mu{w > 0},
+    mu{w < 0}, int_{w > 0} w dmu, int_{w < 0} w dmu).  g' is nondecreasing,
+    so the upper (lower) slope edge is its limit at the cap: g' there at a
+    closed cap, +-inf at an open one (a log-MGF is lower semicontinuous, so
+    K and K' blow up at an open edge).  At an infinite cap each weight w != 0
+    sends K'(lam w) to the support edge b picked by the sign of lam w
+    (monotone convergence), read from ``rate_dom`` with no call to K', so
+    the slope edge is the split integrals times those b, and the conjugate
+    there (stated only where I is closed-form) the split measures times I(b).
+    """
+    def edge(upper):
+        side = 1.0 if upper else -1.0
+        cap = domain.upper if upper else -domain.lower
+        if math.isfinite(cap):
+            if not (domain.upper_closed if upper else domain.lower_closed):
+                return side * math.inf, None
+            val = float(grad(side * cap))
+            return (val if math.isfinite(val) else math.copysign(math.inf, val)), None
+        if model.rate_dom is None:
+            raise DomainError(f"model {model.id} has an infinite domain edge but no "
+                              "rate_dom, so K' has no known limit there")
+        pos, neg, pos_int, neg_int = split
+        glo, ghi = model.rate_dom
+        limits = ((pos, pos_int, ghi if upper else glo), (neg, neg_int, glo if upper else ghi))
+        slope = sum(w * b for _, w, b in limits if w != 0.0)
+        if model.closed_rate is None:
+            return slope, None
+        return slope, sum(m * (float(model.rate(b)) if math.isfinite(b) else math.inf)
+                          for m, _, b in limits if m != 0.0)
+
+    return [edge(upper) for upper in sides]
+
+
+def weighted_oracle(model: CgfModel, domain: DomainInterval, split: tuple, value, grad,
+                    hess, edges: tuple = None) -> ConvexOracle:
+    """The oracle of g on its tilt ``domain``, with the slope range and edge
+    values of ``slope_edges``, or the (lower, upper) ``edges`` it found
+    before, in which case ``split`` is not read."""
+    (lo, v_lo), (hi, v_hi) = edges or slope_edges(model, domain, split, grad)
+    return ConvexOracle(domain, value, grad, hess, grad_range=(lo, hi),
+                        edge_values=(v_lo, v_hi))
 
 
 def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, start,

@@ -1,11 +1,13 @@
 """Kernel-weighted rate functions.
 
-For a model with log-MGF K and a piecewise-linear weight f, the scaled
-cumulant E_f(lam) = int_0^1 K(lam f(t)) dt has effective domain
-(-M_minus, M_plus) with M_plus = min(sup D / max f_+, -inf D / max f_-)
-and the symmetric expression for M_minus (conventions: c/0 = +inf,
-0 * inf = 0).  The weighted rate I_f is computed by three routes that
-share no value formula:
+For a model with log-MGF K and a piecewise-linear weight f, the weighted
+rate I_f is the Legendre transform of the scaled cumulant E_f(lam) =
+int_0^1 K(lam f(t)) dt.  Its tilt domain d_f = (-M_minus, M_plus) and slope
+range [inf E_f', sup E_f'] follow from the domain of K and the weights
+alone, with no search: ``conjugate`` states that rule once for every d = 1
+weighted cumulant (``tilt_domain``, ``slope_edges``, ``weighted_oracle``),
+and ``KernelRateProblem`` caches its answers.  I_f is computed by three
+routes that share no value formula:
 
   * i_f_conjugate: Legendre transform of E_f via the generic solver;
   * i_f_explicit: the closed rate integrated along clamped tilt slopes,
@@ -14,15 +16,6 @@ share no value formula:
     pairing constraint, as the Legendre transform of its discrete dual on
     the same solver (uses only the rate function, its derivatives, the
     domain and the recession prices, never K).
-
-The slope range [inf E_f', sup E_f'] follows from the model and the
-kernel, with no search.  E_f' is nondecreasing, so sup E_f' is its limit at
-the cap M_plus.  An infinite cap gives, by monotone convergence,
-int_{f>0} f K'(+inf) + int_{f<0} f K'(-inf).  At a finite cap the binding
-domain edge decides: a log-MGF is lower semicontinuous, so K and K' blow up
-at an open edge and sup E_f' = +inf; at a closed edge sup E_f' is the
-(possibly improper) integral of f K'(M_plus f) at the cap.  inf E_f' is the
-mirror image.
 
 In d = 1 one walker, ``_walk``, takes every integral of f^j phi(lam f) over
 a linear interval of f: u = lam f turns its mean into the bracket [Psi] /
@@ -50,25 +43,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
-from .conjugate import ConvexOracle, _solve_grad_1d, grad_inverse, legendre, solve_monotone
+from .conjugate import (ConvexOracle, _quot, _solve_grad_1d, grad_inverse, legendre, slope_edges,
+                        solve_monotone, tilt_domain, weighted_oracle)
 from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
-
-
-def _quot(num: float, den: float) -> float:
-    """num / den for num in [0, inf], den >= 0, with c/0 := +inf."""
-    return math.inf if den == 0.0 or math.isinf(num) else num / den
-
-
-def _interval_bounds(model: CgfModel):
-    dom = model.domain
-    return (-math.inf, math.inf) if isinstance(dom, FullSpace) else (dom.lower, dom.upper)
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +74,7 @@ def _trace(model: CgfModel, kernel: Kernel, lam: float, values: np.ndarray):
     u = lam * values
     touched = np.zeros(u.shape, dtype=bool)
     if lam in (caps.lower, caps.upper):
-        for edge in _interval_bounds(model):
+        for edge in (model.domain.lower, model.domain.upper):
             w = kernel.max_plus if (edge > 0) == (lam > 0) else -kernel.max_minus
             hit = (values == w) & (_quot(abs(edge), abs(w)) == abs(lam))
             u[hit] = edge
@@ -205,66 +189,16 @@ def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
 # Cached per-(model, kernel) analysis
 # ----------------------------------------------------------------------
 
-def _tilt_domain(model: CgfModel, w_plus: float, w_minus: float) -> DomainInterval:
-    """The tilts lam with lam w in dom K for every weight w in [-w_minus, w_plus].
-
-    Each cap is the smallest ratio of a domain edge to the weight that runs
-    into it, and is closed iff every edge that binds there is closed.
-    """
-    dom = model.domain
-    ends = []
-    for up, down in ((w_plus, w_minus), (w_minus, w_plus)):    # lam > 0, lam < 0
-        bounds = ((_quot(dom.upper, up), dom.upper_closed),
-                  (_quot(-dom.lower, down), dom.lower_closed))
-        cap = min(b for b, _ in bounds)
-        ends.append((cap, math.isfinite(cap) and all(c for b, c in bounds if b == cap)))
-    (hi, hi_closed), (lo, lo_closed) = ends
-    return DomainInterval(-lo, hi, lower_closed=lo_closed, upper_closed=hi_closed)
-
-
-def _slope_edge(model: CgfModel, domain: DomainInterval, split: tuple, grad,
-                upper: bool) -> tuple:
-    """(slope edge, conjugate there or None) of g(lam) = int K(lam w) dmu(w).
-
-    ``domain`` is the tilt domain of the weights and split = (mu{w > 0},
-    mu{w < 0}, int_{w > 0} w dmu, int_{w < 0} w dmu).  The slope edge on the
-    upper (lower) side is g' at a closed cap and +-inf at an open one.  At
-    an infinite cap each weight w != 0 sends K'(lam w) to the support edge b
-    picked by the sign of lam w (monotone convergence), read from
-    ``rate_dom`` with no call to K', so the slope edge is the split
-    integrals times those b, and the conjugate there (stated only where I
-    is closed-form) the split measures times I(b).
-    """
-    side = 1.0 if upper else -1.0
-    cap = domain.upper if upper else -domain.lower
-    if math.isfinite(cap):
-        if not (domain.upper_closed if upper else domain.lower_closed):
-            return side * math.inf, None
-        val = grad(side * cap)
-        return (val if math.isfinite(val) else math.copysign(math.inf, val)), None
-    if model.rate_dom is None:
-        raise DomainError(f"model {model.id} has an infinite domain edge but no "
-                          "rate_dom, so K' has no known limit there")
-    pos, neg, pos_int, neg_int = split
-    glo, ghi = model.rate_dom
-    limits = ((pos, pos_int, ghi if upper else glo), (neg, neg_int, glo if upper else ghi))
-    slope = sum(w * b for _, w, b in limits if w != 0.0)
-    if model.closed_rate is None:
-        return slope, None
-    return slope, sum(m * (float(model.rate(b)) if math.isfinite(b) else math.inf)
-                      for m, _, b in limits if m != 0.0)
-
-
 class KernelRateProblem:
+    """The law facts of E_f for one (model, kernel), each found on first use:
+    the tilt domain d_f and, per side, the slope edge of E_f' with I_f there
+    (None where unknown), by the rules of ``conjugate``.  It keeps no
+    formula: ``_e_f_oracle`` binds E_f to the caller's model on every call,
+    so a model equal to the first but with other callables runs its own."""
+
     def __init__(self, model: CgfModel, kernel: Kernel):
         self.model = model
         self.kernel = kernel
-        self._cache = {}
-
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
 
     @property
     def m_plus_minus(self):
@@ -272,49 +206,51 @@ class KernelRateProblem:
             return math.inf, math.inf
         return self.d_f.upper, -self.d_f.lower
 
-    @property
+    @cached_property
     def d_f(self):
-        def compute():
-            model, k = self.model, self.kernel
-            if model.dimension == 1:
-                return _tilt_domain(model, k.max_plus, k.max_minus)
-            if isinstance(model.domain, FullSpace):
-                return FullSpace(model.dimension)
-            raise DomainError("weighted domain is only available for full-space "
-                              "models in dimension > 1")
-        return self._memo("d_f", compute)
+        model, k = self.model, self.kernel
+        if model.dimension == 1:
+            return tilt_domain(model, k.max_plus, k.max_minus)
+        if isinstance(model.domain, FullSpace):
+            return FullSpace(model.dimension)
+        raise DomainError("weighted domain is only available for full-space "
+                          "models in dimension > 1")
 
     def _edge(self, upper: bool) -> tuple:
         model, kernel = self.model, self.kernel
-        return self._memo(("edge", upper), lambda: _slope_edge(
-            model, self.d_f, _sign_split(kernel),
-            lambda l: e_f_grad(model, kernel, l), upper))
+        return slope_edges(model, self.d_f, _sign_split(kernel),
+                           partial(e_f_grad, model, kernel), (upper,))[0]
+
+    @cached_property
+    def lower_edge(self) -> tuple:
+        return self._edge(False)
+
+    @cached_property
+    def upper_edge(self) -> tuple:
+        return self._edge(True)
 
     @property
     def sup_ef_prime(self) -> float:
-        return self._edge(True)[0]
+        return self.upper_edge[0]
 
     @property
     def inf_ef_prime(self) -> float:
-        return self._edge(False)[0]
-
-    @property
-    def oracle(self) -> ConvexOracle:
-        def compute():
-            model, kernel = self.model, self.kernel
-            edges = {}
-            if model.dimension == 1:
-                (lo, v_lo), (hi, v_hi) = self._edge(False), self._edge(True)
-                edges = dict(grad_range=(lo, hi), edge_values=(v_lo, v_hi))
-            return ConvexOracle(domain=self.d_f, eval=lambda l: e_f(model, kernel, l),
-                                grad=lambda l: e_f_grad(model, kernel, l),
-                                hess=lambda l: _e_f_hess(model, kernel, l), **edges)
-        return self._memo("oracle", compute)
+        return self.lower_edge[0]
 
 
 @lru_cache(maxsize=256)
 def _problem(model: CgfModel, kernel: Kernel) -> KernelRateProblem:
     return KernelRateProblem(model, kernel)
+
+
+def _e_f_oracle(model: CgfModel, kernel: Kernel) -> ConvexOracle:
+    """The oracle of E_f on ``model``'s own formulas, with the cached facts."""
+    prob = _problem(model, kernel)
+    value, grad, hess = (partial(fn, model, kernel) for fn in (e_f, e_f_grad, _e_f_hess))
+    if model.dimension > 1:
+        return ConvexOracle(prob.d_f, value, grad, hess)
+    return weighted_oracle(model, prob.d_f, None, value, grad, hess,
+                           edges=(prob.lower_edge, prob.upper_edge))
 
 
 def d_f(model: CgfModel, kernel: Kernel):
@@ -346,28 +282,21 @@ class KernelRateResult:
     inf_ef_prime: float
 
 
-def _branch_of(x: float, prob: KernelRateProblem) -> str:
-    if x >= prob.sup_ef_prime:
-        return "singular_plus"
-    if x <= prob.inf_ef_prime:
-        return "singular_minus"
-    return "interior"
-
-
 def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> KernelRateResult:
     """I_f(x) as the Legendre transform of E_f."""
     prob = _problem(model, kernel)
     m_plus, m_minus = prob.m_plus_minus
     if model.dimension > 1:
-        res = legendre(prob.oracle, np.asarray(x, dtype=float), tol=tol)
+        res = legendre(_e_f_oracle(model, kernel), np.asarray(x, dtype=float), tol=tol)
         branch = "infinite" if math.isinf(res.value) else "interior"
         return KernelRateResult(np.asarray(x, dtype=float), res.value, branch,
                                 res.argmax, m_plus, m_minus, math.inf, -math.inf)
 
     x = float(x)
-    res = legendre(prob.oracle, x, tol=tol)
-    branch = ("infinite" if math.isinf(res.value)
-              else _branch_of(x, prob) if res.at_boundary else "interior")
+    res = legendre(_e_f_oracle(model, kernel), x, tol=tol)
+    # the solver stops at a boundary only at or past a slope edge, upper first
+    branch = ("infinite" if math.isinf(res.value) else "interior" if not res.at_boundary
+              else "singular_plus" if x >= prob.sup_ef_prime else "singular_minus")
     return KernelRateResult(x, res.value, branch, res.argmax, m_plus, m_minus,
                             prob.sup_ef_prime, prob.inf_ef_prime)
 
@@ -458,7 +387,7 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
             continue
         lo, hi = sorted(u[i:i + 2].tolist())
         rate = (hi - lo) / (b - a)      # |du / dt|
-        for edge in _interval_bounds(model):
+        for edge in (model.domain.lower, model.domain.upper):
             near = hi if edge > 0 else lo
             if not abs(edge - near) < 0.5 * abs(edge) < math.inf:
                 continue
@@ -480,7 +409,7 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
         # no explicit formula off the gradient range in d > 1; interior only
         x = np.asarray(x, dtype=float)
         try:
-            lam = grad_inverse(prob.oracle, x, tol=tol)
+            lam = grad_inverse(_e_f_oracle(model, kernel), x, tol=tol)
         except NonConvergenceError:
             return KernelRateResult(x, math.inf, "infinite", None, math.inf,
                                     math.inf, math.inf, -math.inf)
@@ -496,15 +425,15 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
 
     x = float(x)
     m_plus, m_minus = prob.m_plus_minus
-    sup_e, inf_e = prob.sup_ef_prime, prob.inf_ef_prime
 
     def done(value, branch, lam, rounding=0.0):
         if rounding > tol * max(1.0, abs(value)):
             raise NonConvergenceError(f"edge layer rounding {rounding:.3g} exceeds tol={tol}")
         return KernelRateResult(x, value, branch, lam, m_plus, m_minus,
-                                sup_e, inf_e)
+                                prob.sup_ef_prime, prob.inf_ef_prime)
 
-    for side, edge, cap in ((1.0, sup_e, m_plus), (-1.0, inf_e, m_minus)):
+    for side, (edge, at_edge), cap in ((1.0, prob.upper_edge, m_plus),
+                                       (-1.0, prob.lower_edge, m_minus)):
         gap = side * (x - edge)     # how far x lies beyond this edge
         if gap < 0:
             continue
@@ -513,12 +442,12 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
             value, rounding = _clamp_integral(model, kernel, side * cap)
             value += cap * gap
         elif gap == 0:
-            value = prob._edge(side > 0)[1]
+            value = at_edge
         label = "singular_plus" if side > 0 else "singular_minus"
         return done(value, label if math.isfinite(value) else "infinite",
                     side * cap if math.isfinite(cap) else None, rounding)
 
-    lam, resid = _solve_grad_1d(prob.oracle, x, min(tol, 1e-10))   # x inside the range
+    lam, resid = _solve_grad_1d(_e_f_oracle(model, kernel), x, min(tol, 1e-10))   # x inside
     value, rounding = _clamp_integral(model, kernel, lam, tol=0.1 * tol)
     if math.isfinite(value):
         # correct for the solver residual E_f'(lam) - x: without it the
@@ -607,7 +536,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     cells = lru_cache(maxsize=1)(lambda lam: _cell_slopes(model, kernel, lam, grid, tol))
     for side, cap in ((1.0, dom.upper), (-1.0, dom.lower)):
         if math.isinf(cap):
-            if side * (x - prob._edge(side > 0)[0]) >= 0:
+            if side * (x - (prob.upper_edge if side > 0 else prob.lower_edge)[0]) >= 0:
                 raise DomainError("x is at or past a slope edge with an infinite tilt cap")
             continue
         # an open cap pairs no further than the last float tilt inside it
@@ -727,17 +656,15 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
         oracle = ConvexOracle(FullSpace(model.dimension), phi, phi_grad, phi_hess)
         return legendre(oracle, np.asarray(x, dtype=float), tol=tol).value
 
-    # Phi(nu) = sum_i l_i K(nu fbar_i), as I* = K: the slope edges of
-    # ``_slope_edge`` with the cell lengths for mu, Phi' read at a finite cap
+    # Phi(nu) = sum_i l_i K(nu fbar_i), as I* = K: a weighted cumulant with
+    # the cell lengths for mu, on the kernel's caps, closed where finite
     m_plus, m_minus = _problem(model, kernel).m_plus_minus
     dom = DomainInterval(-m_minus, m_plus, lower_closed=math.isfinite(m_minus),
                          upper_closed=math.isfinite(m_plus))
     pos, neg = fbar > 0, fbar < 0
     split = (np.sum(lens[pos]), np.sum(lens[neg]), np.sum(w[pos]), np.sum(w[neg]))
-    (glo, vlo), (ghi, vhi) = (_slope_edge(model, dom, split, phi_grad, up) for up in (False, True))
-    oracle = ConvexOracle(dom, phi, phi_grad, phi_hess, grad_range=(glo, ghi),
-                          edge_values=(vlo, vhi))
-    return legendre(oracle, float(x), tol=tol).value
+    return legendre(weighted_oracle(model, dom, split, phi, phi_grad, phi_hess), float(x),
+                    tol=tol).value
 
 
 def x_grid(model: CgfModel, kernel: Kernel, count: int = 50, span: float = 3.0):
@@ -751,15 +678,10 @@ def x_grid(model: CgfModel, kernel: Kernel, count: int = 50, span: float = 3.0):
     """
     prob = _problem(model, kernel)
     center = kernel.m1 * float(model.mean)
+    lo, hi = center - span, center + span
     m_plus, m_minus = prob.m_plus_minus
-    hi = center + span
-    if not math.isfinite(m_plus):
-        edge = prob.sup_ef_prime
-        if math.isfinite(edge):
-            hi = min(hi, edge - 1e-6 * max(1.0, abs(edge)))
-    lo = center - span
-    if not math.isfinite(m_minus):
-        edge = prob.inf_ef_prime
-        if math.isfinite(edge):
-            lo = max(lo, edge + 1e-6 * max(1.0, abs(edge)))
+    if math.isinf(m_plus) and math.isfinite(edge := prob.sup_ef_prime):
+        hi = min(hi, edge - 1e-6 * max(1.0, abs(edge)))
+    if math.isinf(m_minus) and math.isfinite(edge := prob.inf_ef_prime):
+        lo = max(lo, edge + 1e-6 * max(1.0, abs(edge)))
     return np.linspace(lo, hi, count)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgf import CgfModel, DomainInterval
-from .conjugate import ConvexOracle, legendre
+from .conjugate import ConvexOracle, legendre, tilt_domain, weighted_oracle
 from .errors import DomainError, NoSamplerError
-from .kernel_rate import _slope_edge, _tilt_domain, i_f_conjugate
+from .kernel_rate import i_f_conjugate
 from .kernels import Kernel
 from .paths import CadlagPath
 
@@ -145,13 +145,11 @@ def _projected_tilt(model: CgfModel, g: np.ndarray, w: np.ndarray, a: float):
         def grad(lam):
             return float(w @ (g * model.cgf_grad(lam * g)))
 
-        dom = _tilt_domain(model, max(g.max(), 0.0), max(-g.min(), 0.0))
         pos, neg = g > 0, g < 0
         split = (np.sum(w[pos]), np.sum(w[neg]), w[pos] @ g[pos], w[neg] @ g[neg])
-        (lo, v_lo), (hi, v_hi) = (_slope_edge(model, dom, split, grad, up) for up in (False, True))
-        oracle = ConvexOracle(
-            dom, value, grad, lambda lam: float(w @ (g * g * model.cgf_hess(lam * g))),
-            grad_range=(lo, hi), edge_values=(v_lo, v_hi))
+        oracle = weighted_oracle(
+            model, tilt_domain(model, max(g.max(), 0.0), max(-g.min(), 0.0)), split, value,
+            grad, lambda lam: float(w @ (g * g * model.cgf_hess(lam * g))))
     # the tilted mean misses a by at most 1e-13 max(1, |a|)
     res = legendre(oracle, a, tol=1e-13)
     side = "above" if a >= oracle.grad_range[1] else "below"
@@ -279,13 +277,17 @@ def exact_tail_oracle(model: CgfModel, kernel: Kernel, n: int, a: float) -> floa
                 logp[h] = np.add.outer(logp[h], gammaln(c + 1) - gammaln(b + 1)
                                        - gammaln(c - b + 1) - c * math.log(2.0)).ravel()
             order = np.argsort(sums[1], kind="stable")
-            # tail[i] = log P(T >= t_i) over the sorted sums t_i of the second
-            # half T; -inf past them
+            # over the sorted sums t_i of the second half T: head[i] = log
+            # P(T < t_i), tail[i] = log P(T >= t_i)
+            head = np.append(-math.inf, np.logaddexp.accumulate(logp[1][order]))
             tail = np.append(np.logaddexp.accumulate(logp[1][order][::-1])[::-1], -math.inf)
             tol = (fu.size + 1) * np.finfo(float).eps * float(copies @ np.abs(fu))
             idx = np.searchsorted(sums[1][order], a * n - sums[0] - tol, side="left")
+            hit = float(logsumexp(logp[0] + tail[idx]))
+            # past half the mass, 1 - P(miss) keeps the digits that log P(hit) loses;
             # exactly 0.0 when every pair of sums reaches the level
-            return 0.0 if not idx.any() else float(logsumexp(logp[0] + tail[idx]))
+            return hit if hit < -math.log(2.0) else math.log1p(
+                -math.exp(float(logsumexp(logp[0] + head[idx])))) + 0.0
     raise ValueError(f"no exact oracle for model {model.id} with this kernel")
 
 

@@ -237,7 +237,7 @@ def test_solves_stay_inside_the_open_domain(spec, kernel):
     # not even onto a closed edge, at levels inside and outside the range
     model = parse_model(spec)
     base = (oracle_of(model) if kernel is None
-            else kr._problem(model, parse_kernel(kernel)).oracle)
+            else kr._e_f_oracle(model, parse_kernel(kernel)))
     oracle, seen = recording(base)
     lo, hi = oracle.grad_range
     if math.isfinite(lo) and math.isfinite(hi):
@@ -258,8 +258,8 @@ def test_solves_stay_inside_the_open_domain(spec, kernel):
 def test_solve_settles_on_a_saturating_oracle():
     # rademacher x identity: E_f'(lam) = 1/2 - pi^2 / (24 lam^2) + ..., so
     # lam* ~ 6e5 lies where E_f' is flat to 1e-12
-    rad = kr._problem(parse_model("rademacher"), parse_kernel("affine:0,1"))
-    oracle, seen = recording(rad.oracle)
+    rad = kr._e_f_oracle(parse_model("rademacher"), parse_kernel("affine:0,1"))
+    oracle, seen = recording(rad)
     lam = 6e5
     x = 0.5 - math.pi ** 2 / (24.0 * lam ** 2)
     res = legendre(oracle, x)
@@ -273,8 +273,8 @@ def test_solve_settles_near_an_open_finite_edge():
     # cexp x identity: E_f' blows up like -log(1 - lam) at the open cap
     # lam = 1, and x = 25 puts lam* within 1e-11 of it, where one ulp of lam
     # moves E_f' by about 1e-5
-    cexp = kr._problem(parse_model("cexp"), parse_kernel("affine:0,1"))
-    oracle, seen = recording(cexp.oracle)
+    cexp = kr._e_f_oracle(parse_model("cexp"), parse_kernel("affine:0,1"))
+    oracle, seen = recording(cexp)
     for x in (5.0, 15.0, 25.0):
         lam = grad_inverse(oracle, x)
         assert 0.0 < lam < 1.0

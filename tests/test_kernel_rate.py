@@ -458,6 +458,34 @@ def test_infinite_edge_needs_rate_dom():
         ef_prime_range(bare, ID)    # K'(-inf) is unknown without rate_dom
 
 
+def test_cached_analysis_runs_the_callers_formulas():
+    # the analysis cache is keyed on model equality, which leaves the
+    # formulas out: a copy with other callables shares its law facts but
+    # must be evaluated with its own formulas
+    model, x = parse_model("cexp"), 0.3
+    calls = {"cgf": 0, "cgf_int": 0}
+
+    def counting(name):
+        fn = getattr(model, name)
+
+        def wrapped(u):
+            calls[name] += 1
+            return fn(u)
+        return wrapped
+
+    copy = dataclasses.replace(model, cgf=counting("cgf"), cgf_int=counting("cgf_int"))
+    assert copy == model
+    for route in (i_f_conjugate, i_f_explicit, minimizer):
+        want = route(model, TENT, x)        # warms the cache with the original
+        calls.update(cgf=0, cgf_int=0)
+        got = route(copy, TENT, x)
+        assert calls["cgf"] + calls["cgf_int"] > 0, route.__name__
+        if route is minimizer:
+            assert np.array_equal(got.slopes, want.slopes) and got.jumps == want.jumps
+        else:
+            assert got == want
+
+
 def test_conjugate_route_without_a_closed_rate():
     # the edge value is the clamped integral of the closed rate, so without
     # one only x exactly at the edge is refused; other levels are unchanged

@@ -269,6 +269,21 @@ def test_negative_constant_kernel_is_one_binomial_group():
     assert exact_tail_oracle(m, constant(-1.0), n, -1.0) == 0.0
 
 
+@pytest.mark.parametrize("c", [1.0, -1.0])
+@pytest.mark.parametrize("n, a", [(1000, -0.5), (200, -0.3)])
+def test_sign_law_next_to_probability_one(c, n, a):
+    # the hits hold nearly all the mass: log P = log1p(-P(miss)), never > 0.
+    # S_n = 2B - n, so W_n >= a misses iff B < n (1 + a) / 2 (either sign of
+    # c, by symmetry); a plain log of the hit fraction needs > 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    miss = sum(math.comb(n, b) for b in range(math.ceil(n * (1.0 + a) / 2.0)))
+    with mpmath.workdps(40):
+        want = float(mpmath.log1p(-mpmath.mpf(miss) / mpmath.mpf(2) ** n))
+    got = exact_tail_oracle(parse_model("rademacher"), constant(c), n, a)
+    assert got < 0.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_grouped_weights_match_an_integer_convolution():
     # f(k/40) = 1 for k <= 20 (one group of 20 steps) and (40 - k) / 20
     # after, so 20 n W_n is a sum of signed integer weights; 2^40 patterns
