@@ -149,6 +149,12 @@ class CgfModel:
     tilted_sum_sampler: Optional[Callable] = field(default=None, compare=False)
     minorant: tuple = (0.0, 0.0)                # (c1, c2): I(v) >= c1|v| - c2
 
+    def __post_init__(self):
+        # every d = 1 rule reads the domain's edges and closed flags
+        if self.dimension == 1 and not isinstance(self.domain, DomainInterval):
+            raise DomainError(f"model {self.id} has dimension 1, so its domain must be "
+                              "a DomainInterval")
+
     @cached_property
     def mean_vec(self) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -313,7 +319,8 @@ def _catalog_model(**fields) -> CgfModel:
 # ----------------------------------------------------------------------
 
 def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
-    """Gaussian model; scalar (mu, sigma) or vector mu with covariance cov."""
+    """Gaussian model; scalar (mu, sigma) or vector mu with covariance cov.
+    A vector mu of length 1 gives the scalar law."""
     if cov is None and np.ndim(mu) == 0:
         m, s = float(mu), float(sigma)
         if s <= 0:
@@ -380,6 +387,8 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
     evals = np.linalg.eigvalsh(cov_m)
     if evals.min() <= 0:
         raise ValueError("covariance must be positive definite")
+    if d == 1:
+        return gaussian(float(mu_vec[0]), math.sqrt(float(cov_m[0, 0])))
     chol = np.linalg.cholesky(cov_m)
     prec = np.linalg.inv(cov_m)
 

@@ -27,6 +27,9 @@ from .cgf import CgfModel, Domain, DomainInterval, FullSpace
 from .errors import DomainError, GradientRangeError, NonConvergenceError
 
 _VALUE_CAP = 1e14
+# a grad unchanged over a move settles a solve only where |r| is at most
+# this times 1 + |target|, the rounding of a grad flat at its target
+_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass
@@ -145,11 +148,14 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
     grad); else the bracket is bisected or, on an infinite side, the
     distance from ``start`` doubled plus one.  An element settles once
     |r| <= atol and r^2 <= atol h (the conjugate misses by about r^2 / 2h),
-    once Newton stays put or a finite grad is unchanged over a move, or once
-    its bracket is one ulp wide or v has overflowed to +-inf.  A ``kink``
-    element (+1 or -1) has grad flat at the target from the root up or down:
-    it seeks where hess vanishes, settles on its bracket alone, and returns
-    the bracket end on the flat side.
+    once Newton stays put or a finite grad is unchanged over a move with r
+    within its rounding (where grad has saturated in floating point away
+    from the target, the bracket goes on shrinking), or once its bracket is
+    one ulp wide or v has overflowed to +-inf.  ``start`` may be an array,
+    one start per element.  A ``kink`` element (+1 or -1) has grad flat at
+    the target from the root up or down: it seeks where hess vanishes,
+    settles on its bracket alone, and returns the bracket end on the flat
+    side.
     """
     # a number steps on numpy scalars: on 0-d arrays each numpy call costs
     # a microsecond, 30 % of the d = 1 Legendre solve's throughput
@@ -174,7 +180,8 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
             # |r| <= atol and r^2 <= atol h (a nan h, as without hess, drops out)
             close = r * r <= atol * least(atol, h)
             # g - g_last is 0 for an unchanged finite grad, never for inf
-            done = ((plain & (close | (step == v) | (g - g_last == 0)))
+            flat = (g - g_last == 0) & (abs(r) <= _ROUNDING * (1.0 + abs(t)))
+            done = ((plain & (close | (step == v) | flat))
                     | (abs(v) == math.inf) | (after(a, math.inf) >= b))
             if every(done):
                 return where(up, b, where(plain, v, a)), r

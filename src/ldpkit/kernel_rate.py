@@ -137,10 +137,11 @@ _MOMENT_PSI = ((("cgf_int",), lambda u, p: (p,)),
                 lambda u, kp, k, p: (u * u * kp, -2.0 * (u * k), 2.0 * p)))
 
 
-def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
+def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float, walk=None):
     """int_0^1 f^k D^k K(lam f(t)) dt, +inf once lam f leaves the domain: one
     array-valued adaptive pass per kernel piece in d > 1; in d = 1 the walk's
-    brackets of Psi_k, with the adaptive rule on the rough pieces."""
+    brackets of Psi_k, with the adaptive rule on the rough pieces.  ``walk``,
+    if given, maps lam to the ``_walk`` over the kernel's nodes."""
     deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
     lam = float(lam) if model.dimension == 1 else np.asarray(lam, dtype=float)
 
@@ -156,7 +157,8 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
     if kernel.lipschitz == 0.0:     # f = c: the walk's all-flat value at a third of its cost
         u = _trace(model, kernel, lam, kernel._vals[:1])
         return math.inf if u is None else kernel.values[0] ** k * float(deriv(u[0][0]))
-    if (bracket := _walk(model, kernel, lam, kernel._vals)) is None:
+    bracket = walk(lam) if walk else _walk(model, kernel, lam, kernel._vals)
+    if bracket is None:
         return math.inf
     mean, rough = bracket(k, _MOMENT_PSI[k], deriv, tol)
     value = mean * kernel._widths
@@ -244,11 +246,17 @@ def _problem(model: CgfModel, kernel: Kernel) -> KernelRateProblem:
 
 
 def _e_f_oracle(model: CgfModel, kernel: Kernel) -> ConvexOracle:
-    """The oracle of E_f on ``model``'s own formulas, with the cached facts."""
+    """The oracle of E_f on ``model``'s own formulas, with the cached facts.
+    In d = 1 it keeps the walk at the last tilt, so E_f'' right after E_f' at
+    one Newton tilt, and E_f at the root, reuse its formula values."""
     prob = _problem(model, kernel)
-    value, grad, hess = (partial(fn, model, kernel) for fn in (e_f, e_f_grad, _e_f_hess))
     if model.dimension > 1:
+        value, grad, hess = (partial(fn, model, kernel) for fn in (e_f, e_f_grad, _e_f_hess))
         return ConvexOracle(prob.d_f, value, grad, hess)
+    walk = lru_cache(maxsize=1)(partial(_walk, model, kernel, values=kernel._vals))
+    # the tolerances of e_f, e_f_grad and _e_f_hess in d = 1
+    value, grad, hess = (partial(_moment, model, kernel, k=k, tol=tol, walk=walk)
+                         for k, tol in enumerate((1e-12, 1e-12, 1e-10)))
     return weighted_oracle(model, prob.d_f, None, value, grad, hess,
                            edges=(prob.lower_edge, prob.upper_edge))
 
@@ -570,14 +578,16 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
 # Variational route: the discrete action through its Legendre dual
 # ----------------------------------------------------------------------
 
-def _inner_slopes(model: CgfModel, s: np.ndarray) -> np.ndarray:
+def _inner_slopes(model: CgfModel, s: np.ndarray, start: np.ndarray = None) -> np.ndarray:
     """The v nearest the mean with I'(v) = s, elementwise: I*(s) = s v - I(v).
 
     I' maps the rate domain onto the domain of K, so s is reachable iff it
     lies in ``model.domain``, a closed edge included; else v = sign(s) inf.
     At a closed edge I is affine beyond v = K'(edge), where I'' vanishes, and
     the root nearest the mean is that kink.  The root lies in (mean, rate_dom
-    edge) on the side of s: that is the bracket, with no probing.
+    edge) on the side of s: that is the bracket, with no probing.  Each
+    solve starts at its element of ``start`` where that lies strictly inside
+    the bracket, else (nan and +-inf included) at the mean.
     """
     dom, mean = model.domain, float(model.mean)
     lo, hi = model.rate_dom
@@ -587,8 +597,10 @@ def _inner_slopes(model: CgfModel, s: np.ndarray) -> np.ndarray:
     out = np.where(s == 0, mean, np.copysign(math.inf, s))
     live = np.flatnonzero(reach & (s != 0))
     t, up = s[live], s[live] > 0
-    out[live], _ = solve_monotone(model.rate_grad, model.rate_hess, t,
-                                  np.where(up, mean, lo), np.where(up, hi, mean), mean,
+    a, b = np.where(up, mean, lo), np.where(up, hi, mean)
+    guess = mean if start is None else start[live]
+    out[live], _ = solve_monotone(model.rate_grad, model.rate_hess, t, a, b,
+                                  np.where((a < guess) & (guess < b), guess, mean),
                                   0.0, kink=np.where(at_edge[live], np.sign(t), 0.0))
     return out
 
@@ -619,21 +631,39 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     Phi'' = sum l_i fbar_i^2 / I''(v_i), so K never enters.  A finite cap
     prices the rest of x as a jump; at an infinite one the slope edge is
     sum w_i times the rate_dom edge that the sign of fbar_i picks.
+    In d = 1 the inner solves continue from the last tilt nu0 the outer
+    solve visited: each starts at the Euler prediction v_i(nu0) + (nu - nu0)
+    fbar_i / I''(v_i(nu0)) where that lies inside its bracket, else at the
+    mean (predictor-corrector continuation, Allgower and Georg, ch. 2).
     """
     if pieces < 1:
         raise ValueError("pieces must be >= 1")
     grid = _refined_grid(kernel, pieces)
     lens, w = np.diff(grid), kernel.integrals(grid)
     fbar = w / lens
-    last = {}
+    # the last tilt: its key, nu, slopes v and, once asked, I''(v); in d = 1
+    # it starts at nu = 0, where every v_i is the mean
+    last = {} if model.dimension > 1 else dict(key=np.float64(0.0).tobytes(), nu=0.0,
+                                                v=np.full(len(fbar), float(model.mean)))
 
     def slopes(nu):
         key = np.asarray(nu, dtype=float).tobytes()
-        if key not in last:
+        if last.get("key") != key:
+            if model.dimension > 1:
+                v = _inner_slopes_nd(model, np.outer(fbar, nu))
+            else:   # Euler predictor from the last tilt: dv_i / dnu = fbar_i / I''(v_i)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    start = last["v"] + (nu - last["nu"]) * fbar / curvature(last["nu"])
+                v = _inner_slopes(model, nu * fbar, start)
             last.clear()
-            last[key] = (_inner_slopes(model, nu * fbar) if model.dimension == 1
-                         else _inner_slopes_nd(model, np.outer(fbar, nu)))
-        return last[key]
+            last.update(key=key, nu=nu, v=v)
+        return last["v"]
+
+    def curvature(nu):
+        v = slopes(nu)
+        if "curv" not in last:
+            last["curv"] = np.asarray(model.rate_hess(v), dtype=float)
+        return last["curv"]
 
     def phi(nu):
         v = slopes(nu)
@@ -646,7 +676,7 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
 
     def phi_hess(nu):
         with np.errstate(divide="ignore"):
-            curv = np.asarray(model.rate_hess(slopes(nu)), dtype=float)
+            curv = curvature(nu)
             if model.dimension == 1:
                 return float(lens @ (fbar ** 2 / curv))
         inv = np.broadcast_to(np.linalg.inv(curv), (len(lens),) + curv.shape[-2:])

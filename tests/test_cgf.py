@@ -530,6 +530,25 @@ def test_domain_interval_validation():
     assert not d.interior_contains(1.0)
 
 
+def test_one_dimensional_models_have_interval_domains():
+    # a Gaussian with a length-1 mean vector is the scalar law, so every d = 1
+    # entry point takes it
+    from ldpkit import estimate_tail, i_f_conjugate, parse_kernel, variational_rate
+    from ldpkit.cgf import FullSpace
+
+    vec, scalar = gaussian(mu=[0.0], cov=[[1.0]]), gaussian()
+    kernel = parse_kernel("affine:0,1")
+    assert vec == scalar and vec.domain == DomainInterval(-math.inf, math.inf)
+    assert vec.grad_range == (-math.inf, math.inf)
+    assert i_f_conjugate(vec, kernel, 0.5) == i_f_conjugate(scalar, kernel, 0.5)
+    assert variational_rate(vec, kernel, 0.5) == variational_rate(scalar, kernel, 0.5)
+    tails = [estimate_tail(m, kernel, 50, 0.5, samples=500, seed=3) for m in (vec, scalar)]
+    assert tails[0].log_prob == tails[1].log_prob and math.isfinite(tails[0].log_prob)
+    # a d = 1 model on the full space has no edges for the d = 1 rules to read
+    with pytest.raises(DomainError):
+        dataclasses.replace(scalar, id="g-full", domain=FullSpace(1))
+
+
 def test_catalog_is_complete():
     assert set(MODEL_FACTORIES) == {"gaussian", "cexp", "rademacher",
                                     "poisson", "synthetic-boundary"}

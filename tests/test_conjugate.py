@@ -294,11 +294,28 @@ def test_solve_monotone_elementwise():
     # without hess: bisection and doubling only, down to a one-ulp bracket
     w, _ = solve_monotone(np.tanh, None, t, -math.inf, math.inf, 0.0, 0.0)
     assert np.allclose(w, np.arctanh(t), rtol=1e-10, atol=0.0)
+    # one start per element, on either side of its root: an infinite side
+    # doubles the distance from that element's own start
+    starts = np.array([5.0, -40.0, 3.0, 30.0, -2.0])
+    for hess in (None, lambda v: 1.0 / np.cosh(v) ** 2):
+        w, _ = solve_monotone(np.tanh, hess, t, -math.inf, math.inf, starts, 0.0)
+        assert np.allclose(w, np.arctanh(t), rtol=1e-10, atol=0.0)
     # a kink element: g flat at the target from the root up, found where
     # hess vanishes
     flat = solve_monotone(lambda v: np.minimum(v, 1.0), lambda v: (v < 1.0) * 1.0,
                           np.array([1.0]), 0.0, math.inf, 0.0, 0.0, kink=1.0)[0]
     assert flat[0] == 1.0
+
+
+def test_solve_does_not_settle_on_a_grad_flat_off_its_target():
+    # grad is flat 1e-9 above the target from v = 1 + 1e-9 up, where the
+    # Newton step is lost: the bisection from 60 meets an unchanged grad at
+    # 29.5, far from the root v = 1, and must go on
+    for target in (0.0, np.zeros(2)):
+        v, r = solve_monotone(lambda v: np.minimum(v - 1.0, 1e-9),
+                              lambda v: (v < 1.0 + 1e-9) * 1.0,
+                              target, -1.0, 100.0, 60.0, 0.0)
+        assert np.all(np.abs(v - 1.0) <= 1e-15) and np.all(np.abs(r) <= 1e-15)
 
 
 # -- multivariate -------------------------------------------------------------

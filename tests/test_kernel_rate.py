@@ -833,6 +833,65 @@ def test_inner_slopes_past_the_float_range():
     assert math.isfinite(v[0]) and np.array_equal(v[1:], [math.inf] * 2)
 
 
+def test_inner_slopes_where_the_grad_saturates():
+    # cexp: I'(v) = v / (1 + v) rounds to 1 from v ~ 1e16 up, and the root of
+    # I'(v) = 1 - 1e-10 near 1e10 lies where I' is flat to rounding
+    cexp = parse_model("cexp")
+    s = np.array([1.0 - 1e-10, 0.5])
+    want = s / (1.0 - s)
+    # from the mean, the solve settles on the saturated root
+    assert kr._inner_slopes(cexp, s[:1])[0] == pytest.approx(want[0], rel=1e-5)
+    # from a start at 1e20, where I' is 1.0 over the first bisection, it
+    # goes on to both roots
+    v = kr._inner_slopes(cexp, s, np.full(2, 1e20))
+    assert v[0] == pytest.approx(want[0], rel=1e-5) and v[1] == pytest.approx(1.0, rel=1e-12)
+    # a start outside the bracket, nan or infinite is replaced by the mean
+    starts = np.array([-0.5, np.nan, np.inf])
+    assert np.array_equal(kr._inner_slopes(cexp, np.full(3, 0.5), starts),
+                          kr._inner_slopes(cexp, np.full(3, 0.5)))
+
+
+PATH_GEOMETRY_CASES = [("gaussian:mu=0,sigma=1", ID, 0.5), ("gaussian:mu=0,sigma=1", ID, 1.0),
+                       ("cexp", CONST1, -0.5), ("cexp", CONST1, 0.5), ("cexp", CONST1, 1.5),
+                       ("synthetic-boundary", ID, 0.15), ("synthetic-boundary", ID, 0.5)]
+
+
+def test_variational_inner_solves_continue_from_the_last_tilt():
+    # each inner solve starts at the Euler prediction from the last outer
+    # tilt, not at the mean: 130 array calls of I' over the variational
+    # cases of the path-geometry benchmark, against 210 from the mean
+    calls = []
+    for spec, kernel, x in PATH_GEOMETRY_CASES:
+        model = parse_model(spec)
+
+        def counting(v, grad=model.rate_grad):
+            calls.append(1)
+            return grad(v)
+
+        got = variational_rate(dataclasses.replace(model, rate_grad=counting), kernel, x)
+        assert got == pytest.approx(i_f_conjugate(model, kernel, x).value, abs=5e-3)
+    assert len(calls) <= 140
+
+
+def test_one_walk_per_newton_tilt():
+    # E_f' and E_f'' at one Newton tilt, and E_f at the root, share one walk,
+    # so P is evaluated once per distinct tilt the solve visits
+    model = parse_model("cexp")
+    seen = []
+
+    def counting(u, p=model.cgf_int):
+        seen.append(np.asarray(u, dtype=float).tobytes())
+        return p(u)
+
+    copy = dataclasses.replace(model, cgf_int=counting)
+    for x in (-0.3, 0.3, 1.0):
+        i_f_conjugate(model, TENT, x)       # the cached analysis is shared
+        seen.clear()
+        got = i_f_conjugate(copy, TENT, x)
+        assert got == i_f_conjugate(model, TENT, x)
+        assert len(seen) >= 3 and len(set(seen)) == len(seen), x
+
+
 @pytest.mark.parametrize("x", [100.0, 300.0])
 def test_variational_far_out_on_an_exponential_tail(x):
     # the first Newton step on Phi from 0 lands near 3x, far above the root
