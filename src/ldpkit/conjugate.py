@@ -27,7 +27,7 @@ from .cgf import CgfModel, Domain, DomainInterval, FullSpace
 from .errors import DomainError, GradientRangeError, NonConvergenceError
 
 _VALUE_CAP = 1e14
-# a grad unchanged over a move settles a solve only where |r| is at most
+# a grad unchanged over a move settles a solve only where |r| is within
 # this times 1 + |target|, the rounding of a grad flat at its target
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 
@@ -168,6 +168,7 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
         v = np.full(np.shape(target), start, dtype=float)
     t, a, b, kink = map(cast, (target, lo, hi, kink))
     plain, up = kink == 0, kink > 0
+    rounding = _ROUNDING * (1.0 + abs(t))
     g_last, moved, before = np.nan, math.inf, math.inf
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
@@ -180,7 +181,7 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
             # |r| <= atol and r^2 <= atol h (a nan h, as without hess, drops out)
             close = r * r <= atol * least(atol, h)
             # g - g_last is 0 for an unchanged finite grad, never for inf
-            flat = (g - g_last == 0) & (abs(r) <= _ROUNDING * (1.0 + abs(t)))
+            flat = (g - g_last == 0) & (abs(r) <= rounding)
             done = ((plain & (close | (step == v) | flat))
                     | (abs(v) == math.inf) | (after(a, math.inf) >= b))
             if every(done):

@@ -253,7 +253,13 @@ def _e_f_oracle(model: CgfModel, kernel: Kernel) -> ConvexOracle:
     if model.dimension > 1:
         value, grad, hess = (partial(fn, model, kernel) for fn in (e_f, e_f_grad, _e_f_hess))
         return ConvexOracle(prob.d_f, value, grad, hess)
-    walk = lru_cache(maxsize=1)(partial(_walk, model, kernel, values=kernel._vals))
+    last = {}   # the last walk: a dict, as an lru_cache wrapper costs microseconds to build
+
+    def walk(lam):
+        if last.get("lam") != lam:
+            last.update(lam=lam, bracket=_walk(model, kernel, lam, kernel._vals))
+        return last["bracket"]
+
     # the tolerances of e_f, e_f_grad and _e_f_hess in d = 1
     value, grad, hess = (partial(_moment, model, kernel, k=k, tol=tol, walk=walk)
                          for k, tol in enumerate((1e-12, 1e-12, 1e-10)))
