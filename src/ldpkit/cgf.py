@@ -5,8 +5,11 @@ convex, K(0)=0), its effective domain, gradient, and the pieces the rest of
 the toolkit needs: closed-form rate function where available, recession
 values, samplers, and exponentially tilted samplers.  Multivariate entries
 are restricted to full-space domains; bounded domains are one-dimensional.
-Catalog formulas are plain code on float arrays; ``_catalog_model`` wraps
-them once, so that a 0-d input gives a Python float and any other the array.
+Catalog formulas are plain code on float arrays, written for their closed
+domain.  ``_catalog_model`` wraps them once: a 0-d input gives a Python float,
+any other the array; K, K', K'' and P are +inf off the closure of ``domain``,
+I off that of ``rate_dom`` and at +-inf, and on the closure the formula's own
+value stands (+inf for K at an open edge, P's limit there, I at an atom).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from .errors import DomainError, NoSamplerError
 
 _EPS = np.finfo(float).eps
+_BIG = np.finfo(float).max
 _BD0_TERMS = 8      # |e| < 0.1 in the bd0 series: 0.1^17 / 19 is below eps
 # K itself as a weighted cumulant: mu = delta_1, split as ``slope_edges`` takes it
 _UNIT_WEIGHT = (1.0, 0.0, 1.0, 0.0)
@@ -176,13 +180,9 @@ class CgfModel:
     def grad(self, u, one_sided: bool = False):
         """grad K at an interior point (or closed-boundary limit if one_sided)."""
         self._check_dim(u)
-        if self.dimension == 1 and np.ndim(u) == 0:
-            uu = float(u)
-            dom = self.domain
-            if not dom.interior_contains(uu):
-                ok = one_sided and dom.contains(uu)
-                if not ok:
-                    raise DomainError(f"u={uu} not interior to the CGF domain")
+        if self.dimension == 1 and np.ndim(u) == 0 and not self.domain.interior_contains(u):
+            if not (one_sided and self.domain.contains(u)):
+                raise DomainError(f"u={float(u)} not interior to the CGF domain")
         return self.cgf_grad(u)
 
     def hessian(self, u):
@@ -300,17 +300,34 @@ def _catalog_model(**fields) -> CgfModel:
     wrapping here, not in the model, keeps ``dataclasses.replace`` from
     stacking wrappers."""
 
-    def on_floats(formula):
+    def on_floats(formula, lo=-math.inf, hi=math.inf):
+        # +inf off [lo, hi], compared at its finite edges only; a masked 0-d
+        # input reaches the formula as one element, to run the array loops as
+        # any other (``(1 - u) ** 1.5`` on a numpy scalar rounds differently)
+        low, high = math.isfinite(lo), math.isfinite(hi)
+
         def wrapped(u):
             u = np.asarray(u, dtype=float)
+            if low or high:
+                x = np.atleast_1d(u)
+                live = (x >= lo) & (x <= hi) if low and high else x >= lo if low else x <= hi
+                with np.errstate(all="ignore"):
+                    out = np.where(live, formula(x), np.inf)
+                return float(out[0]) if u.ndim == 0 else out
             out = formula(u)
             return float(out) if u.ndim == 0 else out
         return wrapped
 
-    for name in ("cgf", "cgf_grad", "cgf_hess", "cgf_int", "closed_rate", "rate_grad",
-                 "rate_hess"):
+    dom = fields["domain"]
+    k_edges = (dom.lower, dom.upper) if isinstance(dom, DomainInterval) else ()
+    # I is +inf at +-inf too, so a rate_dom with a finite edge ends at +-max float
+    lo, hi = fields.get("rate_dom") or (-math.inf, math.inf)
+    rate_edges = (max(lo, -_BIG), min(hi, _BIG)) if math.isfinite(lo) or math.isfinite(hi) else ()
+    edges = dict.fromkeys(("cgf", "cgf_grad", "cgf_hess", "cgf_int"), k_edges)
+    edges.update(closed_rate=rate_edges, rate_grad=(), rate_hess=())
+    for name, ends in edges.items():
         if fields.get(name) is not None:
-            fields[name] = on_floats(fields[name])
+            fields[name] = on_floats(fields[name], *ends)
     return CgfModel(**fields)
 
 
@@ -446,36 +463,20 @@ def centered_exponential() -> CgfModel:
     """Unit-mean exponential shifted to mean zero: X = Y - 1, Y ~ Exp(1)."""
 
     def k(u):
-        with np.errstate(all="ignore"):
-            safe = np.where(u < 1.0, u, 0.0)
-            val = -safe - np.log1p(-safe)
-        return np.where(u < 1.0, val, np.inf)
+        return -u - np.log1p(-u)
 
     def kp(u):
-        with np.errstate(all="ignore"):
-            safe = np.where(u < 1.0, u, 0.0)
-            val = safe / (1.0 - safe)
-        return np.where(u < 1.0, val, np.inf)
+        return u / (1.0 - u)
 
     def kpp(u):
-        with np.errstate(all="ignore"):
-            safe = np.where(u < 1.0, u, 0.0)
-            val = 1.0 / (1.0 - safe) ** 2
-        return np.where(u < 1.0, val, np.inf)
+        return 1.0 / (1.0 - u) ** 2
 
     def kint(u):
         # -u^2/2 + (1 - u) log(1 - u) + u, with limit 1/2 at the edge u = 1
-        with np.errstate(all="ignore"):
-            safe = np.where(u < 1.0, u, 0.0)
-            val = safe - 0.5 * safe * safe + (1.0 - safe) * np.log1p(-safe)
-        return np.where(u < 1.0, val, np.where(u == 1.0, 0.5, np.inf))
+        return u - 0.5 * u * u + np.where(u < 1.0, (1.0 - u) * np.log1p(-u), 0.0)
 
     def rate(v):
-        live = (v > -1.0) & (v < np.inf)
-        with np.errstate(all="ignore"):
-            safe = np.where(live, v, 0.0)
-            val = safe - np.log1p(safe)
-        return np.where(live, val, np.inf)
+        return v - np.log1p(v)
 
     def rate_g(v):
         return v / (1.0 + v)
@@ -539,11 +540,9 @@ def rademacher() -> CgfModel:
         # mean; there it is a atanh(a) + log1p(-a^2) / 2, whose terms cancel
         # only by a factor 2
         a = np.abs(v)
-        with np.errstate(all="ignore"):
-            near = a * np.arctanh(a) + 0.5 * np.log1p(-a * a)
-            far = 0.5 * ((1.0 + a) * np.log1p(a)
-                         + np.where(a < 1.0, (1.0 - a) * np.log1p(-a), 0.0))
-        return np.where(a <= 1.0, np.where(a < 0.5, near, far), np.inf)
+        near = a * np.arctanh(a) + 0.5 * np.log1p(-a * a)
+        far = 0.5 * ((1.0 + a) * np.log1p(a) + np.where(a < 1.0, (1.0 - a) * np.log1p(-a), 0.0))
+        return np.where(a < 0.5, near, far)
 
     def rate_g(v):
         return np.arctanh(v)
@@ -601,16 +600,14 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
         # bd0(v + r, r) = (v + r) log1p(v / r) - v, whose terms cancel to
         # O(v^2) next to the mean; there, with e = v / (v + 2r), it is
         # v e + 2 (v + r) sum_{j>=1} e^(2j+1) / (2j+1) (Loader 2000), whose
-        # second term is at most |e| < 0.1 times the first
-        with np.errstate(all="ignore"):
-            w, e = v + r, v / (v + 2.0 * r)
-            ee = e * e
-            tail = ee / (2 * _BD0_TERMS + 1)
-            for j in range(_BD0_TERMS - 1, 0, -1):
-                tail = ee * (1.0 / (2 * j + 1) + tail)
-            val = np.where(np.abs(e) < 0.1, v * e + 2.0 * w * e * tail,
-                           w * np.log1p(v / r) - v)
-        return np.where((v > -r) & (v < np.inf), val, np.where(v == -r, r, np.inf))
+        # second term is at most |e| < 0.1 times the first; r at the atom v = -r
+        w, e = v + r, v / (v + 2.0 * r)
+        ee = e * e
+        tail = ee / (2 * _BD0_TERMS + 1)
+        for j in range(_BD0_TERMS - 1, 0, -1):
+            tail = ee * (1.0 / (2 * j + 1) + tail)
+        return np.where(np.abs(e) < 0.1, v * e + 2.0 * w * e * tail,
+                        np.where(w > 0.0, w * np.log1p(v / r), 0.0) - v)
 
     def rate_g(v):
         return np.log((v + r) / r)
@@ -650,29 +647,17 @@ def synthetic_boundary() -> CgfModel:
     """
 
     def k(u):
-        with np.errstate(all="ignore"):
-            w = np.where(u <= 1.0, 1.0 - u, 0.0)
-            val = u + (2.0 / 3.0) * (w ** 1.5 - 1.0)
-        return np.where(u <= 1.0, val, np.inf)
+        return u + (2.0 / 3.0) * ((1.0 - u) ** 1.5 - 1.0)
 
     def kp(u):
-        with np.errstate(all="ignore"):
-            w = np.where(u <= 1.0, 1.0 - u, 0.0)
-            val = 1.0 - np.sqrt(w)
-        return np.where(u <= 1.0, val, np.inf)
+        return 1.0 - np.sqrt(1.0 - u)
 
     def kpp(u):
-        with np.errstate(all="ignore"):
-            w = np.where(u < 1.0, 1.0 - u, 0.0)
-            val = np.where(u < 1.0, 0.5 / np.sqrt(np.where(w > 0, w, 1.0)), np.inf)
-        return np.where(u <= 1.0, val, np.inf)
+        return 0.5 / np.sqrt(1.0 - u)
 
     def kint(u):
         # u^2/2 - 2u/3 - (4/15)((1 - u)^{5/2} - 1); 1/10 at the edge u = 1
-        with np.errstate(all="ignore"):
-            w = np.where(u <= 1.0, 1.0 - u, 0.0)
-            val = u * (0.5 * u - 2.0 / 3.0) - (4.0 / 15.0) * (w ** 2.5 - 1.0)
-        return np.where(u <= 1.0, val, np.inf)
+        return u * (0.5 * u - 2.0 / 3.0) - (4.0 / 15.0) * ((1.0 - u) ** 2.5 - 1.0)
 
     def rate(v):
         # v^2 (1 - v/3) for v <= 1, affine with slope 1 beyond; written in v,

@@ -73,8 +73,19 @@ def _open_out(args):
 
 
 def _load_path(fname: str) -> CadlagPath:
+    """A path file in the JSON form of ``minimizer --format json`` or in text."""
     with open(fname) as fh:
-        return CadlagPath.from_text(fh.read())
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except ValueError:
+        data = None
+    if not isinstance(data, dict):
+        return CadlagPath.from_text(text)
+    try:
+        return CadlagPath.from_dict(data)
+    except TypeError as err:    # a JSON object of the wrong shape is bad input too
+        raise ValueError(f"malformed JSON path file: {err}") from None
 
 
 # ----------------------------------------------------------------------

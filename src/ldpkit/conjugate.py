@@ -40,7 +40,6 @@ class ConvexOracle:
     eval: Callable
     grad: Callable
     hess: Optional[Callable] = None
-    strict: bool = True
     # One-sided gradient limits (lower+, upper-) at the domain endpoints;
     # required in d=1, where they decide the Legendre branches.
     grad_range: Optional[tuple] = None
@@ -222,8 +221,6 @@ def _boundary_value(oracle: ConvexOracle, x: float, endpoint: float) -> Conjugat
 def legendre(oracle: ConvexOracle, x, tol: float = None,
              max_iter: int = 200) -> ConjugateResult:
     """sup_u { x.u - g(u) } with argmax and boundary/divergence reporting."""
-    if not oracle.strict:
-        raise ValueError("non-strict convex oracle refused")
     if isinstance(oracle.domain, FullSpace):
         return _legendre_nd(oracle, np.asarray(x, dtype=float),
                             1e-8 if tol is None else tol, max_iter)
@@ -283,8 +280,6 @@ def _legendre_nd(oracle: ConvexOracle, x: np.ndarray, tol: float,
 
 def grad_inverse(oracle: ConvexOracle, x, tol: float = None, max_iter: int = 200):
     """Solve grad g = x; 1-D raises GradientRangeError naming the violated side."""
-    if not oracle.strict:
-        raise ValueError("non-strict convex oracle refused")
     if isinstance(oracle.domain, FullSpace):
         res = _legendre_nd(oracle, np.asarray(x, dtype=float),
                            1e-8 if tol is None else tol, max_iter)

@@ -51,7 +51,7 @@ from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
 from .conjugate import (ConvexOracle, _quot, _solve_grad_1d, grad_inverse, legendre, slope_edges,
                         solve_monotone, tilt_domain, weighted_oracle)
-from .errors import AmbiguityError, DomainError, NonConvergenceError
+from .errors import AmbiguityError, DomainError, GradientRangeError, NonConvergenceError
 from .kernels import Kernel
 
 
@@ -416,15 +416,24 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
     return total, rounding
 
 
+def _require(model: CgfModel, route: str, *names: str) -> None:
+    """DomainError naming the formulas ``route`` needs that ``model`` leaves out."""
+    missing = [name for name in names if getattr(model, name) is None]
+    if missing:
+        raise DomainError(f"{route} needs the model's {', '.join(missing)}, which model "
+                          f"{model.id} does not state")
+
+
 def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> KernelRateResult:
     """I_f(x) from the clamped-tilt rate integral plus linear edge terms."""
+    _require(model, "i_f_explicit", "closed_rate")
     prob = _problem(model, kernel)
     if model.dimension > 1:
         # no explicit formula off the gradient range in d > 1; interior only
         x = np.asarray(x, dtype=float)
         try:
             lam = grad_inverse(_e_f_oracle(model, kernel), x, tol=tol)
-        except NonConvergenceError:
+        except GradientRangeError:      # x unreachable: the rate is infinite
             return KernelRateResult(x, math.inf, "infinite", None, math.inf,
                                     math.inf, math.inf, -math.inf)
 
@@ -512,7 +521,7 @@ def _cell_slopes(model: CgfModel, kernel: Kernel, lam: float, grid: np.ndarray,
         v[rough] = quad.gl32(lambda ts: model.cgf_grad(lam * kernel.eval(ts)), a, b) / (b - a)
         fbar = kernel.eval(0.5 * (a + b))
         dv[rough] = fbar * model.cgf_hess(lam * fbar)
-    return np.clip(v, *model.rate_dom), dv
+    return (v if model.rate_dom is None else np.clip(v, *model.rate_dom)), dv
 
 
 def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
@@ -644,6 +653,8 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     """
     if pieces < 1:
         raise ValueError("pieces must be >= 1")
+    _require(model, "variational_rate", "rate_grad", "rate_hess",
+             *(("rate_dom",) if model.dimension == 1 else ()))
     grid = _refined_grid(kernel, pieces)
     lens, w = np.diff(grid), kernel.integrals(grid)
     fbar = w / lens

@@ -120,36 +120,6 @@ class Kernel:
         anti = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, self._antideriv[-1], anti))
         return np.diff(anti)
 
-    # -- extremal structure -------------------------------------------------
-
-    def _level_intervals(self, level: float):
-        """Maximal intervals (possibly points) on which f equals ``level``."""
-        out = []
-        bp, v = self.breakpoints, self.values
-        cur = None
-        for i, (t, val) in enumerate(zip(bp, v)):
-            if val == level:
-                flat = i + 1 < len(v) and v[i + 1] == level
-                if cur is None:
-                    cur = [t, t]
-                if flat:
-                    cur[1] = bp[i + 1]
-                else:
-                    cur[1] = max(cur[1], t)
-                    out.append((cur[0], cur[1]))
-                    cur = None
-        if cur is not None:
-            out.append((cur[0], cur[1]))
-        return out
-
-    @cached_property
-    def argmax_intervals(self):
-        return self._level_intervals(float(self._vals.max()))
-
-    @cached_property
-    def argmin_intervals(self):
-        return self._level_intervals(float(self._vals.min()))
-
     def describe(self) -> str:
         parts = [f"{t:g}:{v:g}" for t, v in zip(self.breakpoints, self.values)]
         return "pwl:" + ",".join(parts)

@@ -1,16 +1,17 @@
-"""Gauss-Legendre quadrature, and the guard that lets a closed form replace it.
+"""Gauss-Legendre quadrature.
 
 Integrands here are smooth inside their interval.  ``adaptive_gl`` bisects
 with a fixed 32-node rule, one level at a time, and takes scalar or
-array-valued integrands.  ``integrate_piece`` takes the caller's closed
-form of an integral when the caller's bound on its rounding error is within
-``tol`` (relative to the value once it exceeds 1), and falls back to
-``adaptive_gl`` otherwise.  In d = 1 the E_f-type integrals make that choice
-in ``kernel_rate._walk``, the one piece walker, for all intervals at once:
-the closed form is a bracket of a primitive of K, which loses digits only
-where the tilt is small and the integrand nearly constant, where
-``adaptive_gl`` (E_f and its derivatives, the clamp integral) or one
-``gl32`` pass over the rough grid cells (the minimizer) takes over.
+array-valued integrands.  In d = 1 the choice between a closed form and
+quadrature for the E_f-type integrals is made in ``kernel_rate._walk``, the
+one piece walker, for all intervals at once: the closed form is a bracket of
+a primitive of K, which loses digits only where the tilt is small and the
+integrand nearly constant, where ``adaptive_gl`` (E_f and its derivatives,
+the clamp integral) or one ``gl32`` pass over the rough grid cells (the
+minimizer) takes over.  ``integrate_piece``, the per-interval form of that
+choice, is called nowhere in the library; it stays only because the
+benchmark's layer tracer (``benchmarks/tracer.py``) looks the name up, and
+goes with the next change to the benchmark.
 """
 
 from __future__ import annotations

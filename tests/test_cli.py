@@ -127,6 +127,27 @@ def test_minimizer_idcost_round_trip(tmp_path, capsys):
     assert float(row[2]) == pytest.approx(1.5 * 0.81, abs=1e-5)
 
 
+def test_path_commands_read_the_json_minimizer_writes(tmp_path, capsys):
+    rows = {}
+    for fmt in ("csv", "json"):
+        pfile = tmp_path / f"opt.{fmt}"
+        code, _ = _run(capsys, ["minimizer", "--model", "cexp", "--kernel", "const:1",
+                                "--x", "0.9", "--format", fmt, "--out", str(pfile)])
+        assert code == 0
+        code, cap = _run(capsys, ["idcost", "--model", "cexp", "--path", str(pfile)])
+        assert code == 0, cap.err
+        rows[fmt] = cap.out
+    assert rows["json"] == rows["csv"]
+    code, cap = _run(capsys, ["metric", "rhostar", "--left", str(tmp_path / "opt.json"),
+                              "--right", str(tmp_path / "opt.csv")])
+    assert code == 0, cap.err
+    assert float(cap.out.strip().splitlines()[1]) == 0.0
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"grid": [0.0, 1.0], "slopes": 5}')
+    code, cap = _run(capsys, ["idcost", "--model", "cexp", "--path", str(bad)])
+    assert code == 2 and "malformed JSON path file" in cap.err
+
+
 def test_minimizer_json_reads_back(capsys):
     code, cap = _run(capsys, ["minimizer", "--model", "rademacher",
                               "--kernel", "affine:0,1", "--x", "0.3",

