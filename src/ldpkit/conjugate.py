@@ -30,6 +30,9 @@ _VALUE_CAP = 1e14
 # a grad unchanged over a move settles a solve only where |r| is within
 # this times 1 + |target|, the rounding of a grad flat at its target
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
+# a finite bracket spans many decades once it is wider than this times 1 + |v|
+# at its end nearer 0: (1 + |hi|) / (1 + |lo|) > 2^8 when its ends share a sign
+_WIDE = 255.0
 
 
 @dataclass
@@ -135,6 +138,13 @@ def weighted_oracle(model: CgfModel, domain: DomainInterval, split: tuple, value
                         edge_values=(v_lo, v_hi))
 
 
+def _log_middle(a, b):
+    """The point halfway between a and b in sign(v) log(1 + |v|): from an end
+    at 0 it halves log(1 + distance)."""
+    half = 0.5 * (np.copysign(np.log1p(np.abs(a)), a) + np.copysign(np.log1p(np.abs(b)), b))
+    return np.copysign(np.expm1(np.abs(half)), half)
+
+
 def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, start,
                    atol, kink=0.0, max_iter: int = 400):
     """Elementwise root v of grad(v) = target, grad nondecreasing, known to
@@ -145,13 +155,16 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
     inside the bracket and, in a finite bracket, is at most half the move
     before last (alone, Newton crawls about 1 a step down an exponential
     grad); else the bracket is bisected or, on an infinite side, the
-    distance from ``start`` doubled plus one.  An element settles once
-    |r| <= atol and r^2 <= atol h (the conjugate misses by about r^2 / 2h),
-    once Newton stays put or a finite grad is unchanged over a move with r
-    within its rounding (where grad has saturated in floating point away
-    from the target, the bracket goes on shrinking), or once its bracket is
-    one ulp wide or v has overflowed to +-inf.  ``start`` may be an array,
-    one start per element.  A ``kink`` element (+1 or -1) has grad flat at
+    distance from ``start`` doubled plus one.  A finite bracket over many
+    decades, where bisection would take a bit a step, is cut instead where
+    sign(v) log(1 + |v|) is halfway: from an end at 0 that halves
+    log(1 + distance), as doubling plus one adds log 2 to it.  An element
+    settles once |r| <= atol and r^2 <= atol h (the conjugate misses by
+    about r^2 / 2h), once Newton stays put or a finite grad is unchanged
+    over a move with r within its rounding (where grad has saturated in
+    floating point away from the target, the bracket goes on shrinking), or
+    once its bracket is one ulp wide or v has overflowed to +-inf.
+    ``start`` may be an array, one start per element.  A ``kink`` element (+1 or -1) has grad flat at
     the target from the root up or down: it seeks where hess vanishes,
     settles on its bracket alone, and returns the bracket end on the flat
     side.
@@ -159,10 +172,12 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
     # a number steps on numpy scalars: on 0-d arrays each numpy call costs
     # a microsecond, 30 % of the d = 1 Legendre solve's throughput
     if np.ndim(target) == 0:
-        where, every, after, least = (lambda c, x, y: x if c else y), bool, math.nextafter, min
+        where, every, some, after, least = ((lambda c, x, y: x if c else y), bool, bool,
+                                            math.nextafter, min)
         cast, v = np.float64, np.float64(start)
     else:
-        where, every, after, least = np.where, np.ndarray.all, np.nextafter, np.fmin
+        where, every, some, after, least = (np.where, np.ndarray.all, np.ndarray.any,
+                                            np.nextafter, np.fmin)
         cast = partial(np.asarray, dtype=float)
         v = np.full(np.shape(target), start, dtype=float)
     t, a, b, kink = map(cast, (target, lo, hi, kink))
@@ -185,18 +200,27 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
                     | (abs(v) == math.inf) | (after(a, math.inf) >= b))
             if every(done):
                 return where(up, b, where(plain, v, a)), r
-            far = where(b == math.inf, 2.0 * a + (1.0 - start),
-                        where(a == -math.inf, 2.0 * b - (1.0 + start), 0.5 * (a + b)))
+            width = b - a
             newton = (a < step) & (step < b) & ((2.0 * abs(step - v) <= before)
-                                                | (b - a == math.inf))
-            v, last = where(done, v, where(newton, step, far)), v
+                                                | (width == math.inf))
+            if not every(newton | done):
+                mid = 0.5 * (a + b)
+                wide = (width > _WIDE * (1.0 + least(abs(a), abs(b)))) & (width < math.inf)
+                if some(wide):
+                    mid = where(wide, _log_middle(a, b), mid)
+                step = where(newton, step, where(b == math.inf, 2.0 * a + (1.0 - start),
+                                                 where(a == -math.inf, 2.0 * b - (1.0 + start),
+                                                       mid)))
+            v, last = where(done, v, step), v
             g_last, before, moved = g, moved, abs(v - last)
     raise NonConvergenceError(f"monotone solve did not settle in {max_iter} iterations")
 
 
-def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int = 200):
+def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int = 200,
+                   start: float = 0.0):
     """(u, grad g(u) - x) at the root of grad g = x, which lies strictly inside
     the domain, the bracket, as x lies strictly inside the stated range.
+    Newton starts at ``start``, a point of the domain.
 
     A residual r above sqrt(atol) stands when the root lies within one ulp
     of u: the conjugate at u then misses by at most |r| ulp(u), which near
@@ -204,7 +228,7 @@ def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int = 2
     """
     atol = tol * max(1.0, abs(x))
     u, r = solve_monotone(oracle.grad, oracle.hess, x, oracle.domain.lower,
-                          oracle.domain.upper, 0.0, atol, max_iter=max_iter)
+                          oracle.domain.upper, start, atol, max_iter=max_iter)
     if abs(r) > math.sqrt(atol) and (
             oracle.grad(math.nextafter(u, math.copysign(math.inf, -r))) - x) * r > 0:
         raise NonConvergenceError(f"gradient equation settled {r:.3g} from x at tol={tol}")

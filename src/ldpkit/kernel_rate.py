@@ -508,12 +508,13 @@ def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid: np.ndarray) -> n
 
 
 def _cell_slopes(model: CgfModel, kernel: Kernel, lam: float, grid: np.ndarray,
-                 tol: float) -> tuple:
+                 nodes: np.ndarray, tol: float) -> tuple:
     """(v, dv / dlam), v the exact averages of K'(lam f) over the cells of a
-    d = 1 grid: one walk's brackets of K and of u K' - K.  A rough v takes the
-    32-node rule on its cell and dv / dlam there fbar K''(lam fbar), fbar the
-    mean of f on it.  v is clipped to the closed ``rate_dom`` it can round past."""
-    bracket = _walk(model, kernel, lam, kernel.eval(grid))
+    d = 1 grid, f taking ``nodes`` at its points: one walk's brackets of K and
+    of u K' - K.  A rough v takes the 32-node rule on its cell and dv / dlam
+    there fbar K''(lam fbar), fbar the mean of f on it.  v is clipped to the
+    closed ``rate_dom`` it can round past."""
+    bracket = _walk(model, kernel, lam, nodes)
     v, rough = bracket(0, (("cgf",), lambda u, k: (k,)), model.cgf_grad, tol)
     dv = bracket(1, (("cgf_grad", "cgf"), lambda u, kp, k: (u * kp, -k)), model.cgf_hess, None)[0]
     if rough.any():
@@ -524,6 +525,20 @@ def _cell_slopes(model: CgfModel, kernel: Kernel, lam: float, grid: np.ndarray,
     return (v if model.rate_dom is None else np.clip(v, *model.rate_dom)), dv
 
 
+def _e_f_root(model: CgfModel, kernel: Kernel, x: float) -> float:
+    """The root of E_f'(lam) = x on the cached analysis's oracle where x lies
+    strictly inside its slope range and the solve settles, else 0.0: a start
+    for the grid's pairing, whose root lies O(N^-2) from it on N cells."""
+    oracle = _e_f_oracle(model, kernel)
+    lo, hi = oracle.grad_range
+    if not lo < x < hi:
+        return 0.0
+    try:
+        return _solve_grad_1d(oracle, x, 1e-10)[0]
+    except (DomainError, NonConvergenceError):
+        return 0.0
+
+
 def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     """The path attaining I_f(x), on a grid of 400 to 4000 cells set by tol.
 
@@ -531,7 +546,11 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     (``_cell_slopes``), and lam solves the grid's own pairing
     sum_i w_i v_i(lam) = x, w_i the integral of f over cell i, bracketed by
     d_f.  f has one sign on each cell, so the pairing is monotone and runs to
-    the stated slope edge at an infinite cap.  Past the pairing at a finite
+    the stated slope edge at an infinite cap.  Its safeguarded Newton starts
+    at the root of E_f'(lam) = x on the E_f oracle's few nodes (``_e_f_root``),
+    O(N^-2) from the grid's root on N cells: one Newton step from there meets
+    the grid's root to rounding, and the solve takes two to four walks of the
+    grid where one from lam = 0 took up to ten.  Past the pairing at a finite
     cap (at the last float tilt inside an open one) the path takes the
     slopes there and one jump by the rest of x at the first extremizer of f;
     if f stays extreme over a whole piece the site is not determined
@@ -556,7 +575,8 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         return CadlagPath(model.dimension, grid, slopes, ())
 
     x, dom = float(x), prob.d_f
-    cells = lru_cache(maxsize=1)(lambda lam: _cell_slopes(model, kernel, lam, grid, tol))
+    nodes = kernel.eval(grid)
+    cells = lru_cache(maxsize=1)(lambda lam: _cell_slopes(model, kernel, lam, grid, nodes, tol))
     for side, cap in ((1.0, dom.upper), (-1.0, dom.lower)):
         if math.isinf(cap):
             if side * (x - (prob.upper_edge if side > 0 else prob.lower_edge)[0]) >= 0:
@@ -578,7 +598,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
 
     pairing = ConvexOracle(dom, None, lambda lam: float(weights @ cells(lam)[0]),
                            lambda lam: float(weights @ cells(lam)[1]))
-    lam, r = _solve_grad_1d(pairing, x, _EPS)
+    lam, r = _solve_grad_1d(pairing, x, _EPS, start=_e_f_root(model, kernel, x))
     slopes = cells(lam)[0]
     if abs(r) > _EPS * max(1.0, abs(x)):
         # next to an open cap the root can fall between two float tilts: mix them

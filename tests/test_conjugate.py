@@ -308,6 +308,18 @@ def test_solve_does_not_settle_on_a_grad_flat_off_its_target():
         assert np.all(np.abs(v - 1.0) <= 1e-15) and np.all(np.abs(r) <= 1e-15)
 
 
+def test_solve_cuts_a_bracket_over_many_decades_on_the_log_scale():
+    # arctan is pi/2 to rounding far out: from a start at an end 1e300 away,
+    # one bit a step would take about 1000 halvings to come near the root;
+    # halving log(1 + |v|) takes about 10, whichever end the root is near
+    for target, lo, hi, start in ((1.0, 0.0, 1e300, 1e300), (-1.0, -1e300, 0.0, -1e300),
+                                  (0.5, -1e300, 1e300, 1e300), (1.5, 1e-3, 1e300, 1e-3)):
+        for t in (target, np.full(2, target)):
+            for hess in (None, lambda v: 1.0 / (1.0 + v * v)):
+                v, _ = solve_monotone(np.arctan, hess, t, lo, hi, start, 1e-15, max_iter=90)
+                assert np.allclose(v, np.tan(target), rtol=1e-12, atol=0.0), (target, hess)
+
+
 # -- multivariate -------------------------------------------------------------
 
 def test_legendre_full_space():

@@ -31,7 +31,7 @@ from ldpkit import (
     x_grid,
 )
 from ldpkit.cgf import MODEL_FACTORIES, CgfModel, DomainInterval, FullSpace, gaussian
-from ldpkit.errors import NonConvergenceError
+from ldpkit.errors import LdpkitError, NonConvergenceError
 
 ID = identity()
 CONST1 = constant(1.0)
@@ -376,7 +376,8 @@ def test_a_closed_lower_edge_with_an_infinite_slope():
     assert e_f(m, ID, -0.5) == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert e_f_grad(m, ID, -0.5) == pytest.approx(-5.0 / 6.0, rel=1e-12)
     assert kr._e_f_hess(m, ID, -0.5) == math.inf
-    v, dv = kr._cell_slopes(m, ID, -0.5, kr._refined_grid(ID, 400), 1e-8)
+    grid = kr._refined_grid(ID, 400)
+    v, dv = kr._cell_slopes(m, ID, -0.5, grid, ID.eval(grid), 1e-8)
     assert np.isfinite(v).all()
     assert dv[-1] == math.inf
     assert (np.isfinite(dv[:-1]) & (dv[:-1] > 0)).all()
@@ -903,6 +904,14 @@ def test_inner_slopes_where_the_grad_saturates():
                           kr._inner_slopes(cexp, np.full(3, 0.5)))
 
 
+def test_inner_slopes_from_a_start_decades_above_the_root():
+    # cexp: I'(v) = v / (1 + v) is 1.0 to rounding over [1e16, 1e300], so the
+    # bracket [0, 1e300] is cut on the log scale down to the root 1 instead
+    # of being bisected one bit a step
+    assert kr._inner_slopes(parse_model("cexp"), np.array([0.5]),
+                            np.array([1e300]))[0] == pytest.approx(1.0, rel=1e-12)
+
+
 PATH_GEOMETRY_CASES = [("gaussian:mu=0,sigma=1", ID, 0.5), ("gaussian:mu=0,sigma=1", ID, 1.0),
                        ("cexp", CONST1, -0.5), ("cexp", CONST1, 0.5), ("cexp", CONST1, 1.5),
                        ("synthetic-boundary", ID, 0.15), ("synthetic-boundary", ID, 0.5)]
@@ -962,13 +971,16 @@ def test_variational_rejects_bad_pieces():
 # -- minimizing paths -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec,k,x", [
+MINIMIZER_INTERIOR = [
     ("gaussian:mu=0,sigma=1", ID, 1.0),
     ("gaussian:mu=0,sigma=1", TENT, -0.6),
     ("cexp", CONST1, 0.5),
     ("rademacher", ID, 0.3),
     ("synthetic-boundary", ID, 0.15),
-])
+]
+
+
+@pytest.mark.parametrize("spec,k,x", MINIMIZER_INTERIOR)
 def test_minimizer_interior(spec, k, x):
     m = parse_model(spec)
     path = minimizer(m, k, x)
@@ -1050,6 +1062,80 @@ def test_minimizer_where_the_tilt_curvature_underflows(gap):
     assert i_d(path, m) == pytest.approx(i_f_conjugate(m, ID, x).value, abs=1e-5)
 
 
+# the path cases of the three benchmark workloads
+BENCHMARK_PATH_CASES = PATH_GEOMETRY_CASES + [
+    ("gaussian:mu=0,sigma=1", ID, 0.5), ("rademacher", CONST1, 0.5),
+    ("gaussian:mu=0,sigma=1", parse_kernel("affine:0.5,1"), 1.0), ("poisson:rate=1", ID, 1.0)]
+SIGNED_EDGES = ef_prime_range(parse_model("rademacher"), SIGNED)
+
+
+def _minimizer_outcome(spec, kernel, x):
+    """(slopes on the 4000-cell grid, jumps, the grid's own pairing minus x,
+    i_d) of the minimizer, or the type of the error it raises."""
+    model = parse_model(spec)
+    try:
+        path = minimizer(model, kernel, x)
+    except LdpkitError as err:
+        return type(err)
+    grid = kr._refined_grid(kernel, 4000)
+    slopes = np.asarray(path.slopes)[np.searchsorted(path.grid, grid[:-1], side="right") - 1]
+    paired = float(kernel.integrals(grid) @ slopes) + sum(
+        v * float(kernel.eval(np.array([t]))[0]) for t, v in path.jumps)
+    return slopes, path.jumps, paired - x, i_d(path, model)
+
+
+@pytest.mark.parametrize("spec,k,x,rel", [(*case, 1e-11) for case in (
+    MINIMIZER_INTERIOR + BENCHMARK_PATH_CASES + [
+        ("cexp", ID, 20.0), ("cexp", ID, 40.0),     # next to the open cap
+        ("synthetic-boundary", ID, 0.5),            # the jump branch
+        ("rademacher", ID, 0.7),                    # past the slope edge
+        ("synthetic-boundary", PLATEAU, 1.5)])      # an undetermined jump site
+] + [
+    # next to a slope edge, where the pairing is flat to rounding over many tilts
+    ("rademacher", SIGNED, SIGNED_EDGES[1] - 1e-9, 1e-9),
+    ("rademacher", SIGNED, SIGNED_EDGES[0] + 1e-9, 1e-9),
+    ("rademacher", ID, 0.5 - 5e-14, 1e-9), ("rademacher", ID, 0.5 - 1e-14, 1e-9),
+])
+def test_minimizer_warm_start_changes_no_answer(monkeypatch, spec, k, x, rel):
+    # the grid's pairing solved from the root of E_f' = x and from 0 settles
+    # at tilts a few ulp apart, where each slope, a difference quotient of K
+    # over a cell, carries rounding of eps |K| / |du|: so the slopes agree
+    # to rel of their largest, and the pairing to a few ulp of x
+    warm = _minimizer_outcome(spec, k, x)
+    monkeypatch.setattr(kr, "_e_f_root", lambda *args: 0.0)
+    cold = _minimizer_outcome(spec, k, x)
+    if isinstance(cold, type):
+        assert warm is cold
+        return
+    (slopes, jumps, gap, action), (slopes0, jumps0, gap0, action0) = warm, cold
+    assert np.max(np.abs(slopes - slopes0)) <= rel * max(1.0, float(np.max(np.abs(slopes0))))
+    assert [t for t, _ in jumps] == [t for t, _ in jumps0]
+    assert [v for _, v in jumps] == pytest.approx([v for _, v in jumps0], rel=1e-12)
+    assert max(abs(gap), abs(gap0)) <= 4 * kr._EPS * max(1.0, abs(x))
+    assert action == pytest.approx(action0, rel=1e-11)
+
+
+@pytest.mark.parametrize("spec,k,x,bound", [
+    ("cexp", CONST1, 0.5, 3),
+    ("poisson:rate=1", ID, 1.0, 4),
+])
+def test_minimizer_walks_the_fine_grid_a_few_times(monkeypatch, spec, k, x, bound):
+    # from lam = 0 these take 10 walks of the 4000-cell grid each; from the
+    # root of E_f' = x one Newton step lands within rounding of the grid's
+    # root, and the last walks settle the pairing to one ulp of x
+    model = parse_model(spec)
+    ef_prime_range(model, k)
+    fine, walk = [], kr._walk
+
+    def counting(model, kernel, lam, values):
+        fine.append(len(values) > 100)
+        return walk(model, kernel, lam, values)
+
+    monkeypatch.setattr(kr, "_walk", counting)
+    minimizer(model, k, x)
+    assert sum(fine) <= bound
+
+
 def test_minimizer_singular_jump():
     m = parse_model("synthetic-boundary")
     path = minimizer(m, ID, 1.0)
@@ -1127,7 +1213,8 @@ def test_singular_minimizer_keeps_its_jump():
         return m.cgf(u)
 
     grid = kr._refined_grid(ID, 4000)
-    slopes = kr._cell_slopes(dataclasses.replace(m, cgf=counting), ID, 1.0, grid, 1e-8)[0]
+    slopes = kr._cell_slopes(dataclasses.replace(m, cgf=counting), ID, 1.0, grid, ID.eval(grid),
+                             1e-8)[0]
     # every cell is a difference quotient of K from one cgf call on the grid
     assert calls[0] == 1
 
