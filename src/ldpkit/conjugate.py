@@ -31,7 +31,8 @@ _VALUE_CAP = 1e14
 # this times 1 + |target|, the rounding of a grad flat at its target
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 # a finite bracket spans many decades once it is wider than this times 1 + |v|
-# at its end nearer 0: (1 + |hi|) / (1 + |lo|) > 2^8 when its ends share a sign
+# at its end nearer 0: when its ends share a sign, 1 + |v| at the far end is
+# then over 2^8 times that at the near one
 _WIDE = 255.0
 
 
