@@ -236,6 +236,10 @@ def _selftest_checks():
             gap = (variational_rate(model, identity(), x)
                    - i_f_conjugate(model, identity(), x).value)
             assert abs(gap) < 5e-3, (spec, x, gap)
+        # far out on an exponential tail, where a constant kernel's grid is exact
+        model, kern = parse_model("poisson:rate=1"), constant(1.0)
+        got, want = variational_rate(model, kern, 1e3), i_f_conjugate(model, kern, 1e3).value
+        assert abs(got - want) <= 1e-9 * want, (got, want)
 
     def minimizer_near_edge():
         # lam* ~ 10: many cell averages of K' sit on the support edge +-1

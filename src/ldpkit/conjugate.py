@@ -12,6 +12,8 @@ Every d = 1 function ldpkit transforms is a weighted cumulant g(lam) =
 int K(lam w) dmu(w): K (mu = delta_1), E_f, the tail sampler's finite-n
 cumulant and the variational dual.  ``tilt_domain`` and ``slope_edges``
 state its domain and slope range from dom K and mu alone, once for all.
+Given mu's first two moments, ``weighted_oracle`` also states where the
+solve of g' = x starts: the root for the one atom with those moments.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ class ConvexOracle:
     # Conjugate values (lower, upper) at a slope edge whose domain side runs
     # to infinity, each None where unknown; x exactly at such an edge needs it.
     edge_values: Optional[tuple] = None
+    # d=1: x -> a point of the domain where the solve of grad = x starts
+    # (0.0 if None)
+    start: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -129,14 +134,42 @@ def slope_edges(model: CgfModel, domain: DomainInterval, split: tuple, grad,
     return [edge(upper) for upper in sides]
 
 
+def _one_atom_start(model: CgfModel, domain: DomainInterval, m1: float, m2: float):
+    """x -> lam0 = I'(x / m1) m1 / m2, or None where the model or moments give
+    no start.
+
+    The atom of mass m1^2 / m2 at w = m2 / m1 has mu's first two moments
+    m1 = int w dmu and m2 = int w^2 dmu, and its g' = m1 K'(lam m2 / m1)
+    meets x at lam0.  lam0 is the root of g' = x itself where mu is one atom
+    or I' is affine (every Gaussian law), and a first-order start elsewhere;
+    it is 0.0 where x / m1 is not strictly inside ``rate_dom`` or lam0 not
+    strictly inside ``domain`` (nan and +-inf included).
+    """
+    if model.rate_grad is None or model.rate_dom is None or m1 == 0.0 or not m2 > 0.0:
+        return None
+    lo, hi = model.rate_dom
+
+    def start(x):
+        v = x / m1
+        if not lo < v < hi:
+            return 0.0
+        lam = float(model.rate_grad(v)) * m1 / m2
+        return lam if domain.lower < lam < domain.upper else 0.0
+
+    return start
+
+
 def weighted_oracle(model: CgfModel, domain: DomainInterval, split: tuple, value, grad,
-                    hess, edges: tuple = None) -> ConvexOracle:
+                    hess, edges: tuple = None, moments: tuple = None) -> ConvexOracle:
     """The oracle of g on its tilt ``domain``, with the slope range and edge
     values of ``slope_edges``, or the (lower, upper) ``edges`` it found
-    before, in which case ``split`` is not read."""
+    before, in which case ``split`` is not read.  Given mu's ``moments``
+    (m1, m2), its solves of g' = x start at the one-atom root of
+    ``_one_atom_start``; else at 0.0."""
     (lo, v_lo), (hi, v_hi) = edges or slope_edges(model, domain, split, grad)
+    start = None if moments is None else _one_atom_start(model, domain, *map(float, moments))
     return ConvexOracle(domain, value, grad, hess, grad_range=(lo, hi),
-                        edge_values=(v_lo, v_hi))
+                        edge_values=(v_lo, v_hi), start=start)
 
 
 def _log_middle(a, b):
@@ -218,15 +251,18 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
 
 
 def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int = 200,
-                   start: float = 0.0):
+                   start: float = None):
     """(u, grad g(u) - x) at the root of grad g = x, which lies strictly inside
     the domain, the bracket, as x lies strictly inside the stated range.
-    Newton starts at ``start``, a point of the domain.
+    Newton starts at ``start``, a point of the domain; None means the
+    oracle's start at x, or 0.0 if it states none.
 
     A residual r above sqrt(atol) stands when the root lies within one ulp
     of u: the conjugate at u then misses by at most |r| ulp(u), which near
     an open cap is far below what |r| suggests.
     """
+    if start is None:
+        start = 0.0 if oracle.start is None else oracle.start(x)
     atol = tol * max(1.0, abs(x))
     u, r = solve_monotone(oracle.grad, oracle.hess, x, oracle.domain.lower,
                           oracle.domain.upper, start, atol, max_iter=max_iter)

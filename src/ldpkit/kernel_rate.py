@@ -666,10 +666,15 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     Phi'' = sum l_i fbar_i^2 / I''(v_i), so K never enters.  A finite cap
     prices the rest of x as a jump; at an infinite one the slope edge is
     sum w_i times the rate_dom edge that the sign of fbar_i picks.
-    In d = 1 the inner solves continue from the last tilt nu0 the outer
-    solve visited: each starts at the Euler prediction v_i(nu0) + (nu - nu0)
-    fbar_i / I''(v_i(nu0)) where that lies inside its bracket, else at the
-    mean (predictor-corrector continuation, Allgower and Georg, ch. 2).
+    In d = 1 the outer solve starts at I'(x / m1) m1 / m2, m1 = sum w_i and
+    m2 = sum w_i fbar_i, the root for one cell with the grid's first two
+    moments (``conjugate.weighted_oracle``): the root itself on one cell (a
+    constant kernel) or for an affine I' (a Gaussian law), and 0.0 where it
+    is not strictly inside the caps.  The inner solves continue from the
+    last tilt nu0 the outer solve visited: each starts at the Euler
+    prediction v_i(nu0) + (nu - nu0) fbar_i / I''(v_i(nu0)) where that lies
+    inside its bracket, else at the mean (predictor-corrector continuation,
+    Allgower and Georg, ch. 2).
     """
     if pieces < 1:
         raise ValueError("pieces must be >= 1")
@@ -730,8 +735,8 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
                          upper_closed=math.isfinite(m_plus))
     pos, neg = fbar > 0, fbar < 0
     split = (np.sum(lens[pos]), np.sum(lens[neg]), np.sum(w[pos]), np.sum(w[neg]))
-    return legendre(weighted_oracle(model, dom, split, phi, phi_grad, phi_hess), float(x),
-                    tol=tol).value
+    return legendre(weighted_oracle(model, dom, split, phi, phi_grad, phi_hess,
+                                    moments=(np.sum(w), w @ fbar)), float(x), tol=tol).value
 
 
 def x_grid(model: CgfModel, kernel: Kernel, count: int = 50, span: float = 3.0):

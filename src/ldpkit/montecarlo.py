@@ -129,6 +129,9 @@ def _projected_tilt(model: CgfModel, g: np.ndarray, w: np.ndarray, a: float):
     finite-n saddlepoint) is the tilt under which <l, W_n> has mean a.
     Returns (result, tag): tag is None inside the slope range of Lambda_n,
     and "boundary:above" or "boundary:below" at or past one of its edges.
+    In d = 1 the solve starts at lam0 = I'(a / m1) m1 / m2, m1 = w.g and
+    m2 = w.g^2 (``conjugate.weighted_oracle``), the saddlepoint itself for
+    one distinct weight (a constant kernel) or a Gaussian law.
     """
     def value(lam):
         return float(w @ model.cgf(lam * g))
@@ -149,7 +152,8 @@ def _projected_tilt(model: CgfModel, g: np.ndarray, w: np.ndarray, a: float):
         split = (np.sum(w[pos]), np.sum(w[neg]), w[pos] @ g[pos], w[neg] @ g[neg])
         oracle = weighted_oracle(
             model, tilt_domain(model, max(g.max(), 0.0), max(-g.min(), 0.0)), split, value,
-            grad, lambda lam: float(w @ (g * g * model.cgf_hess(lam * g))))
+            grad, lambda lam: float(w @ (g * g * model.cgf_hess(lam * g))),
+            moments=(w @ g, w @ (g * g)))
     # the tilted mean misses a by at most 1e-13 max(1, |a|)
     res = legendre(oracle, a, tol=1e-13)
     side = "above" if a >= oracle.grad_range[1] else "below"

@@ -11,7 +11,8 @@ from ldpkit import (CgfModel, ConvexOracle, DomainError, DomainInterval,
                     parse_model)
 from ldpkit import kernel_rate as kr
 from ldpkit.cgf import FullSpace
-from ldpkit.conjugate import solve_monotone
+from ldpkit.conjugate import (_one_atom_start, _solve_grad_1d, solve_monotone, tilt_domain,
+                              weighted_oracle)
 
 
 def oracle_of(model):
@@ -337,3 +338,41 @@ def test_legendre_full_space():
     want = 0.5 * gap @ np.linalg.solve(sig, gap)
     assert res.value == pytest.approx(want, abs=1e-8)
     assert np.allclose(res.argmax, np.linalg.solve(sig, gap), atol=1e-6)
+
+
+# -- the one-atom start of a weighted cumulant -----------------------------------
+
+
+@pytest.mark.parametrize("spec", ["gaussian:mu=0.5,sigma=2", "cexp", "rademacher",
+                                  "poisson:rate=1"])
+def test_one_atom_start_is_the_root_for_one_atom(spec):
+    # g(lam) = c K(lam w), one atom of mass c at w: m1 = c w and m2 = c w^2
+    model = parse_model(spec)
+    c, w = 0.75, -2.0
+    oracle = weighted_oracle(model, tilt_domain(model, 0.0, -w), (0.0, c, 0.0, c * w),
+                             lambda lam: c * model.cgf(lam * w),
+                             lambda lam: c * w * model.cgf_grad(lam * w),
+                             lambda lam: c * w * w * model.cgf_hess(lam * w),
+                             moments=(c * w, c * w * w))
+    for x in (-0.6, 0.2, 0.9):
+        lam = oracle.start(x)
+        assert lam != 0.0
+        assert oracle.grad(lam) == pytest.approx(x, rel=1e-12)
+        assert _solve_grad_1d(oracle, x, 1e-10)[0] == pytest.approx(lam, rel=1e-12)
+
+
+def test_one_atom_start_falls_back_to_zero():
+    cexp = parse_model("cexp")      # rate_dom (-1, inf), K' open at 1
+    dom = DomainInterval(-math.inf, 1.0)
+    # no moment to match
+    assert _one_atom_start(cexp, dom, 0.0, 1.0) is None
+    assert _one_atom_start(cexp, dom, 1.0, 0.0) is None
+    start = _one_atom_start(cexp, dom, 1.0, 1.0)
+    assert start(0.5) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # x / m1 at or past the rate_dom edge -1, or nan
+    assert start(-1.0) == start(-2.0) == start(math.nan) == 0.0
+    # lam0 = I'(x) = x / (1 + x) at or past the tilt cap
+    assert _one_atom_start(cexp, DomainInterval(-math.inf, 0.25), 1.0, 1.0)(0.5) == 0.0
+    # lam0 = 1 / 1e-310 overflows to inf, which no domain holds strictly inside
+    full = DomainInterval(-math.inf, math.inf)
+    assert _one_atom_start(cexp, full, 1.0, 1e-310)(1e300) == 0.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from ldpkit import conjugate as conj
 from ldpkit import kernel_rate as kr
 from ldpkit import (
     AmbiguityError,
@@ -932,6 +933,94 @@ def test_variational_inner_solves_continue_from_the_last_tilt():
         got = variational_rate(dataclasses.replace(model, rate_grad=counting), kernel, x)
         assert got == pytest.approx(i_f_conjugate(model, kernel, x).value, abs=5e-3)
     assert len(calls) <= 140
+
+
+def _variational_counts(model, kernel, x):
+    """(value, array calls of I', tilts whose inner solve reached a finite
+    slope) of ``variational_rate``; the scalar call of the start is left
+    out, and a closed cap where every slope is unreachable (a slope-edge
+    check) does not count as a tilt."""
+    calls, tilts = [], []
+
+    def counting(v, grad=model.rate_grad):
+        calls.append(np.ndim(v) > 0)
+        return grad(v)
+
+    inner = kr._inner_slopes
+
+    def solve(model, s, start=None):
+        v = inner(model, s, start)
+        tilts.append(bool(np.any(np.isfinite(v))))
+        return v
+
+    kr._inner_slopes = solve
+    try:
+        got = variational_rate(dataclasses.replace(model, rate_grad=counting), kernel, x)
+    finally:
+        kr._inner_slopes = inner
+    return got, sum(calls), sum(tilts)
+
+
+def test_variational_path_geometry_from_the_one_cell_root():
+    # the outer solve starts at the root for one cell with the grid's first
+    # two moments: 126 array calls of I' over these cases from nu = 0, 66
+    # from it
+    total = 0
+    for spec, kernel, x in PATH_GEOMETRY_CASES:
+        model = parse_model(spec)
+        got, calls, _ = _variational_counts(model, kernel, x)
+        assert got == pytest.approx(i_f_conjugate(model, kernel, x).value, abs=5e-3)
+        total += calls
+    assert total <= 90
+
+
+@pytest.mark.parametrize("spec,kernel,x", [
+    ("cexp", CONST1, -0.5), ("cexp", CONST1, 1.5), ("rademacher", CONST1, 0.3),
+    ("poisson:rate=1", CONST1, 0.7),
+    # an affine I': the one-cell root is the root of Phi' = x on any kernel
+    ("gaussian:mu=0,sigma=1", ID, 1.0), ("gaussian:mu=0,sigma=1", TENT, -0.6)])
+def test_variational_starts_at_its_root_where_the_one_cell_root_is_exact(spec, kernel, x):
+    model = parse_model(spec)
+    got, _, tilts = _variational_counts(model, kernel, x)
+    assert tilts == 1
+    assert got == pytest.approx(i_f_conjugate(model, kernel, x).value, abs=5e-3)
+
+
+@pytest.mark.parametrize("spec,kernel,x", [
+    # a zero-mean kernel: m1 = sum w_i rounds to -2.8e-17, and x / m1 lies
+    # far outside rate_dom
+    ("cexp", parse_kernel("pwl:0:1,1:-1"), 0.3),
+    # nu0 = I'(2) m1 / m2 lies just above the open cap 1 (m2 < 1/3)
+    ("cexp", ID, 1.0)])
+def test_variational_falls_back_to_a_start_at_zero(monkeypatch, spec, kernel, x):
+    model = parse_model(spec)
+    warm = _variational_counts(model, kernel, x)
+    monkeypatch.setattr(conj, "_one_atom_start", lambda *args: None)
+    assert warm == _variational_counts(model, kernel, x)
+
+
+def test_weighted_oracle_without_rate_grad_starts_at_zero():
+    model = dataclasses.replace(parse_model("cexp"), rate_grad=None)
+    dom = conj.tilt_domain(model, 1.0, 0.0)
+    oracle = conj.weighted_oracle(model, dom, (1.0, 0.0, 1.0, 0.0), model.cgf, model.cgf_grad,
+                                  model.cgf_hess, moments=(1.0, 1.0))
+    assert oracle.start is None
+    assert conj._solve_grad_1d(oracle, 0.5, 1e-10) == conj._solve_grad_1d(oracle, 0.5, 1e-10,
+                                                                          start=0.0)
+
+
+@pytest.mark.parametrize("kernel,x,bound", [
+    (CONST1, 1e3, 20), (CONST1, 1e5, 20),   # 205 and 352 calls from nu = 0
+    (ID, 50.0, 80), (ID, 300.0, 80)])       # 320 and 255 calls from nu = 0
+def test_variational_far_out_from_the_one_cell_root(kernel, x, bound):
+    # on one cell the start is the root itself; on identity it lands near
+    # it, where the exponential Phi' from nu = 0 took 10-18 outer steps
+    model = parse_model("poisson:rate=1")
+    got, calls, _ = _variational_counts(model, kernel, x)
+    want = i_f_conjugate(model, kernel, x).value
+    # a constant kernel's grid is exact
+    assert got == pytest.approx(want, rel=1e-9 if kernel is CONST1 else 1e-4)
+    assert calls <= bound
 
 
 def test_one_walk_per_newton_tilt():

@@ -1,6 +1,7 @@
 """Importance-sampling estimator: representation identity, unbiasedness,
 exact oracles, reproducibility, boundary behavior."""
 
+import dataclasses
 import math
 import time
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, gamma, norm, poisson
 
+from ldpkit import montecarlo as mc
 from ldpkit import (
     NoSamplerError,
     constant,
@@ -318,6 +320,29 @@ def test_oracle_budget():
     # one group of n + 1 sums is within the budget at any n
     assert exact_tail_oracle(m, CONST1, 100_000, 0.01) == pytest.approx(
         float(binom.logsf(50_499, 100_000, 0.5)), rel=1e-9)
+
+
+# -- the tilt ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", MODELS)
+@pytest.mark.parametrize("c,a", [(1.0, 0.3), (1.0, -0.4), (-2.0, 0.9)])
+def test_constant_kernel_tilt_starts_at_its_root(spec, c, a):
+    # one distinct step weight g: the solve of g K'(lam g) = a starts at its
+    # root I'(a / g) / g, and settles on the first grad evaluation (4-10
+    # from lam = 0 on cexp, rademacher and poisson)
+    model = parse_model(spec)
+    calls = []
+
+    def counting(u, grad=model.cgf_grad):
+        calls.append(1)
+        return grad(u)
+
+    g, w = np.array([c]), np.array([1.0])
+    res, tag = mc._projected_tilt(dataclasses.replace(model, cgf_grad=counting), g, w, a)
+    assert tag is None and len(calls) <= 2
+    assert res.argmax == pytest.approx(float(model.rate_grad(a / c)) / c, rel=1e-13)
+    assert res.value == pytest.approx(float(model.rate(a / c)), rel=1e-12)
 
 
 # -- boundary and degenerate targets ---------------------------------------------------
