@@ -200,7 +200,7 @@ class CgfModel:
 
         if self.dimension == 1:
             oracle = weighted_oracle(self, self.domain, _UNIT_WEIGHT, self.cgf, self.cgf_grad,
-                                     self.cgf_hess)
+                                     self.cgf_hess, (1.0, 1.0))
             arr = np.asarray(v, dtype=float)
             if arr.ndim == 0:
                 return legendre(oracle, float(arr)).value

@@ -254,6 +254,16 @@ def _selftest_checks():
         r = i_f_conjugate(parse_model("cexp"), identity(), 40.0)
         assert abs(r.value - 39.5) < 1e-12 * 39.5, r.value
 
+    def constant_kernel_far_out():
+        # on const:1 E_f = K, so both routes are the closed I(x); each solve
+        # starts at its root I'(x)
+        for spec, x in (("poisson:rate=1", 1e3), ("cexp", 50.0)):
+            model = parse_model(spec)
+            want = float(model.rate(x))
+            for route in (i_f_conjugate, i_f_explicit):
+                got = route(model, constant(1.0), x).value
+                assert abs(got - want) <= 1e-12 * want, (spec, x, route.__name__, got, want)
+
     def finite_n_tilt():
         # a = 1/2 is the continuum slope edge of rademacher x identity, but
         # inside the finite-n range (n + 1) / (2n)
@@ -290,6 +300,7 @@ def _selftest_checks():
             ("variational vs conjugate", variational_route),
             ("minimizer near a slope edge", minimizer_near_edge),
             ("open cap far out", open_cap_far_out),
+            ("constant kernel far out", constant_kernel_far_out),
             ("finite-n tilt", finite_n_tilt),
             ("convolved flat-kernel tail", convolved_tail),
             ("gaussian any-kernel tail", gaussian_any_kernel_tail)]

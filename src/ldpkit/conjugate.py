@@ -12,8 +12,9 @@ Every d = 1 function ldpkit transforms is a weighted cumulant g(lam) =
 int K(lam w) dmu(w): K (mu = delta_1), E_f, the tail sampler's finite-n
 cumulant and the variational dual.  ``tilt_domain`` and ``slope_edges``
 state its domain and slope range from dom K and mu alone, once for all.
-Given mu's first two moments, ``weighted_oracle`` also states where the
-solve of g' = x starts: the root for the one atom with those moments.
+From mu's first two moments, which every caller states, ``weighted_oracle``
+also states where the solve of g' = x starts: the root for the one atom
+with those moments.
 """
 
 from __future__ import annotations
@@ -160,14 +161,14 @@ def _one_atom_start(model: CgfModel, domain: DomainInterval, m1: float, m2: floa
 
 
 def weighted_oracle(model: CgfModel, domain: DomainInterval, split: tuple, value, grad,
-                    hess, edges: tuple = None, moments: tuple = None) -> ConvexOracle:
+                    hess, moments: tuple, edges: tuple = None) -> ConvexOracle:
     """The oracle of g on its tilt ``domain``, with the slope range and edge
     values of ``slope_edges``, or the (lower, upper) ``edges`` it found
-    before, in which case ``split`` is not read.  Given mu's ``moments``
-    (m1, m2), its solves of g' = x start at the one-atom root of
-    ``_one_atom_start``; else at 0.0."""
+    before, in which case ``split`` is not read.  Its solves of g' = x start
+    at the one-atom root of ``_one_atom_start`` for mu's ``moments``
+    (m1, m2), or at 0.0 where that gives no start."""
     (lo, v_lo), (hi, v_hi) = edges or slope_edges(model, domain, split, grad)
-    start = None if moments is None else _one_atom_start(model, domain, *map(float, moments))
+    start = _one_atom_start(model, domain, *map(float, moments))
     return ConvexOracle(domain, value, grad, hess, grad_range=(lo, hi),
                         edge_values=(v_lo, v_hi), start=start)
 

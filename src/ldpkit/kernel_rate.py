@@ -248,7 +248,11 @@ def _problem(model: CgfModel, kernel: Kernel) -> KernelRateProblem:
 def _e_f_oracle(model: CgfModel, kernel: Kernel) -> ConvexOracle:
     """The oracle of E_f on ``model``'s own formulas, with the cached facts.
     In d = 1 it keeps the walk at the last tilt, so E_f'' right after E_f' at
-    one Newton tilt, and E_f at the root, reuse its formula values."""
+    one Newton tilt, and E_f at the root, reuse its formula values, and its
+    solves of E_f' = x start at the one-atom root I'(x / m1) m1 / m2 for the
+    kernel's moments m1 = int f and m2 = int f^2 (``weighted_oracle``): the
+    root itself on a constant kernel and for every Gaussian law, where
+    m1 != 0."""
     prob = _problem(model, kernel)
     if model.dimension > 1:
         value, grad, hess = (partial(fn, model, kernel) for fn in (e_f, e_f_grad, _e_f_hess))
@@ -264,7 +268,7 @@ def _e_f_oracle(model: CgfModel, kernel: Kernel) -> ConvexOracle:
     value, grad, hess = (partial(_moment, model, kernel, k=k, tol=tol, walk=walk)
                          for k, tol in enumerate((1e-12, 1e-12, 1e-10)))
     return weighted_oracle(model, prob.d_f, None, value, grad, hess,
-                           edges=(prob.lower_edge, prob.upper_edge))
+                           (kernel.m1, kernel.m2), edges=(prob.lower_edge, prob.upper_edge))
 
 
 def d_f(model: CgfModel, kernel: Kernel):
@@ -297,7 +301,10 @@ class KernelRateResult:
 
 
 def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> KernelRateResult:
-    """I_f(x) as the Legendre transform of E_f."""
+    """I_f(x) as the Legendre transform of E_f.  In d = 1 the solve of
+    E_f' = x starts at the one-atom root of ``_e_f_oracle``: the root itself
+    on a constant kernel, or for a Gaussian law with int f != 0, where the
+    solve settles on its first E_f' evaluation."""
     prob = _problem(model, kernel)
     m_plus, m_minus = prob.m_plus_minus
     if model.dimension > 1:
@@ -528,13 +535,19 @@ def _cell_slopes(model: CgfModel, kernel: Kernel, lam: float, grid: np.ndarray,
 def _e_f_root(model: CgfModel, kernel: Kernel, x: float) -> float:
     """The root of E_f'(lam) = x on the cached analysis's oracle where x lies
     strictly inside its slope range and the solve settles, else 0.0: a start
-    for the grid's pairing, whose root lies O(N^-2) from it on N cells."""
+    for the grid's pairing, whose root lies O(N^-2) from it on N cells.
+
+    The solve starts at 0.0, not at the oracle's one-atom root: where E_f'
+    is flat to rounding (rademacher x identity within 1e-13 of its slope
+    edge 0.5) the two starts settle on tilts whose grid slopes differ by
+    1.2e-9 to 1.4e-9, beyond the 1e-9 within which ``minimizer`` keeps the
+    path that a start at lam = 0 gives."""
     oracle = _e_f_oracle(model, kernel)
     lo, hi = oracle.grad_range
     if not lo < x < hi:
         return 0.0
     try:
-        return _solve_grad_1d(oracle, x, 1e-10)[0]
+        return _solve_grad_1d(oracle, x, 1e-10, start=0.0)[0]
     except (DomainError, NonConvergenceError):
         return 0.0
 

@@ -206,7 +206,7 @@ def test_selftest_json(capsys):
     code, cap = _run(capsys, ["selftest", "--format", "json"])
     assert code == 0
     rows = json.loads(cap.out)
-    assert len(rows) == 14
+    assert len(rows) == 15
     assert all(set(row) == {"check", "status", "error"} for row in rows)
     assert all(row["status"] == "ok" and row["error"] is None for row in rows)
 
@@ -233,6 +233,12 @@ def test_selftest_checks_an_open_cap_far_out(capsys):
     code, cap = _run(capsys, ["selftest"])
     assert code == 0
     assert "ok   open cap far out" in cap.out.splitlines()
+
+
+def test_selftest_checks_a_constant_kernel_far_out(capsys):
+    code, cap = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   constant kernel far out" in cap.out.splitlines()
 
 
 def test_selftest_checks_the_finite_n_tilt(capsys):

@@ -1057,6 +1057,115 @@ def test_variational_rejects_bad_pieces():
         variational_rate(parse_model("cexp"), CONST1, 0.5, pieces=0)
 
 
+# -- the one-atom start of E_f' = x ----------------------------------------------
+
+
+ROUTES = (i_f_conjugate, i_f_explicit)
+
+
+def _e_f_grad_counts(model, kernel, xs, route, start=conj._one_atom_start):
+    """[(result, E_f' evaluations)] of ``route`` at each level, counted on
+    the grad of every E_f oracle the route builds; ``start`` stands in for
+    ``conjugate._one_atom_start``."""
+    calls, oracle = [], kr._e_f_oracle
+
+    def counting(model, kernel):
+        o = oracle(model, kernel)
+        return dataclasses.replace(o, grad=lambda lam, g=o.grad: calls.append(1) or g(lam))
+
+    ef_prime_range(model, kernel)       # the analysis evaluates E_f' at a closed cap
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kr, "_e_f_oracle", counting)
+        mp.setattr(conj, "_one_atom_start", start)
+        for x in xs:
+            calls.clear()
+            out.append((route(model, kernel, float(x)), len(calls)))
+    return out
+
+
+def _no_start(*args):
+    return None
+
+
+@pytest.mark.parametrize("spec,kernel", [
+    # E_f = +-K(+-lam) on const:+-1, whose solve starts at its root I'(+-x)
+    *((spec, k) for spec in ("cexp", "poisson:rate=1", "rademacher")
+      for k in (CONST1, constant(-1.0))),
+    # E_f' = m1 mu + m2 sigma^2 lam for a Gaussian law, linear in lam
+    *((spec, k) for spec in ("gaussian:mu=0,sigma=1", "gaussian:mu=0.5,sigma=2")
+      for k in (CONST1, ID, NEGID, TENT, parse_kernel("affine:0.5,1")))])
+@pytest.mark.parametrize("route", ROUTES)
+def test_e_f_solve_settles_on_its_first_evaluation(spec, kernel, route):
+    # from lam = 0 these took 2 (Gaussian) or 5.6-7.6 evaluations a level
+    model = parse_model(spec)
+    for res, calls in _e_f_grad_counts(model, kernel, x_grid(model, kernel, 50), route):
+        assert res.branch == "interior" and calls == 1, (res.x, calls)
+
+
+@pytest.mark.parametrize("spec,k", PAIRS)
+@pytest.mark.parametrize("route", ROUTES)
+def test_e_f_one_atom_start_costs_no_level_more(spec, k, route):
+    # each level takes at most the E_f' evaluations it took from lam = 0 and
+    # gives the same rate and branch; lam* is pinned by x only to |r| / E_f''
+    # (r the residual a solve settles on), which reaches 1.5e-4 relative at
+    # rademacher x identity, x = +-0.499999, where E_f'' is 3e-9
+    model = parse_model(spec)
+    xs = x_grid(model, k, 50)
+    warm = _e_f_grad_counts(model, k, xs, route)
+    cold = _e_f_grad_counts(model, k, xs, route, start=_no_start)
+    for x, (got, calls), (want, calls0) in zip(xs, warm, cold):
+        assert calls <= calls0, x
+        assert got.branch == want.branch, x
+        assert got.value == pytest.approx(want.value, rel=1e-10, abs=0.0), x
+        if want.lambda_star is None:
+            assert got.lambda_star is None
+            continue
+        lam, lam0 = got.lambda_star, want.lambda_star
+        pinned = sum(abs(float(e_f_grad(model, k, t)) - x) for t in (lam, lam0))
+        gap = 2.0 * pinned / float(kr._e_f_hess(model, k, lam0))
+        assert abs(lam - lam0) <= 1e-10 * abs(lam0) + gap, x
+
+
+@pytest.mark.parametrize("model,kernel", [
+    # zero-mean kernels: m1 = 0 matches no atom
+    (parse_model("cexp"), parse_kernel("affine:1,-2")),
+    (parse_model("poisson:rate=1"), parse_kernel("pwl:0:1,1:-1")),
+    # no I' to start from
+    (dataclasses.replace(parse_model("cexp"), id="cexp-no-rate-grad", rate_grad=None), ID)],
+    ids=["cexp-zero-mean", "poisson-zero-mean", "no-rate-grad"])
+def test_e_f_solve_falls_back_to_a_start_at_zero(model, kernel):
+    assert kr._e_f_oracle(model, kernel).start is None
+    xs = x_grid(model, kernel, 12)
+    for route in ROUTES:
+        assert (_e_f_grad_counts(model, kernel, xs, route)
+                == _e_f_grad_counts(model, kernel, xs, route, start=_no_start))
+
+
+def test_weighted_oracle_states_its_moments():
+    model = parse_model("cexp")
+    with pytest.raises(TypeError):
+        conj.weighted_oracle(model, conj.tilt_domain(model, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0),
+                             model.cgf, model.cgf_grad, model.cgf_hess)
+
+
+def test_rate_without_a_closed_form_starts_at_its_root():
+    # CgfModel.rate's fallback states K's own moments (1, 1): its solve of
+    # K' = v starts at I'(v), the root
+    model = parse_model("poisson:rate=1")
+    calls = []
+
+    def counting(u, grad=model.cgf_grad):
+        calls.append(1)
+        return grad(u)
+
+    bare = dataclasses.replace(model, id="poisson-bare", closed_rate=None, cgf_grad=counting)
+    for v in (-0.9, 0.5, 1e3):
+        calls.clear()
+        assert bare.rate(v) == pytest.approx(model.rate(v), rel=1e-13)
+        assert len(calls) == 1, v
+
+
 # -- minimizing paths -------------------------------------------------------------
 
 
