@@ -290,6 +290,16 @@ def ef_prime_range(model: CgfModel, kernel: Kernel):
 
 @dataclass(frozen=True)
 class KernelRateResult:
+    """I_f(x) with its branch and the tilt the route stopped at.
+
+    ``lambda_star`` is pinned only to |r| / E_f''(lambda_star), r being the
+    pairing residual the solve stops at (up to its tol max(1, |x|)): next to
+    a slope edge with an infinite cap, where E_f'' is tiny, it holds a few
+    digits while ``value`` holds to tol.  At rademacher x identity, x =
+    +-0.499999 (E_f'' = 3.1e-9), solves of ``i_f_conjugate`` from two starts
+    stop at tilts 1.5e-4 relative apart.
+    """
+
     x: object
     value: float
     branch: str               # interior | singular_plus | singular_minus | infinite
@@ -494,16 +504,29 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
 def _refined_grid(kernel: Kernel, total: int) -> np.ndarray:
     """About ``total`` cells, spread over the pieces of ``_sign_pieces`` by
     length: every breakpoint of f and every root where f changes sign inside
-    a piece is a grid point, so f keeps one sign on each cell."""
+    a piece is a grid point, so f keeps one sign on each cell.  A flat piece,
+    f(a) = f(b), is one cell: every cell there would take the same slope."""
     pts = [np.zeros(1)]
-    for a, b, _, _ in _sign_pieces(kernel):
+    for a, b, va, vb in _sign_pieces(kernel):
         if a == b:
             continue    # a root rounded onto a piece end
-        n = max(1, int(round(total * (b - a))))
+        n = 1 if va == vb else max(1, int(round(total * (b - a))))
         cell = a + (b - a) * np.arange(1, n + 1) / n
         cell[-1] = b
         pts.append(cell)
     return np.concatenate(pts)
+
+
+@lru_cache(maxsize=256)
+def _grid(kernel: Kernel, total: int) -> tuple:
+    """(grid, f at its points, integrals of f over its cells) for
+    ``_refined_grid(kernel, total)``, built once per (kernel, total) and
+    read-only."""
+    grid = _refined_grid(kernel, total)
+    arrays = grid, kernel.eval(grid), kernel.integrals(grid)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid: np.ndarray) -> np.ndarray:
@@ -532,6 +555,12 @@ def _cell_slopes(model: CgfModel, kernel: Kernel, lam: float, grid: np.ndarray,
     return (v if model.rate_dom is None else np.clip(v, *model.rate_dom)), dv
 
 
+# the grid pairing's stop, |sum_i w_i v_i - x| <= 4 eps max(1, |x|): the cell
+# slopes carry rounding of eps |K| / |du| themselves, so a closer stop would
+# only spend walks of the grid on that noise
+_PAIRING_TOL = 4 * _EPS
+
+
 def _e_f_root(model: CgfModel, kernel: Kernel, x: float) -> float:
     """The root of E_f'(lam) = x on the cached analysis's oracle where x lies
     strictly inside its slope range and the solve settles, else 0.0: a start
@@ -553,7 +582,10 @@ def _e_f_root(model: CgfModel, kernel: Kernel, x: float) -> float:
 
 
 def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
-    """The path attaining I_f(x), on a grid of 400 to 4000 cells set by tol.
+    """The path attaining I_f(x), on a grid of 400 to 4000 cells set by tol,
+    with one cell on each flat piece of f (``_refined_grid``).  The grid, f
+    at its points and the cell integrals are built once per (kernel, cell
+    count) (``_grid``).
 
     In d = 1 the slopes are the exact cell averages v_i(lam) of K'(lam f)
     (``_cell_slopes``), and lam solves the grid's own pairing
@@ -561,22 +593,22 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     d_f.  f has one sign on each cell, so the pairing is monotone and runs to
     the stated slope edge at an infinite cap.  Its safeguarded Newton starts
     at the root of E_f'(lam) = x on the E_f oracle's few nodes (``_e_f_root``),
-    O(N^-2) from the grid's root on N cells: one Newton step from there meets
-    the grid's root to rounding, and the solve takes two to four walks of the
-    grid where one from lam = 0 took up to ten.  Past the pairing at a finite
+    O(N^-2) from the grid's root on N cells, and stops once the pairing is
+    within 4 ulp of x (``_PAIRING_TOL``): one to three walks of the grid
+    where a start at lam = 0 took up to ten, and none on a constant kernel,
+    whose one cell pairs to E_f'(lam) itself.  Past the pairing at a finite
     cap (at the last float tilt inside an open one) the path takes the
     slopes there and one jump by the rest of x at the first extremizer of f;
     if f stays extreme over a whole piece the site is not determined
     (AmbiguityError).
     In d > 1 the slopes are 32-node cell averages at the conjugate's tilt,
-    moved along the weights to pair to x.
+    moved by the least change in L2(dt) that pairs them to x.
     """
     from .paths import CadlagPath
 
     prob = _problem(model, kernel)
     total = int(min(4000, max(400, round(0.5 / math.sqrt(max(tol, 1e-12))))))
-    grid = _refined_grid(kernel, total)
-    weights = kernel.integrals(grid)
+    grid, nodes, weights = _grid(kernel, total)
 
     if model.dimension > 1:
         res = i_f_conjugate(model, kernel, x, tol=tol)
@@ -584,11 +616,13 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
             raise DomainError("rate is infinite at x; no minimizing path")
         slopes = _average_slopes(model, kernel, res.lambda_star, grid)
         gap = np.asarray(x, dtype=float) - weights @ slopes
-        slopes += np.outer(weights, gap) / float(weights @ weights)
+        # the least change of the slopes in L2(dt) that pairs to x, on cells of
+        # any lengths l_i: fbar_i gap / sum_j w_j fbar_j, fbar_i = w_i / l_i
+        fbar = weights / np.diff(grid)
+        slopes += np.outer(fbar, gap) / float(weights @ fbar)
         return CadlagPath(model.dimension, grid, slopes, ())
 
     x, dom = float(x), prob.d_f
-    nodes = kernel.eval(grid)
     cells = lru_cache(maxsize=1)(lambda lam: _cell_slopes(model, kernel, lam, grid, nodes, tol))
     for side, cap in ((1.0, dom.upper), (-1.0, dom.lower)):
         if math.isinf(cap):
@@ -611,9 +645,9 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
 
     pairing = ConvexOracle(dom, None, lambda lam: float(weights @ cells(lam)[0]),
                            lambda lam: float(weights @ cells(lam)[1]))
-    lam, r = _solve_grad_1d(pairing, x, _EPS, start=_e_f_root(model, kernel, x))
+    lam, r = _solve_grad_1d(pairing, x, _PAIRING_TOL, start=_e_f_root(model, kernel, x))
     slopes = cells(lam)[0]
-    if abs(r) > _EPS * max(1.0, abs(x)):
+    if abs(r) > _PAIRING_TOL * max(1.0, abs(x)):
         # next to an open cap the root can fall between two float tilts: mix them
         other = math.nextafter(lam, math.copysign(math.inf, -r))
         rest = pairing.grad(other) - x
@@ -670,9 +704,12 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
                      tol: float = 1e-9) -> float:
     """Minimum of the discretised action over paths pairing to x.
 
-    On a ``pieces``-cell grid (lengths l_i, kernel integrals w_i, averages
-    fbar_i = w_i / l_i), slopes v_i plus jumps priced at the recession
-    constants cost sup_nu [nu x - Phi(nu)] over nu in [-M_minus, M_plus],
+    On the grid of about ``pieces`` cells that ``minimizer`` uses
+    (``_refined_grid``, built once per (kernel, pieces) by ``_grid``), a flat
+    piece of f being one cell, as cells with one fbar take one optimal slope
+    (lengths l_i, kernel integrals w_i, averages fbar_i = w_i / l_i), slopes
+    v_i plus jumps priced at the recession constants cost
+    sup_nu [nu x - Phi(nu)] over nu in [-M_minus, M_plus],
     Phi(nu) = sum_i l_i I*(nu fbar_i) (Fenchel duality).  The generic solver
     takes that transform, ``tol`` being its tolerance on the pairing
     residual Phi' - x.  With I'(v_i) = nu fbar_i, Phi' = sum w_i v_i and
@@ -693,8 +730,8 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
         raise ValueError("pieces must be >= 1")
     _require(model, "variational_rate", "rate_grad", "rate_hess",
              *(("rate_dom",) if model.dimension == 1 else ()))
-    grid = _refined_grid(kernel, pieces)
-    lens, w = np.diff(grid), kernel.integrals(grid)
+    grid, _, w = _grid(kernel, pieces)
+    lens = np.diff(grid)
     fbar = w / lens
     # the last tilt: its key, nu, slopes v and, once asked, I''(v); in d = 1
     # it starts at nu = 0, where every v_i is the mean

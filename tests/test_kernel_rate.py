@@ -1315,16 +1315,9 @@ def test_minimizer_warm_start_changes_no_answer(monkeypatch, spec, k, x, rel):
     assert action == pytest.approx(action0, rel=1e-11)
 
 
-@pytest.mark.parametrize("spec,k,x,bound", [
-    ("cexp", CONST1, 0.5, 3),
-    ("poisson:rate=1", ID, 1.0, 4),
-])
-def test_minimizer_walks_the_fine_grid_a_few_times(monkeypatch, spec, k, x, bound):
-    # from lam = 0 these take 10 walks of the 4000-cell grid each; from the
-    # root of E_f' = x one Newton step lands within rounding of the grid's
-    # root, and the last walks settle the pairing to one ulp of x
-    model = parse_model(spec)
-    ef_prime_range(model, k)
+def _fine_walks(monkeypatch, model, kernel, x):
+    """(the minimizer's path, its walks of a grid of more than 100 nodes)."""
+    ef_prime_range(model, kernel)
     fine, walk = [], kr._walk
 
     def counting(model, kernel, lam, values):
@@ -1332,8 +1325,82 @@ def test_minimizer_walks_the_fine_grid_a_few_times(monkeypatch, spec, k, x, boun
         return walk(model, kernel, lam, values)
 
     monkeypatch.setattr(kr, "_walk", counting)
-    minimizer(model, k, x)
-    assert sum(fine) <= bound
+    return minimizer(model, kernel, x), sum(fine)
+
+
+@pytest.mark.parametrize("spec,k,x,bound", [
+    ("cexp", CONST1, 0.5, 0),
+    ("rademacher", CONST1, 0.5, 0),
+    ("poisson:rate=1", ID, 1.0, 2),
+])
+def test_minimizer_walks_the_fine_grid_a_few_times(monkeypatch, spec, k, x, bound):
+    # from lam = 0 poisson x identity takes 10 walks of the 4000-cell grid;
+    # from the root of E_f' = x one Newton step lands within rounding of the
+    # grid's root, and the pairing stops within 4 ulp of x.  A constant
+    # kernel is one cell, which pairs to E_f' itself: no fine grid at all
+    assert _fine_walks(monkeypatch, parse_model(spec), k, x)[1] <= bound
+
+
+@pytest.mark.parametrize("spec,c,x", [
+    ("cexp", 1.0, 0.5), ("cexp", -1.0, -0.3), ("rademacher", 1.0, 0.5),
+    ("poisson:rate=1", -1.0, 0.4), ("gaussian:mu=0,sigma=1", 1.0, 1.0)])
+def test_constant_kernel_minimizer_is_one_cell_at_the_conjugate_tilt(monkeypatch, spec, c, x):
+    model, k = parse_model(spec), constant(c)
+    path, fine = _fine_walks(monkeypatch, model, k, x)
+    assert fine == 0
+    assert path.grid == (0.0, 1.0) and path.jumps == ()
+    lam = i_f_conjugate(model, k, x).lambda_star
+    assert path.slopes[0] == pytest.approx(float(model.cgf_grad(lam * c)), rel=1e-12)
+    assert pair(k, path) == pytest.approx(x, rel=1e-14)
+
+
+@pytest.mark.parametrize("spec,total,cells", [
+    ("const:1", 4000, [1]), ("const:-1", 400, [1]),
+    # the ramps keep round(total * length) cells, the plateau one
+    (PLATEAU.describe(), 4000, [1000, 1, 1000]),
+    ("pwl:0:0,0.2:1,0.7:1,1:-0.5", 400, [80, 1, 80, 40]),   # a root at t = 0.9
+    ("pwl:0:2,0.5:2,1:2", 4000, [1, 1]),
+])
+def test_refined_grid_gives_a_flat_piece_one_cell(spec, total, cells):
+    k = parse_kernel(spec)
+    grid = kr._refined_grid(k, total)
+    pieces = [(a, b) for a, b, _, _ in kr._sign_pieces(k)]
+    ends = np.searchsorted(grid, [b for _, b in pieces])
+    assert grid[ends].tolist() == [b for _, b in pieces]
+    assert np.diff(np.concatenate(([0], ends))).tolist() == cells
+
+
+def test_grid_cache_is_read_only_and_changes_no_answer():
+    m = parse_model("poisson:rate=1")
+    for array in kr._grid(PLATEAU, 4000):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+    def paths(clear):
+        out = []
+        for k, x in ((PLATEAU, 0.3), (ID, 1.0), (CONST1, 0.5)):
+            if clear:
+                kr._grid.cache_clear()
+            p = minimizer(m, k, x)
+            out.append((p.grid, p.slopes, p.jumps))
+        return out
+
+    cold = paths(clear=True)
+    paths(clear=False)
+    hits = kr._grid.cache_info().hits
+    assert paths(clear=False) == cold
+    assert kr._grid.cache_info().hits == hits + 3
+
+
+@pytest.mark.parametrize("spec,k,x", [
+    ("cexp", CONST1, 0.9), ("poisson:rate=1", CONST1, 3.0), ("cexp", PLATEAU, 0.9),
+    ("poisson:rate=1", PLATEAU, 0.3), ("rademacher", PLATEAU, -0.4)])
+def test_variational_rate_on_flat_pieces_matches_conjugate(spec, k, x):
+    m = parse_model(spec)
+    want = i_f_conjugate(m, k, x).value
+    assert variational_rate(m, k, x) == pytest.approx(want, abs=5e-3)
+    if k is CONST1:     # one cell: the variational dual is E_f itself
+        assert variational_rate(m, k, x) == pytest.approx(want, rel=1e-12)
 
 
 def test_minimizer_singular_jump():
@@ -1512,6 +1579,16 @@ def test_vector_gaussian_minimizer():
     path = minimizer(m, ID, x)
     assert np.allclose(pair(ID, path), x, atol=1e-8)
     assert i_d(path, m) == pytest.approx(1.875, abs=1e-5)
+
+
+def test_vector_gaussian_minimizer_on_a_plateau():
+    # I_f(x) = x' cov^-1 x / (2 int f^2), int f^2 = 2/3; the plateau is one cell
+    m = gaussian(mu=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0)))
+    x = np.asarray([0.4, -0.2])
+    path = minimizer(m, PLATEAU, x)
+    assert [0.25, 0.75] == [t for t in path.grid if 0.25 <= t <= 0.75]
+    assert np.allclose(pair(PLATEAU, path), x, rtol=0.0, atol=1e-12)
+    assert i_d(path, m) == pytest.approx(0.15, abs=1e-7)
 
 
 def test_vector_center_is_exact_zero():
