@@ -248,6 +248,16 @@ def _selftest_checks():
                - i_f_conjugate(model, kern, 0.497).value)
         assert abs(gap) < 1e-5, gap
 
+    def minimizer_is_the_variational_argmin():
+        # the path's slopes K'(nu fbar_i) minimise the action variational_rate
+        # prices from the I side on the same 4000 cells; at cexp x = 20, past
+        # the grid's slope range, with one jump at t = 1
+        for spec, x in (("gaussian:mu=0,sigma=1", 1.0), ("cexp", 20.0)):
+            model = parse_model(spec)
+            got = minimizer(model, identity(), x).i_d(model)
+            want = variational_rate(model, identity(), x, pieces=4000)
+            assert abs(got - want) <= 1e-12 * want, (spec, x, got, want)
+
     def open_cap_far_out():
         # lam* lies within an ulp of the open cap 1 of cexp x identity, where
         # I_f = x - 1/2 up to rounding
@@ -299,6 +309,7 @@ def _selftest_checks():
             ("cgf primitive", cgf_primitive),
             ("variational vs conjugate", variational_route),
             ("minimizer near a slope edge", minimizer_near_edge),
+            ("minimizer is the variational argmin", minimizer_is_the_variational_argmin),
             ("open cap far out", open_cap_far_out),
             ("constant kernel far out", constant_kernel_far_out),
             ("finite-n tilt", finite_n_tilt),

@@ -10,8 +10,11 @@ the one safeguarded Newton for every monotone 1-D equation in ldpkit.
 
 Every d = 1 function ldpkit transforms is a weighted cumulant g(lam) =
 int K(lam w) dmu(w): K (mu = delta_1), E_f, the tail sampler's finite-n
-cumulant and the variational dual.  ``tilt_domain`` and ``slope_edges``
-state its domain and slope range from dom K and mu alone, once for all.
+cumulant and the variational dual, whose argmin is the minimizer's path.
+The last two have a finite mu: ``atomic_oracle`` states g from its atoms
+and masses, for the finite-n cumulant and the minimizer.  ``tilt_domain``
+and ``slope_edges`` state its domain and slope range from dom K and mu
+alone, once for all.
 From mu's first two moments, which every caller states, ``weighted_oracle``
 also states where the solve of g' = x starts: the root for the one atom
 with those moments.
@@ -171,6 +174,20 @@ def weighted_oracle(model: CgfModel, domain: DomainInterval, split: tuple, value
     start = _one_atom_start(model, domain, *map(float, moments))
     return ConvexOracle(domain, value, grad, hess, grad_range=(lo, hi),
                         edge_values=(v_lo, v_hi), start=start)
+
+
+def atomic_oracle(model: CgfModel, domain: DomainInterval, atoms: np.ndarray,
+                  masses: np.ndarray) -> ConvexOracle:
+    """``weighted_oracle`` for the finite measure mu = sum_j m_j delta_{a_j},
+    g(lam) = sum_j m_j K(lam a_j), on the caller's tilt ``domain``: each of
+    g, g' and g'' is one array call of K, K' or K''."""
+    a, m = atoms, masses
+    pos, neg = a > 0, a < 0
+    split = (np.sum(m[pos]), np.sum(m[neg]), m[pos] @ a[pos], m[neg] @ a[neg])
+    return weighted_oracle(
+        model, domain, split, lambda lam: float(m @ model.cgf(lam * a)),
+        lambda lam: float(m @ (a * model.cgf_grad(lam * a))),
+        lambda lam: float(m @ (a * a * model.cgf_hess(lam * a))), moments=(m @ a, m @ (a * a)))
 
 
 def _log_middle(a, b):

@@ -21,11 +21,16 @@ In d = 1 one walker, ``_walk``, takes every integral of f^j phi(lam f) over
 a linear interval of f: u = lam f turns its mean into the bracket [Psi] /
 (lam^j du) of a primitive, d Psi / du = u^j phi(u), read from model
 formulas evaluated once per node.  E_f, E_f' and E_f'' pass Psi = P, uK - P
-and u^2 K' - 2uK + 2P (P = int_0^u K, ``cgf_int``), the minimizer's cells
-K and uK' - K, the clamp uK - 2P on its flat and touched pieces.  A bracket
-stands when its rounding bound, eps (|term| + 1 + |u|) summed over its
-terms at both ends over |lam^j du|, is within tol max(1, |mean|); else the
-caller's rule takes it: adaptive for moments and clamp, gl32 for cells.
+and u^2 K' - 2uK + 2P (P = int_0^u K, ``cgf_int``), the clamp uK - 2P on
+its flat and touched pieces.  A bracket stands when its rounding bound,
+eps (|term| + 1 + |u|) summed over its terms at both ends over |lam^j du|,
+is within tol max(1, |mean|); else the adaptive rule takes it.
+
+``minimizer`` and ``variational_rate`` share one discrete problem on a grid
+of cells: the action of a path with one slope per cell, plus jumps, under
+the pairing.  ``variational_rate`` prices it from the I side and
+``minimizer`` returns its argmin from the K side, so they are two codes for
+one number.
 
 The tilt domain d_f decides where lam f lies, exactly: it leaves the
 closed domain of K iff lam lies outside d_f, and it touches a finite edge e
@@ -35,8 +40,8 @@ touched piece: where a term of Psi is not finite at e, Psi(e), the integral
 of u^j phi up to e, diverges with the sign of e^(j+1) phi(e).  At an open
 edge K and K' blow up, so the K' integral is sign(lam) inf, the K'' integral
 +inf, and the K integral the bracket of P (1/2 for cexp with f(t) = t).  At a
-closed edge K(e) and P(e) are finite, so only the integrals of K'' (the
-moment's and the cells' dv / dlam) can diverge, exactly when K'(e) does.
+closed edge K(e) and P(e) are finite, so only the integral of K'' (the
+moment's) can diverge, exactly when K'(e) does.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ import numpy as np
 
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
-from .conjugate import (ConvexOracle, _quot, _solve_grad_1d, grad_inverse, legendre, slope_edges,
-                        solve_monotone, tilt_domain, weighted_oracle)
+from .conjugate import (ConvexOracle, _quot, _solve_grad_1d, atomic_oracle, grad_inverse,
+                        legendre, slope_edges, solve_monotone, tilt_domain, weighted_oracle)
 from .errors import AmbiguityError, DomainError, GradientRangeError, NonConvergenceError
 from .kernels import Kernel
 
@@ -89,8 +94,8 @@ def _walk(model: CgfModel, kernel: Kernel, lam: float, values: np.ndarray):
     ``bracket(j, (formulas, terms), point, tol)`` returns (mean, rough) per
     interval as the module docstring says, Psi being the sum of terms(u,
     *formulas at u); a flat interval takes fbar^j point(u), fbar the mean of
-    f there.  tol None skips the rough test.  If the model lacks a formula,
-    every other interval is rough, and a touched one raises DomainError."""
+    f there.  If the model lacks a formula, every other interval is rough,
+    and a touched one raises DomainError."""
     if (trace := _trace(model, kernel, lam, values)) is None:
         return None
     u, touched = trace
@@ -121,8 +126,7 @@ def _walk(model: CgfModel, kernel: Kernel, lam: float, values: np.ndarray):
                     psi_u[decided] = np.copysign(np.inf, e ** (j + 1)) * np.sign(point(e))
                 den = lam ** j * du if j else du
                 value, bound = (psi_u[1:] - psi_u[:-1]) / den, _EPS * (scale[:-1] + scale[1:])
-                rough = None if tol is None else ~(
-                    flat | (bound <= tol * np.maximum(1.0, abs(value)) * abs(den)))
+                rough = ~(flat | (bound <= tol * np.maximum(1.0, abs(value)) * abs(den)))
         if n_flat:
             value[flat] = at_flat
         return value, rough
@@ -519,141 +523,92 @@ def _refined_grid(kernel: Kernel, total: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _grid(kernel: Kernel, total: int) -> tuple:
-    """(grid, f at its points, integrals of f over its cells) for
-    ``_refined_grid(kernel, total)``, built once per (kernel, total) and
-    read-only."""
-    grid = _refined_grid(kernel, total)
-    arrays = grid, kernel.eval(grid), kernel.integrals(grid)
+    """(grid, integrals w_i of f over its cells) for ``_refined_grid(kernel,
+    total)``, built once per (kernel, total) and read-only."""
+    arrays = (grid := _refined_grid(kernel, total)), kernel.integrals(grid)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _average_slopes(model: CgfModel, kernel: Kernel, lam, grid: np.ndarray) -> np.ndarray:
-    """Averages of K'(lam f) over the grid cells, a (cells, d) array, by the
-    32-node rule on each cell, with all nodes in one ``cgf_grad`` call."""
-    lam = np.reshape(lam, (1, -1))
-    return quad.gl32(lambda ts: model.cgf_grad(kernel.eval(ts)[:, None] * lam),
-                     grid[:-1], grid[1:]) / np.diff(grid)[:, None]
-
-
-def _cell_slopes(model: CgfModel, kernel: Kernel, lam: float, grid: np.ndarray,
-                 nodes: np.ndarray, tol: float) -> tuple:
-    """(v, dv / dlam), v the exact averages of K'(lam f) over the cells of a
-    d = 1 grid, f taking ``nodes`` at its points: one walk's brackets of K and
-    of u K' - K.  A rough v takes the 32-node rule on its cell and dv / dlam
-    there fbar K''(lam fbar), fbar the mean of f on it.  v is clipped to the
-    closed ``rate_dom`` it can round past."""
-    bracket = _walk(model, kernel, lam, nodes)
-    v, rough = bracket(0, (("cgf",), lambda u, k: (k,)), model.cgf_grad, tol)
-    dv = bracket(1, (("cgf_grad", "cgf"), lambda u, kp, k: (u * kp, -k)), model.cgf_hess, None)[0]
-    if rough.any():
-        a, b = grid[:-1][rough], grid[1:][rough]
-        v[rough] = quad.gl32(lambda ts: model.cgf_grad(lam * kernel.eval(ts)), a, b) / (b - a)
-        fbar = kernel.eval(0.5 * (a + b))
-        dv[rough] = fbar * model.cgf_hess(lam * fbar)
-    return (v if model.rate_dom is None else np.clip(v, *model.rate_dom)), dv
-
-
-# the grid pairing's stop, |sum_i w_i v_i - x| <= 4 eps max(1, |x|): the cell
-# slopes carry rounding of eps |K| / |du| themselves, so a closer stop would
-# only spend walks of the grid on that noise
-_PAIRING_TOL = 4 * _EPS
-
-
-def _e_f_root(model: CgfModel, kernel: Kernel, x: float) -> float:
-    """The root of E_f'(lam) = x on the cached analysis's oracle where x lies
-    strictly inside its slope range and the solve settles, else 0.0: a start
-    for the grid's pairing, whose root lies O(N^-2) from it on N cells.
-
-    The solve starts at 0.0, not at the oracle's one-atom root: where E_f'
-    is flat to rounding (rademacher x identity within 1e-13 of its slope
-    edge 0.5) the two starts settle on tilts whose grid slopes differ by
-    1.2e-9 to 1.4e-9, beyond the 1e-9 within which ``minimizer`` keeps the
-    path that a start at lam = 0 gives."""
-    oracle = _e_f_oracle(model, kernel)
-    lo, hi = oracle.grad_range
-    if not lo < x < hi:
-        return 0.0
-    try:
-        return _solve_grad_1d(oracle, x, 1e-10, start=0.0)[0]
-    except (DomainError, NonConvergenceError):
-        return 0.0
+def _grid_caps(model: CgfModel, kernel: Kernel) -> DomainInterval:
+    """[-M_minus, M_plus], closed where finite: the tilts nu of the discrete
+    dual sum_i l_i K(nu fbar_i) of a grid's cells, whose jumps are priced at
+    the caps.  A cell's mean fbar_i lies inside f's range, so nu fbar_i stays
+    inside the domain of K at a finite cap unless f is extreme on the whole
+    cell; there, at an open edge, Phi and Phi' are +inf at the cap."""
+    m_plus, m_minus = _problem(model, kernel).m_plus_minus
+    return DomainInterval(-m_minus, m_plus, lower_closed=math.isfinite(m_minus),
+                          upper_closed=math.isfinite(m_plus))
 
 
 def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     """The path attaining I_f(x), on a grid of 400 to 4000 cells set by tol,
-    with one cell on each flat piece of f (``_refined_grid``).  The grid, f
-    at its points and the cell integrals are built once per (kernel, cell
-    count) (``_grid``).
+    with one cell on each flat piece of f (``_refined_grid``, built once per
+    (kernel, cell count) by ``_grid``); tol sets nothing else.
 
-    In d = 1 the slopes are the exact cell averages v_i(lam) of K'(lam f)
-    (``_cell_slopes``), and lam solves the grid's own pairing
-    sum_i w_i v_i(lam) = x, w_i the integral of f over cell i, bracketed by
-    d_f.  f has one sign on each cell, so the pairing is monotone and runs to
-    the stated slope edge at an infinite cap.  Its safeguarded Newton starts
-    at the root of E_f'(lam) = x on the E_f oracle's few nodes (``_e_f_root``),
-    O(N^-2) from the grid's root on N cells, and stops once the pairing is
-    within 4 ulp of x (``_PAIRING_TOL``): one to three walks of the grid
-    where a start at lam = 0 took up to ten, and none on a constant kernel,
-    whose one cell pairs to E_f'(lam) itself.  Past the pairing at a finite
-    cap (at the last float tilt inside an open one) the path takes the
-    slopes there and one jump by the rest of x at the first extremizer of f;
-    if f stays extreme over a whole piece the site is not determined
-    (AmbiguityError).
-    In d > 1 the slopes are 32-node cell averages at the conjugate's tilt,
-    moved by the least change in L2(dt) that pairs them to x.
+    The path is the argmin of the discretised action that
+    ``variational_rate`` prices: sum_i l_i I(v_i) plus jumps priced at the
+    caps, under the pairing sum_i w_i v_i = x (cell lengths l_i, kernel
+    integrals w_i, means fbar_i = w_i / l_i).  By Fenchel duality its slopes
+    are v_i = K'(nu fbar_i), nu the argmax of nu x - Phi(nu) over the caps,
+    Phi(nu) = sum_i l_i K(nu fbar_i): the cumulant of the finite measure
+    sum_i l_i delta_{fbar_i}, solved by one ``legendre`` call in d = 1
+    (``conjugate.atomic_oracle`` on ``_grid_caps``) and in d > 1 (over the
+    full space), run to rounding: the path pairs to x within a few ulp, or
+    where Phi' is steep, next to an open cap, within Phi'' ulp(nu) / 2, as
+    far as the nearest float tilt.  Its i_d misses I_f by about c / N^2 on N
+    cells (2.3e-8 for gaussian x identity at the default tol).  Past Phi' at
+    a finite cap the path takes the slopes there and one jump by the rest of
+    x at the first extremizer of f; if f stays extreme over a whole piece
+    the site is not determined (AmbiguityError).  At or past a slope edge
+    with an infinite cap there is no path (DomainError).
     """
     from .paths import CadlagPath
 
     prob = _problem(model, kernel)
     total = int(min(4000, max(400, round(0.5 / math.sqrt(max(tol, 1e-12))))))
-    grid, nodes, weights = _grid(kernel, total)
+    grid, w = _grid(kernel, total)
+    lens = np.diff(grid)
+    fbar = w / lens
 
     if model.dimension > 1:
-        res = i_f_conjugate(model, kernel, x, tol=tol)
+        def phi(nu):
+            return float(lens @ model.cgf(np.outer(fbar, nu)))
+
+        def phi_grad(nu):
+            return w @ model.cgf_grad(np.outer(fbar, nu))
+
+        def phi_hess(nu):
+            return np.tensordot(lens * fbar ** 2, model.cgf_hess(np.outer(fbar, nu)), axes=1)
+
+        x = np.asarray(x, dtype=float)
+        res = legendre(ConvexOracle(prob.d_f, phi, phi_grad, phi_hess), x, tol=1e-12)
         if not math.isfinite(res.value):
             raise DomainError("rate is infinite at x; no minimizing path")
-        slopes = _average_slopes(model, kernel, res.lambda_star, grid)
-        gap = np.asarray(x, dtype=float) - weights @ slopes
-        # the least change of the slopes in L2(dt) that pairs to x, on cells of
-        # any lengths l_i: fbar_i gap / sum_j w_j fbar_j, fbar_i = w_i / l_i
-        fbar = weights / np.diff(grid)
-        slopes += np.outer(fbar, gap) / float(weights @ fbar)
-        return CadlagPath(model.dimension, grid, slopes, ())
+        # one more Newton step, which the line search of ``legendre`` cannot
+        # take where nu x - Phi is flat to rounding, pairs to x within rounding
+        nu = res.argmax - np.linalg.solve(phi_hess(res.argmax), phi_grad(res.argmax) - x)
+        return CadlagPath(model.dimension, grid, model.cgf_grad(np.outer(fbar, nu)), ())
 
     x, dom = float(x), prob.d_f
-    cells = lru_cache(maxsize=1)(lambda lam: _cell_slopes(model, kernel, lam, grid, nodes, tol))
     for side, cap in ((1.0, dom.upper), (-1.0, dom.lower)):
-        if math.isinf(cap):
-            if side * (x - (prob.upper_edge if side > 0 else prob.lower_edge)[0]) >= 0:
-                raise DomainError("x is at or past a slope edge with an infinite tilt cap")
-            continue
-        # an open cap pairs no further than the last float tilt inside it
-        top = cap if dom.contains(cap) else math.nextafter(cap, 0.0)
-        if side * (gap := x - float(weights @ cells(top)[0])) >= 0:
-            # the jump sits at the first node where cap f touches the binding
-            # edge, unless f runs along that edge over a whole piece
-            touched = _trace(model, kernel, cap, kernel._vals)[1]
-            if (touched[:-1] & touched[1:]).any():
-                raise AmbiguityError(
-                    "the extremizer set of f has positive measure; the jump location "
-                    "is not determined")
-            first = int(np.argmax(touched))
-            return CadlagPath(1, grid, cells(top)[0],
-                              ((kernel.breakpoints[first], gap / kernel.values[first]),))
-
-    pairing = ConvexOracle(dom, None, lambda lam: float(weights @ cells(lam)[0]),
-                           lambda lam: float(weights @ cells(lam)[1]))
-    lam, r = _solve_grad_1d(pairing, x, _PAIRING_TOL, start=_e_f_root(model, kernel, x))
-    slopes = cells(lam)[0]
-    if abs(r) > _PAIRING_TOL * max(1.0, abs(x)):
-        # next to an open cap the root can fall between two float tilts: mix them
-        other = math.nextafter(lam, math.copysign(math.inf, -r))
-        rest = pairing.grad(other) - x
-        if r * rest < 0:
-            slopes = slopes + r / (r - rest) * (cells(other)[0] - slopes)
-    return CadlagPath(1, grid, slopes, ())
+        if math.isinf(cap) and side * (x - (prob.upper_edge if side > 0
+                                            else prob.lower_edge)[0]) >= 0:
+            raise DomainError("x is at or past a slope edge with an infinite tilt cap")
+    res = legendre(atomic_oracle(model, _grid_caps(model, kernel), fbar, lens), x, tol=_EPS)
+    slopes = model.cgf_grad(res.argmax * fbar)
+    if not res.at_boundary:
+        return CadlagPath(1, grid, slopes, ())
+    # the jump sits at the first node where cap f touches the binding edge,
+    # unless f runs along that edge over a whole piece
+    touched = _trace(model, kernel, res.argmax, kernel._vals)[1]
+    if (touched[:-1] & touched[1:]).any():
+        raise AmbiguityError(
+            "the extremizer set of f has positive measure; the jump location is not determined")
+    first = int(np.argmax(touched))
+    return CadlagPath(1, grid, slopes, ((kernel.breakpoints[first],
+                                         (x - float(w @ slopes)) / kernel.values[first]),))
 
 
 # ----------------------------------------------------------------------
@@ -709,11 +664,14 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     piece of f being one cell, as cells with one fbar take one optimal slope
     (lengths l_i, kernel integrals w_i, averages fbar_i = w_i / l_i), slopes
     v_i plus jumps priced at the recession constants cost
-    sup_nu [nu x - Phi(nu)] over nu in [-M_minus, M_plus],
-    Phi(nu) = sum_i l_i I*(nu fbar_i) (Fenchel duality).  The generic solver
-    takes that transform, ``tol`` being its tolerance on the pairing
-    residual Phi' - x.  With I'(v_i) = nu fbar_i, Phi' = sum w_i v_i and
-    Phi'' = sum l_i fbar_i^2 / I''(v_i), so K never enters.  A finite cap
+    sup_nu [nu x - Phi(nu)] over nu in ``_grid_caps``, [-M_minus, M_plus],
+    Phi(nu) = sum_i l_i I*(nu fbar_i) (Fenchel duality).  ``minimizer``
+    returns the argmin of the same problem from K, v_i = K'(nu fbar_i), so
+    on ``pieces`` equal to its cell count its i_d is this value from an
+    independent code.  The generic solver takes that transform, ``tol``
+    being its tolerance on the pairing residual Phi' - x.  With I'(v_i) =
+    nu fbar_i, Phi' = sum w_i v_i and Phi'' = sum l_i fbar_i^2 / I''(v_i),
+    so K never enters.  A finite cap
     prices the rest of x as a jump; at an infinite one the slope edge is
     sum w_i times the rate_dom edge that the sign of fbar_i picks.
     In d = 1 the outer solve starts at I'(x / m1) m1 / m2, m1 = sum w_i and
@@ -730,7 +688,7 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
         raise ValueError("pieces must be >= 1")
     _require(model, "variational_rate", "rate_grad", "rate_hess",
              *(("rate_dom",) if model.dimension == 1 else ()))
-    grid, _, w = _grid(kernel, pieces)
+    grid, w = _grid(kernel, pieces)
     lens = np.diff(grid)
     fbar = w / lens
     # the last tilt: its key, nu, slopes v and, once asked, I''(v); in d = 1
@@ -779,14 +737,12 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
         return legendre(oracle, np.asarray(x, dtype=float), tol=tol).value
 
     # Phi(nu) = sum_i l_i K(nu fbar_i), as I* = K: a weighted cumulant with
-    # the cell lengths for mu, on the kernel's caps, closed where finite
-    m_plus, m_minus = _problem(model, kernel).m_plus_minus
-    dom = DomainInterval(-m_minus, m_plus, lower_closed=math.isfinite(m_minus),
-                         upper_closed=math.isfinite(m_plus))
+    # the cell lengths for mu, on the kernel's caps
     pos, neg = fbar > 0, fbar < 0
     split = (np.sum(lens[pos]), np.sum(lens[neg]), np.sum(w[pos]), np.sum(w[neg]))
-    return legendre(weighted_oracle(model, dom, split, phi, phi_grad, phi_hess,
-                                    moments=(np.sum(w), w @ fbar)), float(x), tol=tol).value
+    return legendre(weighted_oracle(model, _grid_caps(model, kernel), split, phi, phi_grad,
+                                    phi_hess, moments=(np.sum(w), w @ fbar)),
+                    float(x), tol=tol).value
 
 
 def x_grid(model: CgfModel, kernel: Kernel, count: int = 50, span: float = 3.0):

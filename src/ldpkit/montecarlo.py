@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgf import CgfModel, DomainInterval
-from .conjugate import ConvexOracle, legendre, tilt_domain, weighted_oracle
+from .conjugate import ConvexOracle, atomic_oracle, legendre, tilt_domain
 from .errors import DomainError, NoSamplerError
 from .kernel_rate import i_f_conjugate
 from .kernels import Kernel
@@ -129,31 +129,22 @@ def _projected_tilt(model: CgfModel, g: np.ndarray, w: np.ndarray, a: float):
     finite-n saddlepoint) is the tilt under which <l, W_n> has mean a.
     Returns (result, tag): tag is None inside the slope range of Lambda_n,
     and "boundary:above" or "boundary:below" at or past one of its edges.
-    In d = 1 the solve starts at lam0 = I'(a / m1) m1 / m2, m1 = w.g and
-    m2 = w.g^2 (``conjugate.weighted_oracle``), the saddlepoint itself for
+    In d = 1 Lambda_n is the cumulant of the finite measure sum_j w_j
+    delta_{g_j} (``conjugate.atomic_oracle``), whose solve starts at lam0 =
+    I'(a / m1) m1 / m2, m1 = w.g and m2 = w.g^2: the saddlepoint itself for
     one distinct weight (a constant kernel) or a Gaussian law.
     """
-    def value(lam):
-        return float(w @ model.cgf(lam * g))
-
     if model.dimension > 1:
         # full-space domain: every tilt is allowed, and an unreachable level
         # does not settle (NonConvergenceError)
         oracle = ConvexOracle(
-            DomainInterval(-math.inf, math.inf), value,
+            DomainInterval(-math.inf, math.inf), lambda lam: float(w @ model.cgf(lam * g)),
             lambda lam: float(w @ np.einsum("ki,ki->k", g, model.cgf_grad(lam * g))),
             lambda lam: float(w @ np.einsum("ki,kij,kj->k", g, model.cgf_hess(lam * g), g)),
             grad_range=(-math.inf, math.inf))
     else:
-        def grad(lam):
-            return float(w @ (g * model.cgf_grad(lam * g)))
-
-        pos, neg = g > 0, g < 0
-        split = (np.sum(w[pos]), np.sum(w[neg]), w[pos] @ g[pos], w[neg] @ g[neg])
-        oracle = weighted_oracle(
-            model, tilt_domain(model, max(g.max(), 0.0), max(-g.min(), 0.0)), split, value,
-            grad, lambda lam: float(w @ (g * g * model.cgf_hess(lam * g))),
-            moments=(w @ g, w @ (g * g)))
+        oracle = atomic_oracle(
+            model, tilt_domain(model, max(g.max(), 0.0), max(-g.min(), 0.0)), g, w)
     # the tilted mean misses a by at most 1e-13 max(1, |a|)
     res = legendre(oracle, a, tol=1e-13)
     side = "above" if a >= oracle.grad_range[1] else "below"

@@ -7,8 +7,7 @@ quadrature for the E_f-type integrals is made in ``kernel_rate._walk``, the
 one piece walker, for all intervals at once: the closed form is a bracket of
 a primitive of K, which loses digits only where the tilt is small and the
 integrand nearly constant, where ``adaptive_gl`` (E_f and its derivatives,
-the clamp integral) or one ``gl32`` pass over the rough grid cells (the
-minimizer) takes over.  ``integrate_piece``, the per-interval form of that
+the clamp integral) takes over.  ``integrate_piece``, the per-interval form of that
 choice, is called nowhere in the library; it stays only because the
 benchmark's layer tracer (``benchmarks/tracer.py``) looks the name up, and
 goes with the next change to the benchmark.

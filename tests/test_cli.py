@@ -206,7 +206,7 @@ def test_selftest_json(capsys):
     code, cap = _run(capsys, ["selftest", "--format", "json"])
     assert code == 0
     rows = json.loads(cap.out)
-    assert len(rows) == 15
+    assert len(rows) == 16
     assert all(set(row) == {"check", "status", "error"} for row in rows)
     assert all(row["status"] == "ok" and row["error"] is None for row in rows)
 
@@ -227,6 +227,12 @@ def test_selftest_checks_the_minimizer_near_a_slope_edge(capsys):
     code, cap = _run(capsys, ["selftest"])
     assert code == 0
     assert "ok   minimizer near a slope edge" in cap.out.splitlines()
+
+
+def test_selftest_checks_the_minimizer_is_the_variational_argmin(capsys):
+    code, cap = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   minimizer is the variational argmin" in cap.out.splitlines()
 
 
 def test_selftest_checks_an_open_cap_far_out(capsys):
