@@ -382,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=tuple(METRICS))
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
+    add_common(p, model=False, kernel=False)
     p.set_defaults(fn=_cmd_metric)
 
     p = sub.add_parser("mc", help="importance-sampling tail estimate")
@@ -403,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("selftest", help="run the built-in sanity checks")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
+    add_common(p, model=False, kernel=False)
     p.set_defaults(fn=_cmd_selftest)
 
     return ap

@@ -3,10 +3,13 @@
 In one dimension the caller states the slope range (g'(lower+), g'(upper-))
 and the conjugate at each slope edge whose domain side is unbounded, and x
 is compared with the range exactly.  At or beyond an edge, a finite domain
-endpoint is evaluated directly and an infinite one gives +inf, or the stated
-value exactly at the edge.  Inside, the root of grad g = x lies strictly
-inside the domain, which is the bracket (no probing) of ``solve_monotone``,
-the one safeguarded Newton for every monotone 1-D equation in ldpkit.
+endpoint is the argmax, and an infinite one gives +inf, or the stated value
+exactly at the edge, with no argmax.  Inside, the root of grad g = x lies
+strictly inside the domain, which is the bracket (no probing) of
+``solve_monotone``, the one safeguarded Newton for every monotone 1-D
+equation in ldpkit.  ``maximiser`` makes these decisions and returns the
+argmax with its residual grad g - x; ``legendre`` adds the value x.u - g(u)
+there, which ``maximiser`` leaves out wherever it would need g.
 
 Every d = 1 function ldpkit transforms is a weighted cumulant g(lam) =
 int K(lam w) dmu(w): K (mu = delta_1), E_f, the tail sampler's finite-n
@@ -33,6 +36,7 @@ from .cgf import CgfModel, Domain, DomainInterval, FullSpace
 from .errors import DomainError, GradientRangeError, NonConvergenceError
 
 _VALUE_CAP = 1e14
+_MAX_ITER = 200
 # a grad unchanged over a move settles a solve only where |r| is within
 # this times 1 + |target|, the rounding of a grad flat at its target
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
@@ -63,9 +67,13 @@ class ConvexOracle:
 
 @dataclass(frozen=True)
 class ConjugateResult:
-    value: float
+    # None from ``maximiser`` where pricing its argmax needs one more
+    # evaluation of g, which it leaves to ``legendre``
+    value: Optional[float]
     argmax: Optional[object]   # float (d=1) or ndarray (d>1); None if not attained
     at_boundary: bool
+    # grad g(argmax) - x; None where no argmax is attained
+    residual: Optional[object] = None
 
 
 def _stated_range(oracle: ConvexOracle) -> tuple:
@@ -268,41 +276,38 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
     raise NonConvergenceError(f"monotone solve did not settle in {max_iter} iterations")
 
 
-def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float, max_iter: int = 200,
-                   start: float = None):
+def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float):
     """(u, grad g(u) - x) at the root of grad g = x, which lies strictly inside
     the domain, the bracket, as x lies strictly inside the stated range.
-    Newton starts at ``start``, a point of the domain; None means the
-    oracle's start at x, or 0.0 if it states none.
+    Newton starts at the oracle's start at x, or 0.0 if it states none.
 
     A residual r above sqrt(atol) stands when the root lies within one ulp
     of u: the conjugate at u then misses by at most |r| ulp(u), which near
     an open cap is far below what |r| suggests.
     """
-    if start is None:
-        start = 0.0 if oracle.start is None else oracle.start(x)
+    start = 0.0 if oracle.start is None else oracle.start(x)
     atol = tol * max(1.0, abs(x))
     u, r = solve_monotone(oracle.grad, oracle.hess, x, oracle.domain.lower,
-                          oracle.domain.upper, start, atol, max_iter=max_iter)
+                          oracle.domain.upper, start, atol, max_iter=_MAX_ITER)
     if abs(r) > math.sqrt(atol) and (
             oracle.grad(math.nextafter(u, math.copysign(math.inf, -r))) - x) * r > 0:
         raise NonConvergenceError(f"gradient equation settled {r:.3g} from x at tol={tol}")
     return float(u), float(r)
 
 
-def _boundary_value(oracle: ConvexOracle, x: float, endpoint: float) -> ConjugateResult:
-    gv = float(oracle.eval(endpoint))
-    if not math.isfinite(gv):
-        raise DomainError("oracle value at its closed boundary is not finite")
-    return ConjugateResult(x * endpoint - gv, endpoint, True)
+def maximiser(oracle: ConvexOracle, x, tol: float = None) -> ConjugateResult:
+    """The argmax of x.u - g(u), its branch and its ``residual``, with the
+    value only where it needs no further evaluation of g: +inf, a stated
+    conjugate at a slope edge, or in d > 1 the line search's own value.
 
-
-def legendre(oracle: ConvexOracle, x, tol: float = None,
-             max_iter: int = 200) -> ConjugateResult:
-    """sup_u { x.u - g(u) } with argmax and boundary/divergence reporting."""
+    In d = 1, x at or past a slope edge is decided by exact comparison: a
+    finite domain end is the argmax, with the stated slope edge minus x for
+    residual; an infinite one gives +inf, or the stated conjugate exactly at
+    the edge, with no argmax.  Inside the range the argmax is the root of
+    grad g = x, with the solve's residual.
+    """
     if isinstance(oracle.domain, FullSpace):
-        return _legendre_nd(oracle, np.asarray(x, dtype=float),
-                            1e-8 if tol is None else tol, max_iter)
+        return _maximiser_nd(oracle, np.asarray(x, dtype=float), 1e-8 if tol is None else tol)
     if tol is None:
         tol = 1e-10
     x = float(x)
@@ -314,33 +319,44 @@ def legendre(oracle: ConvexOracle, x, tol: float = None,
         if gap < 0:
             continue
         if math.isfinite(end):
-            return _boundary_value(oracle, x, end)
+            return ConjugateResult(None, end, True, edge - x)
         if gap > 0:
             return ConjugateResult(math.inf, None, True)
         value = (oracle.edge_values or (None, None))[index]
         if value is None:
             raise DomainError("no conjugate value stated at this slope edge")
         return ConjugateResult(value, None, True)
+    u, r = _solve_grad_1d(oracle, x, tol)
+    return ConjugateResult(None, u, False, r)
 
-    u = _solve_grad_1d(oracle, x, tol, max_iter)[0]
+
+def legendre(oracle: ConvexOracle, x, tol: float = None) -> ConjugateResult:
+    """sup_u { x.u - g(u) }: ``maximiser`` with the value x.u - g(u) at its
+    argmax."""
+    res = maximiser(oracle, x, tol)
+    if res.value is not None:
+        return res
+    u = res.argmax      # d = 1: in d > 1 the maximiser states its value
+    gu = float(oracle.eval(u))
+    if res.at_boundary and not math.isfinite(gu):
+        raise DomainError("oracle value at its closed boundary is not finite")
     # + 0.0 turns the -0.0 that x u - g(u) gives at u = 0 for x <= 0 into 0.0
-    return ConjugateResult(x * u - float(oracle.eval(u)) + 0.0, u, False)
+    return ConjugateResult(float(x) * u - gu + 0.0, u, res.at_boundary, res.residual)
 
 
-def _legendre_nd(oracle: ConvexOracle, x: np.ndarray, tol: float,
-                 max_iter: int) -> ConjugateResult:
+def _maximiser_nd(oracle: ConvexOracle, x: np.ndarray, tol: float) -> ConjugateResult:
     lam = np.zeros_like(x)
     scale = max(1.0, float(np.linalg.norm(x)))
     phi = float(x @ lam) - float(oracle.eval(lam))
-    for _ in range(max_iter):
-        grad = x - np.asarray(oracle.grad(lam), dtype=float)
-        if np.linalg.norm(grad) <= tol * scale:
-            return ConjugateResult(phi, lam, False)
+    for _ in range(_MAX_ITER):
+        resid = np.asarray(oracle.grad(lam), dtype=float) - x
+        if np.linalg.norm(resid) <= tol * scale:
+            return ConjugateResult(phi, lam, False, resid)
         hess = np.asarray(oracle.hess(lam), dtype=float)
         try:
-            step = np.linalg.solve(hess, grad)
+            step = np.linalg.solve(hess, -resid)
         except np.linalg.LinAlgError:
-            step = grad
+            step = -resid
         alpha = 1.0
         for _ in range(60):
             cand = lam + alpha * step
@@ -354,14 +370,13 @@ def _legendre_nd(oracle: ConvexOracle, x: np.ndarray, tol: float,
         if np.linalg.norm(lam) > 1e9 * scale or phi > _VALUE_CAP:
             return ConjugateResult(math.inf, None, True)
     raise NonConvergenceError(f"multivariate conjugate did not meet tol={tol} "
-                              f"in {max_iter} iterations")
+                              f"in {_MAX_ITER} iterations")
 
 
-def grad_inverse(oracle: ConvexOracle, x, tol: float = None, max_iter: int = 200):
+def grad_inverse(oracle: ConvexOracle, x, tol: float = None):
     """Solve grad g = x; 1-D raises GradientRangeError naming the violated side."""
     if isinstance(oracle.domain, FullSpace):
-        res = _legendre_nd(oracle, np.asarray(x, dtype=float),
-                           1e-8 if tol is None else tol, max_iter)
+        res = maximiser(oracle, x, tol)
         if res.argmax is None:
             raise GradientRangeError("above", "gradient target unreachable")
         return res.argmax
@@ -373,4 +388,4 @@ def grad_inverse(oracle: ConvexOracle, x, tol: float = None, max_iter: int = 200
         raise GradientRangeError("above")
     if x <= glo:
         raise GradientRangeError("below")
-    return _solve_grad_1d(oracle, x, tol, max_iter)[0]
+    return _solve_grad_1d(oracle, x, tol)[0]

@@ -10,8 +10,10 @@ and ``KernelRateProblem`` caches its answers.  I_f is computed by three
 routes that share no value formula:
 
   * i_f_conjugate: Legendre transform of E_f via the generic solver;
-  * i_f_explicit: the closed rate integrated along clamped tilt slopes,
-    plus linear M_plus / M_minus terms outside [inf E_f', sup E_f'];
+  * i_f_explicit: int_0^1 I(K'(lam f(t))) dt + lam (x - E_f'(lam)) at the
+    tilt lam the same solver's ``maximiser`` returns, clamped to the caps:
+    the closed rate integrated along the tilt's slopes, plus the jump priced
+    at the cap past a slope edge, one formula in every dimension;
   * variational_rate: the discretised path action minimised under the
     pairing constraint, as the Legendre transform of its discrete dual on
     the same solver (uses only the rate function, its derivatives, the
@@ -54,9 +56,9 @@ import numpy as np
 
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
-from .conjugate import (ConvexOracle, _quot, _solve_grad_1d, atomic_oracle, grad_inverse,
-                        legendre, slope_edges, solve_monotone, tilt_domain, weighted_oracle)
-from .errors import AmbiguityError, DomainError, GradientRangeError, NonConvergenceError
+from .conjugate import (ConjugateResult, ConvexOracle, _quot, atomic_oracle, legendre,
+                        maximiser, slope_edges, solve_monotone, tilt_domain, weighted_oracle)
+from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
 
 
@@ -224,6 +226,8 @@ class KernelRateProblem:
 
     def _edge(self, upper: bool) -> tuple:
         model, kernel = self.model, self.kernel
+        if model.dimension > 1:
+            return (math.inf if upper else -math.inf), None
         return slope_edges(model, self.d_f, _sign_split(kernel),
                            partial(e_f_grad, model, kernel), (upper,))[0]
 
@@ -319,20 +323,23 @@ def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kern
     E_f' = x starts at the one-atom root of ``_e_f_oracle``: the root itself
     on a constant kernel, or for a Gaussian law with int f != 0, where the
     solve settles on its first E_f' evaluation."""
-    prob = _problem(model, kernel)
-    m_plus, m_minus = prob.m_plus_minus
-    if model.dimension > 1:
-        res = legendre(_e_f_oracle(model, kernel), np.asarray(x, dtype=float), tol=tol)
-        branch = "infinite" if math.isinf(res.value) else "interior"
-        return KernelRateResult(np.asarray(x, dtype=float), res.value, branch,
-                                res.argmax, m_plus, m_minus, math.inf, -math.inf)
-
-    x = float(x)
+    x = _level(model, x)
     res = legendre(_e_f_oracle(model, kernel), x, tol=tol)
-    # the solver stops at a boundary only at or past a slope edge, upper first
-    branch = ("infinite" if math.isinf(res.value) else "interior" if not res.at_boundary
+    return _result(model, kernel, x, res.value, res)
+
+
+def _level(model: CgfModel, x):
+    return float(x) if model.dimension == 1 else np.asarray(x, dtype=float)
+
+
+def _result(model: CgfModel, kernel: Kernel, x, value: float,
+            res: ConjugateResult) -> KernelRateResult:
+    """The result of a route that prices the tilt ``res`` of E_f at ``value``.
+    The solver stops at a boundary only at or past a slope edge, upper first."""
+    prob = _problem(model, kernel)
+    branch = ("infinite" if math.isinf(value) else "interior" if not res.at_boundary
               else "singular_plus" if x >= prob.sup_ef_prime else "singular_minus")
-    return KernelRateResult(x, res.value, branch, res.argmax, m_plus, m_minus,
+    return KernelRateResult(x, value, branch, res.argmax, *prob.m_plus_minus,
                             prob.sup_ef_prime, prob.inf_ef_prime)
 
 
@@ -391,22 +398,26 @@ def _edge_layer(model: CgfModel, edge: float, d_near: float, d_far: float):
     return float(fine[:, 0].sum()), float(np.abs(fine[:, 0] - whole).sum() + fine[:, 1].sum())
 
 
-def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar: float,
-                    tol: float = 1e-12) -> tuple:
+def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar, tol: float) -> tuple:
     """(int_0^1 I(K'(lam_bar f(t))) dt, rounding estimate) for a finite lam_bar.
 
-    Untouched pieces take quadrature in u = lam_bar f, so this route shares
-    no value formula with E_f: ``_edge_layer`` within |e| / 2 of a finite
-    domain edge e, else the adaptive rule split where |u| crosses 2^k,
-    k >= 0, to see where K' leaves its saturated value.  A touch of an open
-    edge gives +inf; a flat piece, or one touching a closed edge, is a
-    ``_walk`` bracket of uK - 2P, d/du (uK - 2P) = I(K'(u)) = u K'(u) - K(u).
+    In d > 1 each kernel piece takes one array-valued adaptive pass, with no
+    rounding estimate.  In d = 1 untouched pieces take quadrature in
+    u = lam_bar f, so this route shares no value formula with E_f:
+    ``_edge_layer`` within |e| / 2 of a finite domain edge e, else the
+    adaptive rule split where |u| crosses 2^k, k >= 0, to see where K'
+    leaves its saturated value.  A touch of an open edge gives +inf; a flat
+    piece, or one touching a closed edge, is a ``_walk`` bracket of uK - 2P,
+    d/du (uK - 2P) = I(K'(u)) = u K'(u) - K(u).
     """
-    if not _problem(model, kernel).d_f.contains(lam_bar):
-        return math.inf, 0.0    # lam_bar f leaves the domain or touches an open edge
-
     def g(u):
         return model.closed_rate(model.cgf_grad(u))
+
+    if model.dimension > 1:
+        return sum(quad.adaptive_gl(lambda ts: g(kernel.eval(ts)[:, None] * lam_bar), a, b, tol)
+                   for a, b, _, _ in kernel.pieces()), 0.0
+    if not _problem(model, kernel).d_f.contains(lam_bar):
+        return math.inf, 0.0    # lam_bar f leaves the domain or touches an open edge
 
     u, touched = _trace(model, kernel, lam_bar, kernel._vals)
     closed = touched[:-1] | touched[1:] | (u[:-1] == u[1:])
@@ -446,59 +457,23 @@ def _require(model: CgfModel, route: str, *names: str) -> None:
 
 
 def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> KernelRateResult:
-    """I_f(x) from the clamped-tilt rate integral plus linear edge terms."""
+    """I_f(x) = int_0^1 I(K'(lam f(t))) dt + lam (x - E_f'(lam)) at the tilt
+    lam that ``maximiser`` returns on E_f, in every dimension: lam is clamped
+    to the caps, so the second term vanishes up to the solve's residual at an
+    interior root and is the jump priced at the cap past a slope edge.  With
+    no tilt attained the value is the maximiser's own, +inf or the stated
+    I_f at a slope edge with an infinite cap."""
     _require(model, "i_f_explicit", "closed_rate")
-    prob = _problem(model, kernel)
-    if model.dimension > 1:
-        # no explicit formula off the gradient range in d > 1; interior only
-        x = np.asarray(x, dtype=float)
-        try:
-            lam = grad_inverse(_e_f_oracle(model, kernel), x, tol=tol)
-        except GradientRangeError:      # x unreachable: the rate is infinite
-            return KernelRateResult(x, math.inf, "infinite", None, math.inf,
-                                    math.inf, math.inf, -math.inf)
-
-        def fn(ts):
-            fv = kernel.eval(ts)
-            return model.closed_rate(model.cgf_grad(fv[:, None] * lam))
-
-        val = sum(quad.adaptive_gl(fn, a, b, tol=1e-12)
-                  for a, b, _, _ in kernel.pieces())
-        return KernelRateResult(x, val, "interior", lam, math.inf, math.inf,
-                                math.inf, -math.inf)
-
-    x = float(x)
-    m_plus, m_minus = prob.m_plus_minus
-
-    def done(value, branch, lam, rounding=0.0):
-        if rounding > tol * max(1.0, abs(value)):
-            raise NonConvergenceError(f"edge layer rounding {rounding:.3g} exceeds tol={tol}")
-        return KernelRateResult(x, value, branch, lam, m_plus, m_minus,
-                                prob.sup_ef_prime, prob.inf_ef_prime)
-
-    for side, (edge, at_edge), cap in ((1.0, prob.upper_edge, m_plus),
-                                       (-1.0, prob.lower_edge, m_minus)):
-        gap = side * (x - edge)     # how far x lies beyond this edge
-        if gap < 0:
-            continue
-        value, rounding = math.inf, 0.0
-        if math.isfinite(cap):
-            value, rounding = _clamp_integral(model, kernel, side * cap)
-            value += cap * gap
-        elif gap == 0:
-            value = at_edge
-        label = "singular_plus" if side > 0 else "singular_minus"
-        return done(value, label if math.isfinite(value) else "infinite",
-                    side * cap if math.isfinite(cap) else None, rounding)
-
-    lam, resid = _solve_grad_1d(_e_f_oracle(model, kernel), x, min(tol, 1e-10))   # x inside
-    value, rounding = _clamp_integral(model, kernel, lam, tol=0.1 * tol)
-    if math.isfinite(value):
-        # correct for the solver residual E_f'(lam) - x: without it the
-        # integral is the rate at E_f'(lam) rather than at x, which matters
-        # when the tilt is large and d I_f / d x = lam amplifies the difference
-        value -= lam * resid
-    return done(value, "interior", lam, rounding)
+    x = _level(model, x)
+    res = maximiser(_e_f_oracle(model, kernel), x, min(tol, 1e-10))
+    if res.argmax is None:
+        return _result(model, kernel, x, res.value, res)
+    lam = res.argmax
+    value, rounding = _clamp_integral(model, kernel, lam, 0.1 * tol)
+    value -= float(np.dot(lam, res.residual))
+    if rounding > tol * max(1.0, abs(value)):
+        raise NonConvergenceError(f"edge layer rounding {rounding:.3g} exceeds tol={tol}")
+    return _result(model, kernel, x, value, res)
 
 
 # ----------------------------------------------------------------------
@@ -553,16 +528,17 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     integrals w_i, means fbar_i = w_i / l_i).  By Fenchel duality its slopes
     are v_i = K'(nu fbar_i), nu the argmax of nu x - Phi(nu) over the caps,
     Phi(nu) = sum_i l_i K(nu fbar_i): the cumulant of the finite measure
-    sum_i l_i delta_{fbar_i}, solved by one ``legendre`` call in d = 1
+    sum_i l_i delta_{fbar_i}, solved by one ``maximiser`` call in d = 1
     (``conjugate.atomic_oracle`` on ``_grid_caps``) and in d > 1 (over the
-    full space), run to rounding: the path pairs to x within a few ulp, or
-    where Phi' is steep, next to an open cap, within Phi'' ulp(nu) / 2, as
-    far as the nearest float tilt.  Its i_d misses I_f by about c / N^2 on N
-    cells (2.3e-8 for gaussian x identity at the default tol).  Past Phi' at
-    a finite cap the path takes the slopes there and one jump by the rest of
-    x at the first extremizer of f; if f stays extreme over a whole piece
-    the site is not determined (AmbiguityError).  At or past a slope edge
-    with an infinite cap there is no path (DomainError).
+    full space), which reads only Phi' and Phi'' in d = 1, run to rounding:
+    the path pairs to x within a few ulp, or where Phi' is steep, next to an
+    open cap, within Phi'' ulp(nu) / 2, as far as the nearest float tilt.
+    Its i_d misses I_f by about c / N^2 on N cells (2.3e-8 for gaussian x
+    identity at the default tol).  Past Phi' at a finite cap the path takes
+    the slopes there and one jump by the rest of x at the first extremizer
+    of f; if f stays extreme over a whole piece the site is not determined
+    (AmbiguityError).  At or past a slope edge with an infinite cap there is
+    no path (DomainError).
     """
     from .paths import CadlagPath
 
@@ -582,13 +558,12 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         def phi_hess(nu):
             return np.tensordot(lens * fbar ** 2, model.cgf_hess(np.outer(fbar, nu)), axes=1)
 
-        x = np.asarray(x, dtype=float)
-        res = legendre(ConvexOracle(prob.d_f, phi, phi_grad, phi_hess), x, tol=1e-12)
-        if not math.isfinite(res.value):
+        res = maximiser(ConvexOracle(prob.d_f, phi, phi_grad, phi_hess), x, 1e-12)
+        if res.argmax is None:
             raise DomainError("rate is infinite at x; no minimizing path")
-        # one more Newton step, which the line search of ``legendre`` cannot
+        # one more Newton step, which the line search of ``maximiser`` cannot
         # take where nu x - Phi is flat to rounding, pairs to x within rounding
-        nu = res.argmax - np.linalg.solve(phi_hess(res.argmax), phi_grad(res.argmax) - x)
+        nu = res.argmax - np.linalg.solve(phi_hess(res.argmax), res.residual)
         return CadlagPath(model.dimension, grid, model.cgf_grad(np.outer(fbar, nu)), ())
 
     x, dom = float(x), prob.d_f
@@ -596,7 +571,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         if math.isinf(cap) and side * (x - (prob.upper_edge if side > 0
                                             else prob.lower_edge)[0]) >= 0:
             raise DomainError("x is at or past a slope edge with an infinite tilt cap")
-    res = legendre(atomic_oracle(model, _grid_caps(model, kernel), fbar, lens), x, tol=_EPS)
+    res = maximiser(atomic_oracle(model, _grid_caps(model, kernel), fbar, lens), x, _EPS)
     slopes = model.cgf_grad(res.argmax * fbar)
     if not res.at_boundary:
         return CadlagPath(1, grid, slopes, ())

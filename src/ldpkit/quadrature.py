@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+_MAX_DEPTH = 30
 
 
 def gl32(fn: Callable, a, b):
@@ -44,14 +45,13 @@ def scaled_nodes(a: float, b: float):
     return mid + half * _NODES, half * _WEIGHTS
 
 
-def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12,
-                max_depth: int = 30, cuts=()):
+def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12, cuts=()):
     """Adaptive bisection built on gl32, over [a, b] split first at ``cuts``.
 
     Accepts a panel once halving changes its estimate (its largest
     component, for an array-valued fn) by less than the length-prorated
     share of ``tol``.  All panels of one level go to one gl32 call.  Depth
-    is capped, so an endpoint singularity costs at most ``max_depth`` levels.
+    is capped, so an endpoint singularity costs at most ``_MAX_DEPTH`` levels.
     """
     if a == b:
         return 0.0
@@ -59,7 +59,7 @@ def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12,
     lo, hi = edges[:-1], edges[1:]
     whole = gl32(fn, lo, hi)
     acc = 0.0
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         mid = 0.5 * (lo + hi)
         halves = gl32(fn, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
         left, right = halves[:len(lo)], halves[len(lo):]
@@ -67,7 +67,7 @@ def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12,
         # a panel with a non-finite estimate is accepted as it is
         change = np.abs(fine - whole).reshape(len(lo), -1)
         scale = np.abs(fine).reshape(len(lo), -1).max(axis=1)
-        split = np.isfinite(change).all(axis=1) & (depth < max_depth) & (
+        split = np.isfinite(change).all(axis=1) & (depth < _MAX_DEPTH) & (
             change.max(axis=1) > np.maximum(tol * (hi - lo) / (b - a), 1e-17 * (1.0 + scale)))
         acc = acc + fine[~split].sum(axis=0)
         if not split.any():

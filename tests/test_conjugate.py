@@ -11,8 +11,8 @@ from ldpkit import (CgfModel, ConvexOracle, DomainError, DomainInterval,
                     parse_model)
 from ldpkit import kernel_rate as kr
 from ldpkit.cgf import FullSpace
-from ldpkit.conjugate import (_one_atom_start, _solve_grad_1d, solve_monotone, tilt_domain,
-                              weighted_oracle)
+from ldpkit.conjugate import (_one_atom_start, _solve_grad_1d, maximiser, solve_monotone,
+                              tilt_domain, weighted_oracle)
 
 
 def oracle_of(model):
@@ -200,6 +200,49 @@ def test_infinite_domain_edge_needs_a_stated_value():
     assert res.value == math.log(2.0) and res.at_boundary
     with pytest.raises(DomainError):
         legendre(stated, -1.0)
+
+
+def _maximiser_cases():
+    # (oracle, x, argmax, residual): an interior level, a closed finite end
+    # past its slope edge and at it, and an infinite end past its edge and at
+    # it with a stated value, where nothing is attained
+    cexp, boundary = oracle_of(parse_model("cexp")), oracle_of(parse_model("synthetic-boundary"))
+    rad = dataclasses.replace(oracle_of(parse_model("rademacher")),
+                              edge_values=(None, math.log(2.0)))
+    return [(cexp, 1.0, 0.5, None), (boundary, 2.0, 1.0, 1.0 - 2.0),
+            (boundary, 1.0, 1.0, 0.0), (rad, 1.0 + 1e-12, None, None), (rad, 1.0, None, None)]
+
+
+def test_maximiser_contract():
+    for oracle, x, argmax, residual in _maximiser_cases():
+        res = maximiser(oracle, x)
+        if argmax is None:
+            # the value is +inf past the edge, the stated one at it
+            assert res.value == (math.inf if x > 1.0 else math.log(2.0))
+            assert res.residual is None and res.at_boundary
+            continue
+        # a value that needs g is left to legendre
+        assert res.value is None
+        assert res.argmax == pytest.approx(argmax, rel=1e-12)
+        if residual is None:    # inside the range: the solve's own residual
+            assert not res.at_boundary
+            assert res.residual == float(oracle.grad(res.argmax)) - x
+            assert abs(res.residual) <= 1e-10
+        else:                   # at a closed end: the stated slope edge minus x
+            assert res.at_boundary and res.residual == residual
+    # an infinite end with no stated value decides no value exactly at its edge
+    with pytest.raises(DomainError):
+        maximiser(oracle_of(parse_model("rademacher")), 1.0)
+
+
+def test_legendre_is_the_maximiser_priced():
+    for oracle, x, _, _ in _maximiser_cases():
+        res, full = maximiser(oracle, x), legendre(oracle, x)
+        if res.argmax is None:
+            assert full == res
+            continue
+        u = res.argmax
+        assert full == dataclasses.replace(res, value=x * u - float(oracle.eval(u)) + 0.0)
 
 
 # -- the one monotone solver ----------------------------------------------------

@@ -468,7 +468,7 @@ def test_cached_analysis_runs_the_callers_formulas():
     # formulas out: a copy with other callables shares its law facts but
     # must be evaluated with its own formulas
     model, x = parse_model("cexp"), 0.3
-    calls = {"cgf": 0, "cgf_int": 0}
+    calls = {"cgf": 0, "cgf_grad": 0, "cgf_int": 0}
 
     def counting(name):
         fn = getattr(model, name)
@@ -478,13 +478,13 @@ def test_cached_analysis_runs_the_callers_formulas():
             return fn(u)
         return wrapped
 
-    copy = dataclasses.replace(model, cgf=counting("cgf"), cgf_int=counting("cgf_int"))
+    copy = dataclasses.replace(model, **{name: counting(name) for name in calls})
     assert copy == model
     for route in (i_f_conjugate, i_f_explicit, minimizer):
         want = route(model, TENT, x)        # warms the cache with the original
-        calls.update(cgf=0, cgf_int=0)
+        calls.update(dict.fromkeys(calls, 0))
         got = route(copy, TENT, x)
-        assert calls["cgf"] + calls["cgf_int"] > 0, route.__name__
+        assert sum(calls.values()) > 0, route.__name__
         if route is minimizer:
             assert np.array_equal(got.slopes, want.slopes) and got.jumps == want.jumps
         else:
@@ -1008,8 +1008,9 @@ def test_weighted_oracle_without_rate_grad_starts_at_zero():
     oracle = conj.weighted_oracle(model, dom, (1.0, 0.0, 1.0, 0.0), model.cgf, model.cgf_grad,
                                   model.cgf_hess, moments=(1.0, 1.0))
     assert oracle.start is None
-    assert conj._solve_grad_1d(oracle, 0.5, 1e-10) == conj._solve_grad_1d(oracle, 0.5, 1e-10,
-                                                                          start=0.0)
+    # the solve of the stated tol (atol = tol max(1, |x|)) from 0.0
+    assert conj._solve_grad_1d(oracle, 0.5, 1e-10) == conj.solve_monotone(
+        oracle.grad, oracle.hess, 0.5, dom.lower, dom.upper, 0.0, 1e-10)
 
 
 @pytest.mark.parametrize("kernel,x,bound", [
@@ -1424,6 +1425,20 @@ def _cap_jump(model, kernel, x, cap, continuous):
     return path
 
 
+@pytest.mark.parametrize("spec,k,x", [("cexp", ID, 0.3), ("poisson:rate=1", TENT, 0.5),
+                                      ("synthetic-boundary", ID, 1.2)])
+def test_minimizer_makes_no_cgf_call(spec, k, x):
+    # the path reads only the argmax nu of nu x - Phi(nu), found from Phi'
+    # and Phi'', so no K call prices a value that nothing reads
+    model = parse_model(spec)
+    want = minimizer(model, k, x)       # warms the cached analysis
+    calls = []
+    copy = dataclasses.replace(model, cgf=lambda u: calls.append(u) or model.cgf(u))
+    got = minimizer(copy, k, x)
+    assert calls == []
+    assert np.array_equal(got.slopes, want.slopes) and got.jumps == want.jumps
+
+
 def test_minimizer_singular_jump():
     # f takes its maximum at the right endpoint
     m = parse_model("synthetic-boundary")
@@ -1515,6 +1530,15 @@ def test_vector_gaussian_explicit_route(mu, cov, x, want):
     assert res.branch == "interior"
     assert res.value == pytest.approx(i_f_conjugate(m, ID, x).value, abs=1e-9)
     assert res.value == pytest.approx(want, abs=1e-9)
+
+
+def test_vector_slope_range_is_the_whole_space():
+    # a full-space law in d > 1 gives E_f' no slope edge and d_f no cap
+    m = gaussian(mu=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0)))
+    assert ef_prime_range(m, ID) == (-math.inf, math.inf)
+    assert m_plus_minus(m, ID) == (math.inf, math.inf)
+    res = i_f_conjugate(m, ID, [1.0, 0.5])
+    assert (res.inf_ef_prime, res.sup_ef_prime) == ef_prime_range(m, ID)
 
 
 def test_vector_gaussian_minimizer():
