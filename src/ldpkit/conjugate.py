@@ -37,8 +37,8 @@ from .errors import DomainError, GradientRangeError, NonConvergenceError
 
 _VALUE_CAP = 1e14
 _MAX_ITER = 200
-# a grad unchanged over a move settles a solve only where |r| is within
-# this times 1 + |target|, the rounding of a grad flat at its target
+# a grad at its target to within this times 1 + |target| is there to
+# rounding: a solve asked for less cannot tell where its sign changes
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 # a finite bracket spans many decades once it is wider than this times 1 + |v|
 # at its end nearer 0: when its ends share a sign, 1 + |v| at the far end is
@@ -220,10 +220,8 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
     sign(v) log(1 + |v|) is halfway: from an end at 0 that halves
     log(1 + distance), as doubling plus one adds log 2 to it.  An element
     settles once |r| <= atol and r^2 <= atol h (the conjugate misses by
-    about r^2 / 2h), once Newton stays put or a finite grad is unchanged
-    over a move with r within its rounding (where grad has saturated in
-    floating point away from the target, the bracket goes on shrinking), or
-    once its bracket is one ulp wide or v has overflowed to +-inf.
+    about r^2 / 2h), once Newton stays put, or once its bracket is one ulp
+    wide or v has overflowed to +-inf.
     ``start`` may be an array, one start per element.  A ``kink`` element (+1 or -1) has grad flat at
     the target from the root up or down: it seeks where hess vanishes,
     settles on its bracket alone, and returns the bracket end on the flat
@@ -242,8 +240,7 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
         v = np.full(np.shape(target), start, dtype=float)
     t, a, b, kink = map(cast, (target, lo, hi, kink))
     plain, up = kink == 0, kink > 0
-    rounding = _ROUNDING * (1.0 + abs(t))
-    g_last, moved, before = np.nan, math.inf, math.inf
+    moved, before = math.inf, math.inf
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             g = cast(grad(v))
@@ -254,9 +251,7 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
             step = v - r / h
             # |r| <= atol and r^2 <= atol h (a nan h, as without hess, drops out)
             close = r * r <= atol * least(atol, h)
-            # g - g_last is 0 for an unchanged finite grad, never for inf
-            flat = (g - g_last == 0) & (abs(r) <= rounding)
-            done = ((plain & (close | (step == v) | flat))
+            done = ((plain & (close | (step == v)))
                     | (abs(v) == math.inf) | (after(a, math.inf) >= b))
             if every(done):
                 return where(up, b, where(plain, v, a)), r
@@ -272,7 +267,7 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
                                                  where(a == -math.inf, 2.0 * b - (1.0 + start),
                                                        mid)))
             v, last = where(done, v, step), v
-            g_last, before, moved = g, moved, abs(v - last)
+            before, moved = moved, abs(v - last)
     raise NonConvergenceError(f"monotone solve did not settle in {max_iter} iterations")
 
 

@@ -56,8 +56,9 @@ import numpy as np
 
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
-from .conjugate import (ConjugateResult, ConvexOracle, _quot, atomic_oracle, legendre,
-                        maximiser, slope_edges, solve_monotone, tilt_domain, weighted_oracle)
+from .conjugate import (_ROUNDING, ConjugateResult, ConvexOracle, _quot, atomic_oracle,
+                        legendre, maximiser, slope_edges, solve_monotone, tilt_domain,
+                        weighted_oracle)
 from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
 
@@ -599,7 +600,9 @@ def _inner_slopes(model: CgfModel, s: np.ndarray, start: np.ndarray = None) -> n
     the root nearest the mean is that kink.  The root lies in (mean, rate_dom
     edge) on the side of s: that is the bracket, with no probing.  Each
     solve starts at its element of ``start`` where that lies strictly inside
-    the bracket, else (nan and +-inf included) at the mean.
+    the bracket, else (nan and +-inf included) at the mean, and stops at
+    the solver's rounding of its target, atol = ``_ROUNDING`` (1 + |s|):
+    closer, the sign of I'(v) - s is rounding noise.
     """
     dom, mean = model.domain, float(model.mean)
     lo, hi = model.rate_dom
@@ -613,20 +616,21 @@ def _inner_slopes(model: CgfModel, s: np.ndarray, start: np.ndarray = None) -> n
     guess = mean if start is None else start[live]
     out[live], _ = solve_monotone(model.rate_grad, model.rate_hess, t, a, b,
                                   np.where((a < guess) & (guess < b), guess, mean),
-                                  0.0, kink=np.where(at_edge[live], np.sign(t), 0.0))
+                                  _ROUNDING * (1.0 + np.abs(t)),
+                                  kink=np.where(at_edge[live], np.sign(t), 0.0))
     return out
 
 
 def _inner_slopes_nd(model: CgfModel, targets: np.ndarray) -> np.ndarray:
-    """Rows v with grad I(v) = target, by Newton batched over the rows."""
+    """Rows v with grad I(v) = target, by Newton batched over the rows, until
+    every component is there to rounding, ``_ROUNDING`` (1 + |target|)."""
     v = np.broadcast_to(model.mean_vec, targets.shape).copy()
     for _ in range(100):
         g = np.asarray(model.rate_grad(v), dtype=float) - targets
-        hess = np.broadcast_to(model.rate_hess(v), targets.shape + targets.shape[-1:])
-        step = np.linalg.solve(hess, g[..., None])[..., 0]
-        v = v - step
-        if np.all(np.abs(step) <= _EPS * (1.0 + np.abs(v))):
+        if np.all(np.abs(g) <= _ROUNDING * (1.0 + np.abs(targets))):
             return v
+        hess = np.broadcast_to(model.rate_hess(v), targets.shape + targets.shape[-1:])
+        v = v - np.linalg.solve(hess, g[..., None])[..., 0]
     raise NonConvergenceError("inner slope solve did not settle in d > 1")
 
 
@@ -657,7 +661,9 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     last tilt nu0 the outer solve visited: each starts at the Euler
     prediction v_i(nu0) + (nu - nu0) fbar_i / I''(v_i(nu0)) where that lies
     inside its bracket, else at the mean (predictor-corrector continuation,
-    Allgower and Georg, ch. 2).
+    Allgower and Georg, ch. 2).  A cell whose nu fbar_i lies nearer s* =
+    I'(v*) than nu0 fbar_i predicts from the anchor v* = x / m1 instead,
+    v* + (nu fbar_i - s*) / I''(v*): the root itself on one cell.
     """
     if pieces < 1:
         raise ValueError("pieces must be >= 1")
@@ -670,16 +676,26 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     # it starts at nu = 0, where every v_i is the mean
     last = {} if model.dimension > 1 else dict(key=np.float64(0.0).tobytes(), nu=0.0,
                                                 v=np.full(len(fbar), float(model.mean)))
+    m1 = np.sum(w)
+    anchor = (math.nan,) * 3    # (v*, I'(v*), I''(v*)) at the one-cell root v* = x / m1
+    if model.dimension == 1 and m1 != 0.0 and model.rate_dom[0] < x / m1 < model.rate_dom[1]:
+        anchor = (x / m1, float(model.rate_grad(x / m1)), float(model.rate_hess(x / m1)))
 
     def slopes(nu):
         key = np.asarray(nu, dtype=float).tobytes()
         if last.get("key") != key:
             if model.dimension > 1:
                 v = _inner_slopes_nd(model, np.outer(fbar, nu))
-            else:   # Euler predictor from the last tilt: dv_i / dnu = fbar_i / I''(v_i)
+            else:   # Euler predictor, dv_i / dnu = fbar_i / I''(v_i), from the
+                # anchor or the last tilt, whichever slope lies nearer nu fbar_i
+                s = nu * fbar
+                near = abs(s - anchor[1]) < abs(s - last["nu"] * fbar)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    start = last["v"] + (nu - last["nu"]) * fbar / curvature(last["nu"])
-                v = _inner_slopes(model, nu * fbar, start)
+                    start = anchor[0] + (s - anchor[1]) / anchor[2]
+                    if not near.all():
+                        start = np.where(near, start, last["v"] + (nu - last["nu"]) * fbar
+                                         / curvature(last["nu"]))
+                v = _inner_slopes(model, s, start)
             last.clear()
             last.update(key=key, nu=nu, v=v)
         return last["v"]
@@ -716,7 +732,7 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     pos, neg = fbar > 0, fbar < 0
     split = (np.sum(lens[pos]), np.sum(lens[neg]), np.sum(w[pos]), np.sum(w[neg]))
     return legendre(weighted_oracle(model, _grid_caps(model, kernel), split, phi, phi_grad,
-                                    phi_hess, moments=(np.sum(w), w @ fbar)),
+                                    phi_hess, moments=(m1, w @ fbar)),
                     float(x), tol=tol).value
 
 

@@ -20,8 +20,15 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NonConvergenceError
+
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MAX_DEPTH = 30
+# panels of one level: the tests, ``ldpkit selftest`` and the benchmark
+# workloads peak at 21 (depth <= 15), 195 times below, and the clamp
+# integral's cuts at +-2^k start at most 2051; an integrand that is rounding
+# noise would split every panel down to _MAX_DEPTH, 2^30 of them
+_MAX_PANELS = 4096
 
 
 def gl32(fn: Callable, a, b):
@@ -51,7 +58,9 @@ def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12, cuts=()):
     Accepts a panel once halving changes its estimate (its largest
     component, for an array-valued fn) by less than the length-prorated
     share of ``tol``.  All panels of one level go to one gl32 call.  Depth
-    is capped, so an endpoint singularity costs at most ``_MAX_DEPTH`` levels.
+    is capped, so an endpoint singularity costs at most ``_MAX_DEPTH`` levels,
+    and a level of more than ``_MAX_PANELS`` panels raises
+    NonConvergenceError.
     """
     if a == b:
         return 0.0
@@ -60,12 +69,16 @@ def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12, cuts=()):
     whole = gl32(fn, lo, hi)
     acc = 0.0
     for depth in range(_MAX_DEPTH + 1):
+        if len(lo) > _MAX_PANELS:
+            raise NonConvergenceError(f"adaptive quadrature needs over {_MAX_PANELS} "
+                                      "panels in one level")
         mid = 0.5 * (lo + hi)
         halves = gl32(fn, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
         left, right = halves[:len(lo)], halves[len(lo):]
         fine = left + right
         # a panel with a non-finite estimate is accepted as it is
-        change = np.abs(fine - whole).reshape(len(lo), -1)
+        with np.errstate(invalid="ignore"):     # inf - inf
+            change = np.abs(fine - whole).reshape(len(lo), -1)
         scale = np.abs(fine).reshape(len(lo), -1).max(axis=1)
         split = np.isfinite(change).all(axis=1) & (depth < _MAX_DEPTH) & (
             change.max(axis=1) > np.maximum(tol * (hi - lo) / (b - a), 1e-17 * (1.0 + scale)))

@@ -622,6 +622,17 @@ def test_routes_near_the_cexp_slope_edge():
         assert route(m, ID, -0.499999).value == pytest.approx(11.815525373597523, abs=1e-9)
 
 
+def test_explicit_route_stops_where_its_clamp_integrand_is_rounding_noise():
+    # 1 ulp inside the edge -1/2, lam* = -1.1e16: K'(lam* t) rounds onto -1,
+    # so I(K') jumps between float levels and every quadrature panel splits;
+    # the level that outgrows the panel budget raises, in place of one gl32
+    # call for 66 million nodes
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError, match="panels"):
+        i_f_explicit(parse_model("cexp"), ID, math.nextafter(-0.5, 1.0))
+    assert time.perf_counter() - start < 2.0
+
+
 # -- exact touches at the tilt caps, and open caps far out ---------------------
 
 
@@ -940,13 +951,13 @@ def test_variational_inner_solves_continue_from_the_last_tilt():
 
 def _variational_counts(model, kernel, x):
     """(value, array calls of I', tilts whose inner solve reached a finite
-    slope) of ``variational_rate``; the scalar call of the start is left
-    out, and a closed cap where every slope is unreachable (a slope-edge
-    check) does not count as a tilt."""
+    slope) of ``variational_rate``; the scalar calls of the starts are left
+    out, and so is the empty call at a closed cap where every slope is
+    unreachable (a slope-edge check), which does not count as a tilt."""
     calls, tilts = [], []
 
     def counting(v, grad=model.rate_grad):
-        calls.append(np.ndim(v) > 0)
+        calls.append(np.ndim(v) > 0 and np.size(v) > 0)
         return grad(v)
 
     inner = kr._inner_slopes
@@ -981,12 +992,27 @@ def test_variational_path_geometry_from_the_one_cell_root():
     ("cexp", CONST1, -0.5), ("cexp", CONST1, 1.5), ("rademacher", CONST1, 0.3),
     ("poisson:rate=1", CONST1, 0.7),
     # an affine I': the one-cell root is the root of Phi' = x on any kernel
-    ("gaussian:mu=0,sigma=1", ID, 1.0), ("gaussian:mu=0,sigma=1", TENT, -0.6)])
+    ("gaussian:mu=0,sigma=1", ID, 1.0), ("gaussian:mu=0,sigma=1", TENT, -0.6),
+    ("cexp", CONST1, 0.5)])
 def test_variational_starts_at_its_root_where_the_one_cell_root_is_exact(spec, kernel, x):
+    # so does its inner solve, from the anchor v* = x / m1, and it settles
+    # on its first evaluation as it stops at its rounding floor (2 to 10
+    # evaluations from the Euler step off nu = 0)
     model = parse_model(spec)
-    got, _, tilts = _variational_counts(model, kernel, x)
-    assert tilts == 1
+    got, calls, tilts = _variational_counts(model, kernel, x)
+    assert tilts == calls == 1
     assert got == pytest.approx(i_f_conjugate(model, kernel, x).value, abs=5e-3)
+
+
+def test_variational_inner_solves_stop_at_their_rounding_floor():
+    # poisson x identity at x = 1: four tilts over 200 cells take 28 array
+    # calls of I' when each solve walks on through the few ulp where the
+    # sign of I'(v) - s is rounding noise, 14 when it stops there and its
+    # cells near s* = I'(x / m1) start from the anchor
+    model = parse_model("poisson:rate=1")
+    got, calls, tilts = _variational_counts(model, ID, 1.0)
+    assert tilts == 4 and calls <= 16
+    assert got == pytest.approx(i_f_conjugate(model, ID, 1.0).value, abs=5e-3)
 
 
 @pytest.mark.parametrize("spec,kernel,x", [
@@ -1576,6 +1602,13 @@ def test_vector_variational():
     x = np.asarray([0.3, -0.2])
     got = variational_rate(m, TENT, x, pieces=60)
     assert got == pytest.approx(i_f_conjugate(m, TENT, x).value, abs=5e-3)
+    # I is quadratic: one Newton step meets each inner root to rounding, and
+    # the solve settles there rather than waiting for a step below one ulp
+    m = gaussian(mu=(0.2, -0.4), cov=((2.0, 0.5), (0.5, 1.0)))
+    x = np.asarray([-2.0, 1.5])
+    want = i_f_conjugate(m, ID, x).value
+    assert variational_rate(m, ID, x, pieces=200) == pytest.approx(want, rel=1e-5)
+    assert variational_rate(m, ID, x, pieces=4000) == pytest.approx(want, rel=1e-7)
 
 
 # -- x grids -----------------------------------------------------------------------
