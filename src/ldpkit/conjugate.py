@@ -146,7 +146,19 @@ def slope_edges(model: CgfModel, domain: DomainInterval, split: tuple, grad,
     return [edge(upper) for upper in sides]
 
 
-def _one_atom_start(model: CgfModel, domain: DomainInterval, m1: float, m2: float):
+def one_cell_slope(model: CgfModel, m1: float, x: float):
+    """(v*, I'(v*)) at v* = x / m1, the slope at which one cell of weight m1
+    pairs to x, or None where the model states no rate_grad or rate_dom, m1
+    is 0, or v* is not strictly inside ``rate_dom`` (nan and +-inf included)."""
+    if model.rate_grad is None or model.rate_dom is None or m1 == 0.0:
+        return None
+    v = x / m1
+    lo, hi = model.rate_dom
+    return (v, float(model.rate_grad(v))) if lo < v < hi else None
+
+
+def _one_atom_start(model: CgfModel, domain: DomainInterval, m1: float, m2: float,
+                    known: tuple = None):
     """x -> lam0 = I'(x / m1) m1 / m2, or None where the model or moments give
     no start.
 
@@ -154,32 +166,32 @@ def _one_atom_start(model: CgfModel, domain: DomainInterval, m1: float, m2: floa
     m1 = int w dmu and m2 = int w^2 dmu, and its g' = m1 K'(lam m2 / m1)
     meets x at lam0.  lam0 is the root of g' = x itself where mu is one atom
     or I' is affine (every Gaussian law), and a first-order start elsewhere;
-    it is 0.0 where x / m1 is not strictly inside ``rate_dom`` or lam0 not
-    strictly inside ``domain`` (nan and +-inf included).
+    it is 0.0 where ``one_cell_slope`` gives none or lam0 is not strictly
+    inside ``domain`` (nan and +-inf included).  ``known`` is
+    ``one_cell_slope`` at an x the caller has solved already, read there.
     """
     if model.rate_grad is None or model.rate_dom is None or m1 == 0.0 or not m2 > 0.0:
         return None
-    lo, hi = model.rate_dom
 
     def start(x):
-        v = x / m1
-        if not lo < v < hi:
+        at = known if known is not None and known[0] == x / m1 else one_cell_slope(model, m1, x)
+        if at is None:
             return 0.0
-        lam = float(model.rate_grad(v)) * m1 / m2
+        lam = at[1] * m1 / m2
         return lam if domain.lower < lam < domain.upper else 0.0
 
     return start
 
 
 def weighted_oracle(model: CgfModel, domain: DomainInterval, split: tuple, value, grad,
-                    hess, moments: tuple, edges: tuple = None) -> ConvexOracle:
+                    hess, moments: tuple, edges: tuple = None, known: tuple = None) -> ConvexOracle:
     """The oracle of g on its tilt ``domain``, with the slope range and edge
     values of ``slope_edges``, or the (lower, upper) ``edges`` it found
     before, in which case ``split`` is not read.  Its solves of g' = x start
     at the one-atom root of ``_one_atom_start`` for mu's ``moments``
-    (m1, m2), or at 0.0 where that gives no start."""
+    (m1, m2) and its ``known`` slope, or at 0.0 where that gives no start."""
     (lo, v_lo), (hi, v_hi) = edges or slope_edges(model, domain, split, grad)
-    start = _one_atom_start(model, domain, *map(float, moments))
+    start = _one_atom_start(model, domain, *map(float, moments), known)
     return ConvexOracle(domain, value, grad, hess, grad_range=(lo, hi),
                         edge_values=(v_lo, v_hi), start=start)
 

@@ -57,8 +57,8 @@ import numpy as np
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
 from .conjugate import (_ROUNDING, ConjugateResult, ConvexOracle, _quot, atomic_oracle,
-                        legendre, maximiser, slope_edges, solve_monotone, tilt_domain,
-                        weighted_oracle)
+                        legendre, maximiser, one_cell_slope, slope_edges, solve_monotone,
+                        tilt_domain, weighted_oracle)
 from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
 
@@ -623,14 +623,19 @@ def _inner_slopes(model: CgfModel, s: np.ndarray, start: np.ndarray = None) -> n
 
 def _inner_slopes_nd(model: CgfModel, targets: np.ndarray) -> np.ndarray:
     """Rows v with grad I(v) = target, by Newton batched over the rows, until
-    every component is there to rounding, ``_ROUNDING`` (1 + |target|)."""
+    each component is at its target to rounding, ``_ROUNDING`` (1 + |target|),
+    or its Newton step is within eps (1 + |v|).  A residual can stay above
+    that floor where floats place v coarsely against the curvature (v large
+    against the spread of a Gaussian law): there Newton stays put instead."""
     v = np.broadcast_to(model.mean_vec, targets.shape).copy()
     for _ in range(100):
         g = np.asarray(model.rate_grad(v), dtype=float) - targets
-        if np.all(np.abs(g) <= _ROUNDING * (1.0 + np.abs(targets))):
-            return v
         hess = np.broadcast_to(model.rate_hess(v), targets.shape + targets.shape[-1:])
-        v = v - np.linalg.solve(hess, g[..., None])[..., 0]
+        step = np.linalg.solve(hess, g[..., None])[..., 0]
+        if np.all((np.abs(g) <= _ROUNDING * (1.0 + np.abs(targets)))
+                  | (np.abs(step) <= _EPS * (1.0 + np.abs(v)))):
+            return v
+        v = v - step
     raise NonConvergenceError("inner slope solve did not settle in d > 1")
 
 
@@ -663,7 +668,8 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     inside its bracket, else at the mean (predictor-corrector continuation,
     Allgower and Georg, ch. 2).  A cell whose nu fbar_i lies nearer s* =
     I'(v*) than nu0 fbar_i predicts from the anchor v* = x / m1 instead,
-    v* + (nu fbar_i - s*) / I''(v*): the root itself on one cell.
+    v* + (nu fbar_i - s*) / I''(v*): the root itself on one cell.  The outer
+    start reads the same (v*, s*) (``conjugate.one_cell_slope``).
     """
     if pieces < 1:
         raise ValueError("pieces must be >= 1")
@@ -676,10 +682,11 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     # it starts at nu = 0, where every v_i is the mean
     last = {} if model.dimension > 1 else dict(key=np.float64(0.0).tobytes(), nu=0.0,
                                                 v=np.full(len(fbar), float(model.mean)))
-    m1 = np.sum(w)
-    anchor = (math.nan,) * 3    # (v*, I'(v*), I''(v*)) at the one-cell root v* = x / m1
-    if model.dimension == 1 and m1 != 0.0 and model.rate_dom[0] < x / m1 < model.rate_dom[1]:
-        anchor = (x / m1, float(model.rate_grad(x / m1)), float(model.rate_hess(x / m1)))
+    m1 = float(np.sum(w))
+    # (v*, I'(v*)) at the one-cell root v* = x / m1, which the outer start
+    # reads too, and I''(v*)
+    known = one_cell_slope(model, m1, float(x)) if model.dimension == 1 else None
+    anchor = (*known, float(model.rate_hess(known[0]))) if known else (math.nan,) * 3
 
     def slopes(nu):
         key = np.asarray(nu, dtype=float).tobytes()
@@ -732,7 +739,7 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     pos, neg = fbar > 0, fbar < 0
     split = (np.sum(lens[pos]), np.sum(lens[neg]), np.sum(w[pos]), np.sum(w[neg]))
     return legendre(weighted_oracle(model, _grid_caps(model, kernel), split, phi, phi_grad,
-                                    phi_hess, moments=(m1, w @ fbar)),
+                                    phi_hess, moments=(m1, w @ fbar), known=known),
                     float(x), tol=tol).value
 
 

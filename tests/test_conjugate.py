@@ -11,8 +11,8 @@ from ldpkit import (CgfModel, ConvexOracle, DomainError, DomainInterval,
                     parse_model)
 from ldpkit import kernel_rate as kr
 from ldpkit.cgf import FullSpace
-from ldpkit.conjugate import (_one_atom_start, _solve_grad_1d, maximiser, solve_monotone,
-                              tilt_domain, weighted_oracle)
+from ldpkit.conjugate import (_one_atom_start, _solve_grad_1d, maximiser, one_cell_slope,
+                              solve_monotone, tilt_domain, weighted_oracle)
 
 
 def oracle_of(model):
@@ -419,3 +419,14 @@ def test_one_atom_start_falls_back_to_zero():
     # lam0 = 1 / 1e-310 overflows to inf, which no domain holds strictly inside
     full = DomainInterval(-math.inf, math.inf)
     assert _one_atom_start(cexp, full, 1.0, 1e-310)(1e300) == 0.0
+
+
+def test_one_atom_start_reads_a_known_slope_at_its_own_x():
+    cexp, dom = parse_model("cexp"), DomainInterval(-math.inf, 1.0)
+    assert one_cell_slope(cexp, 2.0, 1.0) == (0.5, pytest.approx(1.0 / 3.0, rel=1e-15))
+    assert one_cell_slope(cexp, 2.0, -2.0) is None     # x / m1 at the rate_dom edge -1
+    assert one_cell_slope(cexp, 0.0, 1.0) is None
+    # a stated (v*, s*) stands in for I'(v*) at its x, and only there
+    start = _one_atom_start(cexp, dom, 2.0, 4.0, (0.5, 0.6))
+    assert start(1.0) == pytest.approx(0.3, rel=1e-15)
+    assert start(0.5) == pytest.approx(one_cell_slope(cexp, 2.0, 0.5)[1] / 2.0, rel=1e-15)

@@ -951,13 +951,15 @@ def test_variational_inner_solves_continue_from_the_last_tilt():
 
 def _variational_counts(model, kernel, x):
     """(value, array calls of I', tilts whose inner solve reached a finite
-    slope) of ``variational_rate``; the scalar calls of the starts are left
-    out, and so is the empty call at a closed cap where every slope is
-    unreachable (a slope-edge check), which does not count as a tilt."""
-    calls, tilts = [], []
+    slope, array calls on no element) of ``variational_rate``; the scalar
+    calls of the starts are left out, and a closed cap where every slope is
+    unreachable (a slope-edge check, one empty call) does not count as a
+    tilt."""
+    calls, empty, tilts = [], [], []
 
     def counting(v, grad=model.rate_grad):
-        calls.append(np.ndim(v) > 0 and np.size(v) > 0)
+        calls.append(np.ndim(v) > 0)
+        empty.append(np.size(v) == 0)
         return grad(v)
 
     inner = kr._inner_slopes
@@ -972,17 +974,17 @@ def _variational_counts(model, kernel, x):
         got = variational_rate(dataclasses.replace(model, rate_grad=counting), kernel, x)
     finally:
         kr._inner_slopes = inner
-    return got, sum(calls), sum(tilts)
+    return got, sum(calls), sum(tilts), sum(empty)
 
 
 def test_variational_path_geometry_from_the_one_cell_root():
     # the outer solve starts at the root for one cell with the grid's first
     # two moments: 126 array calls of I' over these cases from nu = 0, 66
-    # from it
+    # from it (42 once the inner solves also stop at their rounding floor)
     total = 0
     for spec, kernel, x in PATH_GEOMETRY_CASES:
         model = parse_model(spec)
-        got, calls, _ = _variational_counts(model, kernel, x)
+        got, calls, _, _ = _variational_counts(model, kernel, x)
         assert got == pytest.approx(i_f_conjugate(model, kernel, x).value, abs=5e-3)
         total += calls
     assert total <= 90
@@ -999,9 +1001,27 @@ def test_variational_starts_at_its_root_where_the_one_cell_root_is_exact(spec, k
     # on its first evaluation as it stops at its rounding floor (2 to 10
     # evaluations from the Euler step off nu = 0)
     model = parse_model(spec)
-    got, calls, tilts = _variational_counts(model, kernel, x)
-    assert tilts == calls == 1
+    got, calls, tilts, empty = _variational_counts(model, kernel, x)
+    assert tilts == calls - empty == 1
     assert got == pytest.approx(i_f_conjugate(model, kernel, x).value, abs=5e-3)
+
+
+@pytest.mark.parametrize("spec,kernel,x", [
+    ("poisson:rate=1", ID, 1.0), ("cexp", CONST1, 0.5), ("gaussian:mu=0,sigma=1", TENT, -0.6),
+    # lam0 = I'(2) m1 / m2 lies past the open cap 1: the outer start is 0.0
+    ("cexp", ID, 1.0)])
+def test_variational_solves_its_one_cell_slope_once(spec, kernel, x):
+    # the anchor of the inner starts and the outer start read one scalar
+    # I'(x / m1) (``conjugate.one_cell_slope``)
+    model = parse_model(spec)
+    scalar = []
+
+    def counting(v, grad=model.rate_grad):
+        scalar.append(np.ndim(v) == 0)
+        return grad(v)
+
+    variational_rate(dataclasses.replace(model, rate_grad=counting), kernel, x)
+    assert sum(scalar) == 1
 
 
 def test_variational_inner_solves_stop_at_their_rounding_floor():
@@ -1010,7 +1030,7 @@ def test_variational_inner_solves_stop_at_their_rounding_floor():
     # sign of I'(v) - s is rounding noise, 14 when it stops there and its
     # cells near s* = I'(x / m1) start from the anchor
     model = parse_model("poisson:rate=1")
-    got, calls, tilts = _variational_counts(model, ID, 1.0)
+    got, calls, tilts, _ = _variational_counts(model, ID, 1.0)
     assert tilts == 4 and calls <= 16
     assert got == pytest.approx(i_f_conjugate(model, ID, 1.0).value, abs=5e-3)
 
@@ -1046,7 +1066,7 @@ def test_variational_far_out_from_the_one_cell_root(kernel, x, bound):
     # on one cell the start is the root itself; on identity it lands near
     # it, where the exponential Phi' from nu = 0 took 10-18 outer steps
     model = parse_model("poisson:rate=1")
-    got, calls, _ = _variational_counts(model, kernel, x)
+    got, calls, _, _ = _variational_counts(model, kernel, x)
     want = i_f_conjugate(model, kernel, x).value
     # a constant kernel's grid is exact
     assert got == pytest.approx(want, rel=1e-9 if kernel is CONST1 else 1e-4)
@@ -1609,6 +1629,14 @@ def test_vector_variational():
     want = i_f_conjugate(m, ID, x).value
     assert variational_rate(m, ID, x, pieces=200) == pytest.approx(want, rel=1e-5)
     assert variational_rate(m, ID, x, pieces=4000) == pytest.approx(want, rel=1e-7)
+    # a mean large against the spread: floats place v in steps of ulp(1), the
+    # residual moves in steps of 100 ulp(1), and no step lands it within
+    # the rounding of a target below about 25, so Newton staying put settles
+    for m, x in [(gaussian(mu=(1.0, 1.0), cov=((0.01, 0.0), (0.0, 0.01))), (0.52, 0.49)),
+                 (gaussian(mu=(100.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0))), (50.3, 0.2))]:
+        x = np.asarray(x)
+        got = variational_rate(m, ID, x, pieces=200)
+        assert got == pytest.approx(i_f_conjugate(m, ID, x).value, abs=5e-3)
 
 
 # -- x grids -----------------------------------------------------------------------
