@@ -26,8 +26,6 @@ from .errors import DomainError, NoSamplerError
 _EPS = np.finfo(float).eps
 _BIG = np.finfo(float).max
 _BD0_TERMS = 8      # |e| < 0.1 in the bd0 series: 0.1^17 / 19 is below eps
-# K itself as a weighted cumulant: mu = delta_1, split as ``slope_edges`` takes it
-_UNIT_WEIGHT = (1.0, 0.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,8 @@ class CgfModel:
 
     For d=1, ``grad_range`` is the slope range (K'(lower+), K'(upper-)) read
     from the model with no search, by the weighted-cumulant rule of
-    ``conjugate.slope_edges`` with all weight at 1: +-inf at an open finite
+    ``conjugate.slope_edges`` for one unit atom of mass 1
+    (``conjugate.atomic_oracle``): +-inf at an open finite
     edge (a log-MGF is lower semicontinuous, so K and K' blow up there),
     ``cgf_grad(edge)`` at a closed edge, and the matching ``rate_dom`` edge
     at an infinite one.
@@ -166,9 +165,9 @@ class CgfModel:
     @cached_property
     def grad_range(self) -> tuple:
         """(K'(lower+), K'(upper-)) of a d=1 model; see the class docstring."""
-        from .conjugate import slope_edges  # local: avoid cycle
+        from .conjugate import atomic_oracle  # local: avoid cycle
 
-        return tuple(e for e, _ in slope_edges(self, self.domain, _UNIT_WEIGHT, self.cgf_grad))
+        return atomic_oracle(self, self.domain, np.ones(1), np.ones(1)).grad_range
 
     # -- CGF surface ---------------------------------------------------
 
@@ -196,17 +195,15 @@ class CgfModel:
         self._check_dim(v)
         if self.closed_rate is not None:
             return self.closed_rate(v)
-        from .conjugate import ConvexOracle, legendre, weighted_oracle  # local: avoid cycle
+        from .conjugate import atomic_oracle, legendre  # local: avoid cycle
 
-        if self.dimension == 1:
-            oracle = weighted_oracle(self, self.domain, _UNIT_WEIGHT, self.cgf, self.cgf_grad,
-                                     self.cgf_hess, (1.0, 1.0))
-            arr = np.asarray(v, dtype=float)
-            if arr.ndim == 0:
-                return legendre(oracle, float(arr)).value
-            flat = [legendre(oracle, float(c)).value for c in arr.reshape(-1)]
-            return np.asarray(flat).reshape(arr.shape)
-        return legendre(ConvexOracle(self.domain, self.cgf, self.cgf_grad, self.cgf_hess), v).value
+        # K as the cumulant of one unit atom of mass 1, mu = delta_1
+        oracle = atomic_oracle(self, self.domain, np.ones(1), np.ones(1))
+        if self.dimension > 1 or np.ndim(v) == 0:
+            return legendre(oracle, v).value
+        arr = np.asarray(v, dtype=float)
+        flat = [legendre(oracle, float(c)).value for c in arr.reshape(-1)]
+        return np.asarray(flat).reshape(arr.shape)
 
     def recession(self, direction) -> float:
         """Support function of the domain at a unit direction: the jump price."""
@@ -293,6 +290,23 @@ def _by_runs(theta, copies, count, single, several):
         size = (hi - lo, count)
         out[lo:hi] = single(t[lo:hi], size) if one[lo] else several(t[lo:hi], c[lo:hi], size)
     return out.reshape(shape + (count,))
+
+
+def _bd0(x, d, far):
+    """Loader's deviance bd0(x, x - d) = x log(x / (x - d)) - d from the
+    difference d itself.  Its terms cancel to O(d^2) next to d = 0; there,
+    with e = d / (2x - d), it is d e + 2x sum_{j>=1} e^(2j+1) / (2j+1)
+    (Loader 2000), whose second term is at most |e| < 0.1 times the first.
+    Elsewhere it is ``far``, the caller's closed form."""
+    e = d / (2.0 * x - d)
+    near = np.abs(e) < 0.1
+    if not near.any():
+        return far
+    ee = e * e
+    tail = ee / (2 * _BD0_TERMS + 1)
+    for j in range(_BD0_TERMS - 1, 0, -1):
+        tail = ee * (1.0 / (2 * j + 1) + tail)
+    return np.where(near, d * e + 2.0 * x * e * tail, far)
 
 
 def _catalog_model(**fields) -> CgfModel:
@@ -476,7 +490,8 @@ def centered_exponential() -> CgfModel:
         return u - 0.5 * u * u + np.where(u < 1.0, (1.0 - u) * np.log1p(-u), 0.0)
 
     def rate(v):
-        return v - np.log1p(v)
+        # bd0(1, 1 + v) = v - log1p(v)
+        return _bd0(1.0, -v, v - np.log1p(v))
 
     def rate_g(v):
         return v / (1.0 + v)
@@ -597,17 +612,9 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
         return r * (np.expm1(u) - u - 0.5 * u * u)
 
     def rate_fn(v):
-        # bd0(v + r, r) = (v + r) log1p(v / r) - v, whose terms cancel to
-        # O(v^2) next to the mean; there, with e = v / (v + 2r), it is
-        # v e + 2 (v + r) sum_{j>=1} e^(2j+1) / (2j+1) (Loader 2000), whose
-        # second term is at most |e| < 0.1 times the first; r at the atom v = -r
-        w, e = v + r, v / (v + 2.0 * r)
-        ee = e * e
-        tail = ee / (2 * _BD0_TERMS + 1)
-        for j in range(_BD0_TERMS - 1, 0, -1):
-            tail = ee * (1.0 / (2 * j + 1) + tail)
-        return np.where(np.abs(e) < 0.1, v * e + 2.0 * w * e * tail,
-                        np.where(w > 0.0, w * np.log1p(v / r), 0.0) - v)
+        # bd0(v + r, r) = (v + r) log1p(v / r) - v; r at the atom v = -r
+        w = v + r
+        return _bd0(w, v, np.where(w > 0.0, w * np.log1p(v / r), 0.0) - v)
 
     def rate_g(v):
         return np.log((v + r) / r)

@@ -14,10 +14,13 @@ there, which ``maximiser`` leaves out wherever it would need g.
 Every d = 1 function ldpkit transforms is a weighted cumulant g(lam) =
 int K(lam w) dmu(w): K (mu = delta_1), E_f, the tail sampler's finite-n
 cumulant and the variational dual, whose argmin is the minimizer's path.
-The last two have a finite mu: ``atomic_oracle`` states g from its atoms
-and masses, for the finite-n cumulant and the minimizer.  ``tilt_domain``
-and ``slope_edges`` state its domain and slope range from dom K and mu
-alone, once for all.
+All but E_f have a finite mu, and ``atomic_oracle`` states g from its
+atoms and masses for each of them: K itself (one unit atom), the tail
+tilt, and both sides of the discrete dual, ``minimizer``'s from K and
+``variational_rate``'s from K read off I; for K and the discrete dual also
+in d > 1, with a vector tilt.  ``tilt_domain`` and
+``slope_edges`` state its domain and slope range from dom K and mu alone,
+once for all.
 From mu's first two moments, which every caller states, ``weighted_oracle``
 also states where the solve of g' = x starts: the root for the one atom
 with those moments.
@@ -35,7 +38,6 @@ import numpy as np
 from .cgf import CgfModel, Domain, DomainInterval, FullSpace
 from .errors import DomainError, GradientRangeError, NonConvergenceError
 
-_VALUE_CAP = 1e14
 _MAX_ITER = 200
 # a grad at its target to within this times 1 + |target| is there to
 # rounding: a solve asked for less cannot tell where its sign changes
@@ -196,18 +198,35 @@ def weighted_oracle(model: CgfModel, domain: DomainInterval, split: tuple, value
                         edge_values=(v_lo, v_hi), start=start)
 
 
-def atomic_oracle(model: CgfModel, domain: DomainInterval, atoms: np.ndarray,
-                  masses: np.ndarray) -> ConvexOracle:
-    """``weighted_oracle`` for the finite measure mu = sum_j m_j delta_{a_j},
-    g(lam) = sum_j m_j K(lam a_j), on the caller's tilt ``domain``: each of
-    g, g' and g'' is one array call of K, K' or K''."""
+def atomic_oracle(model: CgfModel, domain: Domain, atoms: np.ndarray, masses: np.ndarray,
+                  cumulant: tuple = None, known: tuple = None) -> ConvexOracle:
+    """The oracle of g(lam) = sum_j m_j k(lam a_j), the cumulant of the
+    finite measure mu = sum_j m_j delta_{a_j}, on the caller's tilt
+    ``domain``: each of g, g' and g'' is one array call of k, k' or k''.
+
+    ``cumulant`` is (k, k', k'') on an array of points, rows lam a_j in
+    d > 1: K itself, by default the model's own formulas, or K read another
+    way (``kernel_rate._rate_cumulant`` reads it from I), as the slope range
+    and the start are read from the model.  In d = 1 this is
+    ``weighted_oracle`` with mu's sign split, its moments m1 = sum_j m_j a_j
+    (summed elementwise: a mu of mean zero gives m1 = 0, not rounding noise)
+    and m2 = sum_j m_j a_j^2, and the ``known`` one-cell slope, with no g''
+    where k'' is None; in d > 1 it is a plain oracle over ``domain``.
+    """
     a, m = atoms, masses
+    k, kp, kpp = cumulant or (model.cgf, model.cgf_grad, model.cgf_hess)
+    if model.dimension > 1:
+        col = a[:, None]
+        return ConvexOracle(domain, lambda lam: float(m @ k(col * lam)),
+                            lambda lam: m @ (col * kp(col * lam)),
+                            lambda lam: np.tensordot(m * a * a, kpp(col * lam), axes=1))
     pos, neg = a > 0, a < 0
     split = (np.sum(m[pos]), np.sum(m[neg]), m[pos] @ a[pos], m[neg] @ a[neg])
     return weighted_oracle(
-        model, domain, split, lambda lam: float(m @ model.cgf(lam * a)),
-        lambda lam: float(m @ (a * model.cgf_grad(lam * a))),
-        lambda lam: float(m @ (a * a * model.cgf_hess(lam * a))), moments=(m @ a, m @ (a * a)))
+        model, domain, split, lambda lam: float(m @ k(lam * a)),
+        lambda lam: float(m @ (a * kp(lam * a))),
+        None if kpp is None else lambda lam: float(m @ (a * a * kpp(lam * a))),
+        moments=(np.sum(m * a), m @ (a * a)), known=known)
 
 
 def _log_middle(a, b):
@@ -374,7 +393,7 @@ def _maximiser_nd(oracle: ConvexOracle, x: np.ndarray, tol: float) -> ConjugateR
             alpha *= 0.5
         else:
             raise NonConvergenceError("multivariate conjugate line search stalled")
-        if np.linalg.norm(lam) > 1e9 * scale or phi > _VALUE_CAP:
+        if np.linalg.norm(lam) > 1e9 * scale:
             return ConjugateResult(math.inf, None, True)
     raise NonConvergenceError(f"multivariate conjugate did not meet tol={tol} "
                               f"in {_MAX_ITER} iterations")

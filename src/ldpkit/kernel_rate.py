@@ -30,9 +30,10 @@ is within tol max(1, |mean|); else the adaptive rule takes it.
 
 ``minimizer`` and ``variational_rate`` share one discrete problem on a grid
 of cells: the action of a path with one slope per cell, plus jumps, under
-the pairing.  ``variational_rate`` prices it from the I side and
-``minimizer`` returns its argmin from the K side, so they are two codes for
-one number.
+the pairing.  Its dual is the cumulant of the cells' finite measure, one
+``conjugate.atomic_oracle`` fed two cumulants: ``variational_rate`` prices
+it with K read off I (``_rate_cumulant``), and ``minimizer`` returns its
+argmin with the model's K, so they are two codes for one number.
 
 The tilt domain d_f decides where lam f lies, exactly: it leaves the
 closed domain of K iff lam lies outside d_f, and it touches a finite edge e
@@ -512,7 +513,10 @@ def _grid_caps(model: CgfModel, kernel: Kernel) -> DomainInterval:
     dual sum_i l_i K(nu fbar_i) of a grid's cells, whose jumps are priced at
     the caps.  A cell's mean fbar_i lies inside f's range, so nu fbar_i stays
     inside the domain of K at a finite cap unless f is extreme on the whole
-    cell; there, at an open edge, Phi and Phi' are +inf at the cap."""
+    cell; there, at an open edge, Phi and Phi' are +inf at the cap.  In
+    d > 1 the tilts run over the full space."""
+    if model.dimension > 1:
+        return FullSpace(model.dimension)
     m_plus, m_minus = _problem(model, kernel).m_plus_minus
     return DomainInterval(-m_minus, m_plus, lower_closed=math.isfinite(m_minus),
                           upper_closed=math.isfinite(m_plus))
@@ -529,9 +533,9 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     integrals w_i, means fbar_i = w_i / l_i).  By Fenchel duality its slopes
     are v_i = K'(nu fbar_i), nu the argmax of nu x - Phi(nu) over the caps,
     Phi(nu) = sum_i l_i K(nu fbar_i): the cumulant of the finite measure
-    sum_i l_i delta_{fbar_i}, solved by one ``maximiser`` call in d = 1
-    (``conjugate.atomic_oracle`` on ``_grid_caps``) and in d > 1 (over the
-    full space), which reads only Phi' and Phi'' in d = 1, run to rounding:
+    sum_i l_i delta_{fbar_i}, solved by one ``maximiser`` call on its
+    ``conjugate.atomic_oracle`` over ``_grid_caps`` (the full space in
+    d > 1), which reads only Phi' and Phi'' in d = 1, run to rounding:
     the path pairs to x within a few ulp, or where Phi' is steep, next to an
     open cap, within Phi'' ulp(nu) / 2, as far as the nearest float tilt.
     Its i_d misses I_f by about c / N^2 on N cells (2.3e-8 for gaussian x
@@ -548,23 +552,15 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     grid, w = _grid(kernel, total)
     lens = np.diff(grid)
     fbar = w / lens
+    oracle = atomic_oracle(model, _grid_caps(model, kernel), fbar, lens)
 
     if model.dimension > 1:
-        def phi(nu):
-            return float(lens @ model.cgf(np.outer(fbar, nu)))
-
-        def phi_grad(nu):
-            return w @ model.cgf_grad(np.outer(fbar, nu))
-
-        def phi_hess(nu):
-            return np.tensordot(lens * fbar ** 2, model.cgf_hess(np.outer(fbar, nu)), axes=1)
-
-        res = maximiser(ConvexOracle(prob.d_f, phi, phi_grad, phi_hess), x, 1e-12)
+        res = maximiser(oracle, x, 1e-12)
         if res.argmax is None:
             raise DomainError("rate is infinite at x; no minimizing path")
         # one more Newton step, which the line search of ``maximiser`` cannot
         # take where nu x - Phi is flat to rounding, pairs to x within rounding
-        nu = res.argmax - np.linalg.solve(phi_hess(res.argmax), res.residual)
+        nu = res.argmax - np.linalg.solve(oracle.hess(res.argmax), res.residual)
         return CadlagPath(model.dimension, grid, model.cgf_grad(np.outer(fbar, nu)), ())
 
     x, dom = float(x), prob.d_f
@@ -572,7 +568,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         if math.isinf(cap) and side * (x - (prob.upper_edge if side > 0
                                             else prob.lower_edge)[0]) >= 0:
             raise DomainError("x is at or past a slope edge with an infinite tilt cap")
-    res = maximiser(atomic_oracle(model, _grid_caps(model, kernel), fbar, lens), x, _EPS)
+    res = maximiser(oracle, x, _EPS)
     slopes = model.cgf_grad(res.argmax * fbar)
     if not res.at_boundary:
         return CadlagPath(1, grid, slopes, ())
@@ -602,7 +598,8 @@ def _inner_slopes(model: CgfModel, s: np.ndarray, start: np.ndarray = None) -> n
     solve starts at its element of ``start`` where that lies strictly inside
     the bracket, else (nan and +-inf included) at the mean, and stops at
     the solver's rounding of its target, atol = ``_ROUNDING`` (1 + |s|):
-    closer, the sign of I'(v) - s is rounding noise.
+    closer, the sign of I'(v) - s is rounding noise.  Where no element needs
+    a solve (every s is 0 or unreachable) I' is not called.
     """
     dom, mean = model.domain, float(model.mean)
     lo, hi = model.rate_dom
@@ -611,6 +608,8 @@ def _inner_slopes(model: CgfModel, s: np.ndarray, start: np.ndarray = None) -> n
     reach = ((s > dom.lower) & (s < dom.upper)) | at_edge
     out = np.where(s == 0, mean, np.copysign(math.inf, s))
     live = np.flatnonzero(reach & (s != 0))
+    if not live.size:
+        return out
     t, up = s[live], s[live] > 0
     a, b = np.where(up, mean, lo), np.where(up, hi, mean)
     guess = mean if start is None else start[live]
@@ -639,6 +638,64 @@ def _inner_slopes_nd(model: CgfModel, targets: np.ndarray) -> np.ndarray:
     raise NonConvergenceError("inner slope solve did not settle in d > 1")
 
 
+def _rate_cumulant(model: CgfModel, known: tuple = None) -> tuple:
+    """(K, K', K'') on an array of points u, rows in d > 1, read from I alone
+    (I* = K): K(u) = u.v - I(v), +inf where v is not finite, K'(u) = v and
+    K''(u) = 1 / I''(v), v solving I'(v) = u by ``_inner_slopes`` or
+    ``_inner_slopes_nd``.
+
+    The last point array is kept with its v and, once asked, I''(v), so K,
+    K' and K'' at one tilt share one inner solve.  In d = 1 each solve
+    continues from the last points u0 (at first u0 = 0, where every v is
+    the mean): an element starts at the Euler prediction v(u0) + (u - u0) /
+    I''(v(u0)) (predictor-corrector continuation, Allgower and Georg,
+    ch. 2), or, where u lies nearer s* than u0 does, at the one from the
+    anchor, v* + (u - s*) / I''(v*), for the ``known`` one-cell slope
+    (v*, s*) = (x / m1, I'(v*)) of ``conjugate.one_cell_slope``: the root
+    itself on one cell.
+    """
+    last = dict(u=0.0, v=float(model.mean_vec[0]))
+    anchor = (*known, float(model.rate_hess(known[0]))) if known else (math.nan,) * 3
+
+    def slopes(u):
+        key = u.tobytes()
+        if last.get("key") != key:
+            if model.dimension > 1:
+                v = _inner_slopes_nd(model, u)
+            else:   # Euler predictor, dv / du = 1 / I''(v), from the anchor or
+                # the last points, whichever lies nearer u
+                near = abs(u - anchor[1]) < abs(u - last["u"])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    start = anchor[0] + (u - anchor[1]) / anchor[2]
+                    if not near.all():
+                        start = np.where(near, start, last["v"] + (u - last["u"]) / curvature())
+                v = _inner_slopes(model, u, start)
+            last.clear()
+            last.update(key=key, u=u, v=v)
+        return last["v"]
+
+    def curvature():
+        if "curv" not in last:
+            last["curv"] = np.asarray(model.rate_hess(last["v"]), dtype=float)
+        return last["curv"]
+
+    def k(u):
+        v = slopes(u)
+        finite = np.isfinite(v) if model.dimension == 1 else np.isfinite(v).all(axis=-1)
+        with np.errstate(invalid="ignore"):
+            uv = u * v if model.dimension == 1 else np.sum(u * v, axis=-1)
+            return np.where(finite, uv - model.rate(v), math.inf)
+
+    def k_hess(u):
+        slopes(u)
+        with np.errstate(divide="ignore"):
+            if model.dimension == 1:
+                return 1.0 / curvature()
+        return np.broadcast_to(np.linalg.inv(curvature()), u.shape + u.shape[-1:])
+
+    return k, slopes, k_hess
+
+
 def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
                      tol: float = 1e-9) -> float:
     """Minimum of the discretised action over paths pairing to x.
@@ -649,27 +706,24 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     (lengths l_i, kernel integrals w_i, averages fbar_i = w_i / l_i), slopes
     v_i plus jumps priced at the recession constants cost
     sup_nu [nu x - Phi(nu)] over nu in ``_grid_caps``, [-M_minus, M_plus],
-    Phi(nu) = sum_i l_i I*(nu fbar_i) (Fenchel duality).  ``minimizer``
-    returns the argmin of the same problem from K, v_i = K'(nu fbar_i), so
-    on ``pieces`` equal to its cell count its i_d is this value from an
-    independent code.  The generic solver takes that transform, ``tol``
-    being its tolerance on the pairing residual Phi' - x.  With I'(v_i) =
-    nu fbar_i, Phi' = sum w_i v_i and Phi'' = sum l_i fbar_i^2 / I''(v_i),
-    so K never enters.  A finite cap
-    prices the rest of x as a jump; at an infinite one the slope edge is
-    sum w_i times the rate_dom edge that the sign of fbar_i picks.
-    In d = 1 the outer solve starts at I'(x / m1) m1 / m2, m1 = sum w_i and
-    m2 = sum w_i fbar_i, the root for one cell with the grid's first two
-    moments (``conjugate.weighted_oracle``): the root itself on one cell (a
-    constant kernel) or for an affine I' (a Gaussian law), and 0.0 where it
-    is not strictly inside the caps.  The inner solves continue from the
-    last tilt nu0 the outer solve visited: each starts at the Euler
-    prediction v_i(nu0) + (nu - nu0) fbar_i / I''(v_i(nu0)) where that lies
-    inside its bracket, else at the mean (predictor-corrector continuation,
-    Allgower and Georg, ch. 2).  A cell whose nu fbar_i lies nearer s* =
-    I'(v*) than nu0 fbar_i predicts from the anchor v* = x / m1 instead,
-    v* + (nu fbar_i - s*) / I''(v*): the root itself on one cell.  The outer
-    start reads the same (v*, s*) (``conjugate.one_cell_slope``).
+    Phi(nu) = sum_i l_i I*(nu fbar_i) (Fenchel duality).  As I* = K, Phi is
+    the cumulant of the finite measure sum_i l_i delta_{fbar_i}, whose oracle
+    ``conjugate.atomic_oracle`` builds, as for ``minimizer``, but fed the
+    cumulant that ``_rate_cumulant`` reads from I: with I'(v_i) = nu fbar_i,
+    Phi' = sum l_i fbar_i v_i and Phi'' = sum l_i fbar_i^2 / I''(v_i), so K
+    never enters.  ``minimizer`` returns the argmin of the same problem from
+    K, v_i = K'(nu fbar_i), so on ``pieces`` equal to its cell count its i_d
+    is this value from an independent code.  The generic solver takes the
+    transform, ``tol`` being its tolerance on the pairing residual Phi' - x.
+    A finite cap prices the rest of x as a jump; at an infinite one the slope
+    edge is sum l_i fbar_i times the rate_dom edge that the sign of fbar_i
+    picks.  In d = 1 the outer solve starts at I'(x / m1) m1 / m2, m1 =
+    sum_i l_i fbar_i and m2 = sum_i l_i fbar_i^2, the root for one cell with
+    the grid's first two moments (``conjugate.weighted_oracle``): the root
+    itself on one cell (a constant kernel) or for an affine I' (a Gaussian
+    law), and 0.0 where it is not strictly inside the caps.  The inner
+    solves read the same one-cell slope (v*, s*) = (x / m1, I'(v*))
+    (``conjugate.one_cell_slope``) as their anchor.
     """
     if pieces < 1:
         raise ValueError("pieces must be >= 1")
@@ -678,69 +732,12 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     grid, w = _grid(kernel, pieces)
     lens = np.diff(grid)
     fbar = w / lens
-    # the last tilt: its key, nu, slopes v and, once asked, I''(v); in d = 1
-    # it starts at nu = 0, where every v_i is the mean
-    last = {} if model.dimension > 1 else dict(key=np.float64(0.0).tobytes(), nu=0.0,
-                                                v=np.full(len(fbar), float(model.mean)))
-    m1 = float(np.sum(w))
-    # (v*, I'(v*)) at the one-cell root v* = x / m1, which the outer start
-    # reads too, and I''(v*)
-    known = one_cell_slope(model, m1, float(x)) if model.dimension == 1 else None
-    anchor = (*known, float(model.rate_hess(known[0]))) if known else (math.nan,) * 3
-
-    def slopes(nu):
-        key = np.asarray(nu, dtype=float).tobytes()
-        if last.get("key") != key:
-            if model.dimension > 1:
-                v = _inner_slopes_nd(model, np.outer(fbar, nu))
-            else:   # Euler predictor, dv_i / dnu = fbar_i / I''(v_i), from the
-                # anchor or the last tilt, whichever slope lies nearer nu fbar_i
-                s = nu * fbar
-                near = abs(s - anchor[1]) < abs(s - last["nu"] * fbar)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    start = anchor[0] + (s - anchor[1]) / anchor[2]
-                    if not near.all():
-                        start = np.where(near, start, last["v"] + (nu - last["nu"]) * fbar
-                                         / curvature(last["nu"]))
-                v = _inner_slopes(model, s, start)
-            last.clear()
-            last.update(key=key, nu=nu, v=v)
-        return last["v"]
-
-    def curvature(nu):
-        v = slopes(nu)
-        if "curv" not in last:
-            last["curv"] = np.asarray(model.rate_hess(v), dtype=float)
-        return last["curv"]
-
-    def phi(nu):
-        v = slopes(nu)
-        return (float(np.sum(nu * (w @ v)) - lens @ model.rate(v))
-                if np.all(np.isfinite(v)) else math.inf)
-
-    def phi_grad(nu):
-        g = w @ slopes(nu)
-        return float(g) if model.dimension == 1 else g
-
-    def phi_hess(nu):
-        with np.errstate(divide="ignore"):
-            curv = curvature(nu)
-            if model.dimension == 1:
-                return float(lens @ (fbar ** 2 / curv))
-        inv = np.broadcast_to(np.linalg.inv(curv), (len(lens),) + curv.shape[-2:])
-        return np.tensordot(lens * fbar ** 2, inv, axes=1)
-
-    if model.dimension > 1:
-        oracle = ConvexOracle(FullSpace(model.dimension), phi, phi_grad, phi_hess)
-        return legendre(oracle, np.asarray(x, dtype=float), tol=tol).value
-
-    # Phi(nu) = sum_i l_i K(nu fbar_i), as I* = K: a weighted cumulant with
-    # the cell lengths for mu, on the kernel's caps
-    pos, neg = fbar > 0, fbar < 0
-    split = (np.sum(lens[pos]), np.sum(lens[neg]), np.sum(w[pos]), np.sum(w[neg]))
-    return legendre(weighted_oracle(model, _grid_caps(model, kernel), split, phi, phi_grad,
-                                    phi_hess, moments=(m1, w @ fbar), known=known),
-                    float(x), tol=tol).value
+    x = _level(model, x)
+    # m1 as ``atomic_oracle`` sums it, so that its start reads this slope
+    known = one_cell_slope(model, float(np.sum(lens * fbar)), x) if model.dimension == 1 else None
+    oracle = atomic_oracle(model, _grid_caps(model, kernel), fbar, lens,
+                           _rate_cumulant(model, known), known)
+    return legendre(oracle, x, tol=tol).value
 
 
 def x_grid(model: CgfModel, kernel: Kernel, count: int = 50, span: float = 3.0):

@@ -123,6 +123,7 @@ def test_rate_is_nonnegative_next_to_the_mean(spec):
     ("rademacher", lambda v: ((1 + v) * mpmath.log1p(v) + (1 - v) * mpmath.log1p(-v)) / 2),
     ("poisson:rate=1", lambda v: (v + 1) * mpmath.log1p(v) - v),
     ("poisson:rate=2.5", lambda v: (v + 2.5) * mpmath.log1p(v / 2.5) - v),
+    ("cexp", lambda v: v - mpmath.log1p(v)),
 ])
 def test_rate_keeps_full_accuracy_next_to_the_mean(spec, exact):
     # the closed forms cancel to O(v^2) there; the rates must not
@@ -132,6 +133,16 @@ def test_rate_keeps_full_accuracy_next_to_the_mean(spec, exact):
             for x in (v, -v):
                 want = float(exact(mpmath.mpf(x)))
                 assert m.rate(x) == pytest.approx(want, rel=1e-14, abs=0.0), x
+
+
+def test_vector_rate_without_a_closed_form_is_the_legendre_transform():
+    # CgfModel.rate's fallback in d > 1 transforms K over the full space
+    closed = gaussian(mu=(0.3, -0.2), cov=((1.0, 0.1), (0.1, 2.0)))
+    bare = dataclasses.replace(closed, id="gaussian-bare", closed_rate=None)
+    for v in ((1.0, 0.5), (5.0, -7.0)):
+        v = np.asarray(v)
+        assert bare.rate(v) == pytest.approx(float(closed.rate(v)), rel=1e-12, abs=0.0)
+    assert bare.rate(np.asarray([0.3, -0.2])) == 0.0
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

@@ -953,8 +953,8 @@ def _variational_counts(model, kernel, x):
     """(value, array calls of I', tilts whose inner solve reached a finite
     slope, array calls on no element) of ``variational_rate``; the scalar
     calls of the starts are left out, and a closed cap where every slope is
-    unreachable (a slope-edge check, one empty call) does not count as a
-    tilt."""
+    unreachable (a slope-edge check, which makes no call of I') does not
+    count as a tilt."""
     calls, empty, tilts = [], [], []
 
     def counting(v, grad=model.rate_grad):
@@ -1022,6 +1022,15 @@ def test_variational_solves_its_one_cell_slope_once(spec, kernel, x):
 
     variational_rate(dataclasses.replace(model, rate_grad=counting), kernel, x)
     assert sum(scalar) == 1
+
+
+def test_variational_makes_no_solve_where_no_slope_is_reachable():
+    # the slope edge at cexp x const:1's closed grid cap 1 asks for the one
+    # cell's slope at cexp's open edge: unreachable, so no call of I' at all
+    model = parse_model("cexp")
+    _, calls, tilts, empty = _variational_counts(model, CONST1, 0.5)
+    assert empty == 0
+    assert tilts == calls - empty == 1
 
 
 def test_variational_inner_solves_stop_at_their_rounding_floor():
@@ -1637,6 +1646,24 @@ def test_vector_variational():
         x = np.asarray(x)
         got = variational_rate(m, ID, x, pieces=200)
         assert got == pytest.approx(i_f_conjugate(m, ID, x).value, abs=5e-3)
+
+
+@pytest.mark.parametrize("x", [(1e7, 0.0), (1e9, 1e9)])
+def test_vector_rate_far_out_is_finite(x):
+    # I_f(x) = 3 |x|^2 / 2 reaches 1.5e14 and 3e18 there: a finite rate,
+    # however large, is priced as such by both routes and has a path
+    m = gaussian(mu=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0)))
+    x = np.asarray(x)
+    want = 1.5 * float(x @ x)
+    for route in (i_f_conjugate, i_f_explicit):
+        res = route(m, ID, x)
+        assert res.branch == "interior"
+        assert res.value == pytest.approx(want, rel=1e-14)
+    path = minimizer(m, ID, x)
+    assert np.allclose(pair(ID, path), x, rtol=1e-15, atol=0.0)
+    assert i_d(path, m) == pytest.approx(want, rel=1e-7)
+    # the grid of 200 cells misses by about 1 / (4 * 200^2) relative
+    assert variational_rate(m, ID, x) == pytest.approx(want, rel=1e-5)
 
 
 # -- x grids -----------------------------------------------------------------------
