@@ -20,10 +20,10 @@ tilt, and both sides of the discrete dual, ``minimizer``'s from K and
 ``variational_rate``'s from K read off I; for K and the discrete dual also
 in d > 1, with a vector tilt.  ``tilt_domain`` and
 ``slope_edges`` state its domain and slope range from dom K and mu alone,
-once for all.
-From mu's first two moments, which every caller states, ``weighted_oracle``
-also states where the solve of g' = x starts: the root for the one atom
-with those moments.
+once for all, and ``_one_atom_start`` where the solve of g' = x starts,
+from mu's first two moments: the root for the one atom with those moments.
+Every oracle, E_f's included, is built from these three, and only
+``maximiser`` compares x with the slope range.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from .cgf import CgfModel, Domain, DomainInterval, FullSpace
 from .errors import DomainError, GradientRangeError, NonConvergenceError
 
 _MAX_ITER = 200
+_EPS = float(np.finfo(float).eps)
 # a grad at its target to within this times 1 + |target| is there to
 # rounding: a solve asked for less cannot tell where its sign changes
-_ROUNDING = 4.0 * float(np.finfo(float).eps)
+_ROUNDING = 4.0 * _EPS
 # a finite bracket spans many decades once it is wider than this times 1 + |v|
 # at its end nearer 0: when its ends share a sign, 1 + |v| at the far end is
 # then over 2^8 times that at the near one
@@ -110,10 +111,8 @@ def tilt_domain(model: CgfModel, w_plus: float, w_minus: float) -> DomainInterva
     return DomainInterval(-lo, hi, lower_closed=lo_closed, upper_closed=hi_closed)
 
 
-def slope_edges(model: CgfModel, domain: DomainInterval, split: tuple, grad,
-                sides: tuple = (False, True)) -> list:
-    """(slope edge, conjugate there or None) of g on each of ``sides``, False
-    for the lower side and True for the upper one.
+def slope_edges(model: CgfModel, domain: DomainInterval, split: tuple, grad) -> tuple:
+    """((lower slope edge, conjugate there or None), (upper ..., ...)) of g.
 
     ``domain`` is the tilt domain of the weights and split = (mu{w > 0},
     mu{w < 0}, int_{w > 0} w dmu, int_{w < 0} w dmu).  g' is nondecreasing,
@@ -145,7 +144,16 @@ def slope_edges(model: CgfModel, domain: DomainInterval, split: tuple, grad,
         return slope, sum(m * (float(model.rate(b)) if math.isfinite(b) else math.inf)
                           for m, _, b in limits if m != 0.0)
 
-    return [edge(upper) for upper in sides]
+    return edge(False), edge(True)
+
+
+def _first_moment(atoms: np.ndarray, masses: np.ndarray) -> float:
+    """m1 = sum_j m_j a_j, summed elementwise, or 0.0 where |m1| is within
+    its rounding bound n eps sum_j |m_j a_j|: there its sign is noise, and
+    so is the one-cell slope x / m1 it would give."""
+    terms = masses * atoms
+    m1 = float(np.sum(terms))
+    return 0.0 if abs(m1) <= terms.size * _EPS * float(np.sum(np.abs(terms))) else m1
 
 
 def one_cell_slope(model: CgfModel, m1: float, x: float):
@@ -185,19 +193,6 @@ def _one_atom_start(model: CgfModel, domain: DomainInterval, m1: float, m2: floa
     return start
 
 
-def weighted_oracle(model: CgfModel, domain: DomainInterval, split: tuple, value, grad,
-                    hess, moments: tuple, edges: tuple = None, known: tuple = None) -> ConvexOracle:
-    """The oracle of g on its tilt ``domain``, with the slope range and edge
-    values of ``slope_edges``, or the (lower, upper) ``edges`` it found
-    before, in which case ``split`` is not read.  Its solves of g' = x start
-    at the one-atom root of ``_one_atom_start`` for mu's ``moments``
-    (m1, m2) and its ``known`` slope, or at 0.0 where that gives no start."""
-    (lo, v_lo), (hi, v_hi) = edges or slope_edges(model, domain, split, grad)
-    start = _one_atom_start(model, domain, *map(float, moments), known)
-    return ConvexOracle(domain, value, grad, hess, grad_range=(lo, hi),
-                        edge_values=(v_lo, v_hi), start=start)
-
-
 def atomic_oracle(model: CgfModel, domain: Domain, atoms: np.ndarray, masses: np.ndarray,
                   cumulant: tuple = None, known: tuple = None) -> ConvexOracle:
     """The oracle of g(lam) = sum_j m_j k(lam a_j), the cumulant of the
@@ -207,11 +202,11 @@ def atomic_oracle(model: CgfModel, domain: Domain, atoms: np.ndarray, masses: np
     ``cumulant`` is (k, k', k'') on an array of points, rows lam a_j in
     d > 1: K itself, by default the model's own formulas, or K read another
     way (``kernel_rate._rate_cumulant`` reads it from I), as the slope range
-    and the start are read from the model.  In d = 1 this is
-    ``weighted_oracle`` with mu's sign split, its moments m1 = sum_j m_j a_j
-    (summed elementwise: a mu of mean zero gives m1 = 0, not rounding noise)
-    and m2 = sum_j m_j a_j^2, and the ``known`` one-cell slope, with no g''
-    where k'' is None; in d > 1 it is a plain oracle over ``domain``.
+    and the start are read from the model.  In d = 1 the slope range is
+    ``slope_edges`` on mu's sign split, and the solve starts at
+    ``_one_atom_start`` for mu's moments m1 (``_first_moment``) and
+    m2 = sum_j m_j a_j^2 and the ``known`` one-cell slope; there is no g''
+    where k'' is None.  In d > 1 it is a plain oracle over ``domain``.
     """
     a, m = atoms, masses
     k, kp, kpp = cumulant or (model.cgf, model.cgf_grad, model.cgf_hess)
@@ -221,12 +216,17 @@ def atomic_oracle(model: CgfModel, domain: Domain, atoms: np.ndarray, masses: np
                             lambda lam: m @ (col * kp(col * lam)),
                             lambda lam: np.tensordot(m * a * a, kpp(col * lam), axes=1))
     pos, neg = a > 0, a < 0
-    split = (np.sum(m[pos]), np.sum(m[neg]), m[pos] @ a[pos], m[neg] @ a[neg])
-    return weighted_oracle(
-        model, domain, split, lambda lam: float(m @ k(lam * a)),
-        lambda lam: float(m @ (a * kp(lam * a))),
+
+    def grad(lam):
+        return float(m @ (a * kp(lam * a)))
+
+    grad_range, edge_values = zip(*slope_edges(
+        model, domain, (np.sum(m[pos]), np.sum(m[neg]), m[pos] @ a[pos], m[neg] @ a[neg]), grad))
+    return ConvexOracle(
+        domain, lambda lam: float(m @ k(lam * a)), grad,
         None if kpp is None else lambda lam: float(m @ (a * a * kpp(lam * a))),
-        moments=(np.sum(m * a), m @ (a * a)), known=known)
+        grad_range=grad_range, edge_values=edge_values,
+        start=_one_atom_start(model, domain, _first_moment(a, m), float(m @ (a * a)), known))
 
 
 def _log_middle(a, b):

@@ -5,7 +5,7 @@ rate I_f is the Legendre transform of the scaled cumulant E_f(lam) =
 int_0^1 K(lam f(t)) dt.  Its tilt domain d_f = (-M_minus, M_plus) and slope
 range [inf E_f', sup E_f'] follow from the domain of K and the weights
 alone, with no search: ``conjugate`` states that rule once for every d = 1
-weighted cumulant (``tilt_domain``, ``slope_edges``, ``weighted_oracle``),
+weighted cumulant (``tilt_domain``, ``slope_edges``, ``_one_atom_start``),
 and ``KernelRateProblem`` caches its answers.  I_f is computed by three
 routes that share no value formula:
 
@@ -57,9 +57,9 @@ import numpy as np
 
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
-from .conjugate import (_ROUNDING, ConjugateResult, ConvexOracle, _quot, atomic_oracle,
-                        legendre, maximiser, one_cell_slope, slope_edges, solve_monotone,
-                        tilt_domain, weighted_oracle)
+from .conjugate import (_EPS, _ROUNDING, ConjugateResult, ConvexOracle, _first_moment,
+                        _one_atom_start, _quot, atomic_oracle, legendre, maximiser,
+                        one_cell_slope, slope_edges, solve_monotone, tilt_domain)
 from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
 
@@ -67,9 +67,6 @@ from .kernels import Kernel
 # ----------------------------------------------------------------------
 # Moments int_0^1 f^k K^(k)(lam f(t)) dt over the kernel pieces
 # ----------------------------------------------------------------------
-
-_EPS = float(np.finfo(float).eps)
-
 
 def _trace(model: CgfModel, kernel: Kernel, lam: float, values: np.ndarray):
     """(u, touched) for u = lam * values, values of f; None once lam f leaves
@@ -138,6 +135,22 @@ def _walk(model: CgfModel, kernel: Kernel, lam: float, values: np.ndarray):
     return bracket
 
 
+_last_walk = {}     # a dict, as an lru_cache wrapper costs microseconds a call
+
+
+def _node_walk(model: CgfModel, kernel: Kernel, lam: float):
+    """``_walk`` over the kernel's nodes at lam, kept for the last (model,
+    kernel, lam): E_f'' right after E_f' at one Newton tilt, E_f at the root
+    and the clamp's closed pieces reuse its formula values.  The model and
+    kernel are matched by identity, so a copy of a model with other
+    callables walks its own formulas."""
+    last = _last_walk
+    if not (last.get("lam") == lam and last["model"] is model and last["kernel"] is kernel):
+        last.update(model=model, kernel=kernel, lam=lam,
+                    bracket=_walk(model, kernel, lam, kernel._vals))
+    return last["bracket"]
+
+
 # (formulas, terms) of the primitive Psi_k, d Psi_k / du = u^k K^(k)(u)
 _MOMENT_PSI = ((("cgf_int",), lambda u, p: (p,)),
                (("cgf", "cgf_int"), lambda u, k, p: (u * k, -p)),
@@ -145,11 +158,11 @@ _MOMENT_PSI = ((("cgf_int",), lambda u, p: (p,)),
                 lambda u, kp, k, p: (u * u * kp, -2.0 * (u * k), 2.0 * p)))
 
 
-def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float, walk=None):
+def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
     """int_0^1 f^k D^k K(lam f(t)) dt, +inf once lam f leaves the domain: one
-    array-valued adaptive pass per kernel piece in d > 1; in d = 1 the walk's
-    brackets of Psi_k, with the adaptive rule on the rough pieces.  ``walk``,
-    if given, maps lam to the ``_walk`` over the kernel's nodes."""
+    array-valued adaptive pass per kernel piece in d > 1; in d = 1 the
+    brackets of Psi_k of ``_node_walk``, with the adaptive rule on the rough
+    pieces."""
     deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
     lam = float(lam) if model.dimension == 1 else np.asarray(lam, dtype=float)
 
@@ -165,7 +178,7 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float, walk=None)
     if kernel.lipschitz == 0.0:     # f = c: the walk's all-flat value at a third of its cost
         u = _trace(model, kernel, lam, kernel._vals[:1])
         return math.inf if u is None else kernel.values[0] ** k * float(deriv(u[0][0]))
-    bracket = walk(lam) if walk else _walk(model, kernel, lam, kernel._vals)
+    bracket = _node_walk(model, kernel, lam)
     if bracket is None:
         return math.inf
     mean, rough = bracket(k, _MOMENT_PSI[k], deriv, tol)
@@ -201,10 +214,11 @@ def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
 
 class KernelRateProblem:
     """The law facts of E_f for one (model, kernel), each found on first use:
-    the tilt domain d_f and, per side, the slope edge of E_f' with I_f there
-    (None where unknown), by the rules of ``conjugate``.  It keeps no
-    formula: ``_e_f_oracle`` binds E_f to the caller's model on every call,
-    so a model equal to the first but with other callables runs its own."""
+    the tilt domain d_f and one ``edges`` pair, the (lower, upper) slope
+    edges of E_f' each with I_f there (None where unknown), by the rules of
+    ``conjugate``.  It keeps no formula: ``_e_f_oracle`` binds E_f to the
+    caller's model on every call, so a model equal to the first but with
+    other callables runs its own."""
 
     def __init__(self, model: CgfModel, kernel: Kernel):
         self.model = model
@@ -226,28 +240,20 @@ class KernelRateProblem:
         raise DomainError("weighted domain is only available for full-space "
                           "models in dimension > 1")
 
-    def _edge(self, upper: bool) -> tuple:
+    @cached_property
+    def edges(self) -> tuple:
         model, kernel = self.model, self.kernel
         if model.dimension > 1:
-            return (math.inf if upper else -math.inf), None
-        return slope_edges(model, self.d_f, _sign_split(kernel),
-                           partial(e_f_grad, model, kernel), (upper,))[0]
-
-    @cached_property
-    def lower_edge(self) -> tuple:
-        return self._edge(False)
-
-    @cached_property
-    def upper_edge(self) -> tuple:
-        return self._edge(True)
+            return (-math.inf, None), (math.inf, None)
+        return slope_edges(model, self.d_f, _sign_split(kernel), partial(e_f_grad, model, kernel))
 
     @property
     def sup_ef_prime(self) -> float:
-        return self.upper_edge[0]
+        return self.edges[1][0]
 
     @property
     def inf_ef_prime(self) -> float:
-        return self.lower_edge[0]
+        return self.edges[0][0]
 
 
 @lru_cache(maxsize=256)
@@ -256,29 +262,17 @@ def _problem(model: CgfModel, kernel: Kernel) -> KernelRateProblem:
 
 
 def _e_f_oracle(model: CgfModel, kernel: Kernel) -> ConvexOracle:
-    """The oracle of E_f on ``model``'s own formulas, with the cached facts.
-    In d = 1 it keeps the walk at the last tilt, so E_f'' right after E_f' at
-    one Newton tilt, and E_f at the root, reuse its formula values, and its
-    solves of E_f' = x start at the one-atom root I'(x / m1) m1 / m2 for the
-    kernel's moments m1 = int f and m2 = int f^2 (``weighted_oracle``): the
-    root itself on a constant kernel and for every Gaussian law, where
-    m1 != 0."""
+    """The oracle of E_f on ``model``'s own formulas (``e_f``, ``e_f_grad``
+    and ``_e_f_hess``, which share ``_node_walk`` in d = 1), with the cached
+    facts, in every dimension.  Its solves of E_f' = x start at the one-atom
+    root I'(x / m1) m1 / m2 for the kernel's moments m1 = int f and
+    m2 = int f^2 (``_one_atom_start``): the root itself on a constant kernel
+    and for every Gaussian law, where m1 != 0."""
     prob = _problem(model, kernel)
-    if model.dimension > 1:
-        value, grad, hess = (partial(fn, model, kernel) for fn in (e_f, e_f_grad, _e_f_hess))
-        return ConvexOracle(prob.d_f, value, grad, hess)
-    last = {}   # the last walk: a dict, as an lru_cache wrapper costs microseconds to build
-
-    def walk(lam):
-        if last.get("lam") != lam:
-            last.update(lam=lam, bracket=_walk(model, kernel, lam, kernel._vals))
-        return last["bracket"]
-
-    # the tolerances of e_f, e_f_grad and _e_f_hess in d = 1
-    value, grad, hess = (partial(_moment, model, kernel, k=k, tol=tol, walk=walk)
-                         for k, tol in enumerate((1e-12, 1e-12, 1e-10)))
-    return weighted_oracle(model, prob.d_f, None, value, grad, hess,
-                           (kernel.m1, kernel.m2), edges=(prob.lower_edge, prob.upper_edge))
+    grad_range, edge_values = zip(*prob.edges)
+    fns = (partial(fn, model, kernel) for fn in (e_f, e_f_grad, _e_f_hess))
+    return ConvexOracle(prob.d_f, *fns, grad_range=grad_range, edge_values=edge_values,
+                        start=_one_atom_start(model, prob.d_f, kernel.m1, kernel.m2))
 
 
 def d_f(model: CgfModel, kernel: Kernel):
@@ -331,7 +325,11 @@ def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kern
 
 
 def _level(model: CgfModel, x):
-    return float(x) if model.dimension == 1 else np.asarray(x, dtype=float)
+    """x as a float, or an array in d > 1; ValueError where it is not finite."""
+    x = float(x) if model.dimension == 1 else np.asarray(x, dtype=float)
+    if not (math.isfinite(x) if model.dimension == 1 else np.isfinite(x).all()):
+        raise ValueError(f"level x must be finite, got {x}")
+    return x
 
 
 def _result(model: CgfModel, kernel: Kernel, x, value: float,
@@ -401,16 +399,18 @@ def _edge_layer(model: CgfModel, edge: float, d_near: float, d_far: float):
 
 
 def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar, tol: float) -> tuple:
-    """(int_0^1 I(K'(lam_bar f(t))) dt, rounding estimate) for a finite lam_bar.
+    """(int_0^1 I(K'(lam_bar f(t))) dt, rounding estimate) for a lam_bar in
+    d_f, a cap only where it is closed, as ``maximiser`` returns for a finite
+    level (at an open cap the slope edge is infinite).
 
     In d > 1 each kernel piece takes one array-valued adaptive pass, with no
     rounding estimate.  In d = 1 untouched pieces take quadrature in
     u = lam_bar f, so this route shares no value formula with E_f:
     ``_edge_layer`` within |e| / 2 of a finite domain edge e, else the
     adaptive rule split where |u| crosses 2^k, k >= 0, to see where K'
-    leaves its saturated value.  A touch of an open edge gives +inf; a flat
-    piece, or one touching a closed edge, is a ``_walk`` bracket of uK - 2P,
-    d/du (uK - 2P) = I(K'(u)) = u K'(u) - K(u).
+    leaves its saturated value.  A flat piece, or one touching a (closed)
+    edge, is a ``_node_walk`` bracket of uK - 2P, d/du (uK - 2P) =
+    I(K'(u)) = u K'(u) - K(u).
     """
     def g(u):
         return model.closed_rate(model.cgf_grad(u))
@@ -418,13 +418,10 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar, tol: float) -> tup
     if model.dimension > 1:
         return sum(quad.adaptive_gl(lambda ts: g(kernel.eval(ts)[:, None] * lam_bar), a, b, tol)
                    for a, b, _, _ in kernel.pieces()), 0.0
-    if not _problem(model, kernel).d_f.contains(lam_bar):
-        return math.inf, 0.0    # lam_bar f leaves the domain or touches an open edge
-
     u, touched = _trace(model, kernel, lam_bar, kernel._vals)
     closed = touched[:-1] | touched[1:] | (u[:-1] == u[1:])
     if np.count_nonzero(closed):
-        mean, rough = _walk(model, kernel, lam_bar, kernel._vals)(
+        mean, rough = _node_walk(model, kernel, lam_bar)(
             0, (("cgf", "cgf_int"), lambda u, k, p: (u * k, -2.0 * p)), g, tol)
         value = mean * kernel._widths
     total = rounding = 0.0
@@ -542,33 +539,29 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     identity at the default tol).  Past Phi' at a finite cap the path takes
     the slopes there and one jump by the rest of x at the first extremizer
     of f; if f stays extreme over a whole piece the site is not determined
-    (AmbiguityError).  At or past a slope edge with an infinite cap there is
-    no path (DomainError).
+    (AmbiguityError).  Where ``maximiser`` attains no tilt, at or past a
+    slope edge of Phi with an infinite cap, there is no path (DomainError):
+    Phi's edge, not E_f's, as the grid's edge can round an ulp inside it.
+    A non-finite x raises ValueError.
     """
     from .paths import CadlagPath
 
-    prob = _problem(model, kernel)
+    x = _level(model, x)
     total = int(min(4000, max(400, round(0.5 / math.sqrt(max(tol, 1e-12))))))
     grid, w = _grid(kernel, total)
     lens = np.diff(grid)
     fbar = w / lens
     oracle = atomic_oracle(model, _grid_caps(model, kernel), fbar, lens)
-
+    res = maximiser(oracle, x, _EPS if model.dimension == 1 else 1e-12)
+    if res.argmax is None:
+        raise DomainError("x is at or past a slope edge with an infinite tilt cap; "
+                          "no minimizing path")
     if model.dimension > 1:
-        res = maximiser(oracle, x, 1e-12)
-        if res.argmax is None:
-            raise DomainError("rate is infinite at x; no minimizing path")
         # one more Newton step, which the line search of ``maximiser`` cannot
         # take where nu x - Phi is flat to rounding, pairs to x within rounding
         nu = res.argmax - np.linalg.solve(oracle.hess(res.argmax), res.residual)
         return CadlagPath(model.dimension, grid, model.cgf_grad(np.outer(fbar, nu)), ())
 
-    x, dom = float(x), prob.d_f
-    for side, cap in ((1.0, dom.upper), (-1.0, dom.lower)):
-        if math.isinf(cap) and side * (x - (prob.upper_edge if side > 0
-                                            else prob.lower_edge)[0]) >= 0:
-            raise DomainError("x is at or past a slope edge with an infinite tilt cap")
-    res = maximiser(oracle, x, _EPS)
     slopes = model.cgf_grad(res.argmax * fbar)
     if not res.at_boundary:
         return CadlagPath(1, grid, slopes, ())
@@ -718,8 +711,9 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     A finite cap prices the rest of x as a jump; at an infinite one the slope
     edge is sum l_i fbar_i times the rate_dom edge that the sign of fbar_i
     picks.  In d = 1 the outer solve starts at I'(x / m1) m1 / m2, m1 =
-    sum_i l_i fbar_i and m2 = sum_i l_i fbar_i^2, the root for one cell with
-    the grid's first two moments (``conjugate.weighted_oracle``): the root
+    sum_i l_i fbar_i (``conjugate._first_moment``: 0 where it is rounding
+    noise) and m2 = sum_i l_i fbar_i^2, the root for one cell with the
+    grid's first two moments (``conjugate._one_atom_start``): the root
     itself on one cell (a constant kernel) or for an affine I' (a Gaussian
     law), and 0.0 where it is not strictly inside the caps.  The inner
     solves read the same one-cell slope (v*, s*) = (x / m1, I'(v*))
@@ -733,8 +727,7 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     lens = np.diff(grid)
     fbar = w / lens
     x = _level(model, x)
-    # m1 as ``atomic_oracle`` sums it, so that its start reads this slope
-    known = one_cell_slope(model, float(np.sum(lens * fbar)), x) if model.dimension == 1 else None
+    known = one_cell_slope(model, _first_moment(fbar, lens), x) if model.dimension == 1 else None
     oracle = atomic_oracle(model, _grid_caps(model, kernel), fbar, lens,
                            _rate_cumulant(model, known), known)
     return legendre(oracle, x, tol=tol).value

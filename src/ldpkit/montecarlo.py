@@ -175,6 +175,8 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
         raise ValueError("samples must be at least 100")
     if n < 1:
         raise ValueError("n must be positive")
+    if not math.isfinite(a):
+        raise ValueError(f"level a must be finite, got {a}")
     if model.sampler is None or model.tilted_sampler is None:
         raise NoSamplerError(f"model {model.id} has no tilted sampler")
 

@@ -282,6 +282,27 @@ def test_bad_kernel_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--model", "cexp", "--kernel", "affine:0,1", "--x", "nan"],
+    ["minimizer", "--model", "cexp", "--kernel", "affine:0,1", "--x", "nan"],
+    ["minimizer", "--model", "cexp", "--kernel", "affine:0,1", "--x", "inf"],
+    ["minimizer", "--model", "gaussian:mu=0,sigma=1", "--kernel", "affine:0,1", "--x", "nan"],
+    ["mc", "--model", "rademacher", "--kernel", "const:1", "--n", "10", "--a", "nan"]])
+def test_non_finite_level_exits_2(capsys, argv):
+    code, cap = _run(capsys, argv)
+    assert code == 2
+    assert "must be finite" in cap.err
+
+
+def test_minimizer_at_the_grids_slope_edge_exits_3(capsys):
+    # 1 ulp inside E_f's edge 1/2, the level is the slope edge of the
+    # 500-cell grid's dual, so no path attains it
+    code, cap = _run(capsys, ["minimizer", "--model", "rademacher", "--kernel", "affine:0,1",
+                              "--x", "0.49999999999999994", "--tol", "1e-6"])
+    assert code == 3
+    assert "error:" in cap.err
+
+
 def test_mc_without_sampler_exits_3(capsys):
     code, cap = _run(capsys, ["mc", "--model", "synthetic-boundary",
                               "--kernel", "affine:0,1", "--n", "10",

@@ -11,8 +11,8 @@ from ldpkit import (CgfModel, ConvexOracle, DomainError, DomainInterval,
                     parse_model)
 from ldpkit import kernel_rate as kr
 from ldpkit.cgf import FullSpace
-from ldpkit.conjugate import (_one_atom_start, _solve_grad_1d, maximiser, one_cell_slope,
-                              solve_monotone, tilt_domain, weighted_oracle)
+from ldpkit.conjugate import (_one_atom_start, _solve_grad_1d, atomic_oracle, maximiser,
+                              one_cell_slope, solve_monotone, tilt_domain)
 
 
 def oracle_of(model):
@@ -392,11 +392,7 @@ def test_one_atom_start_is_the_root_for_one_atom(spec):
     # g(lam) = c K(lam w), one atom of mass c at w: m1 = c w and m2 = c w^2
     model = parse_model(spec)
     c, w = 0.75, -2.0
-    oracle = weighted_oracle(model, tilt_domain(model, 0.0, -w), (0.0, c, 0.0, c * w),
-                             lambda lam: c * model.cgf(lam * w),
-                             lambda lam: c * w * model.cgf_grad(lam * w),
-                             lambda lam: c * w * w * model.cgf_hess(lam * w),
-                             moments=(c * w, c * w * w))
+    oracle = atomic_oracle(model, tilt_domain(model, 0.0, -w), np.array([w]), np.array([c]))
     for x in (-0.6, 0.2, 0.9):
         lam = oracle.start(x)
         assert lam != 0.0

@@ -14,10 +14,12 @@ from ldpkit import kernel_rate as kr
 from ldpkit import (
     AmbiguityError,
     DomainError,
+    GradientRangeError,
     d_f,
     e_f,
     e_f_grad,
     ef_prime_range,
+    grad_inverse,
     i_f_conjugate,
     i_f_explicit,
     identity,
@@ -450,10 +452,8 @@ def test_ef_prime_range_needs_no_quadrature(monkeypatch):
         if spec == "synthetic-boundary":
             continue    # closed edge: sup E_f' is the integral at the cap
         ef_prime_range(parse_model(spec), k)
-    synth = kr._problem(parse_model("synthetic-boundary"), ID)
-    assert synth.inf_ef_prime == -math.inf     # infinite cap below
-    with pytest.raises(AssertionError):
-        synth.sup_ef_prime                      # closed edge above
+    with pytest.raises(AssertionError, match="e_f_grad called"):     # closed edge above
+        kr._problem(parse_model("synthetic-boundary"), ID).edges
 
 
 def test_infinite_edge_needs_rate_dom():
@@ -531,20 +531,20 @@ def test_routes_name_the_formula_a_model_leaves_out():
     assert i_d(path, m) == pytest.approx(i_f_conjugate(m, ID, 0.3).value, abs=1e-6)
 
 
-def _two_signs():
-    # two independent sign coordinates: K(u) = log cosh u_1 + log cosh u_2
-    rad = parse_model("rademacher")
-    return CgfModel(id="two-signs", dimension=2, domain=FullSpace(2), mean=(0.0, 0.0),
-                    cgf=lambda u: np.sum(rad.cgf(u), axis=-1), cgf_grad=rad.cgf_grad,
-                    cgf_hess=lambda u: np.asarray(rad.cgf_hess(u))[..., None] * np.eye(2),
-                    closed_rate=lambda v: np.sum(rad.closed_rate(v), axis=-1))
+def _two_coordinates(spec):
+    # two independent coordinates of the law ``spec``: K(u) = K_1(u_1) + K_1(u_2)
+    one = parse_model(spec)
+    return CgfModel(id=f"two-{spec}", dimension=2, domain=FullSpace(2), mean=(0.0, 0.0),
+                    cgf=lambda u: np.sum(one.cgf(u), axis=-1), cgf_grad=one.cgf_grad,
+                    cgf_hess=lambda u: np.asarray(one.cgf_hess(u))[..., None] * np.eye(2),
+                    closed_rate=lambda v: np.sum(one.closed_rate(v), axis=-1))
 
 
 def test_explicit_route_in_d2_reports_a_failed_solve():
     # x_1 = 0.6 lies past sup E_f' = 1/2 of a sign step under f(t) = t: the
     # conjugate's Newton does not settle there, and the explicit route must
     # say so rather than call the rate infinite
-    m = _two_signs()
+    m = _two_coordinates("rademacher")
     for route in (i_f_conjugate, i_f_explicit):
         with pytest.raises(NonConvergenceError):
             route(m, ID, [0.6, 0.0])
@@ -552,6 +552,57 @@ def test_explicit_route_in_d2_reports_a_failed_solve():
     explicit = i_f_explicit(m, ID, x)
     assert explicit.branch == "interior"
     assert explicit.value == pytest.approx(i_f_conjugate(m, ID, x).value, rel=1e-9)
+
+
+def test_d2_routes_past_and_inside_the_slope_range():
+    # f(t) = t: inf E_f' = -1/2 in each coordinate, as a centered Poisson
+    # step is at least -1; the coordinates are independent, so I_f is the
+    # sum of the one-dimensional rates
+    m, poi = _two_coordinates("poisson:rate=1"), parse_model("poisson:rate=1")
+    past = [-0.6, 0.0]
+    for route in (i_f_conjugate, i_f_explicit):
+        res = route(m, ID, past)
+        assert res.value == math.inf and res.branch == "infinite"
+    with pytest.raises(DomainError):
+        minimizer(m, ID, past)
+    with pytest.raises(GradientRangeError):
+        grad_inverse(kr._e_f_oracle(m, ID), [-1.5, 0.0])
+    # (1, 0): the first Newton step overshoots and the line search halves it
+    for x in ([-0.4, 0.1], [1.0, 0.0]):
+        want = sum(i_f_conjugate(poi, ID, xi).value for xi in x)
+        for route in (i_f_conjugate, i_f_explicit):
+            res = route(m, ID, x)
+            assert res.branch == "interior"
+            assert res.value == pytest.approx(want, rel=1e-9), (x, route)
+        lam = grad_inverse(kr._e_f_oracle(m, ID), x)
+        assert np.allclose(e_f_grad(m, ID, lam), x, rtol=0.0, atol=1e-8)
+    x = [-0.4, 0.1]
+    path = minimizer(m, ID, x)
+    assert np.allclose(pair(ID, path), x, rtol=0.0, atol=1e-14)
+    # the 4000-cell grid's discretisation error
+    assert i_d(path, m) == pytest.approx(i_f_conjugate(m, ID, x).value, rel=1e-7)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_routes_reject_a_non_finite_level(x):
+    # maximiser would read nan as at or past the upper edge
+    for spec in ("cexp", "gaussian:mu=0,sigma=1"):
+        for route in (i_f_conjugate, i_f_explicit, variational_rate, minimizer):
+            with pytest.raises(ValueError, match="finite"):
+                route(parse_model(spec), ID, x)
+    for route in (i_f_conjugate, i_f_explicit, minimizer):
+        with pytest.raises(ValueError, match="finite"):
+            route(_two_coordinates("poisson:rate=1"), ID, [0.1, x])
+
+
+def test_minimizer_one_ulp_inside_an_infinite_cap_edge():
+    # on 500 cells Phi's slope edge, sum l_i fbar_i, rounds to the level
+    # itself, one ulp inside E_f's edge 1/2: no path attains it, and the
+    # discrete action there is P(every step at +1)
+    m, x = parse_model("rademacher"), 0.49999999999999994
+    with pytest.raises(DomainError):
+        minimizer(m, ID, x, tol=1e-6)
+    assert variational_rate(m, ID, x, pieces=500) == math.log(2.0)
 
 
 def test_rate_at_an_infinite_cap_edge():
@@ -1049,7 +1100,11 @@ def test_variational_inner_solves_stop_at_their_rounding_floor():
     # far outside rate_dom
     ("cexp", parse_kernel("pwl:0:1,1:-1"), 0.3),
     # nu0 = I'(2) m1 / m2 lies just above the open cap 1 (m2 < 1/3)
-    ("cexp", ID, 1.0)])
+    ("cexp", ID, 1.0),
+    # zero-mean kernels whose m1 sums to +3.5e-18 and -6.9e-18, within its
+    # rounding bound: read as a sign, x / m1 lies inside rate_dom
+    ("cexp", parse_kernel("pwl:0:1.56,0.25:-1.56,0.5:1.56,0.75:-1.56,1:1.56"), 0.3),
+    ("cexp", parse_kernel("pwl:0:2.48,0.5:-2.48,1:2.48"), -0.3)])
 def test_variational_falls_back_to_a_start_at_zero(monkeypatch, spec, kernel, x):
     model = parse_model(spec)
     warm = _variational_counts(model, kernel, x)
@@ -1057,11 +1112,10 @@ def test_variational_falls_back_to_a_start_at_zero(monkeypatch, spec, kernel, x)
     assert warm == _variational_counts(model, kernel, x)
 
 
-def test_weighted_oracle_without_rate_grad_starts_at_zero():
+def test_atomic_oracle_without_rate_grad_starts_at_zero():
     model = dataclasses.replace(parse_model("cexp"), rate_grad=None)
     dom = conj.tilt_domain(model, 1.0, 0.0)
-    oracle = conj.weighted_oracle(model, dom, (1.0, 0.0, 1.0, 0.0), model.cgf, model.cgf_grad,
-                                  model.cgf_hess, moments=(1.0, 1.0))
+    oracle = conj.atomic_oracle(model, dom, np.ones(1), np.ones(1))
     assert oracle.start is None
     # the solve of the stated tol (atol = tol max(1, |x|)) from 0.0
     assert conj._solve_grad_1d(oracle, 0.5, 1e-10) == conj.solve_monotone(
@@ -1125,7 +1179,7 @@ ROUTES = (i_f_conjugate, i_f_explicit)
 def _e_f_grad_counts(model, kernel, xs, route, start=conj._one_atom_start):
     """[(result, E_f' evaluations)] of ``route`` at each level, counted on
     the grad of every E_f oracle the route builds; ``start`` stands in for
-    ``conjugate._one_atom_start``."""
+    the ``_one_atom_start`` that ``_e_f_oracle`` calls."""
     calls, oracle = [], kr._e_f_oracle
 
     def counting(model, kernel):
@@ -1136,7 +1190,7 @@ def _e_f_grad_counts(model, kernel, xs, route, start=conj._one_atom_start):
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kr, "_e_f_oracle", counting)
-        mp.setattr(conj, "_one_atom_start", start)
+        mp.setattr(kr, "_one_atom_start", start)
         for x in xs:
             calls.clear()
             out.append((route(model, kernel, float(x)), len(calls)))
@@ -1199,13 +1253,6 @@ def test_e_f_solve_falls_back_to_a_start_at_zero(model, kernel):
     for route in ROUTES:
         assert (_e_f_grad_counts(model, kernel, xs, route)
                 == _e_f_grad_counts(model, kernel, xs, route, start=_no_start))
-
-
-def test_weighted_oracle_states_its_moments():
-    model = parse_model("cexp")
-    with pytest.raises(TypeError):
-        conj.weighted_oracle(model, conj.tilt_domain(model, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0),
-                             model.cgf, model.cgf_grad, model.cgf_hess)
 
 
 def test_rate_without_a_closed_form_starts_at_its_root():

@@ -234,6 +234,13 @@ def test_sign_enumeration_against_direct_count():
                                     abs=1e-12)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_estimate_tail_rejects_a_non_finite_level(a):
+    # a nan level read as past the upper edge priced the tail exactly
+    with pytest.raises(ValueError, match="finite"):
+        estimate_tail(parse_model("rademacher"), CONST1, 10, a)
+
+
 def test_oracle_refuses_unknown_model():
     with pytest.raises(ValueError):
         exact_tail_oracle(parse_model("cexp"), ID, 10, 0.3)
