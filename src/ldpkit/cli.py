@@ -163,7 +163,7 @@ def _cmd_sweep(args, out) -> int:
 # ----------------------------------------------------------------------
 
 def _selftest_checks():
-    from .cgf import MODEL_FACTORIES
+    from .cgf import MODEL_FACTORIES, gaussian
     from .kernels import affine, constant, identity
     from .quadrature import adaptive_gl
 
@@ -274,6 +274,13 @@ def _selftest_checks():
                 got = route(model, constant(1.0), x).value
                 assert abs(got - want) <= 1e-12 * want, (spec, x, route.__name__, got, want)
 
+    def gaussian_routes_in_d2():
+        # the d > 1 solvers: f(t) = t gives I_f(x) = 1.5 (x - mu/2).Sigma^-1 (x - mu/2)
+        model, want = gaussian(mu=(0.2, -0.4), cov=((2, 0.5), (0.5, 1))), 11.794285714285714
+        for route in (i_f_conjugate, i_f_explicit):
+            got = route(model, identity(), (-2.0, 1.5)).value
+            assert abs(got - want) <= 1e-12 * want, (route.__name__, got, want)
+
     def finite_n_tilt():
         # a = 1/2 is the continuum slope edge of rademacher x identity, but
         # inside the finite-n range (n + 1) / (2n)
@@ -312,6 +319,7 @@ def _selftest_checks():
             ("minimizer is the variational argmin", minimizer_is_the_variational_argmin),
             ("open cap far out", open_cap_far_out),
             ("constant kernel far out", constant_kernel_far_out),
+            ("gaussian routes in d = 2", gaussian_routes_in_d2),
             ("finite-n tilt", finite_n_tilt),
             ("convolved flat-kernel tail", convolved_tail),
             ("gaussian any-kernel tail", gaussian_any_kernel_tail)]

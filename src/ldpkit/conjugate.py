@@ -79,12 +79,6 @@ class ConjugateResult:
     residual: Optional[object] = None
 
 
-def _stated_range(oracle: ConvexOracle) -> tuple:
-    if oracle.grad_range is None:
-        raise ValueError("a one-dimensional oracle must state its grad_range")
-    return oracle.grad_range
-
-
 # ----------------------------------------------------------------------
 # The d = 1 weighted cumulant g(lam) = int K(lam w) dmu(w)
 # ----------------------------------------------------------------------
@@ -251,8 +245,9 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
     sign(v) log(1 + |v|) is halfway: from an end at 0 that halves
     log(1 + distance), as doubling plus one adds log 2 to it.  An element
     settles once |r| <= atol and r^2 <= atol h (the conjugate misses by
-    about r^2 / 2h), once Newton stays put, or once its bracket is one ulp
-    wide or v has overflowed to +-inf.
+    about r^2 / 2h), or once its bracket is one ulp wide or v has overflowed
+    to +-inf.  Where Newton stays put short of that, a plain element steps
+    one ulp toward its root instead, so the one-ulp bracket decides it.
     ``start`` may be an array, one start per element.  A ``kink`` element (+1 or -1) has grad flat at
     the target from the root up or down: it seeks where hess vanishes,
     settles on its bracket alone, and returns the bracket end on the flat
@@ -279,13 +274,12 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
             r = g - t
             below = where(plain, r < 0, (h > 0) == up)
             a, b = where(below, v, a), where(below, b, v)
-            step = v - r / h
             # |r| <= atol and r^2 <= atol h (a nan h, as without hess, drops out)
             close = r * r <= atol * least(atol, h)
-            done = ((plain & (close | (step == v)))
-                    | (abs(v) == math.inf) | (after(a, math.inf) >= b))
+            done = (plain & close) | (abs(v) == math.inf) | (after(a, math.inf) >= b)
             if every(done):
                 return where(up, b, where(plain, v, a)), r
+            step = v - r / h
             width = b - a
             newton = (a < step) & (step < b) & ((2.0 * abs(step - v) <= before)
                                                 | (width == math.inf))
@@ -294,69 +288,63 @@ def solve_monotone(grad: Callable, hess: Optional[Callable], target, lo, hi, sta
                 wide = (width > _WIDE * (1.0 + least(abs(a), abs(b)))) & (width < math.inf)
                 if some(wide):
                     mid = where(wide, _log_middle(a, b), mid)
-                step = where(newton, step, where(b == math.inf, 2.0 * a + (1.0 - start),
-                                                 where(a == -math.inf, 2.0 * b - (1.0 + start),
-                                                       mid)))
+                # v is a bracket end, so a Newton step that stays put is never
+                # taken: a plain element steps one ulp toward its root instead
+                step = where(newton, step, where(
+                    plain & (step == v), after(v, -r * math.inf),
+                    where(b == math.inf, 2.0 * a + (1.0 - start),
+                          where(a == -math.inf, 2.0 * b - (1.0 + start), mid))))
             v, last = where(done, v, step), v
             before, moved = moved, abs(v - last)
     raise NonConvergenceError(f"monotone solve did not settle in {max_iter} iterations")
 
 
-def _solve_grad_1d(oracle: ConvexOracle, x: float, tol: float):
-    """(u, grad g(u) - x) at the root of grad g = x, which lies strictly inside
-    the domain, the bracket, as x lies strictly inside the stated range.
-    Newton starts at the oracle's start at x, or 0.0 if it states none.
-
-    A residual r above sqrt(atol) stands when the root lies within one ulp
-    of u: the conjugate at u then misses by at most |r| ulp(u), which near
-    an open cap is far below what |r| suggests.
-    """
-    start = 0.0 if oracle.start is None else oracle.start(x)
-    atol = tol * max(1.0, abs(x))
-    u, r = solve_monotone(oracle.grad, oracle.hess, x, oracle.domain.lower,
-                          oracle.domain.upper, start, atol, max_iter=_MAX_ITER)
-    if abs(r) > math.sqrt(atol) and (
-            oracle.grad(math.nextafter(u, math.copysign(math.inf, -r))) - x) * r > 0:
-        raise NonConvergenceError(f"gradient equation settled {r:.3g} from x at tol={tol}")
-    return float(u), float(r)
-
-
-def maximiser(oracle: ConvexOracle, x, tol: float = None) -> ConjugateResult:
+def maximiser(oracle: ConvexOracle, x, tol: float = 1e-10) -> ConjugateResult:
     """The argmax of x.u - g(u), its branch and its ``residual``, with the
     value only where it needs no further evaluation of g: +inf, a stated
-    conjugate at a slope edge, or in d > 1 the line search's own value.
+    conjugate at a slope edge, or in d > 1 the Newton's own value.  A nan
+    level, or a nan component, raises ValueError.
 
     In d = 1, x at or past a slope edge is decided by exact comparison: a
     finite domain end is the argmax, with the stated slope edge minus x for
-    residual; an infinite one gives +inf, or the stated conjugate exactly at
-    the edge, with no argmax.  Inside the range the argmax is the root of
-    grad g = x, with the solve's residual.
+    residual; an infinite one, or an infinite x, gives +inf, or the stated
+    conjugate exactly at the edge, with no argmax.  Inside the range the
+    argmax is the root of grad g = x, with the residual of its solve from
+    the oracle's start (0.0 if none) to atol = tol max(1, |x|).  In d > 1
+    ``tol`` is not read: ``_maximiser_nd`` stops on its Newton decrement.
     """
     if isinstance(oracle.domain, FullSpace):
-        return _maximiser_nd(oracle, np.asarray(x, dtype=float), 1e-8 if tol is None else tol)
-    if tol is None:
-        tol = 1e-10
+        x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise ValueError(f"level x must not be nan, got {x}")
+        return _maximiser_nd(oracle, x)
     x = float(x)
+    if math.isnan(x):
+        raise ValueError("level x must not be nan")
     dom = oracle.domain
-    glo, ghi = _stated_range(oracle)
+    if oracle.grad_range is None:
+        raise ValueError("a one-dimensional oracle must state its grad_range")
+    glo, ghi = oracle.grad_range
     for side, edge, end, index in ((1.0, ghi, dom.upper, 1),
                                    (-1.0, glo, dom.lower, 0)):
-        gap = side * (x - edge)     # how far x lies beyond this edge
-        if gap < 0:
+        if side * x < side * edge:      # x lies inside this edge
             continue
-        if math.isfinite(end):
+        if math.isfinite(end) and math.isfinite(x):
             return ConjugateResult(None, end, True, edge - x)
-        if gap > 0:
+        if x != edge or math.isinf(x):
             return ConjugateResult(math.inf, None, True)
         value = (oracle.edge_values or (None, None))[index]
         if value is None:
-            raise DomainError("no conjugate value stated at this slope edge")
+            raise GradientRangeError(("below", "above")[index],
+                                     "no conjugate value stated at this slope edge")
         return ConjugateResult(value, None, True)
-    u, r = _solve_grad_1d(oracle, x, tol)
-    return ConjugateResult(None, u, False, r)
+    start = 0.0 if oracle.start is None else oracle.start(x)
+    u, r = solve_monotone(oracle.grad, oracle.hess, x, dom.lower, dom.upper, start,
+                          tol * max(1.0, abs(x)), max_iter=_MAX_ITER)
+    return ConjugateResult(None, float(u), False, float(r))
 
 
-def legendre(oracle: ConvexOracle, x, tol: float = None) -> ConjugateResult:
+def legendre(oracle: ConvexOracle, x, tol: float = 1e-10) -> ConjugateResult:
     """sup_u { x.u - g(u) }: ``maximiser`` with the value x.u - g(u) at its
     argmax."""
     res = maximiser(oracle, x, tol)
@@ -370,48 +358,48 @@ def legendre(oracle: ConvexOracle, x, tol: float = None) -> ConjugateResult:
     return ConjugateResult(float(x) * u - gu + 0.0, u, res.at_boundary, res.residual)
 
 
-def _maximiser_nd(oracle: ConvexOracle, x: np.ndarray, tol: float) -> ConjugateResult:
+def _maximiser_nd(oracle: ConvexOracle, x: np.ndarray) -> ConjugateResult:
+    """Damped Newton from 0 on x.lam - g(lam).  It returns lam, without the
+    last step, once the Newton decrement r.H^-1 r / 2 is within the value's
+    rounding, ``_ROUNDING`` (|x.lam| + |g(lam)| + 1) (Boyd and Vandenberghe,
+    *Convex Optimization*, 9.5.1).  The line search halves a step until its
+    value is within that rounding of the current one, as a small enough
+    step gains about alpha r.H^-1 r > 0.  A tilt past 1e9 max(1, |x|) gives
+    +inf."""
     lam = np.zeros_like(x)
     scale = max(1.0, float(np.linalg.norm(x)))
-    phi = float(x @ lam) - float(oracle.eval(lam))
+    phi = -float(oracle.eval(lam))
     for _ in range(_MAX_ITER):
         resid = np.asarray(oracle.grad(lam), dtype=float) - x
-        if np.linalg.norm(resid) <= tol * scale:
-            return ConjugateResult(phi, lam, False, resid)
         hess = np.asarray(oracle.hess(lam), dtype=float)
         try:
             step = np.linalg.solve(hess, -resid)
         except np.linalg.LinAlgError:
             step = -resid
-        alpha = 1.0
-        for _ in range(60):
+        decrement, xl = -0.5 * float(resid @ step), float(x @ lam)
+        rounding = _ROUNDING * (abs(xl) + abs(xl - phi) + 1.0)
+        if decrement <= rounding:
+            return ConjugateResult(phi, lam, False, resid)
+        if not math.isfinite(decrement):
+            break
+        alpha, val = 2.0, -math.inf
+        while not val >= phi - rounding:
+            alpha *= 0.5
             cand = lam + alpha * step
             val = float(x @ cand) - float(oracle.eval(cand))
-            if math.isfinite(val) and val > phi:
-                lam, phi = cand, val
-                break
-            alpha *= 0.5
-        else:
-            raise NonConvergenceError("multivariate conjugate line search stalled")
+        lam, phi = cand, val
         if np.linalg.norm(lam) > 1e9 * scale:
             return ConjugateResult(math.inf, None, True)
-    raise NonConvergenceError(f"multivariate conjugate did not meet tol={tol} "
-                              f"in {_MAX_ITER} iterations")
+    raise NonConvergenceError(f"multivariate conjugate did not settle in {_MAX_ITER} "
+                              "Newton steps")
 
 
-def grad_inverse(oracle: ConvexOracle, x, tol: float = None):
-    """Solve grad g = x; 1-D raises GradientRangeError naming the violated side."""
-    if isinstance(oracle.domain, FullSpace):
-        res = maximiser(oracle, x, tol)
-        if res.argmax is None:
-            raise GradientRangeError("above", "gradient target unreachable")
-        return res.argmax
-    if tol is None:
-        tol = 1e-10
-    x = float(x)
-    glo, ghi = _stated_range(oracle)
-    if x >= ghi:
-        raise GradientRangeError("above")
-    if x <= glo:
-        raise GradientRangeError("below")
-    return _solve_grad_1d(oracle, x, tol)[0]
+def grad_inverse(oracle: ConvexOracle, x, tol: float = 1e-10):
+    """The root of grad g = x: ``maximiser``'s argmax.  GradientRangeError,
+    naming the side, wherever that lies at the boundary: in d = 1 at or past
+    a slope edge, in d > 1 where the Newton tilt runs off to infinity."""
+    res = maximiser(oracle, x, tol)
+    if res.at_boundary:
+        above = isinstance(oracle.domain, FullSpace) or x >= oracle.grad_range[1]
+        raise GradientRangeError("above" if above else "below")
+    return res.argmax

@@ -552,13 +552,13 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     lens = np.diff(grid)
     fbar = w / lens
     oracle = atomic_oracle(model, _grid_caps(model, kernel), fbar, lens)
-    res = maximiser(oracle, x, _EPS if model.dimension == 1 else 1e-12)
+    res = maximiser(oracle, x, _EPS)
     if res.argmax is None:
         raise DomainError("x is at or past a slope edge with an infinite tilt cap; "
                           "no minimizing path")
     if model.dimension > 1:
-        # one more Newton step, which the line search of ``maximiser`` cannot
-        # take where nu x - Phi is flat to rounding, pairs to x within rounding
+        # ``maximiser`` stops on its Newton decrement before taking the last
+        # step; taking it here pairs the path to x within rounding
         nu = res.argmax - np.linalg.solve(oracle.hess(res.argmax), res.residual)
         return CadlagPath(model.dimension, grid, model.cgf_grad(np.outer(fbar, nu)), ())
 
@@ -614,18 +614,18 @@ def _inner_slopes(model: CgfModel, s: np.ndarray, start: np.ndarray = None) -> n
 
 
 def _inner_slopes_nd(model: CgfModel, targets: np.ndarray) -> np.ndarray:
-    """Rows v with grad I(v) = target, by Newton batched over the rows, until
-    each component is at its target to rounding, ``_ROUNDING`` (1 + |target|),
-    or its Newton step is within eps (1 + |v|).  A residual can stay above
-    that floor where floats place v coarsely against the curvature (v large
-    against the spread of a Gaussian law): there Newton stays put instead."""
+    """Rows v with grad I(v) = u, u the rows of ``targets``, by Newton from
+    the mean batched over the rows.  I*(u) = sup_v u.v - I(v) is a conjugate
+    too, so the stop is ``conjugate._maximiser_nd``'s: v is returned, without
+    the last step, once the Newton decrement r.step / 2 of every row is
+    within the rounding of its value, ``_ROUNDING`` (|u.v| + |I(v)| + 1)."""
     v = np.broadcast_to(model.mean_vec, targets.shape).copy()
     for _ in range(100):
         g = np.asarray(model.rate_grad(v), dtype=float) - targets
         hess = np.broadcast_to(model.rate_hess(v), targets.shape + targets.shape[-1:])
         step = np.linalg.solve(hess, g[..., None])[..., 0]
-        if np.all((np.abs(g) <= _ROUNDING * (1.0 + np.abs(targets)))
-                  | (np.abs(step) <= _EPS * (1.0 + np.abs(v)))):
+        rounding = _ROUNDING * (np.abs(np.sum(targets * v, axis=-1)) + np.abs(model.rate(v)) + 1.0)
+        if np.all(0.5 * np.sum(g * step, axis=-1) <= rounding):
             return v
         v = v - step
     raise NonConvergenceError("inner slope solve did not settle in d > 1")

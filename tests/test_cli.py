@@ -206,7 +206,7 @@ def test_selftest_json(capsys):
     code, cap = _run(capsys, ["selftest", "--format", "json"])
     assert code == 0
     rows = json.loads(cap.out)
-    assert len(rows) == 16
+    assert len(rows) == 17
     assert all(set(row) == {"check", "status", "error"} for row in rows)
     assert all(row["status"] == "ok" and row["error"] is None for row in rows)
 
@@ -221,6 +221,12 @@ def test_selftest_checks_the_variational_route(capsys):
     code, cap = _run(capsys, ["selftest"])
     assert code == 0
     assert "ok   variational vs conjugate" in cap.out.splitlines()
+
+
+def test_selftest_checks_the_gaussian_routes_in_d2(capsys):
+    code, cap = _run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   gaussian routes in d = 2" in cap.out.splitlines()
 
 
 def test_selftest_checks_the_minimizer_near_a_slope_edge(capsys):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from ldpkit import (CgfModel, ConvexOracle, DomainError, DomainInterval,
-                    GradientRangeError, grad_inverse, legendre, parse_kernel,
-                    parse_model)
+                    GradientRangeError, NonConvergenceError, grad_inverse, legendre,
+                    parse_kernel, parse_model)
 from ldpkit import kernel_rate as kr
 from ldpkit.cgf import FullSpace
-from ldpkit.conjugate import (_one_atom_start, _solve_grad_1d, atomic_oracle, maximiser,
-                              one_cell_slope, solve_monotone, tilt_domain)
+from ldpkit.conjugate import (_one_atom_start, atomic_oracle, maximiser, one_cell_slope,
+                              solve_monotone, tilt_domain)
 
 
 def oracle_of(model):
@@ -364,6 +364,57 @@ def test_solve_cuts_a_bracket_over_many_decades_on_the_log_scale():
                 assert np.allclose(v, np.tan(target), rtol=1e-12, atol=0.0), (target, hess)
 
 
+def test_newton_that_stays_put_steps_one_ulp_toward_the_root():
+    # hess overstates the slope 1e8 so far that v - r / h == v at every v
+    def overstated(grad):
+        return ConvexOracle(DomainInterval(-math.inf, math.inf), eval=None, grad=grad,
+                            hess=lambda u: 1e300, grad_range=(-math.inf, math.inf),
+                            start=lambda x: 1.0)
+
+    # the root 1 + 1e-16 lies inside the one-ulp bracket [1, 1 + 2^-52]: one
+    # step of an ulp from the start closes it
+    near = overstated(lambda u: 1e8 * (u - 1.0) - 1e-8)
+    res = maximiser(near, 0.0)
+    assert res.argmax in (1.0, math.nextafter(1.0, 2.0)) and not res.at_boundary
+    assert res.residual == near.grad(res.argmax)
+    v, _ = solve_monotone(near.grad, near.hess, np.zeros(2), -math.inf, math.inf, 1.0, 1e-10)
+    assert np.all((v == 1.0) | (v == math.nextafter(1.0, 2.0)))
+    # a root at 2 is not one ulp a step away: the solve fails rather than
+    # return the start as a root
+    far = overstated(lambda u: 1e8 * (u - 2.0))
+    for solve in (maximiser, grad_inverse):
+        with pytest.raises(NonConvergenceError):
+            solve(far, 0.0)
+
+
+def test_a_nan_level_is_bad_input():
+    # nan < edge and nan >= edge are both False: read as a number, nan would
+    # lie at the upper slope edge, log 2 for a sign step
+    rad = parse_model("rademacher")
+    oracle = atomic_oracle(rad, tilt_domain(rad, 1.0, 0.0), np.ones(1), np.ones(1))
+    for solve in (legendre, grad_inverse):
+        with pytest.raises(ValueError, match="nan"):
+            solve(oracle, math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        dataclasses.replace(rad, closed_rate=None).rate(math.nan)
+    full = ConvexOracle(domain=FullSpace(2), eval=lambda u: 0.5 * u @ u, grad=lambda u: u,
+                        hess=lambda u: np.eye(2))
+    with pytest.raises(ValueError, match="nan"):
+        legendre(full, [0.5, math.nan])
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_an_infinite_level_prices_plus_inf(spec):
+    # the rate fallback of a model with no closed rate reads I = +inf at
+    # +-inf; an infinite slope edge is met without computing inf - inf
+    model = parse_model(spec)
+    oracle = atomic_oracle(model, tilt_domain(model, 1.0, 0.0), np.ones(1), np.ones(1))
+    for x in (math.inf, -math.inf):
+        res = legendre(oracle, x)
+        assert res.value == math.inf and res.argmax is None and res.at_boundary
+        assert dataclasses.replace(model, closed_rate=None).rate(x) == math.inf
+
+
 # -- multivariate -------------------------------------------------------------
 
 def test_legendre_full_space():
@@ -397,7 +448,7 @@ def test_one_atom_start_is_the_root_for_one_atom(spec):
         lam = oracle.start(x)
         assert lam != 0.0
         assert oracle.grad(lam) == pytest.approx(x, rel=1e-12)
-        assert _solve_grad_1d(oracle, x, 1e-10)[0] == pytest.approx(lam, rel=1e-12)
+        assert grad_inverse(oracle, x, 1e-10) == pytest.approx(lam, rel=1e-12)
 
 
 def test_one_atom_start_falls_back_to_zero():

@@ -583,9 +583,25 @@ def test_d2_routes_past_and_inside_the_slope_range():
     assert i_d(path, m) == pytest.approx(i_f_conjugate(m, ID, x).value, rel=1e-7)
 
 
+@pytest.mark.parametrize("spec,x", [
+    ("rademacher", [0.3, 0.0]), ("rademacher", [0.4, 0.0]), ("rademacher", [0.3, 0.1]),
+    ("rademacher", [0.4, 0.1]), ("poisson:rate=1", [2.0, 0.0])])
+def test_d2_routes_where_the_last_newton_step_gains_under_an_ulp(spec, x):
+    # Newton's last step here raises x.lam - E_f by less than one ulp of the
+    # value: the solve stops on its decrement there, and a line search that
+    # asked for a strictly larger value would give up.  The coordinates are
+    # independent, so I_f is the sum of the one-dimensional rates
+    m, one = _two_coordinates(spec), parse_model(spec)
+    want = sum(i_f_conjugate(one, ID, xi).value for xi in x)
+    for route in (i_f_conjugate, i_f_explicit):
+        res = route(m, ID, x)
+        assert res.branch == "interior"
+        assert res.value == pytest.approx(want, rel=2e-15, abs=0.0), (x, route)
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_routes_reject_a_non_finite_level(x):
-    # maximiser would read nan as at or past the upper edge
+    # no route prices a level that is not a finite number
     for spec in ("cexp", "gaussian:mu=0,sigma=1"):
         for route in (i_f_conjugate, i_f_explicit, variational_rate, minimizer):
             with pytest.raises(ValueError, match="finite"):
@@ -1118,7 +1134,8 @@ def test_atomic_oracle_without_rate_grad_starts_at_zero():
     oracle = conj.atomic_oracle(model, dom, np.ones(1), np.ones(1))
     assert oracle.start is None
     # the solve of the stated tol (atol = tol max(1, |x|)) from 0.0
-    assert conj._solve_grad_1d(oracle, 0.5, 1e-10) == conj.solve_monotone(
+    res = conj.maximiser(oracle, 0.5, 1e-10)
+    assert (res.argmax, res.residual) == conj.solve_monotone(
         oracle.grad, oracle.hess, 0.5, dom.lower, dom.upper, 0.0, 1e-10)
 
 
