@@ -13,7 +13,10 @@ routes that share no value formula:
   * i_f_explicit: int_0^1 I(K'(lam f(t))) dt + lam (x - E_f'(lam)) at the
     tilt lam the same solver's ``maximiser`` returns, clamped to the caps:
     the closed rate integrated along the tilt's slopes, plus the jump priced
-    at the cap past a slope edge, one formula in every dimension;
+    at the cap past a slope edge, one formula in every dimension; in d = 1
+    next to a finite domain edge of K it integrates in the slope v = K'(u),
+    as int I(v) I''(v) dv, so the rounding of u next to the edge never
+    enters;
   * variational_rate: the discretised path action minimised under the
     pairing constraint, as the Legendre transform of its discrete dual on
     the same solver (uses only the rate function, its derivatives, the
@@ -371,60 +374,43 @@ def _sign_split(kernel: Kernel):
     return pos, neg, pos_int, neg_int
 
 
-def _edge_layer(model: CgfModel, edge: float, d_near: float, d_far: float):
-    """(int I(K'(edge - d)) dd from d_near to d_far, rounding estimate) for
-    distances d to a finite edge, signed like it, |d_near| < |d_far| <= |edge|/2.
-
-    Cuts at d = edge 2^-k keep the singular edge a panel width or more from
-    each panel, so the 32-node rule is exact there up to rounding, mostly
-    that of u = edge - d, which floats hold to ulp(edge) while d is far
-    smaller.  Each node value is corrected by d/du I(K'(u)) = u K''(u) times
-    the exact lattice error s = (edge - u) - d; the estimate is the change
-    from one rule to two on the halves plus the correction times s / d.
-    """
-    cuts = edge * 2.0 ** -np.arange(1, np.finfo(float).nmant + 1)
-    bounds = np.sort(np.concatenate(
-        ([d_near, d_far], cuts[(abs(cuts) > abs(d_near)) & (abs(cuts) < abs(d_far))])))
-    lo, mid, hi = bounds[:-1], 0.5 * (bounds[:-1] + bounds[1:]), bounds[1:]
-
-    def fn(d):
-        u = edge - d
-        s = (edge - u) - d
-        fix = u * model.cgf_hess(u) * s
-        return np.stack([model.closed_rate(model.cgf_grad(u)) + fix, np.abs(fix * s / d)], -1)
-
-    whole = quad.gl32(fn, lo, hi)[:, 0]
-    fine = quad.gl32(fn, np.stack((lo, mid)), np.stack((mid, hi))).sum(axis=0)
-    return float(fine[:, 0].sum()), float(np.abs(fine[:, 0] - whole).sum() + fine[:, 1].sum())
+def _dyadic_gl(fn, lo: float, hi: float, tol: float) -> float:
+    """``adaptive_gl`` of fn over [lo, hi], split first where |s| crosses 2^k,
+    k >= 0, s the variable of integration: in u = lam f, where K'(u) leaves
+    its saturated value; in v = K'(u), where I(v) I''(v) decays toward a
+    finite domain edge of K."""
+    cuts = 2.0 ** np.arange(math.ceil(math.log2(max(1.0, -lo, hi))) + 1)
+    cuts = np.concatenate((-cuts[::-1], cuts))
+    return quad.adaptive_gl(fn, lo, hi, tol, cuts=cuts[(cuts > lo) & (cuts < hi)])
 
 
-def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar, tol: float) -> tuple:
-    """(int_0^1 I(K'(lam_bar f(t))) dt, rounding estimate) for a lam_bar in
-    d_f, a cap only where it is closed, as ``maximiser`` returns for a finite
-    level (at an open cap the slope edge is infinite).
+def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar, tol: float) -> float:
+    """int_0^1 I(K'(lam_bar f(t))) dt for a lam_bar in d_f, a cap only where
+    it is closed, as ``maximiser`` returns for a finite level (at an open cap
+    the slope edge is infinite).
 
-    In d > 1 each kernel piece takes one array-valued adaptive pass, with no
-    rounding estimate.  In d = 1 untouched pieces take quadrature in
-    u = lam_bar f, so this route shares no value formula with E_f:
-    ``_edge_layer`` within |e| / 2 of a finite domain edge e, else the
-    adaptive rule split where |u| crosses 2^k, k >= 0, to see where K'
-    leaves its saturated value.  A flat piece, or one touching a (closed)
-    edge, is a ``_node_walk`` bracket of uK - 2P, d/du (uK - 2P) =
-    I(K'(u)) = u K'(u) - K(u).
+    In d > 1 each kernel piece takes one array-valued adaptive pass.  In
+    d = 1 an untouched piece takes ``_dyadic_gl`` in u = lam_bar f, so this
+    route shares no value formula with E_f, but within |e| / 2 of a finite
+    domain edge e of K in v = K'(u): u = I'(v), so du = I''(v) dv and that
+    layer is int I(v) I''(v) dv, whose nodes are v's, so the rounding of u
+    next to e never enters.  A flat piece, or one touching a (closed) edge,
+    where K'(e) and so v can be infinite, is a ``_node_walk`` bracket of
+    uK - 2P, d/du (uK - 2P) = I(K'(u)) = u K'(u) - K(u).
     """
     def g(u):
         return model.closed_rate(model.cgf_grad(u))
 
     if model.dimension > 1:
         return sum(quad.adaptive_gl(lambda ts: g(kernel.eval(ts)[:, None] * lam_bar), a, b, tol)
-                   for a, b, _, _ in kernel.pieces()), 0.0
+                   for a, b, _, _ in kernel.pieces())
     u, touched = _trace(model, kernel, lam_bar, kernel._vals)
     closed = touched[:-1] | touched[1:] | (u[:-1] == u[1:])
     if np.count_nonzero(closed):
         mean, rough = _node_walk(model, kernel, lam_bar)(
             0, (("cgf", "cgf_int"), lambda u, k, p: (u * k, -2.0 * p)), g, tol)
         value = mean * kernel._widths
-    total = rounding = 0.0
+    total = 0.0
     for i, (a, b, _, _) in enumerate(kernel.pieces()):
         if closed[i]:
             total += (quad.adaptive_gl(lambda ts: g(lam_bar * kernel.eval(ts)), a, b, tol)
@@ -438,13 +424,11 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar, tol: float) -> tup
                 continue
             far = max(lo, 0.5 * edge) if edge > 0 else min(hi, 0.5 * edge)
             lo, hi = (lo, far) if edge > 0 else (far, hi)
-            layer, err = _edge_layer(model, edge, edge - near, edge - far)
-            total, rounding = total + layer / rate, rounding + err / rate
-        cuts = 2.0 ** np.arange(math.ceil(math.log2(max(1.0, -lo, hi))) + 1)
-        cuts = np.concatenate((-cuts[::-1], cuts))
-        cuts = cuts[(cuts > lo) & (cuts < hi)]
-        total += quad.adaptive_gl(g, lo, hi, tol * rate, cuts=cuts) / rate
-    return total, rounding
+            v_lo, v_hi = sorted(model.cgf_grad(np.array([near, far])).tolist())
+            total += _dyadic_gl(lambda v: model.closed_rate(v) * model.rate_hess(v),
+                                v_lo, v_hi, tol * rate) / rate
+        total += _dyadic_gl(g, lo, hi, tol * rate) / rate
+    return total
 
 
 def _require(model: CgfModel, route: str, *names: str) -> None:
@@ -461,17 +445,18 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
     to the caps, so the second term vanishes up to the solve's residual at an
     interior root and is the jump priced at the cap past a slope edge.  With
     no tilt attained the value is the maximiser's own, +inf or the stated
-    I_f at a slope edge with an infinite cap."""
-    _require(model, "i_f_explicit", "closed_rate")
+    I_f at a slope edge with an infinite cap.  A d = 1 model with a finite
+    domain edge must state ``rate_hess``, the du / dv of the edge layer of
+    ``_clamp_integral``."""
+    _require(model, "i_f_explicit", "closed_rate",
+             *(("rate_hess",) if model.dimension == 1
+               and min(-model.domain.lower, model.domain.upper) < math.inf else ()))
     x = _level(model, x)
     res = maximiser(_e_f_oracle(model, kernel), x, min(tol, 1e-10))
     if res.argmax is None:
         return _result(model, kernel, x, res.value, res)
     lam = res.argmax
-    value, rounding = _clamp_integral(model, kernel, lam, 0.1 * tol)
-    value -= float(np.dot(lam, res.residual))
-    if rounding > tol * max(1.0, abs(value)):
-        raise NonConvergenceError(f"edge layer rounding {rounding:.3g} exceeds tol={tol}")
+    value = _clamp_integral(model, kernel, lam, 0.1 * tol) - float(np.dot(lam, res.residual))
     return _result(model, kernel, x, value, res)
 
 

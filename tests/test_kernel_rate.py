@@ -744,21 +744,68 @@ def _mp_cexp_affine_1_2(mp, delta):
     return ef, (-mp.log(delta) - mp.log(1 + lam)) / (2 * lam) - ef / lam
 
 
-@pytest.mark.parametrize("x", [20.0, 24.0, 26.0, 27.0, 30.0, 40.0, 100.0])
+@pytest.mark.parametrize("x", [20.0, 24.0, 26.0, 27.0, 28.25, 29.0, 30.0, 40.0, 60.0, 100.0])
 def test_cexp_identity_toward_the_open_cap(x):
     # lam* = 1 - O(e^-x) nears the open cap 1, within an ulp of it from
-    # x ~ 36 on, while I_f stays finite.  The conjugate holds to rounding.
-    # The explicit route meets 1e-9 while rounding in lam f near the edge
-    # allows it, and says so when it does not
+    # x ~ 36 on, while I_f stays finite.  The conjugate holds to rounding,
+    # and so does the explicit route, whose edge layer takes its nodes in
+    # v = K'(u): the rounding of lam f next to the edge never enters
     m = parse_model("cexp")
     want = _mp_rate(_mp_cexp_identity, x)
     assert i_f_conjugate(m, ID, x).value == pytest.approx(want, rel=1e-12)
-    try:
-        got = i_f_explicit(m, ID, x).value
-    except NonConvergenceError:
-        assert x >= 28.0
-    else:
-        assert got == pytest.approx(want, rel=1e-9)
+    assert i_f_explicit(m, ID, x).value == pytest.approx(want, rel=1e-12)
+
+
+def _cexp_mirror():
+    """The law of -X, X ~ cexp, from cexp's own formulas: K(-u) on the open
+    (-1, inf), whose finite edge is the lower one."""
+    c = parse_model("cexp")
+    return CgfModel(
+        id="cexp-mirror", dimension=1, domain=DomainInterval(-1.0, math.inf), mean=0.0,
+        cgf=lambda u: c.cgf(-u), cgf_grad=lambda u: -c.cgf_grad(-u),
+        cgf_hess=lambda u: c.cgf_hess(-u), cgf_int=lambda u: -c.cgf_int(-u),
+        closed_rate=lambda v: c.closed_rate(-v), rate_grad=lambda v: -c.rate_grad(-v),
+        rate_hess=lambda v: c.rate_hess(-v), rate_dom=(-math.inf, 1.0))
+
+
+@pytest.mark.parametrize("kernel", [ID, AFFINE_1_2, TENT])
+@pytest.mark.parametrize("route", [i_f_conjugate, i_f_explicit])
+def test_the_edge_layer_below_mirrors_the_one_above(route, kernel):
+    # I_f of -X at -x is I_f of X at x: the explicit route's layer next to
+    # the lower edge -1 takes the mirror of the nodes it takes next to 1
+    cexp, mirror = parse_model("cexp"), _cexp_mirror()
+    for x in (0.3, 1.0, 3.0, 10.0, 28.5, 40.0):
+        want = route(cexp, kernel, x).value
+        assert route(mirror, kernel, -x).value == pytest.approx(want, rel=1e-15), x
+
+
+def test_explicit_route_names_a_missing_rate_hess():
+    # the edge layer of a finite domain edge integrates I(v) I''(v) dv; a
+    # model with no finite edge never reaches it
+    bare = dataclasses.replace(parse_model("cexp"), id="cexp-no-rate-hess", rate_hess=None)
+    with pytest.raises(DomainError, match="rate_hess"):
+        i_f_explicit(bare, ID, 10.0)
+    g = parse_model("gaussian:mu=0,sigma=1")
+    no_hess = dataclasses.replace(g, id="gaussian-no-rate-hess", rate_hess=None)
+    assert i_f_explicit(no_hess, ID, 1.0).value == i_f_explicit(g, ID, 1.0).value
+
+
+@pytest.mark.xfail(strict=True, reason="finding (a): x lam - E_f(lam) cancels at |lam| ~ 9e15 "
+                                      "one ulp inside cexp's support edge")
+@pytest.mark.parametrize("kspec,x", [("const:1", -(1.0 - 2.0 ** -53)),
+                                     ("const:-1", 1.0 - 2.0 ** -53)])
+def test_conjugate_one_ulp_inside_the_support_edge(kspec, x):
+    # on a constant kernel E_f = K, so I_f is the closed I(-(1 - 2^-53))
+    m = parse_model("cexp")
+    got = i_f_conjugate(m, parse_kernel(kspec), x).value
+    assert got == pytest.approx(35.7368005696771, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="finding (e): the explicit route gives +inf one ulp "
+                                      "inside cexp x affine:0.5,1's slope edge -1")
+def test_explicit_route_one_ulp_inside_the_lower_support_edge():
+    x = math.nextafter(-1.0, 0.0)
+    assert math.isfinite(i_f_explicit(parse_model("cexp"), parse_kernel("affine:0.5,1"), x).value)
 
 
 def test_cexp_affine_both_caps_far_out(monkeypatch):
