@@ -87,10 +87,14 @@ class CgfModel:
     one-sided limit values on the closed hull boundary.  Equality and the
     hash leave the callables out, so the other fields, ``id`` above all, must
     tell two laws apart; two parses of one spec then share cached analyses.
-    Such a cache holds law facts only (tilt caps, slope edges and the
-    conjugate there), never a formula: every evaluation calls the formulas
-    of the model the caller passed, so a ``dataclasses.replace`` copy with
-    other callables runs its own.
+    Such a cache holds law facts only, never a formula: the tilt caps,
+    slope edges and the conjugate there of E_f (``kernel_rate._problem``),
+    and of the discrete dual on a grid of cells the read-only cell lengths
+    and means, its caps, slope edges and first two moments
+    (``kernel_rate._dual``).  Every evaluation calls the formulas of the
+    model the caller passed, so a ``dataclasses.replace`` copy with other
+    callables runs its own; a fact that needs a formula, a slope edge at a
+    closed cap, is read from the model that first asked for it.
 
     For d=1, ``grad_range`` is the slope range (K'(lower+), K'(upper-)) read
     from the model with no search, by the weighted-cumulant rule of

@@ -23,7 +23,9 @@ in d > 1, with a vector tilt.  ``tilt_domain`` and
 once for all, and ``_one_atom_start`` where the solve of g' = x starts,
 from mu's first two moments: the root for the one atom with those moments.
 Every oracle, E_f's included, is built from these three, and only
-``maximiser`` compares x with the slope range.
+``maximiser`` compares x with the slope range.  For a finite mu,
+``atomic_facts`` gathers the slope range and the two moments: numbers
+only, which ``kernel_rate`` keeps once per grid of the discrete dual.
 """
 
 from __future__ import annotations
@@ -187,8 +189,30 @@ def _one_atom_start(model: CgfModel, domain: DomainInterval, m1: float, m2: floa
     return start
 
 
+def _atomic_grad(atoms: np.ndarray, masses: np.ndarray, kp: Callable, lam: float) -> float:
+    """g'(lam) = sum_j m_j a_j k'(lam a_j) in d = 1: one array call of k'."""
+    return float(masses @ (atoms * kp(lam * atoms)))
+
+
+def atomic_facts(model: CgfModel, domain: DomainInterval, atoms: np.ndarray,
+                 masses: np.ndarray, cumulant: tuple = None) -> tuple:
+    """(grad_range, edge_values, m1, m2) of the d = 1 cumulant of
+    ``atomic_oracle``: ``slope_edges`` on mu's sign split, with g' on k' of
+    ``cumulant`` (the model's K' by default) at a closed cap, and mu's
+    moments m1 (``_first_moment``) and m2 = sum_j m_j a_j^2.  They are law
+    facts, numbers only, so a caller may keep them for every level on one
+    (mu, domain, cumulant) and pass them back to ``atomic_oracle``."""
+    a, m = atoms, masses
+    kp = (cumulant or (None, model.cgf_grad))[1]
+    pos, neg = a > 0, a < 0
+    grad_range, edge_values = zip(*slope_edges(
+        model, domain, (np.sum(m[pos]), np.sum(m[neg]), m[pos] @ a[pos], m[neg] @ a[neg]),
+        partial(_atomic_grad, a, m, kp)))
+    return grad_range, edge_values, _first_moment(a, m), float(m @ (a * a))
+
+
 def atomic_oracle(model: CgfModel, domain: Domain, atoms: np.ndarray, masses: np.ndarray,
-                  cumulant: tuple = None, known: tuple = None) -> ConvexOracle:
+                  cumulant: tuple = None, known: tuple = None, facts: tuple = None) -> ConvexOracle:
     """The oracle of g(lam) = sum_j m_j k(lam a_j), the cumulant of the
     finite measure mu = sum_j m_j delta_{a_j}, on the caller's tilt
     ``domain``: each of g, g' and g'' is one array call of k, k' or k''.
@@ -196,11 +220,12 @@ def atomic_oracle(model: CgfModel, domain: Domain, atoms: np.ndarray, masses: np
     ``cumulant`` is (k, k', k'') on an array of points, rows lam a_j in
     d > 1: K itself, by default the model's own formulas, or K read another
     way (``kernel_rate._rate_cumulant`` reads it from I), as the slope range
-    and the start are read from the model.  In d = 1 the slope range is
-    ``slope_edges`` on mu's sign split, and the solve starts at
-    ``_one_atom_start`` for mu's moments m1 (``_first_moment``) and
-    m2 = sum_j m_j a_j^2 and the ``known`` one-cell slope; there is no g''
-    where k'' is None.  In d > 1 it is a plain oracle over ``domain``.
+    and the start are read from the model.  In d = 1 the slope range and
+    mu's first two moments are ``atomic_facts``, ``facts`` where the caller
+    kept them from an earlier call on the same mu, domain and cumulant,
+    else found here, and the solve starts at ``_one_atom_start`` for those
+    moments and the ``known`` one-cell slope; there is no g'' where k'' is
+    None.  In d > 1 it is a plain oracle over ``domain``.
     """
     a, m = atoms, masses
     k, kp, kpp = cumulant or (model.cgf, model.cgf_grad, model.cgf_hess)
@@ -209,18 +234,12 @@ def atomic_oracle(model: CgfModel, domain: Domain, atoms: np.ndarray, masses: np
         return ConvexOracle(domain, lambda lam: float(m @ k(col * lam)),
                             lambda lam: m @ (col * kp(col * lam)),
                             lambda lam: np.tensordot(m * a * a, kpp(col * lam), axes=1))
-    pos, neg = a > 0, a < 0
-
-    def grad(lam):
-        return float(m @ (a * kp(lam * a)))
-
-    grad_range, edge_values = zip(*slope_edges(
-        model, domain, (np.sum(m[pos]), np.sum(m[neg]), m[pos] @ a[pos], m[neg] @ a[neg]), grad))
+    grad_range, edge_values, m1, m2 = facts or atomic_facts(model, domain, a, m, cumulant)
     return ConvexOracle(
-        domain, lambda lam: float(m @ k(lam * a)), grad,
+        domain, lambda lam: float(m @ k(lam * a)), partial(_atomic_grad, a, m, kp),
         None if kpp is None else lambda lam: float(m @ (a * a * kpp(lam * a))),
         grad_range=grad_range, edge_values=edge_values,
-        start=_one_atom_start(model, domain, _first_moment(a, m), float(m @ (a * a)), known))
+        start=_one_atom_start(model, domain, m1, m2, known))
 
 
 def _log_middle(a, b):

@@ -36,7 +36,9 @@ of cells: the action of a path with one slope per cell, plus jumps, under
 the pairing.  Its dual is the cumulant of the cells' finite measure, one
 ``conjugate.atomic_oracle`` fed two cumulants: ``variational_rate`` prices
 it with K read off I (``_rate_cumulant``), and ``minimizer`` returns its
-argmin with the model's K, so they are two codes for one number.
+argmin with the model's K, so they are two codes for one number.  The
+dual's law facts for each cumulant are built once per (model, kernel,
+cells) by ``_dual``; a call builds only its closures and its start.
 
 The tilt domain d_f decides where lam f lies, exactly: it leaves the
 closed domain of K iff lam lies outside d_f, and it touches a finite edge e
@@ -53,6 +55,7 @@ moment's) can diverge, exactly when K'(e) does.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -60,8 +63,8 @@ import numpy as np
 
 from . import quadrature as quad
 from .cgf import CgfModel, DomainInterval, FullSpace
-from .conjugate import (_EPS, _ROUNDING, ConjugateResult, ConvexOracle, _first_moment,
-                        _one_atom_start, _quot, atomic_oracle, legendre, maximiser,
+from .conjugate import (_EPS, _ROUNDING, ConjugateResult, ConvexOracle, _one_atom_start,
+                        _quot, atomic_facts, atomic_oracle, legendre, maximiser,
                         one_cell_slope, slope_edges, solve_monotone, tilt_domain)
 from .errors import AmbiguityError, DomainError, NonConvergenceError
 from .kernels import Kernel
@@ -321,8 +324,9 @@ def i_f_conjugate(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kern
     """I_f(x) as the Legendre transform of E_f.  In d = 1 the solve of
     E_f' = x starts at the one-atom root of ``_e_f_oracle``: the root itself
     on a constant kernel, or for a Gaussian law with int f != 0, where the
-    solve settles on its first E_f' evaluation."""
-    x = _level(model, x)
+    solve settles on its first E_f' evaluation.  ValueError for a
+    non-finite x or a tol that is not finite and positive."""
+    x, tol = _level(model, x), _tolerance(tol)
     res = legendre(_e_f_oracle(model, kernel), x, tol=tol)
     return _result(model, kernel, x, res.value, res)
 
@@ -333,6 +337,14 @@ def _level(model: CgfModel, x):
     if not (math.isfinite(x) if model.dimension == 1 else np.isfinite(x).all()):
         raise ValueError(f"level x must be finite, got {x}")
     return x
+
+
+def _tolerance(tol) -> float:
+    """tol as a float; ValueError where it is not finite and positive."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    return tol
 
 
 def _result(model: CgfModel, kernel: Kernel, x, value: float,
@@ -447,11 +459,12 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
     no tilt attained the value is the maximiser's own, +inf or the stated
     I_f at a slope edge with an infinite cap.  A d = 1 model with a finite
     domain edge must state ``rate_hess``, the du / dv of the edge layer of
-    ``_clamp_integral``."""
+    ``_clamp_integral``.  ValueError for a non-finite x or a tol that is not
+    finite and positive."""
     _require(model, "i_f_explicit", "closed_rate",
              *(("rate_hess",) if model.dimension == 1
                and min(-model.domain.lower, model.domain.upper) < math.inf else ()))
-    x = _level(model, x)
+    x, tol = _level(model, x), _tolerance(tol)
     res = maximiser(_e_f_oracle(model, kernel), x, min(tol, 1e-10))
     if res.argmax is None:
         return _result(model, kernel, x, res.value, res)
@@ -504,6 +517,27 @@ def _grid_caps(model: CgfModel, kernel: Kernel) -> DomainInterval:
                           upper_closed=math.isfinite(m_plus))
 
 
+@lru_cache(maxsize=256)
+def _dual(model: CgfModel, kernel: Kernel, cells: int, rate: bool) -> tuple:
+    """(lens, fbar, caps, facts) of the discrete dual on ``_grid(kernel,
+    cells)``, built once per (model, kernel, cells) and cumulant: the
+    read-only cell lengths l_i and means fbar_i, ``_grid_caps`` and, in
+    d = 1, ``conjugate.atomic_facts`` for the model's K, or for K read off I
+    (``_rate_cumulant``) where ``rate`` is set, else None.  These are law
+    facts only: the I-side slope edge at a closed cap is solved from the
+    mean, with no anchor, so no fact depends on the level first asked, and
+    every call binds its closures to the caller's model."""
+    grid, w = _grid(kernel, cells)
+    lens = np.diff(grid)
+    fbar = w / lens
+    for a in (lens, fbar):
+        a.flags.writeable = False
+    caps = _grid_caps(model, kernel)
+    facts = None if model.dimension > 1 else atomic_facts(
+        model, caps, fbar, lens, _rate_cumulant(model) if rate else None)
+    return lens, fbar, caps, facts
+
+
 def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     """The path attaining I_f(x), on a grid of 400 to 4000 cells set by tol,
     with one cell on each flat piece of f (``_refined_grid``, built once per
@@ -517,7 +551,9 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     Phi(nu) = sum_i l_i K(nu fbar_i): the cumulant of the finite measure
     sum_i l_i delta_{fbar_i}, solved by one ``maximiser`` call on its
     ``conjugate.atomic_oracle`` over ``_grid_caps`` (the full space in
-    d > 1), which reads only Phi' and Phi'' in d = 1, run to rounding:
+    d > 1), built on the law facts that ``_dual`` keeps per (model, kernel,
+    cell count), so only the first call on a grid finds Phi' at a closed
+    cap.  The solve reads only Phi' and Phi'' in d = 1, run to rounding:
     the path pairs to x within a few ulp, or where Phi' is steep, next to an
     open cap, within Phi'' ulp(nu) / 2, as far as the nearest float tilt.
     Its i_d misses I_f by about c / N^2 on N cells (2.3e-8 for gaussian x
@@ -527,16 +563,16 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     (AmbiguityError).  Where ``maximiser`` attains no tilt, at or past a
     slope edge of Phi with an infinite cap, there is no path (DomainError):
     Phi's edge, not E_f's, as the grid's edge can round an ulp inside it.
-    A non-finite x raises ValueError.
+    A non-finite x, or a tol that is not finite and positive, raises
+    ValueError.
     """
     from .paths import CadlagPath
 
-    x = _level(model, x)
+    x, tol = _level(model, x), _tolerance(tol)
     total = int(min(4000, max(400, round(0.5 / math.sqrt(max(tol, 1e-12))))))
     grid, w = _grid(kernel, total)
-    lens = np.diff(grid)
-    fbar = w / lens
-    oracle = atomic_oracle(model, _grid_caps(model, kernel), fbar, lens)
+    lens, fbar, caps, facts = _dual(model, kernel, total, False)
+    oracle = atomic_oracle(model, caps, fbar, lens, facts=facts)
     res = maximiser(oracle, x, _EPS)
     if res.argmax is None:
         raise DomainError("x is at or past a slope edge with an infinite tilt cap; "
@@ -702,19 +738,23 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     itself on one cell (a constant kernel) or for an affine I' (a Gaussian
     law), and 0.0 where it is not strictly inside the caps.  The inner
     solves read the same one-cell slope (v*, s*) = (x / m1, I'(v*))
-    (``conjugate.one_cell_slope``) as their anchor.
+    (``conjugate.one_cell_slope``) as their anchor.  The grid's cells, caps,
+    slope edges and moments are built once per (model, kernel, pieces) by
+    ``_dual``, which solves Phi' at a closed cap from the mean, with no
+    anchor, so the value does not depend on which level came first; a call
+    builds only its closures, its anchor and its start.  ValueError for a
+    ``pieces`` that is not an integer >= 1, a tol that is not finite and
+    positive, or a non-finite x.
     """
-    if pieces < 1:
-        raise ValueError("pieces must be >= 1")
+    if not isinstance(pieces, numbers.Integral) or pieces < 1:
+        raise ValueError(f"pieces must be an integer >= 1, got {pieces!r}")
+    tol = _tolerance(tol)
     _require(model, "variational_rate", "rate_grad", "rate_hess",
              *(("rate_dom",) if model.dimension == 1 else ()))
-    grid, w = _grid(kernel, pieces)
-    lens = np.diff(grid)
-    fbar = w / lens
     x = _level(model, x)
-    known = one_cell_slope(model, _first_moment(fbar, lens), x) if model.dimension == 1 else None
-    oracle = atomic_oracle(model, _grid_caps(model, kernel), fbar, lens,
-                           _rate_cumulant(model, known), known)
+    lens, fbar, caps, facts = _dual(model, kernel, pieces, True)
+    known = one_cell_slope(model, facts[2], x) if facts else None
+    oracle = atomic_oracle(model, caps, fbar, lens, _rate_cumulant(model, known), known, facts)
     return legendre(oracle, x, tol=tol).value
 
 

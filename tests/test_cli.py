@@ -300,6 +300,15 @@ def test_non_finite_level_exits_2(capsys, argv):
     assert "must be finite" in cap.err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tolerance_exits_2(capsys, tol):
+    # a tol of -1 or 0 once ran 4000 cells, and nan ended in exit 4
+    code, cap = _run(capsys, ["minimizer", "--model", "gaussian", "--kernel", "affine:0,1",
+                              "--x", "1", "--tol", tol])
+    assert code == 2
+    assert "tol must be finite and positive" in cap.err
+
+
 def test_minimizer_at_the_grids_slope_edge_exits_3(capsys):
     # 1 ulp inside E_f's edge 1/2, the level is the slope edge of the
     # 500-cell grid's dual, so no path attains it

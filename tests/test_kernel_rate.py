@@ -1065,11 +1065,13 @@ def test_variational_inner_solves_continue_from_the_last_tilt():
 
 def _variational_counts(model, kernel, x):
     """(value, array calls of I', tilts whose inner solve reached a finite
-    slope, array calls on no element) of ``variational_rate``; the scalar
+    slope, array calls on no element) of a cold ``variational_rate``, the
+    cache of the discrete dual's law facts emptied first; the scalar
     calls of the starts are left out, and a closed cap where every slope is
     unreachable (a slope-edge check, which makes no call of I') does not
     count as a tilt."""
     calls, empty, tilts = [], [], []
+    kr._dual.cache_clear()
 
     def counting(v, grad=model.rate_grad):
         calls.append(np.ndim(v) > 0)
@@ -1232,6 +1234,28 @@ def test_variational_far_out_on_an_exponential_tail(x):
 def test_variational_rejects_bad_pieces():
     with pytest.raises(ValueError):
         variational_rate(parse_model("cexp"), CONST1, 0.5, pieces=0)
+
+
+@pytest.mark.parametrize("pieces", [-3, 2.5, 200.0, "200", None])
+def test_variational_rejects_a_count_that_is_not_a_positive_integer(pieces):
+    # a float count once ran: pieces = 2.5 gave 1.6
+    with pytest.raises(ValueError, match="pieces must be an integer"):
+        variational_rate(parse_model("cexp"), CONST1, 0.5, pieces=pieces)
+
+
+def test_variational_takes_a_numpy_integer_count():
+    model = parse_model("cexp")
+    assert variational_rate(model, ID, 0.5, pieces=np.int64(50)) == \
+        variational_rate(model, ID, 0.5, pieces=50)
+
+
+@pytest.mark.parametrize("route", [i_f_conjugate, i_f_explicit, minimizer, variational_rate])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_routes_reject_bad_tolerances(route, tol):
+    # a nan tol ended in NonConvergenceError on three routes, and a tol of
+    # 0 or -1 ran the minimizer on 4000 cells
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        route(parse_model("gaussian"), ID, 1.0, tol=tol)
 
 
 # -- the one-atom start of E_f' = x ----------------------------------------------
@@ -1562,6 +1586,94 @@ def test_grid_cache_is_read_only_and_changes_no_answer():
     hits = kr._grid.cache_info().hits
     assert paths(clear=False) == cold
     assert kr._grid.cache_info().hits == hits + 3
+
+
+# -- the cache of the discrete dual's law facts -------------------------------------
+
+DUAL_CACHE_CASES = [
+    ("synthetic-boundary", ID, (0.05, 0.15, 0.5)),      # a closed cap: Phi' solved there
+    ("cexp", ID, (-0.3, 0.5, 1.0, 20.0)),               # an open cap, and past its edge
+    # both caps finite, and m1 within its rounding bound
+    ("cexp", parse_kernel("pwl:0:1.56,0.25:-1.56,0.5:1.56,0.75:-1.56,1:1.56"), (-0.3, 0.3)),
+    ("poisson:rate=1", ID, (-0.4, 1.0, 3.0)),
+    (VECTOR_GAUSSIAN, ID, ((1.0, 0.5), (-0.3, 0.2))),
+    # levels whose value moves in its last bit with the start of the inner
+    # solves, as when the cap's solve ran from a level's anchor
+    ("synthetic-boundary", parse_kernel("pwl:0:1.56,0.25:-1.56,0.5:1.56,0.75:-1.56,1:1.56"),
+     (-0.3333333333333335, 0.3)),
+    ("cexp", parse_kernel("affine:1,-2"), (-3.0, 1.0))]
+
+
+def _dual_answers(model, kernel, xs, cold):
+    """[(grid, slopes, jumps, variational_rate)] at each level, the cache of
+    the dual's law facts emptied before every call where ``cold``."""
+    out = []
+    for x in xs:
+        if cold:
+            kr._dual.cache_clear()
+        path = minimizer(model, kernel, x)
+        if cold:
+            kr._dual.cache_clear()
+        value = variational_rate(model, kernel, x)
+        out.append((path.grid, np.asarray(path.slopes).tobytes(), path.jumps, value))
+    return out
+
+
+@pytest.mark.parametrize("spec,kernel,xs", DUAL_CACHE_CASES)
+def test_dual_cache_changes_no_answer(spec, kernel, xs):
+    # the cache holds law facts only, the I-side cap solved from the mean,
+    # so no answer depends on whether, or at which level, it was filled
+    model = spec if isinstance(spec, CgfModel) else parse_model(spec)
+    cold = _dual_answers(model, kernel, xs, cold=True)
+    for order in (1, -1):
+        kr._dual.cache_clear()
+        assert _dual_answers(model, kernel, xs[::order], cold=False)[::order] == cold
+        assert _dual_answers(model, kernel, xs[::order], cold=False)[::order] == cold
+
+
+def test_dual_cache_is_read_only_and_keeps_no_formula():
+    model = parse_model("synthetic-boundary")
+    kr._dual.cache_clear()
+    want = variational_rate(model, ID, 0.15), minimizer(model, ID, 0.15)     # warm
+    lens, fbar, _, facts = kr._dual(model, ID, 200, True)
+    for array in (lens, fbar):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert all(not callable(fact) for fact in facts)
+    calls = []
+
+    def counting(v, grad=model.rate_grad):
+        calls.append(1)
+        return grad(v)
+
+    def counting_k(u, grad=model.cgf_grad):
+        calls.append(2)
+        return grad(u)
+
+    copy = dataclasses.replace(model, rate_grad=counting, cgf_grad=counting_k)
+    assert variational_rate(copy, ID, 0.15) == want[0]
+    path = minimizer(copy, ID, 0.15)
+    assert np.array_equal(path.slopes, want[1].slopes)
+    assert 1 in calls and 2 in calls
+
+
+def test_dual_cache_drops_the_cap_solve():
+    # synthetic-boundary x identity has the closed grid cap 1, where a cold
+    # call solves the 200 inner slopes of Phi'(1); a warm one reads it
+    model = parse_model("synthetic-boundary")
+    kr._dual.cache_clear()
+    counts = []
+    for _ in range(2):
+        calls = []
+
+        def counting(v, grad=model.rate_grad):
+            calls.append(np.ndim(v) > 0)
+            return grad(v)
+
+        got = variational_rate(dataclasses.replace(model, rate_grad=counting), ID, 0.15)
+        counts.append(sum(calls))
+    assert counts[1] < counts[0]
+    assert got == pytest.approx(i_f_conjugate(model, ID, 0.15).value, abs=5e-3)
 
 
 @pytest.mark.parametrize("spec,k,x", [
