@@ -49,6 +49,8 @@ _ROUNDING = 4.0 * _EPS
 # at its end nearer 0: when its ends share a sign, 1 + |v| at the far end is
 # then over 2^8 times that at the near one
 _WIDE = 255.0
+# the edge a nonzero ``ConjugateResult.side`` names
+_SIDES = {1: "above", -1: "below"}
 
 
 @dataclass
@@ -76,7 +78,9 @@ class ConjugateResult:
     # evaluation of g, which it leaves to ``legendre``
     value: Optional[float]
     argmax: Optional[object]   # float (d=1) or ndarray (d>1); None if not attained
-    at_boundary: bool
+    # the branch ``maximiser`` took: +1 at or past the upper slope edge (in
+    # d > 1 where the Newton tilt runs off), -1 at or past the lower, 0 inside
+    side: int
     # grad g(argmax) - x; None where no argmax is attained
     residual: Optional[object] = None
 
@@ -344,23 +348,21 @@ def maximiser(oracle: ConvexOracle, x, tol: float = 1e-10) -> ConjugateResult:
     if oracle.grad_range is None:
         raise ValueError("a one-dimensional oracle must state its grad_range")
     glo, ghi = oracle.grad_range
-    for side, edge, end, index in ((1.0, ghi, dom.upper, 1),
-                                   (-1.0, glo, dom.lower, 0)):
+    for side, edge, end in ((1, ghi, dom.upper), (-1, glo, dom.lower)):
         if side * x < side * edge:      # x lies inside this edge
             continue
         if math.isfinite(end) and math.isfinite(x):
-            return ConjugateResult(None, end, True, edge - x)
+            return ConjugateResult(None, end, side, edge - x)
         if x != edge or math.isinf(x):
-            return ConjugateResult(math.inf, None, True)
-        value = (oracle.edge_values or (None, None))[index]
+            return ConjugateResult(math.inf, None, side)
+        value = (oracle.edge_values or (None, None))[side > 0]
         if value is None:
-            raise GradientRangeError(("below", "above")[index],
-                                     "no conjugate value stated at this slope edge")
-        return ConjugateResult(value, None, True)
+            raise GradientRangeError(_SIDES[side], "no conjugate value stated at this slope edge")
+        return ConjugateResult(value, None, side)
     start = 0.0 if oracle.start is None else oracle.start(x)
     u, r = solve_monotone(oracle.grad, oracle.hess, x, dom.lower, dom.upper, start,
                           tol * max(1.0, abs(x)), max_iter=_MAX_ITER)
-    return ConjugateResult(None, float(u), False, float(r))
+    return ConjugateResult(None, float(u), 0, float(r))
 
 
 def legendre(oracle: ConvexOracle, x, tol: float = 1e-10) -> ConjugateResult:
@@ -371,10 +373,10 @@ def legendre(oracle: ConvexOracle, x, tol: float = 1e-10) -> ConjugateResult:
         return res
     u = res.argmax      # d = 1: in d > 1 the maximiser states its value
     gu = float(oracle.eval(u))
-    if res.at_boundary and not math.isfinite(gu):
+    if res.side and not math.isfinite(gu):
         raise DomainError("oracle value at its closed boundary is not finite")
     # + 0.0 turns the -0.0 that x u - g(u) gives at u = 0 for x <= 0 into 0.0
-    return ConjugateResult(float(x) * u - gu + 0.0, u, res.at_boundary, res.residual)
+    return ConjugateResult(float(x) * u - gu + 0.0, u, res.side, res.residual)
 
 
 def _maximiser_nd(oracle: ConvexOracle, x: np.ndarray) -> ConjugateResult:
@@ -398,7 +400,7 @@ def _maximiser_nd(oracle: ConvexOracle, x: np.ndarray) -> ConjugateResult:
         decrement, xl = -0.5 * float(resid @ step), float(x @ lam)
         rounding = _ROUNDING * (abs(xl) + abs(xl - phi) + 1.0)
         if decrement <= rounding:
-            return ConjugateResult(phi, lam, False, resid)
+            return ConjugateResult(phi, lam, 0, resid)
         if not math.isfinite(decrement):
             break
         alpha, val = 2.0, -math.inf
@@ -408,17 +410,15 @@ def _maximiser_nd(oracle: ConvexOracle, x: np.ndarray) -> ConjugateResult:
             val = float(x @ cand) - float(oracle.eval(cand))
         lam, phi = cand, val
         if np.linalg.norm(lam) > 1e9 * scale:
-            return ConjugateResult(math.inf, None, True)
+            return ConjugateResult(math.inf, None, 1)
     raise NonConvergenceError(f"multivariate conjugate did not settle in {_MAX_ITER} "
                               "Newton steps")
 
 
 def grad_inverse(oracle: ConvexOracle, x, tol: float = 1e-10):
-    """The root of grad g = x: ``maximiser``'s argmax.  GradientRangeError,
-    naming the side, wherever that lies at the boundary: in d = 1 at or past
-    a slope edge, in d > 1 where the Newton tilt runs off to infinity."""
+    """The root of grad g = x: ``maximiser``'s argmax, or GradientRangeError
+    naming the edge its ``side`` is at where that is not 0."""
     res = maximiser(oracle, x, tol)
-    if res.at_boundary:
-        above = isinstance(oracle.domain, FullSpace) or x >= oracle.grad_range[1]
-        raise GradientRangeError("above" if above else "below")
+    if res.side:
+        raise GradientRangeError(_SIDES[res.side])
     return res.argmax

@@ -168,9 +168,13 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
     """int_0^1 f^k D^k K(lam f(t)) dt, +inf once lam f leaves the domain: one
     array-valued adaptive pass per kernel piece in d > 1; in d = 1 the
     brackets of Psi_k of ``_node_walk``, with the adaptive rule on the rough
-    pieces."""
+    pieces.  ValueError for a nan lam, or a nan component, and for a tol
+    that is not finite and positive."""
     deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
     lam = float(lam) if model.dimension == 1 else np.asarray(lam, dtype=float)
+    if math.isnan(lam) if model.dimension == 1 else np.isnan(lam).any():
+        raise ValueError(f"tilt lam must not be nan, got {lam}")
+    tol = _tolerance(tol)
 
     def fn(ts):
         fv = kernel.eval(ts)
@@ -190,8 +194,6 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
     mean, rough = bracket(k, _MOMENT_PSI[k], deriv, tol)
     value = mean * kernel._widths
     if np.count_nonzero(rough):
-        if np.isinf(value[~rough]).any():
-            return sum(value[~rough].tolist())    # every touch diverges with the sign of lam
         bp = kernel.breakpoints
         for i in np.flatnonzero(rough):
             value[i] = quad.adaptive_gl(fn, bp[i], bp[i + 1], tol)
@@ -199,12 +201,14 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
 
 
 def e_f(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12) -> float:
-    """int_0^1 K(lam f(t)) dt, +inf when lam f leaves the domain."""
+    """int_0^1 K(lam f(t)) dt, +inf when lam f leaves the domain; ValueError
+    for a nan lam or a tol that is not finite and positive."""
     return _moment(model, kernel, lam, 0, tol)
 
 
 def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
-    """int f(t) K'(lam f(t)) dt; +-inf flags an infinite one-sided slope."""
+    """int f(t) K'(lam f(t)) dt; +-inf flags an infinite one-sided slope.
+    ValueError for a nan lam or a tol that is not finite and positive."""
     return _moment(model, kernel, lam, 1, tol)
 
 
@@ -349,11 +353,11 @@ def _tolerance(tol) -> float:
 
 def _result(model: CgfModel, kernel: Kernel, x, value: float,
             res: ConjugateResult) -> KernelRateResult:
-    """The result of a route that prices the tilt ``res`` of E_f at ``value``.
-    The solver stops at a boundary only at or past a slope edge, upper first."""
+    """The result of a route that prices the tilt ``res`` of E_f at ``value``,
+    on the branch of ``res.side`` where the value is finite."""
     prob = _problem(model, kernel)
-    branch = ("infinite" if math.isinf(value) else "interior" if not res.at_boundary
-              else "singular_plus" if x >= prob.sup_ef_prime else "singular_minus")
+    branch = ("infinite" if math.isinf(value)
+              else ("singular_minus", "interior", "singular_plus")[res.side + 1])
     return KernelRateResult(x, value, branch, res.argmax, *prob.m_plus_minus,
                             prob.sup_ef_prime, prob.inf_ef_prime)
 
@@ -584,7 +588,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
         return CadlagPath(model.dimension, grid, model.cgf_grad(np.outer(fbar, nu)), ())
 
     slopes = model.cgf_grad(res.argmax * fbar)
-    if not res.at_boundary:
+    if not res.side:
         return CadlagPath(1, grid, slopes, ())
     # the jump sits at the first node where cap f touches the binding edge,
     # unless f runs along that edge over a whole piece

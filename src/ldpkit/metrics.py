@@ -138,6 +138,8 @@ def _directed_sup(src: np.ndarray, tgt: _ChainGeometry) -> float:
 
 def _hausdorff(ca: GraphChain, cb: GraphChain) -> float:
     pa, pb = ca.as_array(), cb.as_array()
+    if pa.shape[1] != pb.shape[1]:
+        raise ValueError("dimension mismatch")
     return max(_directed_sup(pa, _ChainGeometry(pb)),
                _directed_sup(pb, _ChainGeometry(pa)))
 
@@ -171,9 +173,8 @@ def _integral_norm_affine(u: np.ndarray, w: np.ndarray, dt: np.ndarray) -> np.nd
 
 
 def rho_star(g: CadlagPath, h: CadlagPath) -> float:
-    """Integral of |g - h| over [0, 1] plus the terminal gap |g(1) - h(1)|."""
-    if g.dimension != h.dimension:
-        raise ValueError("dimension mismatch")
+    """Integral of |g - h| over [0, 1] plus the terminal gap |g(1) - h(1)|;
+    ``CadlagPath.shift`` raises ValueError on a dimension mismatch."""
     diff = g.shift(h, sign=-1.0)
     events = np.asarray(diff._event_times())          # events[-1] == 1.0
     vals = diff.values(events)

@@ -20,12 +20,13 @@ still come out finite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cgf import CgfModel, DomainInterval
-from .conjugate import ConvexOracle, atomic_oracle, legendre, tilt_domain
+from .conjugate import _SIDES, ConvexOracle, atomic_oracle, legendre, tilt_domain
 from .errors import DomainError, NoSamplerError
 from .kernel_rate import i_f_conjugate
 from .kernels import Kernel
@@ -40,10 +41,10 @@ class McEstimate:
 
     tilt is the finite-n saddlepoint lam, or 0.0 (plain sampling) at a
     level at or below the mean; "fixed" when the caller set lam;
-    "boundary:above" at or past the upper slope edge of the finite-n
-    cumulant, where lam is a closed cap, or the cap is infinite and
-    log_prob is exact, with std_error 0; "boundary:below" past the lower
-    edge with an infinite cap, where log_prob = 0 exactly.
+    "boundary:above" or "boundary:below" where the tilt's ``side`` is +1 or
+    -1: above, lam is a closed cap, or the cap is infinite and log_prob is
+    exact, with std_error 0; below, past an edge with an infinite cap,
+    log_prob = 0 exactly.
     """
 
     n: int
@@ -60,6 +61,13 @@ class McEstimate:
 # ----------------------------------------------------------------------
 # Plain sampling of the weighted sum and its trajectory form
 # ----------------------------------------------------------------------
+
+def _step_count(n) -> int:
+    """n as an int; ValueError where it is not an integer >= 1."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return int(n)
+
 
 def _step_times(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) / n
@@ -89,8 +97,7 @@ def _nonzero_steps(model: CgfModel, n: int, seed: int):
 
 def sample_weighted_sum(model: CgfModel, kernel: Kernel, n: int, seed: int):
     """One draw of (1/n) sum_{k<=n} f(k/n) X_k (vector for d > 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _step_count(n)
     ts, xs = _nonzero_steps(model, n, seed)
     fv = np.asarray(kernel.eval(ts), dtype=float)
     if model.dimension == 1:
@@ -105,8 +112,7 @@ def sample_traj(model: CgfModel, n: int, seed: int) -> CadlagPath:
     reproduces the weighted sum exactly (identical partial products and
     the same summation order).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _step_count(n)
     ts, xs = _nonzero_steps(model, n, seed)
     if model.dimension == 1:
         jumps = tuple((float(t), float(x)) for t, x in zip(ts, xs))
@@ -126,13 +132,12 @@ def _projected_tilt(model: CgfModel, g: np.ndarray, w: np.ndarray, a: float):
     The distinct step weights are g_j = f_j l, each with mass w_j, its share
     of the n steps, so Lambda_n(lam) = sum_j w_j K(lam g_j) is the exact
     cumulant of <l, W_n> divided by n, and an interior argmax lam (the
-    finite-n saddlepoint) is the tilt under which <l, W_n> has mean a.
-    Returns (result, tag): tag is None inside the slope range of Lambda_n,
-    and "boundary:above" or "boundary:below" at or past one of its edges.
-    In d = 1 Lambda_n is the cumulant of the finite measure sum_j w_j
-    delta_{g_j} (``conjugate.atomic_oracle``), whose solve starts at lam0 =
-    I'(a / m1) m1 / m2, m1 = w.g and m2 = w.g^2: the saddlepoint itself for
-    one distinct weight (a constant kernel) or a Gaussian law.
+    finite-n saddlepoint) is the tilt under which <l, W_n> has mean a; its
+    ``side`` is +1 or -1 at or past the upper or lower slope edge of
+    Lambda_n.  In d = 1 Lambda_n is the cumulant of the finite measure
+    sum_j w_j delta_{g_j} (``conjugate.atomic_oracle``), whose solve starts
+    at lam0 = I'(a / m1) m1 / m2, m1 = w.g and m2 = w.g^2: the saddlepoint
+    itself for one distinct weight (a constant kernel) or a Gaussian law.
     """
     if model.dimension > 1:
         # full-space domain: every tilt is allowed, and an unreachable level
@@ -146,9 +151,7 @@ def _projected_tilt(model: CgfModel, g: np.ndarray, w: np.ndarray, a: float):
         oracle = atomic_oracle(
             model, tilt_domain(model, max(g.max(), 0.0), max(-g.min(), 0.0)), g, w)
     # the tilted mean misses a by at most 1e-13 max(1, |a|)
-    res = legendre(oracle, a, tol=1e-13)
-    side = "above" if a >= oracle.grad_range[1] else "below"
-    return res, (f"boundary:{side}" if res.at_boundary else None)
+    return legendre(oracle, a, tol=1e-13)
 
 
 def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
@@ -173,8 +176,7 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
     """
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _step_count(n)
     if not math.isfinite(a):
         raise ValueError(f"level a must be finite, got {a}")
     if model.sampler is None or model.tilted_sampler is None:
@@ -192,9 +194,10 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
     if lam_override is not None:
         lam, tag = float(lam_override), "fixed"
     else:
-        res, tag = _projected_tilt(model, g, copies / n, a)
+        res = _projected_tilt(model, g, copies / n, a)
+        tag = f"boundary:{_SIDES[res.side]}" if res.side else None
         if res.argmax is None:
-            log_prob = -n * res.value if tag == "boundary:above" else 0.0
+            log_prob = -n * res.value if res.side > 0 else 0.0
             return McEstimate(n=n, samples=samples, tilt=tag,
                               log_prob=log_prob, std_error=0.0)
         lam = float(res.argmax)
@@ -247,10 +250,14 @@ def exact_tail_oracle(model: CgfModel, kernel: Kernel, n: int, a: float) -> floa
     on the rounding of the sums and of a n, reaches it.  Any kernel and n
     qualify whose groups but the largest have at most 2^24 sums together: a
     constant kernel at every n, distinct weights up to n = 25.  Every other
-    case raises ValueError.
+    case raises ValueError, as does an n that is not an integer >= 1 or an
+    a that is not finite.
     """
     from scipy.special import gammaln, log_ndtr, logsumexp
 
+    n = _step_count(n)
+    if not math.isfinite(a):
+        raise ValueError(f"level a must be finite, got {a}")
     if model.id.startswith("gaussian") and model.dimension == 1:
         fv = np.asarray(kernel.eval(_step_times(n)), dtype=float)
         mu = float(model.mean_vec[0])

@@ -309,6 +309,14 @@ def test_bad_tolerance_exits_2(capsys, tol):
     assert "tol must be finite and positive" in cap.err
 
 
+def test_nan_tilt_exits_2(capsys):
+    # a nan tilt once printed E_f = inf and exited 0
+    code, cap = _run(capsys, ["ef", "--model", "cexp", "--kernel", "affine:0,1",
+                              "--lam", "nan"])
+    assert code == 2
+    assert "must not be nan" in cap.err
+
+
 def test_minimizer_at_the_grids_slope_edge_exits_3(capsys):
     # 1 ulp inside E_f's edge 1/2, the level is the slope edge of the
     # 500-cell grid's dual, so no path attains it

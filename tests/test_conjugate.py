@@ -35,7 +35,7 @@ def test_quadratic_self_conjugate():
     res = legendre(quadratic_oracle(), 2.0)
     assert res.value == pytest.approx(2.0, abs=1e-10)
     assert res.argmax == pytest.approx(2.0, abs=1e-8)
-    assert not res.at_boundary
+    assert res.side == 0
 
 
 def test_cexp_conjugate():
@@ -48,7 +48,7 @@ def test_synthetic_boundary_supremum():
     # K'(1) = 1 < 2, so the supremum sits at the closed endpoint u = 1
     res = legendre(oracle_of(parse_model("synthetic-boundary")), 2.0)
     assert res.value == pytest.approx(2.0 - 1.0 / 3.0, abs=1e-10)
-    assert res.at_boundary
+    assert res.side == 1
 
 
 def test_divergence_certificate():
@@ -151,7 +151,7 @@ def test_grad_inverse_side_flags():
 def test_conjugate_result_consistency():
     oracle = oracle_of(parse_model("gaussian:mu=0.5,sigma=2"))
     res = legendre(oracle, 1.7)
-    assert res.argmax is not None and not res.at_boundary
+    assert res.argmax is not None and res.side == 0
     # value = x lam* - K(lam*) at the reported argmax
     model = parse_model("gaussian:mu=0.5,sigma=2")
     assert res.value == pytest.approx(1.7 * res.argmax - model.k(res.argmax),
@@ -197,7 +197,7 @@ def test_infinite_domain_edge_needs_a_stated_value():
     assert legendre(oracle, 1.0 + 1e-12).value == math.inf
     stated = dataclasses.replace(oracle, edge_values=(None, math.log(2.0)))
     res = legendre(stated, 1.0)
-    assert res.value == math.log(2.0) and res.at_boundary
+    assert res.value == math.log(2.0) and res.side == 1
     with pytest.raises(DomainError):
         legendre(stated, -1.0)
 
@@ -219,17 +219,17 @@ def test_maximiser_contract():
         if argmax is None:
             # the value is +inf past the edge, the stated one at it
             assert res.value == (math.inf if x > 1.0 else math.log(2.0))
-            assert res.residual is None and res.at_boundary
+            assert res.residual is None and res.side == 1
             continue
         # a value that needs g is left to legendre
         assert res.value is None
         assert res.argmax == pytest.approx(argmax, rel=1e-12)
         if residual is None:    # inside the range: the solve's own residual
-            assert not res.at_boundary
+            assert res.side == 0
             assert res.residual == float(oracle.grad(res.argmax)) - x
             assert abs(res.residual) <= 1e-10
         else:                   # at a closed end: the stated slope edge minus x
-            assert res.at_boundary and res.residual == residual
+            assert res.side == 1 and res.residual == residual
     # an infinite end with no stated value decides no value exactly at its edge
     with pytest.raises(DomainError):
         maximiser(oracle_of(parse_model("rademacher")), 1.0)
@@ -297,7 +297,7 @@ def test_solve_settles_on_a_saturating_oracle():
     lam = 6e5
     x = 0.5 - math.pi ** 2 / (24.0 * lam ** 2)
     res = legendre(oracle, x)
-    assert not res.at_boundary
+    assert res.side == 0
     assert res.argmax == pytest.approx(lam, rel=1e-3)
     assert abs(oracle.grad(res.argmax) - x) <= 1e-10
     assert len(seen) < 200
@@ -375,7 +375,7 @@ def test_newton_that_stays_put_steps_one_ulp_toward_the_root():
     # step of an ulp from the start closes it
     near = overstated(lambda u: 1e8 * (u - 1.0) - 1e-8)
     res = maximiser(near, 0.0)
-    assert res.argmax in (1.0, math.nextafter(1.0, 2.0)) and not res.at_boundary
+    assert res.argmax in (1.0, math.nextafter(1.0, 2.0)) and res.side == 0
     assert res.residual == near.grad(res.argmax)
     v, _ = solve_monotone(near.grad, near.hess, np.zeros(2), -math.inf, math.inf, 1.0, 1e-10)
     assert np.all((v == 1.0) | (v == math.nextafter(1.0, 2.0)))
@@ -411,7 +411,7 @@ def test_an_infinite_level_prices_plus_inf(spec):
     oracle = atomic_oracle(model, tilt_domain(model, 1.0, 0.0), np.ones(1), np.ones(1))
     for x in (math.inf, -math.inf):
         res = legendre(oracle, x)
-        assert res.value == math.inf and res.argmax is None and res.at_boundary
+        assert res.value == math.inf and res.argmax is None and res.side == (1 if x > 0 else -1)
         assert dataclasses.replace(model, closed_rate=None).rate(x) == math.inf
 
 

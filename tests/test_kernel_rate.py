@@ -962,6 +962,38 @@ def test_infinite_below_slope_floor():
         assert res.branch == "infinite"
 
 
+def _levels_at_the_edges(m, k):
+    """x_grid(10), every finite slope edge of E_f and the float on either side."""
+    xs = [float(x) for x in x_grid(m, k, 10)]
+    for edge in ef_prime_range(m, k):
+        if math.isfinite(edge):
+            xs += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return xs
+
+
+@pytest.mark.parametrize("spec,k", PAIRS)
+def test_every_route_takes_the_branch_of_the_maximisers_side(spec, k):
+    m = parse_model(spec)
+    oracle = kr._e_f_oracle(m, k)
+    for x in _levels_at_the_edges(m, k):
+        res = conj.maximiser(oracle, x)
+        want = ("infinite" if res.value == math.inf
+                else {0: "interior", 1: "singular_plus", -1: "singular_minus"}[res.side])
+        for route in (i_f_conjugate, i_f_explicit):
+            try:
+                assert route(m, k, x).branch == want, (route.__name__, x)
+            except NonConvergenceError:
+                # 1 ulp inside cexp x identity's edge -1/2 (see above)
+                assert (route, spec, k, x) == (i_f_explicit, "cexp", ID, math.nextafter(-0.5, 0.0))
+        if res.side == 0:
+            assert grad_inverse(oracle, x) == res.argmax
+            continue
+        with pytest.raises(GradientRangeError) as err:
+            grad_inverse(oracle, x)
+        # the side an exact comparison with sup E_f' names
+        assert err.value.side == ("above" if x >= oracle.grad_range[1] else "below")
+
+
 # -- variational cross-check -----------------------------------------------------
 
 
@@ -1249,13 +1281,40 @@ def test_variational_takes_a_numpy_integer_count():
         variational_rate(model, ID, 0.5, pieces=50)
 
 
-@pytest.mark.parametrize("route", [i_f_conjugate, i_f_explicit, minimizer, variational_rate])
+@pytest.mark.parametrize("route", [i_f_conjugate, i_f_explicit, minimizer, variational_rate,
+                                   e_f, e_f_grad])
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_routes_reject_bad_tolerances(route, tol):
-    # a nan tol ended in NonConvergenceError on three routes, and a tol of
-    # 0 or -1 ran the minimizer on 4000 cells
+    # a nan tol ended in NonConvergenceError on three routes, a tol of 0 or
+    # -1 ran the minimizer on 4000 cells, and E_f and E_f' (here at lam = 1)
+    # returned a value at every such tol
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         route(parse_model("gaussian"), ID, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("moment", MOMENTS)
+@pytest.mark.parametrize("model,lam", [(parse_model("cexp"), math.nan),
+                                       (gaussian(np.zeros(2), cov=np.eye(2)), [0.5, math.nan])])
+def test_moments_reject_a_nan_tilt(moment, model, lam):
+    # a nan tilt once priced +inf: it lay outside no cap of d_f
+    with pytest.raises(ValueError, match="nan"):
+        moment(model, ID, lam)
+
+
+@pytest.mark.parametrize("moment", [e_f, e_f_grad])
+def test_moments_at_an_infinite_tilt_past_a_finite_cap(moment):
+    # lam = +inf lies past cexp's cap 1, where lam f leaves the domain of K
+    assert moment(parse_model("cexp"), ID, math.inf) == math.inf
+
+
+def test_a_diverged_touch_beside_a_rough_piece_sums_to_inf():
+    # at lam = 1 the weight 1 at t = 0 touches cexp's open edge 1, where the
+    # K' and K'' integrals diverge to +inf; the pieces of tiny f beside it
+    # are rough (their brackets are rounding), integrated adaptively, and
+    # the sum stays +inf
+    model, kernel = parse_model("cexp"), parse_kernel("pwl:0:1,0.5:0.0001,1:0.0002")
+    assert e_f_grad(model, kernel, 1.0) == math.inf
+    assert kr._e_f_hess(model, kernel, 1.0) == math.inf
 
 
 # -- the one-atom start of E_f' = x ----------------------------------------------

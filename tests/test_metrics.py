@@ -84,6 +84,15 @@ def test_graph_chain_rejects_time_reversal():
         GraphChain(((0.0, 0.0),))
 
 
+@pytest.mark.parametrize("metric", [rho_2, rho_2_prime, rho_star])
+def test_metrics_reject_paths_of_two_dimensions(metric):
+    # rho_2 and rho_2_prime once failed inside numpy broadcasting
+    line, plane = ZERO, CadlagPath(2, (0.0, 1.0), ((1.0, 0.5),))
+    for g, h in ((line, plane), (plane, line)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            metric(g, h)
+
+
 # -- closed-form distances -----------------------------------------------------------
 
 

@@ -246,6 +246,24 @@ def test_oracle_refuses_unknown_model():
         exact_tail_oracle(parse_model("cexp"), ID, 10, 0.3)
 
 
+@pytest.mark.parametrize("n", [2.5, 0, -3])
+def test_estimate_tail_rejects_a_step_count_that_is_not_a_positive_integer(n):
+    # n = 2.5 once sampled and returned an estimate
+    with pytest.raises(ValueError, match="n must be an integer"):
+        estimate_tail(parse_model("rademacher"), parse_kernel("affine:0,1"), n, 0.2,
+                      samples=200)
+
+
+def test_oracle_rejects_bad_input():
+    # a nan level once gave log P = -inf, and n = 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match="level a must be finite"):
+        exact_tail_oracle(parse_model("rademacher"), ID, 20, math.nan)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        exact_tail_oracle(parse_model("gaussian:mu=0,sigma=1"), ID, 0, 0.1)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        exact_tail_oracle(parse_model("rademacher"), CONST1, 2.5, 0.1)
+
+
 def _sign_count(weights, level):
     """Sign patterns of integer weights whose signed sum is >= level, and
     how many patterns there are, by an exact integer convolution."""
@@ -346,8 +364,8 @@ def test_constant_kernel_tilt_starts_at_its_root(spec, c, a):
         return grad(u)
 
     g, w = np.array([c]), np.array([1.0])
-    res, tag = mc._projected_tilt(dataclasses.replace(model, cgf_grad=counting), g, w, a)
-    assert tag is None and len(calls) <= 2
+    res = mc._projected_tilt(dataclasses.replace(model, cgf_grad=counting), g, w, a)
+    assert res.side == 0 and len(calls) <= 2
     assert res.argmax == pytest.approx(float(model.rate_grad(a / c)) / c, rel=1e-13)
     assert res.value == pytest.approx(float(model.rate(a / c)), rel=1e-12)
 
