@@ -165,7 +165,8 @@ _MOMENT_PSI = ((("cgf_int",), lambda u, p: (p,)),
 
 
 def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
-    """int_0^1 f^k D^k K(lam f(t)) dt, +inf once lam f leaves the domain: one
+    """int_0^1 f^k D^k K(lam f(t)) dt, +inf once lam f leaves the domain, and
+    E_f is +inf at lam = +-inf for a law charging both sides of 0: one
     array-valued adaptive pass per kernel piece in d > 1; in d = 1 the
     brackets of Psi_k of ``_node_walk``, with the adaptive rule on the rough
     pieces.  ValueError for a nan lam, or a nan component, and for a tol
@@ -183,6 +184,13 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
 
     if model.dimension > 1:
         return sum(quad.adaptive_gl(fn, a, b, tol=tol) for a, b, _, _ in kernel.pieces())
+    if k == 0 and math.isinf(lam):
+        # a law charging both sides of 0 has K(u) -> +inf as u -> +-inf, and
+        # f does not vanish identically, so E_f -> +inf along either ray (the
+        # walk would form lam f = inf * 0 where f = 0)
+        lo, hi = model.rate_dom or (0.0, 0.0)
+        if lo < 0.0 < hi:
+            return math.inf
     if lam == 0.0:
         return (1.0, kernel.m1, kernel.m2)[k] * float(deriv(0.0))
     if kernel.lipschitz == 0.0:     # f = c: the walk's all-flat value at a third of its cost

@@ -176,7 +176,7 @@ def rho_star(g: CadlagPath, h: CadlagPath) -> float:
     """Integral of |g - h| over [0, 1] plus the terminal gap |g(1) - h(1)|;
     ``CadlagPath.shift`` raises ValueError on a dimension mismatch."""
     diff = g.shift(h, sign=-1.0)
-    events = np.asarray(diff._event_times())          # events[-1] == 1.0
+    events = diff._event_times()                      # events[-1] == 1.0
     vals = diff.values(events)
     rows = diff._slopes[diff._cells(0.5 * (events[:-1] + events[1:]))]
     total = float(np.sum(_integral_norm_affine(vals[:-1].T, rows.T, np.diff(events))))

@@ -4,12 +4,17 @@ A path starts from h(0-) = 0, moves with a constant slope on each grid
 interval, and jumps at finitely many times (a jump at 0 encodes h(0) != 0,
 a jump at 1 is allowed).  Construction canonicalises: adjacent intervals
 with equal slopes merge, same-time jumps add up, zero jumps vanish.
+
+A path keeps its canonical grid, slopes and jumps as read-only numpy
+arrays, and every method computes from those.  ``grid``, ``slopes`` and
+``jumps`` are read-only tuple views of them, built on first read and kept,
+so a caller who only prices or pairs a path never pays for the tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,23 +61,30 @@ class SphericalMeasure:
         return sum(m for _, m in self.atoms)
 
 
-@dataclass(frozen=True)
 class CadlagPath:
-    dimension: int
-    grid: tuple
-    slopes: tuple
-    jumps: tuple = ()
+    """A path h on [0, 1] with h(0-) = 0: a slope per grid cell, plus jumps.
 
-    def __post_init__(self):
-        d = self.dimension
+    ``CadlagPath(dimension, grid, slopes, jumps=())`` checks and
+    canonicalises its input.  The canonical numpy arrays are its state:
+    ``_grid`` (the nodes), ``_slopes`` (one row of d components per cell),
+    ``_jump_times`` and ``_jump_vals`` (one row per jump), all read-only.
+    ``grid``, ``slopes`` and ``jumps`` are read-only tuple views of them
+    (floats, one tuple per slope or jump value in d > 1), built on first
+    read and then kept.  Only serialisation, equality, the hash and
+    ``repr`` read them; those go by (dimension, grid, slopes, jumps).
+    Assigning to an attribute raises ``FrozenInstanceError``.
+    """
+
+    def __init__(self, dimension: int, grid, slopes, jumps=()):
+        d = dimension
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        grid = np.asarray(self.grid, dtype=float).reshape(-1)
+        grid = np.asarray(grid, dtype=float).reshape(-1)
         if len(grid) < 2 or grid[0] != 0.0 or grid[-1] != 1.0:
             raise ValueError("grid must run from 0 to 1")
         if (grid[:-1] >= grid[1:]).any():
             raise ValueError("grid must increase strictly")
-        slopes = np.asarray(self.slopes, dtype=float)
+        slopes = np.asarray(slopes, dtype=float)
         if slopes.size != d * len(slopes):
             raise ValueError("component count does not match dimension")
         slopes = slopes.reshape(len(slopes), d)
@@ -80,7 +92,8 @@ class CadlagPath:
             raise ValueError("need one slope per grid interval")
 
         # Merge adjacent intervals carrying identical slopes: a grid point
-        # stays where the slope changes.
+        # stays where the slope changes.  Boolean indexing copies, so the
+        # arrays kept are never the caller's.
         keep = np.concatenate(([True], (slopes[1:] != slopes[:-1]).any(axis=1)))
         slopes = slopes[keep]
         grid = grid[np.concatenate((keep, [True]))]
@@ -88,11 +101,11 @@ class CadlagPath:
         # Combine jumps at equal times (added in the order given: np.add.at
         # is unbuffered), drop zero jumps, sort by time.
         times, vals = np.zeros(0), np.zeros((0, d))
-        if self.jumps:
-            ts = [float(t) for t, _ in self.jumps]
+        if jumps:
+            ts = [float(t) for t, _ in jumps]
             if not all(0.0 <= t <= 1.0 for t in ts):
                 raise ValueError("jump times must lie in [0, 1]")
-            rows = [np.asarray(v, dtype=float).reshape(-1) for _, v in self.jumps]
+            rows = [np.asarray(v, dtype=float).reshape(-1) for _, v in jumps]
             if any(r.size != d for r in rows):
                 raise ValueError("jump component count does not match dimension")
             times = np.array(sorted(set(ts)))
@@ -101,16 +114,48 @@ class CadlagPath:
             keep = vals.any(axis=1)
             times, vals = times[keep], vals[keep]
 
-        object.__setattr__(self, "grid", tuple(grid.tolist()))
-        object.__setattr__(self, "slopes", tuple(
-            slopes[:, 0].tolist() if d == 1 else map(tuple, slopes.tolist())))
-        object.__setattr__(self, "jumps", tuple(zip(
-            times.tolist(), vals[:, 0].tolist() if d == 1 else map(tuple, vals.tolist()))))
-        # numeric views of the canonical grid, slopes and jumps
-        object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_jump_times", times)
-        object.__setattr__(self, "_jump_vals", vals)
+        for arr in (grid, slopes, times, vals):
+            arr.setflags(write=False)
+        vars(self).update(dimension=d, _grid=grid, _slopes=slopes,
+                          _jump_times=times, _jump_vals=vals)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # -- tuple views, built on first read --------------------------------
+
+    @cached_property
+    def grid(self) -> tuple:
+        return tuple(self._grid.tolist())
+
+    @cached_property
+    def slopes(self) -> tuple:
+        s = self._slopes
+        return tuple(s[:, 0].tolist() if self.dimension == 1 else map(tuple, s.tolist()))
+
+    @cached_property
+    def jumps(self) -> tuple:
+        v = self._jump_vals
+        return tuple(zip(self._jump_times.tolist(),
+                         v[:, 0].tolist() if self.dimension == 1 else map(tuple, v.tolist())))
+
+    def _key(self) -> tuple:
+        return self.dimension, self.grid, self.slopes, self.jumps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(dimension={self.dimension!r}, grid={self.grid!r}, "
+                f"slopes={self.slopes!r}, jumps={self.jumps!r})")
 
     # -- cached numeric views -------------------------------------------
 
@@ -131,7 +176,7 @@ class CadlagPath:
     def _cells(self, ts) -> np.ndarray:
         """Index of the grid cell holding each time (t = 1 in the last cell)."""
         idx = np.searchsorted(self._grid, ts, side="right") - 1
-        return np.maximum(np.minimum(idx, len(self.slopes) - 1), 0)
+        return np.maximum(np.minimum(idx, len(self._slopes) - 1), 0)
 
     def _ac_at(self, ts: np.ndarray) -> np.ndarray:
         idx = self._cells(ts)
@@ -142,7 +187,7 @@ class CadlagPath:
         """Path values at times ts; side='left' gives left limits (h(0-) = 0)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = self._ac_at(ts)
-        if self.jumps:
+        if len(self._jump_times):
             cmp = "right" if side == "right" else "left"
             counts = np.searchsorted(self._jump_times, ts, side=cmp)
             out = out + self._jump_cum[counts]
@@ -165,15 +210,20 @@ class CadlagPath:
         _, rows = self._event_values()
         return max(map(_norm, rows[:, 0] if self.dimension == 1 else rows))
 
-    def _event_times(self):
-        return sorted(set(self.grid) | {t for t, _ in self.jumps})
+    def _event_times(self) -> np.ndarray:
+        """Sorted union of the grid and the jump times.  The sort is stable
+        and the grid comes first, so a node wins a tie (0.0 over a jump at
+        -0.0), as in a set of the grid joined by the jump times."""
+        events = np.concatenate((self._grid, self._jump_times))
+        events.sort(kind="stable")
+        return events[np.concatenate(([True], events[1:] != events[:-1]))]
 
     def _event_values(self):
         """(times, values): h(0), then h(t-) and h(t) at each later event.
 
         h(0-) = 0 is a convention, not an attained value, so it is left out.
         """
-        events = np.asarray(self._event_times())       # events[0] == 0.0
+        events = self._event_times()                   # events[0] == 0.0
         ts = np.repeat(events, 2)[1:]
         rows = np.empty((len(ts), self.dimension))
         rows[0::2] = self.values(events)
@@ -182,15 +232,17 @@ class CadlagPath:
 
     def lebesgue_split(self):
         """(absolutely continuous part, pure-jump part)."""
-        ac = CadlagPath(self.dimension, self.grid, self.slopes, ())
-        zero = (0.0,) if self.dimension == 1 else ((0.0,) * self.dimension,)
-        sj = CadlagPath(self.dimension, (0.0, 1.0), zero, self.jumps)
+        d = self.dimension
+        ac = CadlagPath(d, self._grid, self._slopes, ())
+        sj = CadlagPath(d, (0.0, 1.0), np.zeros((1, d)),
+                        tuple(zip(self._jump_times, self._jump_vals)))
         return ac, sj
 
     def directional(self) -> SphericalMeasure:
         """Image of the singular part: mass |jump| at direction jump/|jump|."""
         acc = {}
-        for _, v in self.jumps:
+        vals = self._jump_vals[:, 0] if self.dimension == 1 else self._jump_vals
+        for v in vals.tolist():
             m = _norm(v)
             if self.dimension == 1:
                 d = 1.0 if v > 0 else -1.0
@@ -220,7 +272,7 @@ class CadlagPath:
         ints = kernel.integrals(self._grid)
         out = np.zeros(self.dimension)
         out += np.sum(self._slopes * ints[:, None], axis=0)
-        if self.jumps:
+        if len(self._jump_times):
             f_at = np.asarray(kernel.eval(self._jump_times), dtype=float)
             out = out + np.sum(f_at[:, None] * self._jump_vals, axis=0)
         return float(out[0]) if self.dimension == 1 else out
@@ -404,9 +456,9 @@ def action_on_partition(path: CadlagPath, model: CgfModel, points) -> float:
 def refinement_partition(path: CadlagPath, level: int) -> list:
     """Nested partitions: dyadic points, events, and left approaches to jumps."""
     pts = {i / 2.0 ** level for i in range(1, 2 ** level + 1)}
-    pts |= set(path.grid[1:])
-    events = sorted(path._event_times())
-    for t, _ in path.jumps:
+    pts |= set(path._grid[1:].tolist())
+    events = path._event_times().tolist()
+    for t in path._jump_times.tolist():
         if t == 0.0:
             continue
         i = events.index(t)

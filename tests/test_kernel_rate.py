@@ -1307,6 +1307,17 @@ def test_moments_at_an_infinite_tilt_past_a_finite_cap(moment):
     assert moment(parse_model("cexp"), ID, math.inf) == math.inf
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf])
+@pytest.mark.parametrize("kernel", ["affine:0,1", "affine:0.5,1", "pwl:0:0,0.5:1,1:0", "const:1"])
+@pytest.mark.parametrize("law", sorted(MODEL_FACTORIES))
+def test_e_f_at_an_infinite_tilt_is_plus_inf(law, kernel, lam):
+    # every catalog law charges both sides of 0, so E_f grows without bound
+    # along either ray, past a finite cap and inside an infinite one; the
+    # walk once formed lam f = inf * 0 where f = 0, or K(inf) = inf - inf,
+    # and returned nan with a RuntimeWarning (an error under pytest)
+    assert e_f(parse_model(law), parse_kernel(kernel), lam) == math.inf
+
+
 def test_a_diverged_touch_beside_a_rough_piece_sums_to_inf():
     # at lam = 1 the weight 1 at t = 0 touches cexp's open edge 1, where the
     # K' and K'' integrals diverge to +inf; the pieces of tiny f beside it

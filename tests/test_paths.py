@@ -12,9 +12,12 @@ from ldpkit import (
     gaussian,
     i_d,
     identity,
+    minimizer,
     pair,
+    parse_kernel,
     parse_model,
     random_path,
+    rho_star,
     sup_functional,
     var,
 )
@@ -377,7 +380,8 @@ def test_random_path_reproducible_and_canonical():
 
 def test_text_round_trip():
     for p in _random_paths(40):
-        assert CadlagPath.from_text(p.to_text()) == p
+        q = CadlagPath.from_text(p.to_text())
+        assert q == p and hash(q) == hash(p)
     with pytest.raises(ValueError):
         CadlagPath.from_text("grid: 0.0 1.0\nwobble 0: 1.0\n")
 
@@ -386,7 +390,8 @@ def test_dict_round_trip():
     import json
     for p in _random_paths(40, seed0=60):
         blob = json.dumps(p.to_dict())
-        assert CadlagPath.from_dict(json.loads(blob)) == p
+        q = CadlagPath.from_dict(json.loads(blob))
+        assert q == p and hash(q) == hash(p)
 
 
 def test_vector_path_action():
@@ -396,3 +401,81 @@ def test_vector_path_action():
     assert var(p) == pytest.approx(1.0)
     with_jump = CadlagPath(2, (0.0, 1.0), ((0.0, 0.0),), ((0.5, (1.0, 1.0)),))
     assert i_d(with_jump, m) == math.inf
+
+
+# -- the arrays are the state, the tuples are views -----------------------------------
+
+VIEWS = ("grid", "slopes", "jumps")
+
+
+def test_a_path_from_arrays_equals_the_path_from_tuples():
+    for p in _random_paths(40, dims=(1, 2, 3), seed0=700):
+        d = p.dimension
+        rows = p._slopes[:, 0] if d == 1 else p._slopes
+        jumps = tuple(zip(p._jump_times, p._jump_vals[:, 0] if d == 1 else p._jump_vals))
+        q = CadlagPath(d, np.array(p.grid), rows.copy(), jumps)
+        assert q == p and hash(q) == hash(p)
+        assert (q.grid, q.slopes, q.jumps) == (p.grid, p.slopes, p.jumps)
+
+
+def test_a_merged_path_equals_its_fine_grid_twin():
+    coarse = CadlagPath(1, (0.0, 0.5, 1.0), (1.0, -2.0), ((0.25, 3.0),))
+    fine = CadlagPath(1, np.linspace(0.0, 1.0, 9), np.repeat([1.0, -2.0], 4),
+                      ((0.25, 1.0), (0.25, 2.0), (0.75, 0.0)))
+    assert fine == coarse and hash(fine) == hash(coarse)
+    assert len({coarse, fine}) == 1
+    assert fine != CadlagPath(1, (0.0, 0.5, 1.0), (1.0, -2.0))
+    assert fine != "a path"
+
+
+def test_views_keep_their_types():
+    p = CadlagPath(1, (0.0, 0.5, 1.0), np.array([1.0, -2.0]), ((0.25, np.float64(3.0)),))
+    assert p.grid == (0.0, 0.5, 1.0) and p.slopes == (1.0, -2.0) and p.jumps == ((0.25, 3.0),)
+    assert all(type(v) is float for v in p.grid + p.slopes + p.jumps[0])
+    q = CadlagPath(2, (0.0, 1.0), np.array([[1.0, 2.0]]), ((0.5, np.array([0.0, 1.0])),))
+    assert q.slopes == ((1.0, 2.0),) and q.jumps == ((0.5, (0.0, 1.0)),)
+    assert all(type(c) is float for c in q.slopes[0] + q.jumps[0][1])
+
+
+def test_repr_keeps_the_dataclass_form():
+    p = CadlagPath(1, (0.0, 0.5, 1.0), (1.0, -2.0), ((0.25, 3.0),))
+    assert repr(p) == ("CadlagPath(dimension=1, grid=(0.0, 0.5, 1.0), slopes=(1.0, -2.0), "
+                       "jumps=((0.25, 3.0),))")
+    assert repr(CadlagPath(2, (0.0, 1.0), ((0.0, 1.0),))) == (
+        "CadlagPath(dimension=2, grid=(0.0, 1.0), slopes=((0.0, 1.0),), jumps=())")
+
+
+def test_a_path_is_immutable():
+    p = CadlagPath(1, (0.0, 0.5, 1.0), (1.0, -2.0))
+    for name in VIEWS + ("dimension", "_grid"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    for arr in (p._grid, p._slopes, p._jump_times, p._jump_vals):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    assert p.grid == (0.0, 0.5, 1.0)
+
+
+def test_a_path_keeps_no_reference_to_the_callers_arrays():
+    grid, slopes = np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0])
+    p = CadlagPath(1, grid, slopes)
+    grid[1], slopes[0] = 0.25, 7.0
+    assert p.grid == (0.0, 0.5, 1.0) and p.slopes == (1.0, -2.0)
+
+
+def test_computing_never_builds_the_tuple_views():
+    model, kernel = parse_model("gaussian"), parse_kernel("affine:0.5,1")
+    h = minimizer(model, kernel, 1.0)
+    jumped = minimizer(parse_model("cexp"), parse_kernel("affine:0,1"), 20.0)
+    others = _random_paths(6, dims=(1, 2), seed0=40)
+    for p in (h, jumped):
+        pair(kernel, p), i_d(p, model), var(p), p.sup_norm(), rho_star(p, h)
+        p.sup_functional(1.0), p.values([0.3, 1.0]), p.lebesgue_split(), p.directional()
+    for p, q in zip(others, others[2:]):
+        var(p), p.sup_norm(), rho_star(p, q), p.directional()
+    for p in (h, jumped, *others):
+        assert not set(VIEWS) & set(vars(p)), p
+    h.grid
+    assert set(vars(h)) >= {"grid"} and not {"slopes", "jumps"} & set(vars(h))
