@@ -3,8 +3,9 @@
 A model packages a cumulant generating function K (extended-real valued,
 convex, K(0)=0), its effective domain, gradient, and the pieces the rest of
 the toolkit needs: closed-form rate function where available, recession
-values, samplers, and exponentially tilted samplers.  Multivariate entries
-are restricted to full-space domains; bounded domains are one-dimensional.
+values, and exponentially tilted samplers; its dimension, mean and plain
+draws are read off these.  Multivariate entries are restricted to
+full-space domains; bounded domains are one-dimensional.
 Catalog formulas are plain code on float arrays, written for their closed
 domain.  ``_catalog_model`` wraps them once: a 0-d input gives a Python float,
 any other the array; K, K', K'' and P are +inf off the closure of ``domain``,
@@ -64,15 +65,15 @@ class DomainInterval:
 
 @dataclass(frozen=True)
 class FullSpace:
-    """Full-space domain R^d (the only multivariate domain supported)."""
+    """Full-space domain R^d, d >= 2: the only multivariate domain supported.
+    A d = 1 domain is a ``DomainInterval``, whose edges the d = 1 rules read."""
 
     dimension: int
 
-    def contains(self, u) -> bool:
-        return True
-
-    def interior_contains(self, u) -> bool:
-        return True
+    def __post_init__(self):
+        if self.dimension < 2:
+            raise DomainError(f"a full-space domain needs dimension >= 2, got "
+                              f"{self.dimension}; a d = 1 domain is a DomainInterval")
 
 
 Domain = Union[DomainInterval, FullSpace]
@@ -82,6 +83,14 @@ Domain = Union[DomainInterval, FullSpace]
 class CgfModel:
     """A CGF together with the analytic companions the toolkit consumes.
 
+    A law states K, its domain, its gradient and its tilted sampler, and the
+    rest is read off them, so nothing stated can contradict the law: the
+    ``dimension`` is d of a ``FullSpace(d)`` domain and 1 of a
+    ``DomainInterval``; the ``mean`` is K'(0), a float, or a tuple of floats
+    in d > 1 (``mean_vec`` is it as an array); and the plain draws of
+    ``draw`` and ``sample`` are the tilted ones at tilt 0, since the law is
+    its own tilt by 0.
+
     Callables take scalars or numpy arrays for d=1, and arrays of shape
     (..., d) for d>1.  K returns +inf outside the domain; gradients return
     one-sided limit values on the closed hull boundary.  Equality and the
@@ -89,12 +98,12 @@ class CgfModel:
     tell two laws apart; two parses of one spec then share cached analyses.
     Such a cache holds law facts only, never a formula: the tilt caps,
     slope edges and the conjugate there of E_f (``kernel_rate._problem``),
-    and of the discrete dual on a grid of cells the read-only cell lengths
-    and means, its caps, slope edges and first two moments
-    (``kernel_rate._dual``).  Every evaluation calls the formulas of the
-    model the caller passed, so a ``dataclasses.replace`` copy with other
-    callables runs its own; a fact that needs a formula, a slope edge at a
-    closed cap, is read from the model that first asked for it.
+    and of the discrete dual on a grid of cells the read-only grid, cell
+    integrals, lengths and means, its caps, slope edges and first two
+    moments (``kernel_rate._dual``).  Every evaluation calls the formulas of
+    the model the caller passed, so a ``dataclasses.replace`` copy with
+    other callables runs its own; a fact that needs a formula, a slope edge
+    at a closed cap, is read from the model that first asked for it.
 
     For d=1, ``grad_range`` is the slope range (K'(lower+), K'(upper-)) read
     from the model with no search, by the weighted-cumulant rule of
@@ -134,9 +143,7 @@ class CgfModel:
     """
 
     id: str
-    dimension: int
     domain: Domain
-    mean: Union[float, tuple]
     cgf: Callable = field(compare=False)
     cgf_grad: Callable = field(compare=False)
     cgf_hess: Optional[Callable] = field(default=None, compare=False)
@@ -149,18 +156,23 @@ class CgfModel:
     # edge of the support; grad_range reads it there, and raises DomainError
     # for a d=1 model with an infinite edge and rate_dom=None.
     rate_dom: Optional[tuple] = None
-    # (rng, count) -> draws and (theta, rng, count, copies) -> draws; see above
-    sampler: Optional[Callable] = field(default=None, compare=False)
+    # (theta, rng, count, copies) -> draws; see above
     tilted_sampler: Optional[Callable] = field(default=None, compare=False)
     # (theta, weights, rng, count, copies) -> (draws, rounding bound); see above
     tilted_sum_sampler: Optional[Callable] = field(default=None, compare=False)
     minorant: tuple = (0.0, 0.0)                # (c1, c2): I(v) >= c1|v| - c2
 
-    def __post_init__(self):
-        # every d = 1 rule reads the domain's edges and closed flags
-        if self.dimension == 1 and not isinstance(self.domain, DomainInterval):
-            raise DomainError(f"model {self.id} has dimension 1, so its domain must be "
-                              "a DomainInterval")
+    @cached_property
+    def dimension(self) -> int:
+        return self.domain.dimension if isinstance(self.domain, FullSpace) else 1
+
+    @cached_property
+    def mean(self) -> Union[float, tuple]:
+        """K'(0), + 0.0 so that a signed zero reads 0.0."""
+        if self.dimension == 1:
+            return float(self.cgf_grad(0.0)) + 0.0
+        return tuple((np.asarray(self.cgf_grad(np.zeros(self.dimension)), dtype=float)
+                      + 0.0).tolist())
 
     @cached_property
     def mean_vec(self) -> np.ndarray:
@@ -224,9 +236,9 @@ class CgfModel:
     # -- sampling ------------------------------------------------------
 
     def draw(self, rng: np.random.Generator, count: int):
-        if self.sampler is None:
-            raise NoSamplerError(f"model {self.id} has no sampler")
-        return self.sampler(rng, count)
+        """Plain draws: the tilted draws at tilt 0."""
+        return self.tilt_draw(0.0 if self.dimension == 1 else np.zeros(self.dimension),
+                              rng, count)
 
     def tilt_draw(self, theta, rng: np.random.Generator, count: int, copies=1):
         """Draws of the sum of ``copies`` steps tilted by theta; see the class."""
@@ -383,9 +395,6 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
         def rate_h(v):
             return np.full_like(v, 1.0 / s2)
 
-        def sampler(rng, count):
-            return rng.normal(m, s, size=count)
-
         def tilted(theta, rng, count, copies=1):
             # N(c (m + s^2 theta), c s^2); c = 1 multiplies by one exactly
             c = np.asarray(copies)
@@ -404,13 +413,11 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
         c2 = max(k(1.0), k(-1.0), 0.0)
         return _catalog_model(
             id=f"gaussian:mu={m:g},sigma={s:g}",
-            dimension=1,
             domain=DomainInterval(-math.inf, math.inf),
-            mean=m,
             cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
             closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
             rate_dom=(-math.inf, math.inf),
-            sampler=sampler, tilted_sampler=tilted, tilted_sum_sampler=tilted_sum,
+            tilted_sampler=tilted, tilted_sum_sampler=tilted_sum,
             minorant=(1.0, c2),
         )
 
@@ -446,9 +453,6 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
     def rate_h(v):
         return prec.copy()
 
-    def sampler(rng, count):
-        return mu_vec + rng.standard_normal((count, d)) @ chol.T
-
     def tilted(theta, rng, count, copies=1):
         # c (mu + Sigma theta) + sqrt(c) L Z; c = 1 multiplies by one exactly
         c = np.asarray(copies)[..., None, None]
@@ -467,12 +471,10 @@ def gaussian(mu=0.0, sigma=1.0, cov=None) -> CgfModel:
     c2 = float(np.linalg.norm(mu_vec) + 0.5 * evals.max())
     return _catalog_model(
         id=f"gaussian:d={d},mu={mu_vec.tolist()},cov={cov_m.tolist()}",
-        dimension=d,
         domain=FullSpace(d),
-        mean=tuple(mu_vec),
         cgf=k, cgf_grad=kp, cgf_hess=kpp,
         closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
-        sampler=sampler, tilted_sampler=tilted, tilted_sum_sampler=tilted_sum,
+        tilted_sampler=tilted, tilted_sum_sampler=tilted_sum,
         minorant=(1.0, c2),
     )
 
@@ -503,9 +505,6 @@ def centered_exponential() -> CgfModel:
     def rate_h(v):
         return 1.0 / (1.0 + v) ** 2
 
-    def sampler(rng, count):
-        return rng.standard_exponential(count) - 1.0
-
     def tilted(theta, rng, count, copies=1):
         # Exp(1) / (1 - theta) - 1 for one step, Gamma(c) / (1 - theta) - c for c
         return _by_runs(theta, copies, count,
@@ -516,13 +515,11 @@ def centered_exponential() -> CgfModel:
     c2 = max(-0.5 - math.log(0.5), 0.5 - math.log(1.5))
     return _catalog_model(
         id="cexp",
-        dimension=1,
         domain=DomainInterval(-math.inf, 1.0),
-        mean=0.0,
         cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
         closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
         rate_dom=(-1.0, math.inf),
-        sampler=sampler, tilted_sampler=tilted,
+        tilted_sampler=tilted,
         minorant=(0.5, c2),
     )
 
@@ -569,9 +566,6 @@ def rademacher() -> CgfModel:
     def rate_h(v):
         return 1.0 / (1.0 - v * v)
 
-    def sampler(rng, count):
-        return rng.integers(0, 2, size=count) * 2.0 - 1.0
-
     def tilted(theta, rng, count, copies=1):
         # a step is +1 with probability p_plus(theta), so c steps sum to
         # 2 Binomial(c, p_plus) - c
@@ -586,13 +580,11 @@ def rademacher() -> CgfModel:
     c2 = float(k(1.0))  # supporting lines at u = +-1
     return _catalog_model(
         id="rademacher",
-        dimension=1,
         domain=DomainInterval(-math.inf, math.inf),
-        mean=0.0,
         cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
         closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
         rate_dom=(-1.0, 1.0),
-        sampler=sampler, tilted_sampler=tilted,
+        tilted_sampler=tilted,
         minorant=(1.0, c2),
     )
 
@@ -626,9 +618,6 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
     def rate_h(v):
         return 1.0 / (v + r)
 
-    def sampler(rng, count):
-        return rng.poisson(r, size=count) - r
-
     def tilted(theta, rng, count, copies=1):
         # Poisson(c r e^theta) - c r
         cr = np.asarray(copies)[..., None] * r
@@ -638,13 +627,11 @@ def centered_poisson(rate_param: float = 1.0) -> CgfModel:
     c2 = max(float(k(1.0)), float(k(-1.0)))
     return _catalog_model(
         id=f"poisson:rate={r:g}",
-        dimension=1,
         domain=DomainInterval(-math.inf, math.inf),
-        mean=0.0,
         cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
         closed_rate=rate_fn, rate_grad=rate_g, rate_hess=rate_h,
         rate_dom=(-r, math.inf),
-        sampler=sampler, tilted_sampler=tilted,
+        tilted_sampler=tilted,
         minorant=(1.0, c2),
     )
 
@@ -687,13 +674,10 @@ def synthetic_boundary() -> CgfModel:
     c2 = max(float(k(0.5)), float(k(-1.0)), 0.0)  # lines at u = 1/2 and u = -1
     return _catalog_model(
         id="synthetic-boundary",
-        dimension=1,
         domain=DomainInterval(-math.inf, 1.0, upper_closed=True),
-        mean=0.0,
         cgf=k, cgf_grad=kp, cgf_hess=kpp, cgf_int=kint,
         closed_rate=rate, rate_grad=rate_g, rate_hess=rate_h,
         rate_dom=(-math.inf, math.inf),
-        sampler=None, tilted_sampler=None,
         minorant=(0.5, c2),
     )
 

@@ -62,7 +62,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from . import quadrature as quad
-from .cgf import CgfModel, DomainInterval, FullSpace
+from .cgf import CgfModel, DomainInterval
 from .conjugate import (_EPS, _ROUNDING, ConjugateResult, ConvexOracle, _one_atom_start,
                         _quot, atomic_facts, atomic_oracle, legendre, maximiser,
                         one_cell_slope, slope_edges, solve_monotone, tilt_domain)
@@ -184,10 +184,16 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
 
     if model.dimension > 1:
         return sum(quad.adaptive_gl(fn, a, b, tol=tol) for a, b, _, _ in kernel.pieces())
-    if k == 0 and math.isinf(lam):
-        # a law charging both sides of 0 has K(u) -> +inf as u -> +-inf, and
-        # f does not vanish identically, so E_f -> +inf along either ray (the
-        # walk would form lam f = inf * 0 where f = 0)
+    if k < 2 and math.isinf(lam):
+        # limits along a ray, where the walk would form lam f = inf * 0 at
+        # f = 0: E_f' is nondecreasing, so inside d_f it tends to the slope
+        # edge on that side, and past a finite cap it is +inf; a law charging
+        # both sides of 0 has K(u) -> +inf as u -> +-inf, and f does not
+        # vanish identically, so E_f -> +inf along either ray
+        if k == 1:
+            prob = _problem(model, kernel)
+            inside = prob.d_f.lower <= lam <= prob.d_f.upper
+            return prob.edges[lam > 0][0] if inside else math.inf
         lo, hi = model.rate_dom or (0.0, 0.0)
         if lo < 0.0 < hi:
             return math.inf
@@ -215,7 +221,9 @@ def e_f(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12) -> float:
 
 
 def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
-    """int f(t) K'(lam f(t)) dt; +-inf flags an infinite one-sided slope.
+    """int f(t) K'(lam f(t)) dt; +-inf flags an infinite one-sided slope.  At
+    lam = +-inf in d = 1 it is the limit, the slope edge on that side
+    (``ef_prime_range``) inside an infinite cap and +inf past a finite one.
     ValueError for a nan lam or a tol that is not finite and positive."""
     return _moment(model, kernel, lam, 1, tol)
 
@@ -253,10 +261,7 @@ class KernelRateProblem:
         model, k = self.model, self.kernel
         if model.dimension == 1:
             return tilt_domain(model, k.max_plus, k.max_minus)
-        if isinstance(model.domain, FullSpace):
-            return FullSpace(model.dimension)
-        raise DomainError("weighted domain is only available for full-space "
-                          "models in dimension > 1")
+        return model.domain     # the full space, the only d > 1 domain
 
     @cached_property
     def edges(self) -> tuple:
@@ -506,54 +511,40 @@ def _refined_grid(kernel: Kernel, total: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _grid(kernel: Kernel, total: int) -> tuple:
-    """(grid, integrals w_i of f over its cells) for ``_refined_grid(kernel,
-    total)``, built once per (kernel, total) and read-only."""
-    arrays = (grid := _refined_grid(kernel, total)), kernel.integrals(grid)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _grid_caps(model: CgfModel, kernel: Kernel) -> DomainInterval:
-    """[-M_minus, M_plus], closed where finite: the tilts nu of the discrete
-    dual sum_i l_i K(nu fbar_i) of a grid's cells, whose jumps are priced at
-    the caps.  A cell's mean fbar_i lies inside f's range, so nu fbar_i stays
-    inside the domain of K at a finite cap unless f is extreme on the whole
-    cell; there, at an open edge, Phi and Phi' are +inf at the cap.  In
-    d > 1 the tilts run over the full space."""
-    if model.dimension > 1:
-        return FullSpace(model.dimension)
-    m_plus, m_minus = _problem(model, kernel).m_plus_minus
-    return DomainInterval(-m_minus, m_plus, lower_closed=math.isfinite(m_minus),
-                          upper_closed=math.isfinite(m_plus))
-
-
-@lru_cache(maxsize=256)
 def _dual(model: CgfModel, kernel: Kernel, cells: int, rate: bool) -> tuple:
-    """(lens, fbar, caps, facts) of the discrete dual on ``_grid(kernel,
-    cells)``, built once per (model, kernel, cells) and cumulant: the
-    read-only cell lengths l_i and means fbar_i, ``_grid_caps`` and, in
-    d = 1, ``conjugate.atomic_facts`` for the model's K, or for K read off I
+    """(grid, w, lens, fbar, caps, facts) of the discrete dual on
+    ``_refined_grid(kernel, cells)``, built once per (model, kernel, cells)
+    and cumulant: the read-only grid, the integrals w_i of f over its cells,
+    their lengths l_i and means fbar_i = w_i / l_i; the caps of the tilts nu
+    of Phi(nu) = sum_i l_i K(nu fbar_i), whose jumps are priced there,
+    [-M_minus, M_plus] closed where finite (fbar_i lies inside f's range, so
+    nu fbar_i stays inside the domain of K at a finite cap unless f is
+    extreme on the whole cell; there, at an open edge, Phi and Phi' are +inf
+    at the cap), the full space in d > 1; and, in d = 1,
+    ``conjugate.atomic_facts`` for the model's K, or for K read off I
     (``_rate_cumulant``) where ``rate`` is set, else None.  These are law
     facts only: the I-side slope edge at a closed cap is solved from the
     mean, with no anchor, so no fact depends on the level first asked, and
     every call binds its closures to the caller's model."""
-    grid, w = _grid(kernel, cells)
+    grid = _refined_grid(kernel, cells)
+    w = kernel.integrals(grid)
     lens = np.diff(grid)
     fbar = w / lens
-    for a in (lens, fbar):
+    for a in (grid, w, lens, fbar):
         a.flags.writeable = False
-    caps = _grid_caps(model, kernel)
-    facts = None if model.dimension > 1 else atomic_facts(
-        model, caps, fbar, lens, _rate_cumulant(model) if rate else None)
-    return lens, fbar, caps, facts
+    if model.dimension > 1:
+        return grid, w, lens, fbar, model.domain, None
+    m_plus, m_minus = _problem(model, kernel).m_plus_minus
+    caps = DomainInterval(-m_minus, m_plus, lower_closed=math.isfinite(m_minus),
+                          upper_closed=math.isfinite(m_plus))
+    facts = atomic_facts(model, caps, fbar, lens, _rate_cumulant(model) if rate else None)
+    return grid, w, lens, fbar, caps, facts
 
 
 def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     """The path attaining I_f(x), on a grid of 400 to 4000 cells set by tol,
     with one cell on each flat piece of f (``_refined_grid``, built once per
-    (kernel, cell count) by ``_grid``); tol sets nothing else.
+    (model, kernel, cell count) by ``_dual``); tol sets nothing else.
 
     The path is the argmin of the discretised action that
     ``variational_rate`` prices: sum_i l_i I(v_i) plus jumps priced at the
@@ -562,8 +553,8 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
     are v_i = K'(nu fbar_i), nu the argmax of nu x - Phi(nu) over the caps,
     Phi(nu) = sum_i l_i K(nu fbar_i): the cumulant of the finite measure
     sum_i l_i delta_{fbar_i}, solved by one ``maximiser`` call on its
-    ``conjugate.atomic_oracle`` over ``_grid_caps`` (the full space in
-    d > 1), built on the law facts that ``_dual`` keeps per (model, kernel,
+    ``conjugate.atomic_oracle`` over the caps (the full space in d > 1),
+    built on the grid and law facts that ``_dual`` keeps per (model, kernel,
     cell count), so only the first call on a grid finds Phi' at a closed
     cap.  The solve reads only Phi' and Phi'' in d = 1, run to rounding:
     the path pairs to x within a few ulp, or where Phi' is steep, next to an
@@ -582,8 +573,7 @@ def minimizer(model: CgfModel, kernel: Kernel, x, tol: float = 1e-8):
 
     x, tol = _level(model, x), _tolerance(tol)
     total = int(min(4000, max(400, round(0.5 / math.sqrt(max(tol, 1e-12))))))
-    grid, w = _grid(kernel, total)
-    lens, fbar, caps, facts = _dual(model, kernel, total, False)
+    grid, w, lens, fbar, caps, facts = _dual(model, kernel, total, False)
     oracle = atomic_oracle(model, caps, fbar, lens, facts=facts)
     res = maximiser(oracle, x, _EPS)
     if res.argmax is None:
@@ -727,11 +717,11 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     """Minimum of the discretised action over paths pairing to x.
 
     On the grid of about ``pieces`` cells that ``minimizer`` uses
-    (``_refined_grid``, built once per (kernel, pieces) by ``_grid``), a flat
-    piece of f being one cell, as cells with one fbar take one optimal slope
+    (``_refined_grid``, built once per (model, kernel, pieces) by ``_dual``),
+    a flat piece of f being one cell, as cells with one fbar take one optimal slope
     (lengths l_i, kernel integrals w_i, averages fbar_i = w_i / l_i), slopes
     v_i plus jumps priced at the recession constants cost
-    sup_nu [nu x - Phi(nu)] over nu in ``_grid_caps``, [-M_minus, M_plus],
+    sup_nu [nu x - Phi(nu)] over nu in the caps [-M_minus, M_plus],
     Phi(nu) = sum_i l_i I*(nu fbar_i) (Fenchel duality).  As I* = K, Phi is
     the cumulant of the finite measure sum_i l_i delta_{fbar_i}, whose oracle
     ``conjugate.atomic_oracle`` builds, as for ``minimizer``, but fed the
@@ -764,7 +754,7 @@ def variational_rate(model: CgfModel, kernel: Kernel, x, pieces: int = 200,
     _require(model, "variational_rate", "rate_grad", "rate_hess",
              *(("rate_dom",) if model.dimension == 1 else ()))
     x = _level(model, x)
-    lens, fbar, caps, facts = _dual(model, kernel, pieces, True)
+    _, _, lens, fbar, caps, facts = _dual(model, kernel, pieces, True)
     known = one_cell_slope(model, facts[2], x) if facts else None
     oracle = atomic_oracle(model, caps, fbar, lens, _rate_cumulant(model, known), known, facts)
     return legendre(oracle, x, tol=tol).value

@@ -179,7 +179,7 @@ def estimate_tail(model: CgfModel, kernel: Kernel, n: int, a: float,
     n = _step_count(n)
     if not math.isfinite(a):
         raise ValueError(f"level a must be finite, got {a}")
-    if model.sampler is None or model.tilted_sampler is None:
+    if model.tilted_sampler is None:
         raise NoSamplerError(f"model {model.id} has no tilted sampler")
 
     dim = model.dimension

@@ -82,7 +82,7 @@ class CadlagPath:
         grid = np.asarray(grid, dtype=float).reshape(-1)
         if len(grid) < 2 or grid[0] != 0.0 or grid[-1] != 1.0:
             raise ValueError("grid must run from 0 to 1")
-        if (grid[:-1] >= grid[1:]).any():
+        if not (grid[:-1] < grid[1:]).all():     # a nan node fails every compare
             raise ValueError("grid must increase strictly")
         slopes = np.asarray(slopes, dtype=float)
         if slopes.size != d * len(slopes):

@@ -329,8 +329,7 @@ def _bounded_domain_model() -> CgfModel:
         val = 2.0 * (1.0 + u * u) / (1.0 - u * u) ** 2
         return val if val.ndim else float(val)
 
-    return CgfModel(id="bounded-test", dimension=1,
-                    domain=DomainInterval(-1.0, 1.0), mean=0.0,
+    return CgfModel(id="bounded-test", domain=DomainInterval(-1.0, 1.0),
                     cgf=k, cgf_grad=kp, cgf_hess=kpp)
 
 

@@ -10,9 +10,8 @@ import pytest
 
 from ldpkit import (DomainError, DomainInterval, NoSamplerError, parse_model)
 from ldpkit import quadrature as quad
-from ldpkit.cgf import (MODEL_FACTORIES, centered_exponential,
-                        centered_poisson, gaussian, rademacher,
-                        synthetic_boundary)
+from ldpkit.cgf import (MODEL_FACTORIES, CgfModel, FullSpace, centered_exponential,
+                        centered_poisson, gaussian, rademacher, synthetic_boundary)
 
 ALL_SPECS = ("gaussian:mu=0,sigma=1", "cexp", "rademacher",
              "poisson:rate=1", "synthetic-boundary")
@@ -283,7 +282,45 @@ def test_sampler_reproducible():
 
 def test_rademacher_sample_support():
     xs = parse_model("rademacher").sample(500, seed=1)
-    assert set(np.unique(xs)) <= {-1.0, 1.0}
+    assert set(np.unique(xs)) == {-1.0, 1.0}
+
+
+VECTOR_LAW = dict(mu=(0.2, -0.4), cov=((2.0, 0.5), (0.5, 1.0)))
+
+
+def test_a_law_states_no_dimension_mean_or_sampler():
+    names = {f.name for f in dataclasses.fields(CgfModel)}
+    assert not names & {"dimension", "mean", "sampler"}
+
+
+@pytest.mark.parametrize("model,dimension,mean", [
+    (parse_model("gaussian"), 1, 0.0), (parse_model("gaussian:mu=0.5,sigma=2"), 1, 0.5),
+    (parse_model("gaussian:mu=-0.3,sigma=1"), 1, -0.3), (parse_model("cexp"), 1, 0.0),
+    (parse_model("rademacher"), 1, 0.0), (parse_model("poisson:rate=2.5"), 1, 0.0),
+    (parse_model("synthetic-boundary"), 1, 0.0), (gaussian(**VECTOR_LAW), 2, (0.2, -0.4))])
+def test_dimension_and_mean_are_read_off_the_law(model, dimension, mean):
+    # the dimension from the domain, the mean as K'(0): the values each
+    # catalog entry once stated beside its law
+    assert model.dimension == dimension
+    assert model.mean == mean and type(model.mean) is type(mean)
+    assert model.mean_vec.tolist() == list(np.atleast_1d(mean))
+
+
+def _chol_draws(rng, count):
+    mu, cov = np.asarray(VECTOR_LAW["mu"]), np.asarray(VECTOR_LAW["cov"])
+    return mu + rng.standard_normal((count, 2)) @ np.linalg.cholesky(cov).T
+
+
+@pytest.mark.parametrize("model,formula", [
+    (parse_model("gaussian:mu=0.5,sigma=2"), lambda rng, n: rng.normal(0.5, 2.0, n)),
+    (parse_model("cexp"), lambda rng, n: rng.standard_exponential(n) - 1.0),
+    (parse_model("poisson:rate=2.5"), lambda rng, n: rng.poisson(2.5, size=n) - 2.5),
+    (gaussian(**VECTOR_LAW), _chol_draws)])
+def test_plain_draws_are_the_tilt_by_zero(model, formula):
+    # a plain draw is the tilted draw at tilt 0, bit for bit the plain
+    # sampler formula of the law on the same generator
+    want = formula(np.random.default_rng(3), 1000)
+    assert np.array_equal(model.sample(1000, seed=3), want)
 
 
 @pytest.mark.parametrize("spec,theta", [
@@ -545,7 +582,6 @@ def test_one_dimensional_models_have_interval_domains():
     # a Gaussian with a length-1 mean vector is the scalar law, so every d = 1
     # entry point takes it
     from ldpkit import estimate_tail, i_f_conjugate, parse_kernel, variational_rate
-    from ldpkit.cgf import FullSpace
 
     vec, scalar = gaussian(mu=[0.0], cov=[[1.0]]), gaussian()
     kernel = parse_kernel("affine:0,1")
@@ -555,9 +591,9 @@ def test_one_dimensional_models_have_interval_domains():
     assert variational_rate(vec, kernel, 0.5) == variational_rate(scalar, kernel, 0.5)
     tails = [estimate_tail(m, kernel, 50, 0.5, samples=500, seed=3) for m in (vec, scalar)]
     assert tails[0].log_prob == tails[1].log_prob and math.isfinite(tails[0].log_prob)
-    # a d = 1 model on the full space has no edges for the d = 1 rules to read
+    # the full space has no edges for the d = 1 rules to read, so it takes d >= 2
     with pytest.raises(DomainError):
-        dataclasses.replace(scalar, id="g-full", domain=FullSpace(1))
+        FullSpace(1)
 
 
 def test_catalog_is_complete():

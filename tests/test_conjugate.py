@@ -173,8 +173,7 @@ def test_model_grad_range(spec, want):
 
 def test_open_finite_edges_need_no_rate_dom():
     # K = -log(1 - u^2) blows up at both open edges, so K' runs to +-inf
-    model = CgfModel(id="open-edges", dimension=1,
-                     domain=DomainInterval(-1.0, 1.0), mean=0.0,
+    model = CgfModel(id="open-edges", domain=DomainInterval(-1.0, 1.0),
                      cgf=lambda u: -np.log1p(-np.asarray(u) ** 2),
                      cgf_grad=lambda u: 2.0 * np.asarray(u) / (1.0 - np.asarray(u) ** 2))
     assert model.rate_dom is None

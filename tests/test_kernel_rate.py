@@ -363,8 +363,8 @@ def _negated_inverse_gaussian():
             return 1.0 - 1.0 / root(u)
 
     return CgfModel(
-        id="negated-inverse-gaussian", dimension=1,
-        domain=DomainInterval(-0.5, math.inf, lower_closed=True), mean=0.0,
+        id="negated-inverse-gaussian",
+        domain=DomainInterval(-0.5, math.inf, lower_closed=True),
         cgf=lambda u: 1.0 + u - root(u), cgf_grad=grad, cgf_hess=hess,
         cgf_int=lambda u: u + 0.5 * u * u - (root(u) ** 3 - 1.0) / 3.0,
         rate_dom=(-math.inf, 1.0))
@@ -513,7 +513,7 @@ def _k_only_model():
             return out if out.ndim else float(out)
         return wrapped
 
-    return CgfModel(id="k-only", dimension=1, domain=DomainInterval(-1.0, 1.0), mean=0.0,
+    return CgfModel(id="k-only", domain=DomainInterval(-1.0, 1.0),
                     cgf=on_floats(lambda u: -np.log1p(-u * u)),
                     cgf_grad=on_floats(lambda u: 2.0 * u / (1.0 - u * u)),
                     cgf_hess=on_floats(lambda u: 2.0 * (1.0 + u * u) / (1.0 - u * u) ** 2))
@@ -534,7 +534,7 @@ def test_routes_name_the_formula_a_model_leaves_out():
 def _two_coordinates(spec):
     # two independent coordinates of the law ``spec``: K(u) = K_1(u_1) + K_1(u_2)
     one = parse_model(spec)
-    return CgfModel(id=f"two-{spec}", dimension=2, domain=FullSpace(2), mean=(0.0, 0.0),
+    return CgfModel(id=f"two-{spec}", domain=FullSpace(2),
                     cgf=lambda u: np.sum(one.cgf(u), axis=-1), cgf_grad=one.cgf_grad,
                     cgf_hess=lambda u: np.asarray(one.cgf_hess(u))[..., None] * np.eye(2),
                     closed_rate=lambda v: np.sum(one.closed_rate(v), axis=-1))
@@ -761,7 +761,7 @@ def _cexp_mirror():
     (-1, inf), whose finite edge is the lower one."""
     c = parse_model("cexp")
     return CgfModel(
-        id="cexp-mirror", dimension=1, domain=DomainInterval(-1.0, math.inf), mean=0.0,
+        id="cexp-mirror", domain=DomainInterval(-1.0, math.inf),
         cgf=lambda u: c.cgf(-u), cgf_grad=lambda u: -c.cgf_grad(-u),
         cgf_hess=lambda u: c.cgf_hess(-u), cgf_int=lambda u: -c.cgf_int(-u),
         closed_rate=lambda v: c.closed_rate(-v), rate_grad=lambda v: -c.rate_grad(-v),
@@ -1318,6 +1318,23 @@ def test_e_f_at_an_infinite_tilt_is_plus_inf(law, kernel, lam):
     assert e_f(parse_model(law), parse_kernel(kernel), lam) == math.inf
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf])
+@pytest.mark.parametrize("kernel", ["affine:0,1", "affine:0.5,1", "pwl:0:0,0.5:1,1:0", "const:1"])
+@pytest.mark.parametrize("law", sorted(MODEL_FACTORIES))
+def test_e_f_grad_at_an_infinite_tilt_is_its_limit(law, kernel, lam):
+    # E_f' is nondecreasing: inside an infinite cap it tends to the slope
+    # edge on that side, and past a finite cap lam f leaves the domain; the
+    # walk once formed lam f = inf * 0 where f = 0, or K'(inf) = inf / inf,
+    # and raised a RuntimeWarning (an error under pytest) or returned nan
+    model, k = parse_model(law), parse_kernel(kernel)
+    caps, edge = d_f(model, k), ef_prime_range(model, k)[lam > 0]
+    inside = caps.lower <= lam <= caps.upper
+    assert e_f_grad(model, k, lam) == (edge if inside else math.inf)
+    if inside and math.isfinite(edge):
+        # E_f' at a far tilt lies close to it
+        assert e_f_grad(model, k, math.copysign(1e4, lam)) == pytest.approx(edge, abs=1e-2)
+
+
 def test_a_diverged_touch_beside_a_rough_piece_sums_to_inf():
     # at lam = 1 the weight 1 at t = 0 touches cexp's open edge 1, where the
     # K' and K'' integrals diverge to +inf; the pieces of tiny f beside it
@@ -1506,7 +1523,7 @@ def test_minimizer_pairs_next_to_an_open_cap(x):
     # at the edge, which stands in for the layer of width 1 - lam* there
     m = parse_model("cexp")
     path = minimizer(m, ID, x)
-    grid, w = kr._grid(ID, 4000)
+    grid, w = kr._dual(m, ID, 4000, False)[:2]
     edge = float(w @ m.cgf_grad(w / np.diff(grid)))
     assert pair(ID, path) == pytest.approx(x, abs=1e-10 * x)
     assert len(path.jumps) == (x > edge)
@@ -1638,7 +1655,7 @@ def test_refined_grid_gives_a_flat_piece_one_cell(spec, total, cells):
 
 def test_grid_cache_is_read_only_and_changes_no_answer():
     m = parse_model("poisson:rate=1")
-    for array in kr._grid(PLATEAU, 4000):
+    for array in kr._dual(m, PLATEAU, 4000, False)[:4]:
         with pytest.raises(ValueError):
             array[0] = 1.0
 
@@ -1646,16 +1663,16 @@ def test_grid_cache_is_read_only_and_changes_no_answer():
         out = []
         for k, x in ((PLATEAU, 0.3), (ID, 1.0), (CONST1, 0.5)):
             if clear:
-                kr._grid.cache_clear()
+                kr._dual.cache_clear()
             p = minimizer(m, k, x)
             out.append((p.grid, p.slopes, p.jumps))
         return out
 
     cold = paths(clear=True)
     paths(clear=False)
-    hits = kr._grid.cache_info().hits
+    hits = kr._dual.cache_info().hits
     assert paths(clear=False) == cold
-    assert kr._grid.cache_info().hits == hits + 3
+    assert kr._dual.cache_info().hits == hits + 3
 
 
 # -- the cache of the discrete dual's law facts -------------------------------------
@@ -1705,8 +1722,8 @@ def test_dual_cache_is_read_only_and_keeps_no_formula():
     model = parse_model("synthetic-boundary")
     kr._dual.cache_clear()
     want = variational_rate(model, ID, 0.15), minimizer(model, ID, 0.15)     # warm
-    lens, fbar, _, facts = kr._dual(model, ID, 200, True)
-    for array in (lens, fbar):
+    grid, w, lens, fbar, _, facts = kr._dual(model, ID, 200, True)
+    for array in (grid, w, lens, fbar):
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert all(not callable(fact) for fact in facts)
@@ -1763,7 +1780,7 @@ def _cap_jump(model, kernel, x, cap, continuous):
     by the rest of x, x - sum_i w_i K'(cap fbar_i), which lies within
     0.07 N^(-3/2) of the ``continuous`` jump, x minus E_f' at the cap."""
     path = minimizer(model, kernel, x)
-    grid, w = kr._grid(kernel, 4000)
+    grid, w = kr._dual(model, kernel, 4000, False)[:2]
     slopes = model.cgf_grad(cap * w / np.diff(grid))
     assert np.array_equal(path.slopes, slopes)
     ((tau, val),) = path.jumps

@@ -133,6 +133,7 @@ def test_jumps_match_the_reference_loop():
     ((1, (0.1, 1.0), (1.0,)), "grid must run from 0 to 1"),
     ((1, (0.0, 0.5, 0.5, 1.0), (1.0, 2.0, 3.0)), "grid must increase strictly"),
     ((1, (0.0, 0.7, 0.3, 1.0), (1.0, 2.0, 3.0)), "grid must increase strictly"),
+    ((1, (0.0, math.nan, 1.0), (1.0, 2.0)), "grid must increase strictly"),
     ((1, (0.0, 1.0), (1.0, 2.0)), "need one slope per grid interval"),
     ((2, (0.0, 0.5, 1.0), ((1.0, 2.0),)), "need one slope per grid interval"),
     ((2, (0.0, 1.0), ()), "need one slope per grid interval"),
