@@ -29,7 +29,7 @@ formulas evaluated once per node.  E_f, E_f' and E_f'' pass Psi = P, uK - P
 and u^2 K' - 2uK + 2P (P = int_0^u K, ``cgf_int``), the clamp uK - 2P on
 its flat and touched pieces.  A bracket stands when its rounding bound,
 eps (|term| + 1 + |u|) summed over its terms at both ends over |lam^j du|,
-is within tol max(1, |mean|); else the adaptive rule takes it.
+is within tol max(1, |mean|); the rough rest share one adaptive pass.
 
 ``minimizer`` and ``variational_rate`` share one discrete problem on a grid
 of cells: the action of a path with one slope per cell, plus jumps, under
@@ -165,12 +165,12 @@ _MOMENT_PSI = ((("cgf_int",), lambda u, p: (p,)),
 
 
 def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
-    """int_0^1 f^k D^k K(lam f(t)) dt, +inf once lam f leaves the domain, and
-    E_f is +inf at lam = +-inf for a law charging both sides of 0: one
-    array-valued adaptive pass per kernel piece in d > 1; in d = 1 the
-    brackets of Psi_k of ``_node_walk``, with the adaptive rule on the rough
-    pieces.  ValueError for a nan lam, or a nan component, and for a tol
-    that is not finite and positive."""
+    """int_0^1 f^k D^k K(lam f(t)) dt, +inf once lam f leaves the domain,
+    and at lam = +-inf in d = 1 its limit along the ray: one array-valued
+    adaptive pass over every kernel piece in d > 1; in d = 1 the brackets of
+    Psi_k of ``_node_walk``, with one adaptive pass over the rough pieces.
+    ValueError for a nan lam, or a nan component, and for a tol that is not
+    finite and positive."""
     deriv = (model.cgf, model.cgf_grad, model.cgf_hess)[k]
     lam = float(lam) if model.dimension == 1 else np.asarray(lam, dtype=float)
     if math.isnan(lam) if model.dimension == 1 else np.isnan(lam).any():
@@ -183,20 +183,25 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
         return (fv ** k).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
 
     if model.dimension > 1:
-        return sum(quad.adaptive_gl(fn, a, b, tol=tol) for a, b, _, _ in kernel.pieces())
-    if k < 2 and math.isinf(lam):
+        return quad.adaptive_gl(fn, kernel._bp[:-1], kernel._bp[1:], tol)
+    if math.isinf(lam):
         # limits along a ray, where the walk would form lam f = inf * 0 at
-        # f = 0: E_f' is nondecreasing, so inside d_f it tends to the slope
-        # edge on that side, and past a finite cap it is +inf; a law charging
-        # both sides of 0 has K(u) -> +inf as u -> +-inf, and f does not
-        # vanish identically, so E_f -> +inf along either ray
-        if k == 1:
-            prob = _problem(model, kernel)
-            inside = prob.d_f.lower <= lam <= prob.d_f.upper
-            return prob.edges[lam > 0][0] if inside else math.inf
-        lo, hi = model.rate_dom or (0.0, 0.0)
-        if lo < 0.0 < hi:
+        # f = 0: past a finite cap each moment is +inf; inside d_f E_f' is
+        # nondecreasing, so it tends to the slope edge on that side, and E_f''
+        # tends to K''(lam) S+ + K''(-lam) S-, S+- = int f^2 over {+-f > 0}
+        # (an empty set adds 0); a law charging both sides of 0 has K(u) ->
+        # +inf as u -> +-inf, and f does not vanish identically, so E_f ->
+        # +inf along either ray
+        prob, (lo, hi) = _problem(model, kernel), model.rate_dom or (0.0, 0.0)
+        if not prob.d_f.lower <= lam <= prob.d_f.upper or (k == 0 and lo < 0.0 < hi):
             return math.inf
+        if k == 1:
+            return prob.edges[lam > 0][0]
+        if k == 2:
+            s = {1.0: 0.0, -1.0: 0.0}       # S+ and S-, by the sign of f
+            for a, b, fa, fb in _sign_pieces(kernel):
+                s[math.copysign(1.0, fa + fb)] += (b - a) * (fa * fa + fa * fb + fb * fb) / 3.0
+            return sum(float(model.cgf_hess(sign * lam)) * v for sign, v in s.items() if v)
     if lam == 0.0:
         return (1.0, kernel.m1, kernel.m2)[k] * float(deriv(0.0))
     if kernel.lipschitz == 0.0:     # f = c: the walk's all-flat value at a third of its cost
@@ -207,10 +212,9 @@ def _moment(model: CgfModel, kernel: Kernel, lam, k: int, tol: float):
         return math.inf
     mean, rough = bracket(k, _MOMENT_PSI[k], deriv, tol)
     value = mean * kernel._widths
-    if np.count_nonzero(rough):
-        bp = kernel.breakpoints
-        for i in np.flatnonzero(rough):
-            value[i] = quad.adaptive_gl(fn, bp[i], bp[i + 1], tol)
+    if np.count_nonzero(rough):     # one adaptive pass, summed at the first rough piece
+        value[rough], bp = 0.0, kernel._bp
+        value[np.argmax(rough)] = quad.adaptive_gl(fn, bp[:-1][rough], bp[1:][rough], tol)
     return sum(value.tolist())
 
 
@@ -230,7 +234,9 @@ def e_f_grad(model: CgfModel, kernel: Kernel, lam, tol: float = 1e-12):
 
 def _e_f_hess(model: CgfModel, kernel: Kernel, lam):
     """int f(t)^2 K''(lam f(t)) dt.  It only shapes Newton steps, so in d = 1
-    its brackets and fallback are held to 1e-10."""
+    its brackets and fallback are held to 1e-10.  At lam = +-inf in d = 1 it
+    is the limit K''(lam) S+ + K''(-lam) S-, S+- = int f^2 over {+-f > 0},
+    inside an infinite cap and +inf past a finite one."""
     return _moment(model, kernel, lam, 2, 1e-10 if model.dimension == 1 else 1e-12)
 
 
@@ -404,13 +410,13 @@ def _sign_split(kernel: Kernel):
 
 
 def _dyadic_gl(fn, lo: float, hi: float, tol: float) -> float:
-    """``adaptive_gl`` of fn over [lo, hi], split first where |s| crosses 2^k,
-    k >= 0, s the variable of integration: in u = lam f, where K'(u) leaves
-    its saturated value; in v = K'(u), where I(v) I''(v) decays toward a
-    finite domain edge of K."""
-    cuts = 2.0 ** np.arange(math.ceil(math.log2(max(1.0, -lo, hi))) + 1)
-    cuts = np.concatenate((-cuts[::-1], cuts))
-    return quad.adaptive_gl(fn, lo, hi, tol, cuts=cuts[(cuts > lo) & (cuts < hi)])
+    """``adaptive_gl`` of fn over the panels of [lo, hi] split where |s|
+    crosses 2^k, k >= 0, s the variable of integration: in u = lam f, where
+    K'(u) leaves its saturated value; in v = K'(u), where I(v) I''(v) decays
+    toward a finite domain edge of K."""
+    top = math.ceil(math.log2(max(1.0, -lo, hi)))
+    cuts = sorted(c for j in range(top + 1) for c in (-2.0 ** j, 2.0 ** j) if lo < c < hi)
+    return quad.adaptive_gl(fn, np.array([lo, *cuts]), np.array([*cuts, hi]), tol)
 
 
 def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar, tol: float) -> float:
@@ -418,45 +424,45 @@ def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar, tol: float) -> flo
     it is closed, as ``maximiser`` returns for a finite level (at an open cap
     the slope edge is infinite).
 
-    In d > 1 each kernel piece takes one array-valued adaptive pass.  In
-    d = 1 an untouched piece takes ``_dyadic_gl`` in u = lam_bar f, so this
-    route shares no value formula with E_f, but within |e| / 2 of a finite
-    domain edge e of K in v = K'(u): u = I'(v), so du = I''(v) dv and that
-    layer is int I(v) I''(v) dv, whose nodes are v's, so the rounding of u
-    next to e never enters.  A flat piece, or one touching a (closed) edge,
-    where K'(e) and so v can be infinite, is a ``_node_walk`` bracket of
-    uK - 2P, d/du (uK - 2P) = I(K'(u)) = u K'(u) - K(u).
+    In d > 1 every kernel piece goes to one adaptive pass.  In d = 1 an
+    untouched piece takes ``_dyadic_gl`` in u = lam_bar f, so this route
+    shares no value formula with E_f, but within |e| / 2 of a finite domain
+    edge e of K in v = K'(u): u = I'(v), so du = I''(v) dv and that layer is
+    int I(v) I''(v) dv, whose nodes are v's, so the rounding of u next to e
+    never enters.  A flat piece, or one touching a (closed) edge, where
+    K'(e) and so v can be infinite, is a ``_node_walk`` bracket of uK - 2P,
+    d/du (uK - 2P) = I(K'(u)) = u K'(u) - K(u), else in that one pass.
     """
     def g(u):
         return model.closed_rate(model.cgf_grad(u))
 
-    if model.dimension > 1:
-        return sum(quad.adaptive_gl(lambda ts: g(kernel.eval(ts)[:, None] * lam_bar), a, b, tol)
-                   for a, b, _, _ in kernel.pieces())
-    u, touched = _trace(model, kernel, lam_bar, kernel._vals)
-    closed = touched[:-1] | touched[1:] | (u[:-1] == u[1:])
-    if np.count_nonzero(closed):
-        mean, rough = _node_walk(model, kernel, lam_bar)(
-            0, (("cgf", "cgf_int"), lambda u, k, p: (u * k, -2.0 * p)), g, tol)
-        value = mean * kernel._widths
-    total = 0.0
-    for i, (a, b, _, _) in enumerate(kernel.pieces()):
-        if closed[i]:
-            total += (quad.adaptive_gl(lambda ts: g(lam_bar * kernel.eval(ts)), a, b, tol)
-                      if rough[i] else float(value[i]))
-            continue
-        lo, hi = sorted(u[i:i + 2].tolist())
-        rate = (hi - lo) / (b - a)      # |du / dt|
-        for edge in (model.domain.lower, model.domain.upper):
-            near = hi if edge > 0 else lo
-            if not abs(edge - near) < 0.5 * abs(edge) < math.inf:
+    total, rough = 0.0, slice(None)     # every piece in d > 1
+    if model.dimension == 1:
+        u, touched = _trace(model, kernel, lam_bar, kernel._vals)
+        rough = closed = touched[:-1] | touched[1:] | (u[:-1] == u[1:])
+        if np.count_nonzero(closed):
+            mean, rough = _node_walk(model, kernel, lam_bar)(
+                0, (("cgf", "cgf_int"), lambda u, k, p: (u * k, -2.0 * p)), g, tol)
+            rough, value = rough & closed, mean * kernel._widths
+        for i, (a, b, _, _) in enumerate(kernel.pieces()):
+            if closed[i]:
+                total += 0.0 if rough[i] else float(value[i])   # a rough one joins the pass
                 continue
-            far = max(lo, 0.5 * edge) if edge > 0 else min(hi, 0.5 * edge)
-            lo, hi = (lo, far) if edge > 0 else (far, hi)
-            v_lo, v_hi = sorted(model.cgf_grad(np.array([near, far])).tolist())
-            total += _dyadic_gl(lambda v: model.closed_rate(v) * model.rate_hess(v),
-                                v_lo, v_hi, tol * rate) / rate
-        total += _dyadic_gl(g, lo, hi, tol * rate) / rate
+            lo, hi = sorted(u[i:i + 2].tolist())
+            rate = (hi - lo) / (b - a)      # |du / dt|
+            for edge in (model.domain.lower, model.domain.upper):
+                near = hi if edge > 0 else lo
+                if not abs(edge - near) < 0.5 * abs(edge) < math.inf:
+                    continue
+                far = max(lo, 0.5 * edge) if edge > 0 else min(hi, 0.5 * edge)
+                lo, hi = (lo, far) if edge > 0 else (far, hi)
+                v_lo, v_hi = sorted(model.cgf_grad(np.array([near, far])).tolist())
+                total += _dyadic_gl(lambda v: model.closed_rate(v) * model.rate_hess(v),
+                                    v_lo, v_hi, tol * rate) / rate
+            total += _dyadic_gl(g, lo, hi, tol * rate) / rate
+    if model.dimension > 1 or np.count_nonzero(rough):
+        total += quad.adaptive_gl(lambda ts: g(np.multiply.outer(kernel.eval(ts), lam_bar)),
+                                  kernel._bp[:-1][rough], kernel._bp[1:][rough], tol)
     return total
 
 

@@ -1,16 +1,16 @@
 """Gauss-Legendre quadrature.
 
-Integrands here are smooth inside their interval.  ``adaptive_gl`` bisects
-with a fixed 32-node rule, one level at a time, and takes scalar or
-array-valued integrands.  In d = 1 the choice between a closed form and
-quadrature for the E_f-type integrals is made in ``kernel_rate._walk``, the
-one piece walker, for all intervals at once: the closed form is a bracket of
-a primitive of K, which loses digits only where the tilt is small and the
-integrand nearly constant, where ``adaptive_gl`` (E_f and its derivatives,
-the clamp integral) takes over.  ``integrate_piece``, the per-interval form of that
-choice, is called nowhere in the library; it stays only because the
-benchmark's layer tracer (``benchmarks/tracer.py``) looks the name up, and
-goes with the next change to the benchmark.
+Integrands here are smooth inside their panels.  ``adaptive_gl`` bisects
+with a fixed 32-node rule, one level at a time, over any number of panels
+under one error budget (QUADPACK's design), and takes scalar or array-valued
+integrands.  In d = 1 ``kernel_rate._walk``, the one piece walker, chooses
+between a closed form and quadrature for the E_f-type integrals over all
+intervals at once: a bracket of a primitive of K loses digits only where the
+tilt is small and the integrand nearly constant, and the rough intervals of
+one integral share one ``adaptive_gl`` pass.  ``integrate_piece``, the
+per-interval form of that choice, is called nowhere in the library; it stays
+only because the benchmark's layer tracer (``benchmarks/tracer.py``) looks
+the name up, and goes with the next change to the benchmark.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from .errors import NonConvergenceError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MAX_DEPTH = 30
-# panels of one level: the tests, ``ldpkit selftest`` and the benchmark
-# workloads peak at 21 (depth <= 15), 195 times below, and the clamp
-# integral's cuts at +-2^k start at most 2051; an integrand that is rounding
-# noise would split every panel down to _MAX_DEPTH, 2^30 of them
+# panels of one level past the first, which holds the caller's panels: the
+# tests, ``ldpkit selftest`` and the benchmark workloads peak at 30, 136
+# times below; an integrand that is rounding noise would split every panel
+# down to _MAX_DEPTH, 2^30 of them
 _MAX_PANELS = 4096
 
 
@@ -52,24 +52,23 @@ def scaled_nodes(a: float, b: float):
     return mid + half * _NODES, half * _WEIGHTS
 
 
-def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12, cuts=()):
-    """Adaptive bisection built on gl32, over [a, b] split first at ``cuts``.
+def adaptive_gl(fn: Callable, a, b, tol: float = 1e-12):
+    """Adaptive bisection built on gl32, summed over the panels [a, b]
+    (numbers, or equal-length arrays of panel ends).
 
-    Accepts a panel once halving changes its estimate (its largest
-    component, for an array-valued fn) by less than the length-prorated
-    share of ``tol``.  All panels of one level go to one gl32 call.  Depth
-    is capped, so an endpoint singularity costs at most ``_MAX_DEPTH`` levels,
-    and a level of more than ``_MAX_PANELS`` panels raises
-    NonConvergenceError.
+    Accepts a panel once halving changes its estimate (its largest component,
+    for an array-valued fn) by less than its length's share of ``tol``, the
+    absolute budget of the pass.  All panels of one level go to one gl32
+    call.  Depth is capped, so an endpoint singularity costs at most
+    ``_MAX_DEPTH`` levels, and a level past the first with more than
+    ``_MAX_PANELS`` panels raises NonConvergenceError.
     """
-    if a == b:
+    lo, hi = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
+    if not (span := float((hi - lo).sum())):
         return 0.0
-    edges = np.concatenate(([a], np.asarray(cuts, dtype=float), [b]))
-    lo, hi = edges[:-1], edges[1:]
-    whole = gl32(fn, lo, hi)
-    acc = 0.0
+    whole, acc = gl32(fn, lo, hi), 0.0
     for depth in range(_MAX_DEPTH + 1):
-        if len(lo) > _MAX_PANELS:
+        if depth and len(lo) > _MAX_PANELS:
             raise NonConvergenceError(f"adaptive quadrature needs over {_MAX_PANELS} "
                                       "panels in one level")
         mid = 0.5 * (lo + hi)
@@ -81,7 +80,7 @@ def adaptive_gl(fn: Callable, a: float, b: float, tol: float = 1e-12, cuts=()):
             change = np.abs(fine - whole).reshape(len(lo), -1)
         scale = np.abs(fine).reshape(len(lo), -1).max(axis=1)
         split = np.isfinite(change).all(axis=1) & (depth < _MAX_DEPTH) & (
-            change.max(axis=1) > np.maximum(tol * (hi - lo) / (b - a), 1e-17 * (1.0 + scale)))
+            change.max(axis=1) > np.maximum(tol * (hi - lo) / span, 1e-17 * (1.0 + scale)))
         acc = acc + fine[~split].sum(axis=0)
         if not split.any():
             break

@@ -35,12 +35,19 @@ from ldpkit import (
 )
 from ldpkit.cgf import MODEL_FACTORIES, CgfModel, DomainInterval, FullSpace, gaussian
 from ldpkit.errors import LdpkitError, NonConvergenceError
+from ldpkit.kernels import Kernel
 
 ID = identity()
 CONST1 = constant(1.0)
 NEGID = parse_kernel("affine:0,-1")
 TENT = parse_kernel("pwl:0:0,0.5:1,1:0")
 PLATEAU = parse_kernel("pwl:0:0,0.25:1,0.75:1,1:0")
+
+
+def _decay(pieces):
+    # e^(-2t) interpolated on ``pieces`` equal pieces
+    t = np.linspace(0.0, 1.0, pieces + 1)
+    return Kernel(tuple(t), tuple(np.exp(-2.0 * t)))
 
 PAIRS = [
     ("gaussian:mu=0,sigma=1", ID),
@@ -160,7 +167,9 @@ def test_moments_match_quadrature_across_tilts(spec, k):
 
 def test_small_tilt_takes_the_adaptive_rule(monkeypatch):
     # at lam = 1e-6 the brackets cancel to a few digits, so the guard hands
-    # every moment to the adaptive rule; at lam = 3 none of them need it
+    # every moment to the adaptive rule; at lam = 3 none of them need it.  The
+    # rough pieces of a fine kernel share one pass per moment, and in d > 1
+    # every piece does, the clamp integral's too
     m = parse_model("poisson:rate=1")
     calls = [0]
     adaptive = kr.quad.adaptive_gl
@@ -175,6 +184,23 @@ def test_small_tilt_takes_the_adaptive_rule(monkeypatch):
         for moment in MOMENTS:
             moment(m, ID, lam)
         assert calls[0] == want, lam
+    m2 = gaussian(mu=(0.3, -0.2), cov=((1.0, 0.1), (0.1, 2.0)))
+    for model, kernel, lam in ((m, _decay(64), 1e-6), (m2, TENT, np.array([0.4, -0.3]))):
+        for moment in MOMENTS:
+            calls[0] = 0
+            moment(model, kernel, lam)
+            assert calls[0] == 1, (model.id, moment.__name__)
+    calls[0] = 0
+    kr._clamp_integral(m2, TENT, np.array([0.4, -0.3]), 1e-10)
+    assert calls[0] == 1
+
+
+def test_a_fine_kernel_prices_in_one_pass():
+    # 5000 rough pieces start the pass, more than a level may split; for the
+    # standard Gaussian I_f(x) = x^2 / (2 m2) exactly
+    kernel, x = _decay(5000), 0.3
+    res = i_f_conjugate(parse_model("gaussian:mu=0,sigma=1"), kernel, x)
+    assert res.value == pytest.approx(x * x / (2.0 * kernel.m2), rel=1e-12)
 
 
 def test_e_f_near_the_open_edge_is_exact_and_fast():
@@ -1333,6 +1359,34 @@ def test_e_f_grad_at_an_infinite_tilt_is_its_limit(law, kernel, lam):
     if inside and math.isfinite(edge):
         # E_f' at a far tilt lies close to it
         assert e_f_grad(model, k, math.copysign(1e4, lam)) == pytest.approx(edge, abs=1e-2)
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf])
+@pytest.mark.parametrize("kernel", ["affine:0,1", "affine:0.5,1", "pwl:0:0,0.5:1,1:0", "const:1"])
+@pytest.mark.parametrize("law", sorted(MODEL_FACTORIES))
+def test_e_f_hess_at_an_infinite_tilt_is_its_limit(law, kernel, lam):
+    # E_f'' = int f^2 K''(lam f) dt: inside an infinite cap it tends to
+    # K''(lam) int f^2 on these kernels, f >= 0, and past a finite cap lam f
+    # leaves the domain; the walk once formed lam f = inf * 0 where f = 0, or
+    # K''(inf) = inf / inf, and raised a RuntimeWarning (an error under pytest)
+    model, k = parse_model(law), parse_kernel(kernel)
+    caps = d_f(model, k)
+    want = float(model.cgf_hess(lam)) * k.m2 if caps.lower <= lam <= caps.upper else math.inf
+    assert kr._e_f_hess(model, k, lam) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("law, kernel, want", [
+    ("poisson:rate=1", "affine:0,-1", (0.0, math.inf)),
+    ("poisson:rate=1", "affine:-1,2", (math.inf, math.inf)),
+    ("gaussian:mu=0,sigma=2", "affine:-1,2", (4.0 / 3.0, 4.0 / 3.0)),
+])
+def test_e_f_hess_at_an_infinite_tilt_weighs_each_sign_of_f(law, kernel, want):
+    # the limit at lam = +inf, -inf is K''(lam) int f^2 over {f > 0} plus
+    # K''(-lam) int f^2 over {f < 0}: Poisson's K'' = e^u is 0 at -inf and
+    # +inf at +inf, and a Gaussian's is sigma^2 on both sides
+    model, k = parse_model(law), parse_kernel(kernel)
+    got = [kr._e_f_hess(model, k, lam) for lam in (math.inf, -math.inf)]
+    assert got == pytest.approx(list(want), rel=1e-15)
 
 
 def test_a_diverged_touch_beside_a_rough_piece_sums_to_inf():
