@@ -113,6 +113,8 @@ class CadlagPath:
             np.add.at(vals, np.searchsorted(times, ts), rows)
             keep = vals.any(axis=1)
             times, vals = times[keep], vals[keep]
+        if not (np.isfinite(slopes).all() and np.isfinite(vals).all()):
+            raise ValueError("slopes and jump values must be finite")
 
         for arr in (grid, slopes, times, vals):
             arr.setflags(write=False)

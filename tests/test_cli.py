@@ -317,6 +317,22 @@ def test_nan_tilt_exits_2(capsys):
     assert "must not be nan" in cap.err
 
 
+@pytest.mark.parametrize("text", ["grid: 0.0 1.0\nslope 0: nan\n",
+                                  '{"grid": [0.0, 1.0], "slopes": [Infinity]}',
+                                  "grid: 0.0 1.0\nslope 0: 1.0\njump 0.5: -inf\n"])
+@pytest.mark.parametrize("command", ["metric", "idcost"])
+def test_non_finite_path_file_exits_2(tmp_path, capsys, text, command):
+    # a nan slope once printed rho2 = nan and i_d = nan, exiting 0
+    good, bad = tmp_path / "ramp.path", tmp_path / "bad.path"
+    good.write_text("grid: 0.0 1.0\nslope 0: 1.0\n")
+    bad.write_text(text)
+    argv = (["metric", "rho2", "--left", str(good), "--right", str(bad)] if command == "metric"
+            else ["idcost", "--model", "cexp", "--path", str(bad)])
+    code, cap = _run(capsys, argv)
+    assert code == 2
+    assert "must be finite" in cap.err
+
+
 def test_minimizer_at_the_grids_slope_edge_exits_3(capsys):
     # 1 ulp inside E_f's edge 1/2, the level is the slope edge of the
     # 500-cell grid's dual, so no path attains it

@@ -82,6 +82,11 @@ def test_graph_chain_rejects_time_reversal():
         GraphChain(((0.5, 0.0), (0.2, 1.0)))
     with pytest.raises(ValueError):
         GraphChain(((0.0, 0.0),))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^vertices must be finite$"):
+            GraphChain(((0.0, 0.0), (bad, 1.0)))
+        with pytest.raises(ValueError, match="^vertices must be finite$"):
+            GraphChain(((0.0, 0.0, 0.0), (1.0, 0.5, -bad)))
 
 
 @pytest.mark.parametrize("metric", [rho_2, rho_2_prime, rho_star])
@@ -294,6 +299,16 @@ def test_narrow_blocks_sit_one_over_n_apart(n):
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_oscillation_is_its_amplitude_from_zero(n):
     assert rho_2(_oscillation(n), ZERO) == pytest.approx(1.0 / (2.0 * math.pi * n), abs=1e-9)
+
+
+@pytest.mark.parametrize("p,a", [(0.3, 0.5), (0.3, 1.0), (0.6, 0.2)])
+def test_kink_maximum_is_exact(p, a):
+    # the zero path's graph against the tent (0,0) -> (p,a) -> (1,0): the
+    # distance to either tent segment is affine along [0, 1], and the sup
+    # sits where the two cross, at height a over the summed segment lengths
+    tent = metrics._ChainGeometry(np.array(((0.0, 0.0), (p, a), (1.0, 0.0))))
+    got = metrics._directed_sup(completed_graph(ZERO).as_array(), tent)
+    assert got == pytest.approx(a / (math.hypot(p, a) + math.hypot(1.0 - p, a)), abs=1e-15)
 
 
 def test_refinement_budget_raises(monkeypatch):

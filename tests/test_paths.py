@@ -143,6 +143,11 @@ def test_jumps_match_the_reference_loop():
     ((1, (0.0, 1.0), (1.0,), ((1.5, 1.0),)), "jump times must lie in [0, 1]"),
     ((2, (0.0, 1.0), ((1.0, 2.0),), ((0.5, (1.0, 2.0, 3.0)),)),
      "jump component count does not match dimension"),
+    ((1, (0.0, 1.0), (math.nan,)), "slopes and jump values must be finite"),
+    ((2, (0.0, 0.5, 1.0), ((1.0, 2.0), (math.inf, 0.0))), "slopes and jump values must be finite"),
+    ((1, (0.0, 1.0), (1.0,), ((0.5, -math.inf),)), "slopes and jump values must be finite"),
+    ((2, (0.0, 1.0), ((1.0, 2.0),), ((0.5, (0.0, math.nan)),)),
+     "slopes and jump values must be finite"),
 ])
 def test_construction_error_messages(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
