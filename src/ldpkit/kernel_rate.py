@@ -12,11 +12,11 @@ routes that share no value formula:
   * i_f_conjugate: Legendre transform of E_f via the generic solver;
   * i_f_explicit: int_0^1 I(K'(lam f(t))) dt + lam (x - E_f'(lam)) at the
     tilt lam the same solver's ``maximiser`` returns, clamped to the caps:
-    the closed rate integrated along the tilt's slopes, plus the jump priced
-    at the cap past a slope edge, one formula in every dimension; in d = 1
-    next to a finite domain edge of K it integrates in the slope v = K'(u),
-    as int I(v) I''(v) dv, so the rounding of u next to the edge never
-    enters;
+    the closed rate integrated along the tilt's slopes in one adaptive pass
+    in t, which in d = 1 the untouched pieces share, plus the jump priced at
+    the cap past a slope edge, one formula in every dimension; next to a
+    finite domain edge of K a piece integrates in the slope v = K'(u), so
+    the rounding of u next to the edge never enters;
   * variational_rate: the discretised path action minimised under the
     pairing constraint, as the Legendre transform of its discrete dual on
     the same solver (uses only the rate function, its derivatives, the
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -409,61 +410,58 @@ def _sign_split(kernel: Kernel):
     return pos, neg, pos_int, neg_int
 
 
-def _dyadic_gl(fn, lo: float, hi: float, tol: float) -> float:
-    """``adaptive_gl`` of fn over the panels of [lo, hi] split where |s|
-    crosses 2^k, k >= 0, s the variable of integration: in u = lam f, where
-    K'(u) leaves its saturated value; in v = K'(u), where I(v) I''(v) decays
-    toward a finite domain edge of K."""
-    top = math.ceil(math.log2(max(1.0, -lo, hi)))
-    cuts = sorted(c for j in range(top + 1) for c in (-2.0 ** j, 2.0 ** j) if lo < c < hi)
-    return quad.adaptive_gl(fn, np.array([lo, *cuts]), np.array([*cuts, hi]), tol)
+_DYADIC = sorted(sign * 2.0 ** j for j in range(1024) for sign in (-1.0, 1.0))
+
+
+def _dyadic_cuts(lo: float, hi: float) -> list:
+    """[lo, *cuts, hi], cut where |s| crosses 2^k, k >= 0."""
+    return [lo, *_DYADIC[bisect_right(_DYADIC, lo):bisect_left(_DYADIC, hi)], hi]
 
 
 def _clamp_integral(model: CgfModel, kernel: Kernel, lam_bar, tol: float) -> float:
     """int_0^1 I(K'(lam_bar f(t))) dt for a lam_bar in d_f, a cap only where
     it is closed, as ``maximiser`` returns for a finite level (at an open cap
-    the slope edge is infinite).
-
-    In d > 1 every kernel piece goes to one adaptive pass.  In d = 1 an
-    untouched piece takes ``_dyadic_gl`` in u = lam_bar f, so this route
-    shares no value formula with E_f, but within |e| / 2 of a finite domain
-    edge e of K in v = K'(u): u = I'(v), so du = I''(v) dv and that layer is
-    int I(v) I''(v) dv, whose nodes are v's, so the rounding of u next to e
-    never enters.  A flat piece, or one touching a (closed) edge, where
-    K'(e) and so v can be infinite, is a ``_node_walk`` bracket of uK - 2P,
-    d/du (uK - 2P) = I(K'(u)) = u K'(u) - K(u), else in that one pass.
-    """
+    the slope edge is infinite).  One adaptive pass in t takes g(lam_bar
+    f(t)), g = I o K', so this route shares no value formula with E_f: every
+    piece in d > 1; in d = 1 each untouched piece, cut at the t-images of
+    ``_dyadic_cuts`` in u = lam_bar f (linear in t there), where K'(u) leaves
+    its saturated value, but within |e| / 2 of a finite domain edge e of K a
+    pass per piece in v = K'(u) of I(v) I''(v) / |du / dt|, cut where it
+    decays toward e: its nodes are v's, so the rounding of u next to e never
+    enters.  A flat piece, or one touching a (closed) edge, where K'(e) and
+    so v can be infinite, is a ``_node_walk`` bracket of uK - 2P, d/du (uK -
+    2P) = I(K'(u)) = u K'(u) - K(u), else in the pass."""
     def g(u):
         return model.closed_rate(model.cgf_grad(u))
 
-    total, rough = 0.0, slice(None)     # every piece in d > 1
-    if model.dimension == 1:
+    total, bp, panels = 0.0, kernel._bp, []
+    if model.dimension > 1:
+        fn, panels = (lambda ts: g(np.multiply.outer(kernel.eval(ts), lam_bar))), [*zip(bp, bp[1:])]
+    elif kernel.lipschitz == 0.0:   # f = c: the all-flat bracket's value
+        return float(g(_trace(model, kernel, lam_bar, kernel._vals[:1])[0][0]))
+    else:
         u, touched = _trace(model, kernel, lam_bar, kernel._vals)
-        rough = closed = touched[:-1] | touched[1:] | (u[:-1] == u[1:])
+        closed = touched[:-1] | touched[1:] | (u[:-1] == u[1:])
+        fn, us = (lambda ts: g(np.interp(ts, bp, u))), u.tolist()   # u exact at a touched node
         if np.count_nonzero(closed):
             mean, rough = _node_walk(model, kernel, lam_bar)(
                 0, (("cgf", "cgf_int"), lambda u, k, p: (u * k, -2.0 * p)), g, tol)
-            rough, value = rough & closed, mean * kernel._widths
-        for i, (a, b, _, _) in enumerate(kernel.pieces()):
-            if closed[i]:
-                total += 0.0 if rough[i] else float(value[i])   # a rough one joins the pass
-                continue
-            lo, hi = sorted(u[i:i + 2].tolist())
-            rate = (hi - lo) / (b - a)      # |du / dt|
+            rough &= closed
+            total = sum((mean * kernel._widths)[closed ^ rough].tolist())
+            panels = list(zip(bp[:-1][rough].tolist(), bp[1:][rough].tolist()))
+        for i in np.flatnonzero(~closed).tolist():
+            (a, b), (ua, ub) = kernel.breakpoints[i:i + 2], us[i:i + 2]
+            (u_lo, u_hi), rate = sorted((ua, ub)), abs(ub - ua) / (b - a)  # |du / dt|
             for edge in (model.domain.lower, model.domain.upper):
-                near = hi if edge > 0 else lo
-                if not abs(edge - near) < 0.5 * abs(edge) < math.inf:
-                    continue
-                far = max(lo, 0.5 * edge) if edge > 0 else min(hi, 0.5 * edge)
-                lo, hi = (lo, far) if edge > 0 else (far, hi)
-                v_lo, v_hi = sorted(model.cgf_grad(np.array([near, far])).tolist())
-                total += _dyadic_gl(lambda v: model.closed_rate(v) * model.rate_hess(v),
-                                    v_lo, v_hi, tol * rate) / rate
-            total += _dyadic_gl(g, lo, hi, tol * rate) / rate
-    if model.dimension > 1 or np.count_nonzero(rough):
-        total += quad.adaptive_gl(lambda ts: g(np.multiply.outer(kernel.eval(ts), lam_bar)),
-                                  kernel._bp[:-1][rough], kernel._bp[1:][rough], tol)
-    return total
+                if abs(edge - (near := u_hi if edge > 0 else u_lo)) < 0.5 * abs(edge) < math.inf:
+                    far = max(u_lo, 0.5 * edge) if edge > 0 else min(u_hi, 0.5 * edge)
+                    u_lo, u_hi = (u_lo, far) if edge > 0 else (far, u_hi)
+                    vs = _dyadic_cuts(*sorted(model.cgf_grad(np.array([near, far])).tolist()))
+                    total += quad.adaptive_gl(lambda v: model.closed_rate(v) * model.rate_hess(v),
+                                              vs[:-1], vs[1:], tol * rate) / rate
+            ts = sorted([a + (s - ua) * ((b - a) / (ub - ua)) for s in _dyadic_cuts(u_lo, u_hi)])
+            panels += zip(ts, ts[1:])
+    return total + quad.adaptive_gl(fn, *zip(*panels), tol) if panels else total
 
 
 def _require(model: CgfModel, route: str, *names: str) -> None:
@@ -480,10 +478,11 @@ def i_f_explicit(model: CgfModel, kernel: Kernel, x, tol: float = 1e-9) -> Kerne
     to the caps, so the second term vanishes up to the solve's residual at an
     interior root and is the jump priced at the cap past a slope edge.  With
     no tilt attained the value is the maximiser's own, +inf or the stated
-    I_f at a slope edge with an infinite cap.  A d = 1 model with a finite
-    domain edge must state ``rate_hess``, the du / dv of the edge layer of
-    ``_clamp_integral``.  ValueError for a non-finite x or a tol that is not
-    finite and positive."""
+    I_f at a slope edge with an infinite cap.  The integral's untouched
+    pieces share one adaptive pass in t (``_clamp_integral``); a d = 1 model
+    with a finite domain edge must state ``rate_hess``, the du / dv of its
+    edge layer.  ValueError for a non-finite x or a tol that is not finite
+    and positive."""
     _require(model, "i_f_explicit", "closed_rate",
              *(("rate_hess",) if model.dimension == 1
                and min(-model.domain.lower, model.domain.upper) < math.inf else ()))

@@ -24,10 +24,11 @@ from .errors import NonConvergenceError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MAX_DEPTH = 30
-# panels of one level past the first, which holds the caller's panels: the
-# tests, ``ldpkit selftest`` and the benchmark workloads peak at 30, 136
-# times below; an integrand that is rounding noise would split every panel
-# down to _MAX_DEPTH, 2^30 of them
+# panels of one level past the first, which holds the caller's panels (5003
+# in the explicit route's one pass on a 5000-piece kernel): the tests,
+# ``ldpkit selftest`` and the benchmark workloads peak at 30, 136 times
+# below, and that pass at 22; an integrand that is rounding noise would
+# split every panel down to _MAX_DEPTH, 2^30 of them
 _MAX_PANELS = 4096
 
 

@@ -193,14 +193,35 @@ def test_small_tilt_takes_the_adaptive_rule(monkeypatch):
     calls[0] = 0
     kr._clamp_integral(m2, TENT, np.array([0.4, -0.3]), 1e-10)
     assert calls[0] == 1
+    # in d = 1 the clamp's untouched pieces share that one pass too; only a
+    # piece within |e| / 2 of a finite domain edge e (cexp's e = 1) takes its
+    # own pass in v = K'(u)
+    kernel, lam = _decay(64), 0.7
+    layer = np.count_nonzero(lam * kernel._vals[:-1] > 0.5)
+    assert 0 < layer < 64
+    for spec in ("gaussian:mu=0,sigma=1", "rademacher", "poisson:rate=1", "cexp"):
+        calls[0] = 0
+        kr._clamp_integral(parse_model(spec), kernel, lam, 1e-10)
+        assert calls[0] == 1 + (layer if spec == "cexp" else 0), spec
 
 
 def test_a_fine_kernel_prices_in_one_pass():
-    # 5000 rough pieces start the pass, more than a level may split; for the
-    # standard Gaussian I_f(x) = x^2 / (2 m2) exactly
+    # 5000 rough pieces start the pass, more than a level past the first may
+    # split; for the standard Gaussian I_f(x) = x^2 / (2 m2) exactly
     kernel, x = _decay(5000), 0.3
     res = i_f_conjugate(parse_model("gaussian:mu=0,sigma=1"), kernel, x)
     assert res.value == pytest.approx(x * x / (2.0 * kernel.m2), rel=1e-12)
+    # the explicit route's clamp integral starts its one pass with every
+    # piece, cut where |lam f| crosses powers of 2 (over 5000 panels), and
+    # agrees with the conjugate route
+    tol = 1e-9
+    for spec in ("gaussian:mu=0,sigma=1", "rademacher", "cexp", "poisson:rate=1",
+                 "synthetic-boundary"):
+        m = parse_model(spec)
+        for x in [*x_grid(m, kernel, 7).tolist(), 5.0, 20.0]:
+            want = i_f_conjugate(m, kernel, x, tol).value
+            got = i_f_explicit(m, kernel, x, tol).value
+            assert got == want or abs(got - want) <= tol * max(1.0, abs(want)), (spec, x)
 
 
 def test_e_f_near_the_open_edge_is_exact_and_fast():
